@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow bench bench-smoke bench-state bench-static bench-trace bench-trace-full bench-variants bench-shard bench-resilience bench-instrument chaos-smoke fuzz-smoke fuzz-prune-smoke fuzz-trace-smoke fuzz-variant-smoke docs-check reproduce examples clean
+.PHONY: install test test-slow bench bench-smoke bench-state bench-trace bench-trace-full bench-variants bench-shard bench-resilience chaos-smoke fuzz-smoke fuzz-trace-smoke fuzz-variant-smoke docs-check reproduce examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -32,15 +32,6 @@ bench-smoke:
 bench-state:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_state_backends.py --benchmark-only -s
-
-# Static purity pre-analysis vs the fully dynamic sweep on the Table-1
-# Java campaign.  Asserts >= 10% of injection points pruned with
-# bit-identical classification in both modes (smoke runs three small
-# applications; run without the env var for all ten).  Emits
-# BENCH_static_prune.json.
-bench-static:
-	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
-		benchmarks/bench_static_prune.py --benchmark-only -s
 
 # One-trace-many-points derivation vs the fully dynamic sweep on the
 # Table-1 Java campaign.  Asserts >= 5x fewer subject executions with
@@ -85,23 +76,15 @@ bench-resilience:
 		benchmarks/bench_resilience.py --benchmark-only -s
 
 # Fast seeded chaos gate: two supervised campaigns under the standard
-# fault plan (plain and prune+trace+fingerprint) must converge
-# bit-identical to the fault-free engine.  Leaves chaos-report.json
-# behind as the reproducer; CI uploads it on failure.
+# fault plan (plain and trace+fingerprint) must converge bit-identical
+# to the fault-free engine.  Leaves chaos-report.json behind as the
+# reproducer; CI uploads it on failure.
 chaos-smoke:
 	$(PYTHON) -m repro chaos LLMap --seed 20260808 --shards 3 \
 		--report-out chaos-report.json
 	$(PYTHON) -m repro chaos LLMap --seed 20260808 --shards 3 \
-		--state-backend fingerprint --static-prune --trace-derive \
+		--state-backend fingerprint --trace-derive \
 		--report-out chaos-report.json
-
-# Instrumentation backends (weave vs sys.monitoring where available) on
-# the Table-1 smoke sweep: run logs and classifications must be
-# bit-identical across backends.  On < 3.12 only the weaving backend
-# runs.  Emits BENCH_instrumentors.json.
-bench-instrument:
-	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
-		benchmarks/bench_instrumentors.py --benchmark-only -s
 
 # Fixed-seed differential fuzzing sweep plus the classifier-mutation
 # self-check (< 60 s).  A failure shrinks the first failing program and
@@ -112,14 +95,6 @@ fuzz-smoke:
 		--reproducer-out fuzz-reproducer.json
 	$(PYTHON) -m repro fuzz --self-check --seed 20260806 --programs 8
 
-# Differential prune oracle: every fuzzed program is swept twice
-# (dynamic, statically pruned) and the run logs must agree bit for bit
-# modulo provenance.  Same reproducer protocol as fuzz-smoke.
-fuzz-prune-smoke:
-	$(PYTHON) -m repro fuzz --seed 20260806 --programs 25 \
-		--engine sequential --static-prune \
-		--reproducer-out fuzz-reproducer.json
-
 # Differential trace oracle: every fuzzed program is swept twice
 # (dynamic, trace-derived) and the run logs must agree bit for bit
 # modulo provenance.  Same reproducer protocol as fuzz-smoke.
@@ -128,7 +103,7 @@ fuzz-trace-smoke:
 		--engine sequential --trace-derive \
 		--reproducer-out fuzz-reproducer.json
 
-# Detection-invariance oracle (Check 8): every fuzzed program is also
+# Detection-invariance oracle (Check 7): every fuzzed program is also
 # campaigned as three semantic-preserving variants, and the log,
 # classification, and masking fixpoints must match the original's bit
 # for bit.  Same reproducer protocol as fuzz-smoke.

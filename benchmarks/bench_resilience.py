@@ -8,7 +8,7 @@ The robustness layer's acceptance contract, enforced end to end:
   (:class:`~repro.experiments.supervise.ShardSupervisor`) converges
   within its bounded retry budget to a result **bit-identical** to the
   fault-free sequential engine's — run log and classification JSON —
-  across state backends and the static-prune/trace-derive passes;
+  across state backends and the trace-derive pass;
 * every scheduled fault kind actually fired (a chaos harness whose
   faults never land tests nothing);
 * a :class:`~repro.service.server.CampaignService` built on a
@@ -73,12 +73,8 @@ def workload():
 CONFIGS = [
     {},
     {"state_backend": "fingerprint"},
-    {"static_prune": True, "trace_derive": True},
-    {
-        "state_backend": "fingerprint",
-        "static_prune": True,
-        "trace_derive": True,
-    },
+    {"trace_derive": True},
+    {"state_backend": "fingerprint", "trace_derive": True},
 ]
 
 

@@ -32,7 +32,7 @@ import json
 import os
 import time
 
-from repro.core.staticpass import log_json_without_provenance
+from repro.core.runlog import log_json_without_provenance
 from repro.experiments import JAVA_PROGRAMS, program_by_name, run_app_campaign
 
 from conftest import emit

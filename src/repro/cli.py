@@ -52,7 +52,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core import WrapPolicy, format_run_provenance, render_bars
-from repro.core.instrument import InstrumentorError
 from repro.core.policy import select_methods_to_wrap
 
 __all__ = ["main", "build_parser", "load_policy"]
@@ -103,9 +102,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         retries=args.retries,
         state_backend=args.state_backend,
-        static_prune=args.static_prune,
         trace_derive=args.trace_derive,
-        instrumentor=args.instrumentor,
     )
     report = outcome.report
     print(
@@ -145,9 +142,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         retries=args.retries,
         resume=args.resume,
         state_backend=args.state_backend,
-        static_prune=args.static_prune,
         trace_derive=args.trace_derive,
-        instrumentor=args.instrumentor,
     )
     print(
         f"shard {result.shard_index}/{result.shard_count}: "
@@ -156,7 +151,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     )
     print(
         f"  executed={result.executed} resumed={result.resumed} "
-        f"pruned={result.pruned} derived={result.derived} "
+        f"derived={result.derived} "
         f"crashed={result.crashed} retries={result.retries}"
     )
     print(f"  wall={result.wall_seconds:.3f}s")
@@ -233,9 +228,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         retries=args.retries,
         state_backend=args.state_backend,
-        static_prune=args.static_prune,
         trace_derive=args.trace_derive,
-        instrumentor=args.instrumentor,
         hang_seconds=args.hang_seconds,
     )
     print(report.summary())
@@ -257,9 +250,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         wrap_conditional=args.wrap_conditional,
         strategy=args.strategy,
         state_backend=args.state_backend,
-        static_prune=args.static_prune,
         trace_derive=args.trace_derive,
-        instrumentor=args.instrumentor,
     )
     print(validation.summary())
     return 0 if validation.masking_effective else 1
@@ -299,11 +290,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             engine=args.engine,
             workers=args.workers,
             state_backend=args.state_backend,
-            static_prune=args.static_prune,
             trace_derive=args.trace_derive,
             variants=args.variants,
             variant_seed=args.seed,
-            instrumentor=args.instrumentor,
         )
         if verdict.ok:
             print(f"{spec.name}: all checks pass")
@@ -328,10 +317,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         workers=args.workers,
         progress=progress,
         state_backend=args.state_backend,
-        static_prune=args.static_prune,
         trace_derive=args.trace_derive,
         variants=args.variants,
-        instrumentor=args.instrumentor,
     )
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as handle:
@@ -342,11 +329,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         f"{report.total_points} injection points, methods by category "
         f"{report.category_counts}"
     )
-    if report.static_prune:
-        print(
-            f"prune equivalence checked: {report.total_pruned} point(s) "
-            f"decided statically across all programs"
-        )
     if report.trace_derive:
         print(
             f"trace equivalence checked: {report.total_derived} point(s) "
@@ -357,11 +339,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             f"variant invariance checked: {report.variants} variant(s) per "
             f"program, {report.total_variant_applied} transform "
             f"application(s) across the corpus"
-        )
-    if report.instrumentor != "weave":
-        print(
-            f"instrumentor equivalence checked: {report.instrumentor} vs "
-            f"weave on every program"
         )
     if report.ok:
         print("zero oracle mismatches across engines and checkpoint strategies")
@@ -387,11 +364,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 engine=args.engine,
                 workers=args.workers,
                 state_backend=args.state_backend,
-                static_prune=args.static_prune,
                 trace_derive=args.trace_derive,
                 variants=args.variants,
                 variant_seed=args.seed,
-                instrumentor=args.instrumentor,
             ),
             max_evals=args.max_shrink_evals,
         )
@@ -471,7 +446,6 @@ def _cmd_variants(args: argparse.Namespace) -> int:
                 spec.name,
                 functools.partial(build_program, spec),
                 factories,
-                static_prune=args.static_prune,
                 trace_derive=args.trace_derive,
                 state_backend=args.state_backend,
             )
@@ -484,7 +458,6 @@ def _cmd_variants(args: argparse.Namespace) -> int:
         base = (
             campaign_bundle(
                 lambda: program,
-                static_prune=args.static_prune,
                 trace_derive=args.trace_derive,
                 state_backend=args.state_backend,
             )
@@ -507,7 +480,6 @@ def _cmd_variants(args: argparse.Namespace) -> int:
                 if base is not None:
                     bundle = campaign_bundle(
                         lambda: grafted.program,
-                        static_prune=args.static_prune,
                         trace_derive=args.trace_derive,
                         state_backend=args.state_backend,
                     )
@@ -633,19 +605,6 @@ def _cmd_fixes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_static_prune_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--static-prune",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="prove methods receiver-pure with a static pre-analysis and "
-             "synthesize the records of provably decided injection points "
-             "instead of executing them (default: off; classification is "
-             "identical, synthesized runs carry provenance=static; "
-             "composes with --trace-derive, the static tag winning on "
-             "points both passes decide)")
-
-
 def _add_trace_derive_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-derive",
@@ -655,22 +614,9 @@ def _add_trace_derive_flag(parser: argparse.ArgumentParser) -> None:
              "from ONE instrumented reference execution instead of "
              "re-running the subject per point (default: off; "
              "classification is identical, derived runs carry "
-             "provenance=trace; composes with --static-prune and every "
-             "--state-backend; note the instrumented reference run still "
-             "happens even when every point is decided without execution)")
-
-
-def _add_instrumentor_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.core.instrument import DEFAULT_INSTRUMENTOR, INSTRUMENTOR_NAMES
-
-    parser.add_argument(
-        "--instrumentor", choices=INSTRUMENTOR_NAMES,
-        default=DEFAULT_INSTRUMENTOR,
-        help="instrumentation backend campaigns observe the subject "
-             "through (default: weave): method-replacement weaving "
-             "(weave, any Python) or PEP 669 sys.monitoring events "
-             "(monitoring, Python 3.12+; identical logs, zero overhead "
-             "on uninstrumented code paths)")
+             "provenance=trace; composes with every --state-backend; "
+             "note the instrumented reference run still happens even "
+             "when every point is decided without execution)")
 
 
 def _add_state_backend_flag(parser: argparse.ArgumentParser) -> None:
@@ -721,9 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=1,
         help="retries per timed-out point before marking it crashed")
     _add_state_backend_flag(detect)
-    _add_static_prune_flag(detect)
     _add_trace_derive_flag(detect)
-    _add_instrumentor_flag(detect)
     detect.set_defaults(func=_cmd_detect)
 
     shard = sub.add_parser(
@@ -749,9 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=1,
         help="retries per timed-out point before marking it crashed")
     _add_state_backend_flag(shard)
-    _add_static_prune_flag(shard)
     _add_trace_derive_flag(shard)
-    _add_instrumentor_flag(shard)
     shard.set_defaults(func=_cmd_shard)
 
     merge = sub.add_parser(
@@ -833,9 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the full chaos report (plan, fault log, verdict) "
              "as JSON — the reproducer artifact CI uploads on failure")
     _add_state_backend_flag(chaos)
-    _add_static_prune_flag(chaos)
     _add_trace_derive_flag(chaos)
-    _add_instrumentor_flag(chaos)
     chaos.set_defaults(func=_cmd_chaos)
 
     validate = sub.add_parser(
@@ -851,9 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
              "copy (snapshot) or write-barrier undo log (undolog; only "
              "sound for attribute-reassignment state)")
     _add_state_backend_flag(validate)
-    _add_static_prune_flag(validate)
     _add_trace_derive_flag(validate)
-    _add_instrumentor_flag(validate)
     validate.set_defaults(func=_cmd_validate)
 
     fuzz = sub.add_parser(
@@ -887,11 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="budget of harness evaluations while shrinking")
     _add_state_backend_flag(fuzz)
     fuzz.add_argument(
-        "--static-prune", action="store_true", default=False,
-        help="additionally run each program's sequential campaign under "
-             "the static pruning pass and assert the pruned sweep's log "
-             "and classification equal the full sweep's")
-    fuzz.add_argument(
         "--trace-derive", action="store_true", default=False,
         help="additionally run each program's sequential campaign under "
              "the trace-derivation pass and assert the derived sweep's "
@@ -901,8 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variants", type=int, default=0, metavar="N",
         help="additionally check detection invariance across N "
              "semantic-preserving AST variants of every program "
-             "(Check 8; recipes seeded by --seed; default: 0 = off)")
-    _add_instrumentor_flag(fuzz)
+             "(Check 7; recipes seeded by --seed; default: 0 = off)")
     fuzz.set_defaults(func=_cmd_fuzz)
 
     variants = sub.add_parser(
@@ -932,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run full campaigns on the original and every variant and "
              "assert identical outputs (exit 1 on divergence)")
     _add_state_backend_flag(variants)
-    _add_static_prune_flag(variants)
     _add_trace_derive_flag(variants)
     variants.set_defaults(func=_cmd_variants)
 
@@ -987,9 +918,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (
-        OSError, ValueError, json.JSONDecodeError, InstrumentorError
-    ) as exc:
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,8 +36,10 @@ from .detector import (
     DetectionError,
     DetectionResult,
     Detector,
+    Profile,
     Program,
     plan_points,
+    profile_program,
     run_injection_point,
 )
 from .exceptions import (
@@ -58,20 +60,6 @@ from .cow import (
 from .harden import HardeningResult, harden
 from .htmlreport import policy_template, render_campaign_html
 from .injection import InjectionCampaign, make_injection_wrapper
-from .instrument import (
-    DEFAULT_INSTRUMENTOR,
-    INSTRUMENTOR_NAMES,
-    INSTRUMENTORS,
-    EventObserver,
-    Instrumentor,
-    InstrumentorError,
-    InstrumentorUnavailable,
-    MonitoringInstrumentor,
-    WeavingInstrumentor,
-    available_instrumentors,
-    get_instrumentor,
-    resolve_instrumentor_name,
-)
 from .masking import Masker, MaskingStats, atomic_block, failure_atomic, make_atomicity_wrapper
 from .policy import WrapPolicy, filter_log, reclassify, select_methods_to_wrap
 from .report import (
@@ -84,14 +72,6 @@ from .report import (
     render_bars,
 )
 from .runlog import ATOMIC, NONATOMIC, Mark, RunLog, RunRecord, merge_logs
-from .staticpass import (
-    PROVENANCE_DYNAMIC,
-    PROVENANCE_STATIC,
-    PurityAnalysis,
-    StaticPruner,
-    syntactic_effects,
-    transitive_purity,
-)
 from .tracepass import (
     PROVENANCE_TRACE,
     TraceDeriver,
@@ -175,15 +155,10 @@ __all__ = [
     "DetectionError",
     "Program",
     "CallableProgram",
+    "Profile",
     "plan_points",
+    "profile_program",
     "run_injection_point",
-    # static purity pre-analysis
-    "PROVENANCE_DYNAMIC",
-    "PROVENANCE_STATIC",
-    "PurityAnalysis",
-    "StaticPruner",
-    "syntactic_effects",
-    "transitive_purity",
     # trace-derived verdicts
     "PROVENANCE_TRACE",
     "TraceDeriver",
@@ -221,19 +196,6 @@ __all__ = [
     "WeavingError",
     "weave_with",
     "LoadTimeWeaver",
-    # instrumentation backends
-    "Instrumentor",
-    "InstrumentorError",
-    "InstrumentorUnavailable",
-    "EventObserver",
-    "WeavingInstrumentor",
-    "MonitoringInstrumentor",
-    "INSTRUMENTORS",
-    "INSTRUMENTOR_NAMES",
-    "DEFAULT_INSTRUMENTOR",
-    "available_instrumentors",
-    "get_instrumentor",
-    "resolve_instrumentor_name",
     # one-call facade
     "harden",
     "HardeningResult",

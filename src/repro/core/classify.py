@@ -65,7 +65,7 @@ class ClassificationResult:
     ``crashed_runs`` and ``run_provenance`` are summary metadata about
     the evidence base — how many runs were discarded as crashed and how
     many of the counted runs were executed (``"dynamic"``) versus
-    synthesized by the static pruning pass (``"static"``).  They are
+    derived by the trace pass (``"trace"``).  They are
     intentionally not part of the serialized per-method payload: two
     campaigns with the same verdicts are the same classification.
     """

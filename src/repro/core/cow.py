@@ -1,6 +1,6 @@
 """Undo-log ("copy-on-write") checkpointing — the paper's §6.2 extension.
 
-The eager :mod:`snapshot <repro.core.snapshot>` checkpoint copies the
+The eager :mod:`checkpoint <repro.core.state.checkpoint>` copies the
 whole reachable state up front, so its cost grows with object size even
 when the method barely writes anything.  The paper suggests copy-on-write
 to speed up checkpointing of very large objects; this module implements

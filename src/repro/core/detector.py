@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import (
     Callable,
-    Container,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -27,19 +27,19 @@ from typing import (
 from .analyzer import MethodSpec
 from .exceptions import InjectionAbort, is_injected
 from .injection import InjectionCampaign
-from .instrument import Instrumentor, WeavingInstrumentor
 from .runlog import RunLog, RunRecord
 from .state import FingerprintCache, get_backend
-from .staticpass import StaticPruner, call_through_boundary
 from .telemetry import CampaignTelemetry
-from .tracepass import TraceDeriver, TraceRecorder
+from .tracepass import TraceDeriver, TraceRecorder, call_through_boundary
 
 __all__ = [
     "Program",
     "Detector",
     "DetectionResult",
     "DetectionError",
+    "Profile",
     "plan_points",
+    "profile_program",
     "run_injection_point",
 ]
 
@@ -92,7 +92,6 @@ def plan_points(
     stride: int = 1,
     injection_points: Optional[Iterable[int]] = None,
     baseline_run: bool = True,
-    pruned: Optional[Container[int]] = None,
 ) -> List[int]:
     """The ordered list of thresholds a campaign will sweep.
 
@@ -100,13 +99,6 @@ def plan_points(
     *same* plan: points ``1..total`` thinned by ``stride`` (or an explicit
     point list), plus the trailing baseline run at ``total + 1`` that
     observes genuine (non-injected) failures without injecting anything.
-
-    Args:
-        pruned: points the static pass decided without execution
-            (``repro.core.staticpass``); they are dropped from the plan
-            so both engines skip them the same way.  The baseline run is
-            never pruned — genuine failures are only observable
-            dynamically.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -114,8 +106,6 @@ def plan_points(
         points = list(range(1, total + 1, stride))
     else:
         points = list(injection_points)
-    if pruned is not None:
-        points = [point for point in points if point not in pruned]
     if baseline_run:
         points.append(total + 1)
     return points
@@ -194,6 +184,71 @@ def _refine_run(
         campaign.backend = saved_backend
 
 
+@dataclass
+class Profile:
+    """What a campaign's profiling run established.
+
+    ``decided`` maps each injection point the trace pass derived to its
+    record (empty without ``trace_derive``); the ``trace_*`` fields are
+    that pass's telemetry.
+    """
+
+    total_points: int
+    decided: Dict[int, RunRecord] = field(default_factory=dict)
+    trace_seconds: float = 0.0
+    trace_writes: int = 0
+    trace_captures: int = 0
+    trace_capture_retries: int = 0
+
+
+def profile_program(
+    program: Program,
+    campaign: InjectionCampaign,
+    woven_specs: Iterable[MethodSpec] = (),
+    *,
+    trace_derive: bool = False,
+) -> Profile:
+    """Run the profiling run (threshold 0) of an already woven program.
+
+    Counts the injection points and records the per-method call counts
+    in ``campaign.log``.  With ``trace_derive`` the trace pass
+    (:mod:`repro.core.tracepass`) observes the run, with write barriers
+    on the classes of *woven_specs*, and derives the record of every
+    trace-decidable point.  Every engine profiles through here.
+    """
+    deriver: Optional[TraceDeriver] = None
+    recorder: Optional[TraceRecorder] = None
+    if trace_derive:
+        recorder = TraceRecorder()
+        recorder.start({spec.owner for spec in woven_specs if spec.owner})
+        deriver = TraceDeriver(campaign, recorder=recorder)
+        deriver.attach(campaign)
+    campaign.begin_profile()
+    try:
+        call_through_boundary(program)
+    except BaseException as exc:
+        raise DetectionError(
+            f"program {program.name!r} failed during profiling: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    finally:
+        total = campaign.end_profile()
+        if deriver is not None:
+            deriver.detach(campaign)
+            recorder.stop()
+    if deriver is None:
+        return Profile(total)
+    decided = deriver.derive_map()  # counts into deriver.seconds
+    return Profile(
+        total,
+        decided=decided,
+        trace_seconds=deriver.seconds,
+        trace_writes=recorder.recorded_writes,
+        trace_captures=deriver.stats.captures,
+        trace_capture_retries=deriver.capture_retries,
+    )
+
+
 class Detector:
     """Runs the injector program once per injection point.
 
@@ -204,24 +259,14 @@ class Detector:
         stride: sample every *stride*-th injection point instead of all of
             them.  The paper sweeps every point; a stride > 1 trades
             completeness for speed and is used by some benchmarks.
-        static_prune: run the static purity pre-analysis
-            (``repro.core.staticpass``) over the profiling run and
-            synthesize the records of provably decided points instead of
-            executing them.
         trace_derive: instrument the profiling run (``repro.core.tracepass``)
             and derive the records of every trace-decidable point from
             that one execution; only trace-undecidable points run for
-            real.  Composes with ``static_prune`` on the same profiling
-            run (statically decided points win the provenance tag).
-        woven_specs: the campaign's woven method specs — the universe the
-            static pass analyzes and the classes the trace pass puts
-            write barriers on.  Optional; without it only points whose
-            whole stack context is wrapper-free can be pruned.
-        instrumentor: the event substrate the profiling passes observe
-            through (:mod:`repro.core.instrument`).  Defaults to a
-            weaving instrumentor over this campaign; callers that wove
-            through an instrumentor pass it in so observation rides the
-            same backend.
+            real.
+        woven_specs: the campaign's woven method specs — the classes the
+            trace pass puts write barriers on and the digest cache
+            watches.  Optional; without it the trace pass always
+            recaptures state and no digest cache is installed.
         fingerprint_cache: memoize frame digests between barriered
             writes when the campaign's backend supports it
             (fingerprint sweeps only; output is bit-identical either
@@ -235,10 +280,8 @@ class Detector:
         *,
         stride: int = 1,
         progress: Optional[Callable[[int, int], None]] = None,
-        static_prune: bool = False,
         trace_derive: bool = False,
         woven_specs: Optional[List[MethodSpec]] = None,
-        instrumentor: Optional[Instrumentor] = None,
         fingerprint_cache: bool = True,
     ) -> None:
         """
@@ -253,25 +296,13 @@ class Detector:
         self.campaign = campaign
         self.stride = stride
         self.progress = progress
-        self.static_prune = static_prune
         self.trace_derive = trace_derive
         self.woven_specs = woven_specs
-        self.instrumentor = instrumentor
         self.fingerprint_cache = fingerprint_cache
 
     def profile(self) -> int:
         """Count injection points and record call counts (no injection)."""
-        self.campaign.begin_profile()
-        try:
-            call_through_boundary(self.program)
-        except BaseException as exc:
-            raise DetectionError(
-                f"program {self.program.name!r} failed during profiling: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        finally:
-            total = self.campaign.end_profile()
-        return total
+        return profile_program(self.program, self.campaign).total_points
 
     def detect(
         self,
@@ -294,51 +325,14 @@ class Detector:
                 failures; the baseline run observes them.
         """
         started = time.perf_counter()
-        instrumentor = self.instrumentor
-        if instrumentor is None:
-            # Observation-only adapter over the campaign's slots; the
-            # program was woven by the caller (any factory), so this
-            # instrumentor never instruments, it only dispatches events.
-            instrumentor = WeavingInstrumentor(self.campaign)
-        pruner: Optional[StaticPruner] = None
-        deriver: Optional[TraceDeriver] = None
-        recorder: Optional[TraceRecorder] = None
-        woven_classes = {
-            spec.owner for spec in self.woven_specs or [] if spec.owner
-        }
-        if self.static_prune:
-            pruner = StaticPruner(self.woven_specs)
-        observers: List[object] = []
-        if self.trace_derive:
-            recorder = TraceRecorder()
-            instrumentor.start_write_trace(recorder, woven_classes)
-            deriver = TraceDeriver(
-                self.campaign, pruner=pruner, recorder=recorder
-            )
-            # The deriver chains the pruner's observations internally,
-            # so composed passes still share one event subscription.
-            observers.append(deriver)
-        elif pruner is not None:
-            observers.append(pruner)
-        for observer in observers:
-            instrumentor.subscribe(observer)
-        if observers:
-            instrumentor.attach()
-        try:
-            total = self.profile()
-        finally:
-            if instrumentor.attached:
-                instrumentor.detach()
-            for observer in observers:
-                instrumentor.unsubscribe(observer)
-            if recorder is not None:
-                instrumentor.stop_write_trace(recorder)
-        prune_map = pruner.prune_map() if pruner is not None else {}
-        derive_map = deriver.derive_map() if deriver is not None else {}
-        # Statically decided points win the provenance tag; the records
-        # agree modulo provenance whenever both passes decide a point.
-        decided = dict(derive_map)
-        decided.update(prune_map)
+        profile = profile_program(
+            self.program,
+            self.campaign,
+            self.woven_specs or (),
+            trace_derive=self.trace_derive,
+        )
+        total = profile.total_points
+        decided = profile.decided
         profiled = time.perf_counter()
         points = plan_points(
             total,
@@ -346,20 +340,13 @@ class Detector:
             injection_points=injection_points,
             baseline_run=baseline_run,
         )
-        executable = set(
-            plan_points(
-                total,
-                stride=self.stride,
-                injection_points=injection_points,
-                baseline_run=baseline_run,
-                pruned=decided,
-            )
-        )
         genuine_failures: List[str] = []
         executed = 0
-        pruned = 0
         derived = 0
         done = 0
+        woven_classes = {
+            spec.owner for spec in self.woven_specs or [] if spec.owner
+        }
         cache: Optional[FingerprintCache] = None
         if (
             self.fingerprint_cache
@@ -376,21 +363,18 @@ class Detector:
             self.campaign.digest_cache = cache
         try:
             for injection_point in points:
-                if injection_point in executable:
+                if injection_point in decided:
+                    # Decided without execution: append the derived
+                    # record in plan order, bypassing begin_run.
+                    self.campaign.log.runs.append(decided[injection_point])
+                    derived += 1
+                else:
                     _, failure = run_injection_point(
                         self.program, self.campaign, injection_point
                     )
                     if failure is not None:
                         genuine_failures.append(failure)
                     executed += 1
-                else:
-                    # Decided without execution: append the synthesized
-                    # record in plan order, bypassing begin_run.
-                    self.campaign.log.runs.append(decided[injection_point])
-                    if injection_point in prune_map:
-                        pruned += 1
-                    else:
-                        derived += 1
                 done += 1
                 if self.progress is not None:
                     self.progress(done, len(points))
@@ -406,7 +390,6 @@ class Detector:
             workers=1,
             runs_total=len(points),
             runs_executed=executed,
-            runs_pruned=pruned,
             runs_derived=derived,
             wall_seconds=wall,
             runs_per_second=(executed / wall) if wall > 0 else 0.0,
@@ -419,21 +402,10 @@ class Detector:
             state_fingerprints=state_stats.fingerprints,
             state_compares=state_stats.compares,
             state_seconds=state_stats.seconds,
-            static_pure_methods=(
-                pruner.pure_method_count if pruner is not None else 0
-            ),
-            static_seconds=pruner.seconds if pruner is not None else 0.0,
-            trace_seconds=deriver.seconds if deriver is not None else 0.0,
-            trace_writes=(
-                recorder.recorded_writes if recorder is not None else 0
-            ),
-            trace_captures=(
-                deriver.stats.captures if deriver is not None else 0
-            ),
-            trace_capture_retries=(
-                deriver.capture_retries if deriver is not None else 0
-            ),
-            instrumentor=instrumentor.name,
+            trace_seconds=profile.trace_seconds,
+            trace_writes=profile.trace_writes,
+            trace_captures=profile.trace_captures,
+            trace_capture_retries=profile.trace_capture_retries,
             fingerprint_cache_hits=cache.hits if cache is not None else 0,
             fingerprint_cache_misses=cache.misses if cache is not None else 0,
         )

@@ -76,16 +76,11 @@ def render_campaign_html(
     classification = report.classification
     title = title or f"Failure atomicity report — {report.name}"
     # Evidence provenance of the log's runs, when a log is provided:
-    # how many run records the static pruning pass synthesized, how many
-    # the trace pass derived from the reference execution, and how many
-    # crashed runs were excluded.
-    statically_decided = 0
+    # how many run records the trace pass derived from the reference
+    # execution, and how many crashed runs were excluded.
     trace_derived = 0
     crashed = 0
     if log is not None:
-        statically_decided = sum(
-            1 for run in log.runs if run.provenance == "static"
-        )
         trace_derived = sum(
             1 for run in log.runs if run.provenance == "trace"
         )
@@ -99,13 +94,11 @@ def render_campaign_html(
         f"<h1>{html.escape(title)}</h1>",
         "<h2>Summary</h2>",
         "<table><tr><th>classes</th><th>methods</th><th>injections</th>"
-        "<th>pure non-atomic calls</th>"
-        "<th>statically decided runs</th><th>trace-derived runs</th>"
+        "<th>pure non-atomic calls</th><th>trace-derived runs</th>"
         "<th>crashed runs</th></tr>",
         f"<tr><td>{report.class_count}</td><td>{report.method_count}</td>"
         f"<td>{report.injection_count}</td>"
         f"<td>{100 * report.pure_call_fraction():.2f}%</td>"
-        f"<td>{statically_decided}</td>"
         f"<td>{trace_derived}</td>"
         f"<td>{crashed}</td></tr></table>",
         "<p>By methods: "

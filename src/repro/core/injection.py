@@ -75,20 +75,15 @@ class InjectionCampaign:
         #: Profiling-only hook: called as ``observer(spec, point)`` at
         #: every wrapper entry with the base value of the point counter
         #: (the entry's repertoire occupies the next ``len(exceptions)``
-        #: points).  The static pruning pass attaches here to pair each
-        #: injection point with its live call stack.
+        #: points).  The trace pass (:mod:`repro.core.tracepass`)
+        #: attaches here to pair each injection point with its live call
+        #: stack.
         self.point_observer: Optional[Callable[[MethodSpec, int], None]] = None
         #: Profiling-only hook: called as ``escape_observer(spec)`` when a
         #: wrapped call exits via an exception during profiling.  A genuine
         #: failure leaves a mark in every detection run that executes past
-        #: it, which only execution can produce — the pruning pass uses
-        #: this to stop synthesizing records for later points.
+        #: it — the trace pass records that mark at this moment.
         self.escape_observer: Optional[Callable[[MethodSpec], None]] = None
-        #: Profiling-only hook: called as ``exit_observer(spec)`` when a
-        #: wrapped call returns normally during profiling.  Together with
-        #: the two hooks above this is the full event surface the
-        #: instrumentor protocol (:mod:`repro.core.instrument`) adapts.
-        self.exit_observer: Optional[Callable[[MethodSpec], None]] = None
         #: Optional per-campaign digest cache
         #: (:class:`repro.core.state.FingerprintCache`).  Installed by the
         #: engines for fingerprint-backend sweeps; ``capture_state``
@@ -285,18 +280,13 @@ def make_injection_wrapper(
                 raise exc
         if not campaign.detecting:
             escape = campaign.escape_observer
-            on_exit = campaign.exit_observer
-            if escape is None and on_exit is None:
+            if escape is None:
                 return original(*args, **kwargs)
             try:
-                result = original(*args, **kwargs)
+                return original(*args, **kwargs)
             except BaseException:
-                if escape is not None:
-                    escape(spec)
+                escape(spec)
                 raise
-            if on_exit is not None:
-                on_exit(spec)
-            return result
         before = campaign.capture_state(spec, args, kwargs)
         try:
             return original(*args, **kwargs)
@@ -317,9 +307,9 @@ def make_injection_wrapper(
     return inj_wrapper
 
 
-#: Code object shared by every injection wrapper — the static pruning
-#: pass recognizes wrapper frames in a stack walk by identity against
-#: this constant (closures share one code object across instantiations).
+#: Code object shared by every injection wrapper — the trace pass
+#: recognizes wrapper frames in a stack walk by identity against this
+#: constant (closures share one code object across instantiations).
 INJ_WRAPPER_CODE = next(
     const
     for const in make_injection_wrapper.__code__.co_consts

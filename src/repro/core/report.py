@@ -172,26 +172,21 @@ def format_class_distribution(reports: Iterable[AppReport]) -> str:
 def format_run_provenance(classification: ClassificationResult) -> str:
     """One-line evidence summary: counted runs by provenance + crashed.
 
-    Example: ``evidence: 23 dynamic + 9 static + 6 trace run(s), 0
-    crashed run(s) excluded``.  The static count is how many records the
-    pruning pass synthesized instead of executing
-    (:mod:`repro.core.staticpass`); the trace count is how many the
-    trace pass derived from the instrumented reference execution
+    Example: ``evidence: 23 dynamic + 6 trace run(s), 0 crashed run(s)
+    excluded``.  The trace count is how many records the trace pass
+    derived from the instrumented reference execution
     (:mod:`repro.core.tracepass`); crashed runs are excluded from
     classification entirely.
     """
     provenance = classification.run_provenance
     dynamic = provenance.get("dynamic", 0)
-    static = provenance.get("static", 0)
     trace = provenance.get("trace", 0)
     other = sum(
         count
         for tag, count in provenance.items()
-        if tag not in ("dynamic", "static", "trace")
+        if tag not in ("dynamic", "trace")
     )
     parts = [f"{dynamic} dynamic"]
-    if static:
-        parts.append(f"{static} static")
     if trace:
         parts.append(f"{trace} trace")
     if other:

@@ -25,6 +25,7 @@ __all__ = [
     "RunRecord",
     "RunLog",
     "merge_logs",
+    "log_json_without_provenance",
     "ATOMIC",
     "NONATOMIC",
 ]
@@ -71,8 +72,8 @@ class RunRecord:
     completed: bool = False  # True if the program finished without injection
     escaped: bool = False  # True if the injected exception reached the top
     crashed: bool = False  # True if the run never finished (timeout/worker loss)
-    #: "dynamic" for executed runs, "static" for records synthesized by
-    #: the static pruning pass (repro.core.staticpass) instead of run.
+    #: "dynamic" for executed runs, "trace" for records the trace pass
+    #: (repro.core.tracepass) derived instead of running them.
     provenance: str = "dynamic"
 
     def add_mark(
@@ -226,3 +227,16 @@ class RunLog:
     def load(cls, path: str) -> "RunLog":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
+
+
+def log_json_without_provenance(log: RunLog) -> str:
+    """The log's JSON with per-run provenance erased.
+
+    A derived and a fully dynamic sweep differ *only* in which runs
+    carry ``"trace"``; equality of this projection is the differential
+    oracles' bit-identicality check.
+    """
+    payload = json.loads(log.to_json())
+    for run in payload.get("runs", []):
+        run.pop("provenance", None)
+    return json.dumps(payload, indent=2, sort_keys=True)

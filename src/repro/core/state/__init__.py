@@ -12,16 +12,12 @@ Submodules:
 * :mod:`~repro.core.state.introspect` — shared type introspection and the
   canonical child-ordering every backend agrees on.
 * :mod:`~repro.core.state.graph` — materialized object graphs and
-  rooted-isomorphism comparison (formerly ``repro.core.objgraph``).
-* :mod:`~repro.core.state.checkpoint` — eager in-place checkpoints
-  (formerly ``repro.core.snapshot``).
+  rooted-isomorphism comparison.
+* :mod:`~repro.core.state.checkpoint` — eager in-place checkpoints.
 * :mod:`~repro.core.state.fingerprint` — one-pass 128-bit structural
   digests, the fast path for "did the state change?".
 * :mod:`~repro.core.state.backend` — the protocol and its three
   implementations.
-
-The old import paths (``repro.core.objgraph``, ``repro.core.snapshot``)
-remain available as deprecated re-export shims.
 """
 
 from __future__ import annotations

@@ -25,9 +25,8 @@ Objects created after the checkpoint become unreachable after restore and
 are reclaimed by Python's garbage collector; this subsumes the reference
 counting / GC discussion in Section 5.1 of the paper.
 
-Historically this module was ``repro.core.snapshot``; that import path
-remains as a re-export shim.  Type introspection is shared with the other
-state backends via :mod:`repro.core.state.introspect`.
+Type introspection is shared with the other state backends via
+:mod:`repro.core.state.introspect`.
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ and the parallel engine in :mod:`repro.experiments.parallel`) attach a
 
 The serialized form is a plain dict so that journals and metadata written
 by older versions of the code (or hand-edited) load cleanly: every key is
-optional and defaults sanely in :meth:`CampaignTelemetry.from_dict`.
+optional and defaults sanely in :meth:`CampaignTelemetry.from_dict`, and
+keys of fields that no longer exist are ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional
 
 __all__ = ["CampaignTelemetry"]
@@ -36,16 +38,9 @@ class CampaignTelemetry:
             runs are *not* re-executed and are counted separately).
         runs_resumed: runs skipped because a journal already held their
             results (``--resume``).
-        runs_pruned: runs whose records were synthesized by the static
-            pruning pass (``--static-prune``) instead of executed.
         runs_derived: runs whose records were derived from the
             instrumented reference trace (``--trace-derive``) instead of
-            executed.  A point both passes decide counts as pruned, not
-            derived (the static tag wins).
-        static_pure_methods: woven methods the static pass proved
-            transitively receiver-pure.
-        static_seconds: wall time spent in the static pass (analysis,
-            stack bookkeeping, record synthesis).
+            executed.
         trace_seconds: wall time spent in the trace pass (stack
             reconciliation, entry captures, verdict derivation).
         trace_writes: attribute writes/deletes the trace recorder's
@@ -55,8 +50,6 @@ class CampaignTelemetry:
         trace_capture_retries: entry captures the trace pass retried at
             a doubled node budget after the first attempt blew the
             limit (the adaptive capture-budget lift).
-        instrumentor: name of the instrumentation backend the profiling
-            passes observed through (``weave``, ``monitoring``).
         fingerprint_cache_hits: frame digests served from the
             per-campaign digest cache instead of recomputed.
         fingerprint_cache_misses: frame digests the cache had to
@@ -99,17 +92,13 @@ class CampaignTelemetry:
     runs_total: int = 0
     runs_executed: int = 0
     runs_resumed: int = 0
-    runs_pruned: int = 0
     runs_derived: int = 0
     runs_crashed: int = 0
     retries: int = 0
-    static_pure_methods: int = 0
-    static_seconds: float = 0.0
     trace_seconds: float = 0.0
     trace_writes: int = 0
     trace_captures: int = 0
     trace_capture_retries: int = 0
-    instrumentor: str = "weave"
     fingerprint_cache_hits: int = 0
     fingerprint_cache_misses: int = 0
     result_cache_hits: int = 0
@@ -130,92 +119,25 @@ class CampaignTelemetry:
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to a JSON-ready dict (the ``meta.json`` format)."""
-        return {
-            "engine": self.engine,
-            "workers": self.workers,
-            "runs_total": self.runs_total,
-            "runs_executed": self.runs_executed,
-            "runs_resumed": self.runs_resumed,
-            "runs_pruned": self.runs_pruned,
-            "runs_derived": self.runs_derived,
-            "runs_crashed": self.runs_crashed,
-            "retries": self.retries,
-            "static_pure_methods": self.static_pure_methods,
-            "static_seconds": self.static_seconds,
-            "trace_seconds": self.trace_seconds,
-            "trace_writes": self.trace_writes,
-            "trace_captures": self.trace_captures,
-            "trace_capture_retries": self.trace_capture_retries,
-            "instrumentor": self.instrumentor,
-            "fingerprint_cache_hits": self.fingerprint_cache_hits,
-            "fingerprint_cache_misses": self.fingerprint_cache_misses,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_misses": self.result_cache_misses,
-            "cache_persist_hits": self.cache_persist_hits,
-            "faults_injected": self.faults_injected,
-            "shard_retries": self.shard_retries,
-            "wall_seconds": self.wall_seconds,
-            "runs_per_second": self.runs_per_second,
-            "phase_seconds": dict(self.phase_seconds),
-            "worker_busy_seconds": dict(self.worker_busy_seconds),
-            "worker_utilization": self.worker_utilization,
-            "state_backend": self.state_backend,
-            "state_captures": self.state_captures,
-            "state_fingerprints": self.state_fingerprints,
-            "state_compares": self.state_compares,
-            "state_seconds": self.state_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Optional[Mapping[str, Any]]) -> "CampaignTelemetry":
         """Deserialize, tolerating records from older runs.
 
-        Every missing key falls back to the field default, so metadata
-        written before a field existed still loads.
+        Each value is coerced to its field's type.  A missing key falls
+        back to the field default, so metadata written before a field
+        existed still loads; a key of a field that no longer exists is
+        ignored.
         """
         data = data or {}
+        types = typing.get_type_hints(cls)
         return cls(
-            engine=str(data.get("engine", ENGINE_SEQUENTIAL)),
-            workers=int(data.get("workers", 1)),
-            runs_total=int(data.get("runs_total", 0)),
-            runs_executed=int(data.get("runs_executed", 0)),
-            runs_resumed=int(data.get("runs_resumed", 0)),
-            runs_pruned=int(data.get("runs_pruned", 0)),
-            runs_derived=int(data.get("runs_derived", 0)),
-            runs_crashed=int(data.get("runs_crashed", 0)),
-            retries=int(data.get("retries", 0)),
-            static_pure_methods=int(data.get("static_pure_methods", 0)),
-            static_seconds=float(data.get("static_seconds", 0.0)),
-            trace_seconds=float(data.get("trace_seconds", 0.0)),
-            trace_writes=int(data.get("trace_writes", 0)),
-            trace_captures=int(data.get("trace_captures", 0)),
-            trace_capture_retries=int(data.get("trace_capture_retries", 0)),
-            instrumentor=str(data.get("instrumentor", "weave")),
-            fingerprint_cache_hits=int(data.get("fingerprint_cache_hits", 0)),
-            fingerprint_cache_misses=int(
-                data.get("fingerprint_cache_misses", 0)
-            ),
-            result_cache_hits=int(data.get("result_cache_hits", 0)),
-            result_cache_misses=int(data.get("result_cache_misses", 0)),
-            cache_persist_hits=int(data.get("cache_persist_hits", 0)),
-            faults_injected=int(data.get("faults_injected", 0)),
-            shard_retries=int(data.get("shard_retries", 0)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            runs_per_second=float(data.get("runs_per_second", 0.0)),
-            phase_seconds={
-                str(k): float(v)
-                for k, v in dict(data.get("phase_seconds", {})).items()
-            },
-            worker_busy_seconds={
-                str(k): float(v)
-                for k, v in dict(data.get("worker_busy_seconds", {})).items()
-            },
-            worker_utilization=float(data.get("worker_utilization", 0.0)),
-            state_backend=str(data.get("state_backend", "graph")),
-            state_captures=int(data.get("state_captures", 0)),
-            state_fingerprints=int(data.get("state_fingerprints", 0)),
-            state_compares=int(data.get("state_compares", 0)),
-            state_seconds=float(data.get("state_seconds", 0.0)),
+            **{
+                f.name: _coerce(types[f.name], data[f.name])
+                for f in fields(cls)
+                if f.name in data
+            }
         )
 
     def summary(self) -> str:
@@ -223,7 +145,7 @@ class CampaignTelemetry:
         lines = [
             f"engine={self.engine} workers={self.workers} "
             f"runs={self.runs_executed}/{self.runs_total} "
-            f"(resumed={self.runs_resumed}, pruned={self.runs_pruned}, "
+            f"(resumed={self.runs_resumed}, "
             f"derived={self.runs_derived}, crashed={self.runs_crashed}, "
             f"retries={self.retries})",
             f"wall={self.wall_seconds:.3f}s "
@@ -240,12 +162,6 @@ class CampaignTelemetry:
                 f"worker utilization: {100.0 * self.worker_utilization:.0f}% "
                 f"mean over {len(self.worker_busy_seconds)} worker(s)"
             )
-        if self.runs_pruned or self.static_pure_methods:
-            lines.append(
-                f"static prune: {self.runs_pruned} point(s) synthesized, "
-                f"{self.static_pure_methods} method(s) proven pure, "
-                f"pass time {self.static_seconds:.3f}s"
-            )
         if self.runs_derived or self.trace_captures:
             lines.append(
                 f"trace derive: {self.runs_derived} point(s) derived, "
@@ -254,8 +170,6 @@ class CampaignTelemetry:
                 f"({self.trace_capture_retries} budget retries), "
                 f"pass time {self.trace_seconds:.3f}s"
             )
-        if self.instrumentor != "weave":
-            lines.append(f"instrumentor: {self.instrumentor}")
         if self.fingerprint_cache_hits or self.fingerprint_cache_misses:
             lines.append(
                 f"fingerprint cache: {self.fingerprint_cache_hits} hit(s), "
@@ -284,3 +198,11 @@ class CampaignTelemetry:
                 f"time={self.state_seconds:.3f}s"
             )
         return "\n".join(lines)
+
+
+def _coerce(kind: Any, value: Any) -> Any:
+    """*value* as an instance of the annotated field type *kind*."""
+    if typing.get_origin(kind) is dict:
+        key_type, value_type = typing.get_args(kind)
+        return {key_type(k): value_type(v) for k, v in dict(value).items()}
+    return kind(value)

@@ -73,16 +73,14 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..analyzer import MethodSpec
 from ..exceptions import is_injected, make_injected
 from ..injection import INJ_WRAPPER_CODE, InjectionCampaign
-from ..instrument.protocol import EventObserver
 from ..runlog import ATOMIC, NONATOMIC, RunRecord
 from ..state import CaptureLimitError, StateStats, get_backend
-from ..staticpass.pruner import (
+from .recorder import TraceRecorder, barrier_covered
+from .transparency import (
     PROFILE_BOUNDARY_CODE,
-    StaticPruner,
+    TransparencyIndex,
     nested_boundary,
 )
-from ..staticpass.transparency import TransparencyIndex
-from .recorder import TraceRecorder, barrier_covered
 
 __all__ = ["PROVENANCE_TRACE", "TraceDeriver"]
 
@@ -126,31 +124,25 @@ class _TraceSpan:
     reason: Optional[str] = None
 
 
-class TraceDeriver(EventObserver):
+class TraceDeriver:
     """Derives injection-run records from one instrumented trace.
 
-    Attaches to the campaign's profiling-only observer hooks (sharing
-    the slots with an optional chained :class:`StaticPruner`, which
-    keeps `--static-prune --trace-derive` composable on one profiling
-    run) and, per wrapper entry, decides the entry's whole repertoire
-    immediately — captures happen at the exact moment the points would
-    fire, so no state needs to be retained beyond the active stack.
+    Attaches to the campaign's profiling-only observer hooks and, per
+    wrapper entry, decides the entry's whole repertoire immediately —
+    captures happen at the exact moment the points would fire, so no
+    state needs to be retained beyond the active stack.
     """
 
     def __init__(
         self,
         campaign: InjectionCampaign,
         *,
-        pruner: Optional[StaticPruner] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
         started = time.perf_counter()
         self.campaign = campaign
-        self.pruner = pruner
         self.recorder = recorder
-        self.transparency: TransparencyIndex = (
-            pruner.transparency if pruner is not None else TransparencyIndex()
-        )
+        self.transparency = TransparencyIndex()
         #: The pass's own capture/compare accounting; deliberately not
         #: the campaign's StateStats, so the dynamic-run telemetry
         #: counters stay comparable with and without --trace-derive.
@@ -179,40 +171,11 @@ class TraceDeriver(EventObserver):
         campaign.escape_observer = None
 
     def observe(self, spec: MethodSpec, base_point: int) -> None:
-        """``point_observer`` — called from the wrapper at entry."""
-        wrapper_frame = sys._getframe(1)
-        try:
-            self.observe_entry_frame(spec, base_point, wrapper_frame)
-        finally:
-            del wrapper_frame
-
-    def observe_escape(self, spec: MethodSpec) -> None:
-        """``escape_observer`` — a genuine exception is crossing the
-        innermost wrapper."""
-        wrapper_frame = sys._getframe(1)
-        try:
-            self.observe_escape_frame(spec, wrapper_frame)
-        finally:
-            del wrapper_frame
-
-    # -- instrumentor-protocol observer hooks ---------------------------
-
-    def on_call_enter(self, spec: MethodSpec, base_point: int, frame) -> None:
-        self.observe_entry_frame(spec, base_point, frame)
-
-    def on_escape(self, spec: MethodSpec, frame) -> None:
-        self.observe_escape_frame(spec, frame)
-
-    # -- frame-explicit observations ------------------------------------
-
-    def observe_entry_frame(
-        self, spec: MethodSpec, base_point: int, wrapper_frame
-    ) -> None:
-        """Record one wrapper entry, given the live wrapper frame."""
+        """``point_observer`` — record one wrapper entry.  Called from
+        the wrapper itself, so the caller's frame is the wrapper frame."""
         started = time.perf_counter()
+        wrapper_frame = sys._getframe(1)
         try:
-            if self.pruner is not None:
-                self.pruner.observe_frame(spec, base_point, wrapper_frame.f_back)
             enclosing, frames, usable = self._walk(wrapper_frame.f_back)
             reconciled = self._reconcile(
                 [frame for _, frame in reversed(enclosing)]
@@ -220,16 +183,16 @@ class TraceDeriver(EventObserver):
             self._decide_span(spec, base_point, frames, usable, reconciled)
             self._stack.append(self._enter(spec, wrapper_frame))
         finally:
+            del wrapper_frame
             self.seconds += time.perf_counter() - started
 
-    def observe_escape_frame(self, spec: MethodSpec, wrapper_frame) -> None:
-        """A genuine exception is crossing the innermost wrapper: pop
-        its entry and record the ambient mark a dynamic run would
-        record at this same moment."""
+    def observe_escape(self, spec: MethodSpec) -> None:
+        """``escape_observer`` — a genuine exception is crossing the
+        innermost wrapper: pop its entry and record the ambient mark a
+        dynamic run would record at this same moment."""
         started = time.perf_counter()
+        wrapper_frame = sys._getframe(1)
         try:
-            if self.pruner is not None:
-                self.pruner.observe_escape(spec)
             enclosing, _frames, usable = self._walk(wrapper_frame.f_back)
             expected = [frame for _, frame in reversed(enclosing)]
             expected.append(wrapper_frame)
@@ -246,6 +209,7 @@ class TraceDeriver(EventObserver):
             entry = self._stack.pop()
             self._ambient.append(self._verdict(entry))
         finally:
+            del wrapper_frame
             self.seconds += time.perf_counter() - started
 
     # -- trace mechanics ------------------------------------------------
@@ -264,9 +228,9 @@ class TraceDeriver(EventObserver):
             while frame is not None:
                 code = frame.f_code
                 if code is PROFILE_BOUNDARY_CODE:
-                    # Same guard as the static pruner's walk: an inner
-                    # boundary called by subject code hides the real
-                    # enclosing context, so the walk is not trustworthy.
+                    # An inner boundary called by subject code hides the
+                    # real enclosing context, so the walk is not
+                    # trustworthy.
                     complete = not nested_boundary(frame)
                     break
                 if code is INJ_WRAPPER_CODE:
@@ -438,10 +402,9 @@ class TraceDeriver(EventObserver):
     def derive_map(self) -> Dict[int, RunRecord]:
         """Derived records keyed by injection point.
 
-        Mirrors :meth:`StaticPruner.prune_map`: points whose exception
-        type fails the injectability probe (R4) stay dynamic — an
-        uninjectable type would surface as a *genuine* failure, which
-        only execution can characterize.
+        Points whose exception type fails the injectability probe (R4)
+        stay dynamic — an uninjectable type would surface as a *genuine*
+        failure, which only execution can characterize.
         """
         started = time.perf_counter()
         records: Dict[int, RunRecord] = {}

@@ -4,11 +4,11 @@ The pipeline's verdicts are about program semantics; its analyses read
 syntax and traces.  This package stresses that gap with an AST-based
 variant generator (``rules`` → ``engine`` → ``builder``) and a
 detection-invariance oracle (``oracle``) asserting that classification,
-masking fixpoints, and static/trace campaign outputs are identical —
+masking fixpoints, and trace-derived campaign outputs are identical —
 modulo provenance tags — across every variant of a subject.
 
 See ``docs/ARCHITECTURE.md`` for the subsystem walkthrough and the
-``repro variants`` CLI / fuzz Check 8 for the entry points.
+``repro variants`` CLI / fuzz Check 7 for the entry points.
 """
 
 from .builder import GraftedVariant, build_spec_variant, grafted_variant

@@ -21,8 +21,8 @@ Two subject families, two builders:
 
 Both builders register the transformed source with
 :func:`~repro.core.virtualsource.register_virtual_source`, so the
-static pass and the trace pass can read variant method bodies exactly
-as they read originals.  Helper methods minted by try-body extraction
+trace pass can read variant method bodies exactly as it reads
+originals.  Helper methods minted by try-body extraction
 are returned as exclusion keys — they must never be woven, or
 injection-point numbering would diverge from the original subject.
 """

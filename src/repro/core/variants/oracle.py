@@ -10,12 +10,12 @@ What must match (:func:`campaign_bundle` collects it, all as canonical
 JSON so divergences are byte-comparable and reportable):
 
 * the detection **run log** modulo per-run provenance tags (variants
-  legitimately differ in how many points static/trace passes decide);
+  legitimately differ in how many points the trace pass decides);
 * the **classification** (categories, calls, marks, pure evidence);
 * the **masking fixpoint**: per strategy, each round's wrapped set and
   resulting classification until everything is failure atomic;
-* optionally the statically **pruned** and trace-**derived** campaign
-  outputs, again modulo provenance.
+* optionally the trace-**derived** campaign output, again modulo
+  provenance.
 
 :func:`diff_bundles` compares two bundles field by field;
 :func:`check_invariance` drives original-vs-variants for a list of
@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core import WrapPolicy
 from repro.core.classify import CATEGORY_ATOMIC
 from repro.core.policy import select_methods_to_wrap
-from repro.core.staticpass import log_json_without_provenance
+from repro.core.runlog import log_json_without_provenance
 
 __all__ = [
     "CampaignBundle",
@@ -73,14 +73,12 @@ class CampaignBundle:
     log: str
     classification: str
     masking: Dict[str, str] = field(default_factory=dict)
-    static: Optional[str] = None
     trace: Optional[str] = None
 
     def aspects(self) -> Dict[str, Optional[str]]:
         out: Dict[str, Optional[str]] = {
             "log": self.log,
             "classification": self.classification,
-            "static": self.static,
             "trace": self.trace,
         }
         for strategy, rounds in self.masking.items():
@@ -138,7 +136,6 @@ def campaign_bundle(
     make_program: Callable[[], object],
     *,
     state_backend: str = "graph",
-    static_prune: bool = False,
     trace_derive: bool = False,
     masking: bool = True,
     strategies: Sequence[str] = ("snapshot", "undolog"),
@@ -151,9 +148,9 @@ def campaign_bundle(
             once per campaign — return a freshly built program when the
             subject is rebuilt from a spec, or the same (unwoven)
             program object for real applications.
-        static_prune / trace_derive: additionally run the campaign
-            under the respective pass and include its output (modulo
-            provenance) in the bundle.
+        trace_derive: additionally run the campaign under the trace
+            pass and include its output (modulo provenance) in the
+            bundle.
         masking: include the per-strategy masking fixpoint transcript.
     """
     from repro.experiments.campaign import run_app_campaign
@@ -171,19 +168,6 @@ def campaign_bundle(
                 strategy,
                 state_backend,
             )
-    if static_prune:
-        pruned = run_app_campaign(
-            make_program(), state_backend=state_backend, static_prune=True
-        )
-        bundle.static = json.dumps(
-            {
-                "log": json.loads(
-                    log_json_without_provenance(pruned.detection.log)
-                ),
-                "classification": json.loads(pruned.classification.to_json()),
-            },
-            sort_keys=True,
-        )
     if trace_derive:
         derived = run_app_campaign(
             make_program(), state_backend=state_backend, trace_derive=True

@@ -20,11 +20,12 @@ from repro.core import (
     DetectionResult,
     Detector,
     InjectionCampaign,
+    Weaver,
     WrapPolicy,
     build_app_report,
+    make_injection_wrapper,
     reclassify,
 )
-from repro.core.instrument import get_instrumentor
 
 from .programs import ALL_PROGRAMS, AppProgram
 
@@ -71,9 +72,7 @@ def run_app_campaign(
     retries: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
     state_backend: str = "graph",
-    static_prune: bool = False,
     trace_derive: bool = False,
-    instrumentor: str = "weave",
     fingerprint_cache: bool = True,
     program_ref=None,
 ) -> CampaignOutcome:
@@ -103,23 +102,12 @@ def run_app_campaign(
             ``graph`` (full object-graph isomorphism, the reference) or
             ``fingerprint`` (one-pass 128-bit digests with a graph
             fallback for diagnostics; same classification, faster).
-        static_prune: run the static purity pre-analysis
-            (:mod:`repro.core.staticpass`) and synthesize the records of
-            provably decided injection points instead of executing them.
-            The classification is identical; only provenance and
-            telemetry reveal the pruning.
         trace_derive: instrument the profiling run
             (:mod:`repro.core.tracepass`) and derive the records of
             every trace-decidable injection point from that single
             reference execution; only trace-undecidable points execute.
-            Composes with ``static_prune`` and every ``state_backend``;
-            the classification is identical, with derived runs tagged
-            ``provenance="trace"``.
-        instrumentor: name of the instrumentation backend
-            (:mod:`repro.core.instrument`) the campaign weaves and
-            observes through — ``weave`` (method replacement, any
-            Python) or ``monitoring`` (PEP 669 ``sys.monitoring``
-            events, Python 3.12+).  The emitted log is identical.
+            Composes with every ``state_backend``; the classification is
+            identical, with derived runs tagged ``provenance="trace"``.
         fingerprint_cache: memoize frame digests between barriered
             writes when ``state_backend`` supports it (fingerprint
             sweeps only; output is bit-identical either way).
@@ -145,9 +133,7 @@ def run_app_campaign(
             resume=resume,
             progress=progress,
             state_backend=state_backend,
-            static_prune=static_prune,
             trace_derive=trace_derive,
-            instrumentor=instrumentor,
             fingerprint_cache=fingerprint_cache,
             program_ref=program_ref,
         )
@@ -158,9 +144,10 @@ def run_app_campaign(
     campaign = InjectionCampaign(
         capture_args=capture_args, state_backend=state_backend
     )
-    engine = get_instrumentor(instrumentor, campaign, analyzer=analyzer)
-    with engine:
-        specs = engine.instrument(program.classes)
+    with Weaver(
+        lambda spec: make_injection_wrapper(spec, campaign), analyzer
+    ) as weaver:
+        specs = weaver.weave_classes(program.classes)
         # AppProgram satisfies the Program protocol (name + __call__ with
         # scaling applied), so it is the detector's test program directly
         detector = Detector(
@@ -168,10 +155,8 @@ def run_app_campaign(
             campaign,
             stride=stride,
             progress=progress,
-            static_prune=static_prune,
             trace_derive=trace_derive,
             woven_specs=specs,
-            instrumentor=engine,
             fingerprint_cache=fingerprint_cache,
         )
         detection = detector.detect()

@@ -47,19 +47,17 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import (
     Analyzer,
-    DetectionError,
     InjectionCampaign,
     MethodSpec,
+    make_injection_wrapper,
     plan_points,
     run_injection_point,
 )
-from repro.core.instrument import get_instrumentor, resolve_instrumentor_name
 from repro.core.runlog import RunLog, RunRecord, merge_logs
 from repro.core.state import FingerprintCache, StateStats, get_backend
-from repro.core.staticpass import StaticPruner, call_through_boundary
 from repro.core.telemetry import CampaignTelemetry
-from repro.core.tracepass import TraceDeriver, TraceRecorder
-from repro.core.detector import DetectionResult
+from repro.core.detector import DetectionResult, Profile, profile_program
+from repro.core.weaver import Weaver
 from repro.resilience.chaos import fire as _fault_site
 
 __all__ = [
@@ -437,7 +435,6 @@ class _WorkerState:
         timeout: Optional[float],
         retries: int,
         state_backend: str = "graph",
-        instrumentor: str = "weave",
         fingerprint_cache: bool = True,
     ) -> None:
         self.program = program
@@ -446,12 +443,11 @@ class _WorkerState:
         self.campaign = InjectionCampaign(
             capture_args=capture_args, state_backend=state_backend
         )
-        self.instrumentor = get_instrumentor(
-            instrumentor,
-            self.campaign,
-            analyzer=Analyzer(exclude=program.exclude),
-        )
-        woven = self.instrumentor.instrument(program.classes)
+        # Woven for the worker process's whole lifetime, never unwoven.
+        woven = Weaver(
+            lambda spec: make_injection_wrapper(spec, self.campaign),
+            Analyzer(exclude=program.exclude),
+        ).weave_classes(program.classes)
         # The digest cache lives for the worker process's whole lifetime:
         # its write barriers stay installed across every chunk this
         # worker executes, so digests memoized in one chunk keep serving
@@ -477,7 +473,6 @@ def _init_worker(
     timeout: Optional[float],
     retries: int,
     state_backend: str = "graph",
-    instrumentor: str = "weave",
     fingerprint_cache: bool = True,
 ) -> None:
     global _WORKER
@@ -487,7 +482,6 @@ def _init_worker(
         timeout,
         retries,
         state_backend,
-        instrumentor,
         fingerprint_cache,
     )
 
@@ -648,25 +642,12 @@ class ParallelDetector:
             header, so a ``--resume`` against a journal written under a
             different backend is rejected instead of silently mixing
             runs.
-        static_prune: run the static purity pre-analysis
-            (``repro.core.staticpass``) over the parent's profiling run
-            and synthesize the records of provably decided points
-            instead of dispatching them to workers.  Recorded in the
-            journal header; pruned points are never journaled (they are
-            re-derived from a fresh profile on resume).
         trace_derive: instrument the parent's profiling run
             (``repro.core.tracepass``) and derive the records of every
             trace-decidable point from that one execution; only
-            trace-undecidable points are dispatched to workers.  Same
-            journal-header/resume semantics as ``static_prune``: derived
-            points are never journaled and are re-derived from a fresh
-            profile on resume.
-        instrumentor: name of the instrumentation backend
-            (:mod:`repro.core.instrument`) the parent's profiling passes
-            and the workers' weaves route through (``weave`` or
-            ``monitoring``).  Recorded in the journal header, so a
-            ``--resume`` against a journal written under a different
-            instrumentor is rejected instead of silently mixing runs.
+            trace-undecidable points are dispatched to workers.
+            Recorded in the journal header; derived points are never
+            journaled and are re-derived from a fresh profile on resume.
         fingerprint_cache: let workers memoize frame digests for their
             process lifetime when the state backend supports it
             (fingerprint sweeps only; output is bit-identical either
@@ -689,9 +670,7 @@ class ParallelDetector:
         program_ref: Optional[ProgramRef] = None,
         mp_start_method: Optional[str] = None,
         state_backend: str = "graph",
-        static_prune: bool = False,
         trace_derive: bool = False,
-        instrumentor: str = "weave",
         fingerprint_cache: bool = True,
     ) -> None:
         if stride < 1:
@@ -716,80 +695,38 @@ class ParallelDetector:
         self.mp_start_method = mp_start_method
         # Resolve eagerly so an unknown name fails here, not in a worker.
         self.state_backend = get_backend(state_backend).name
-        self.static_prune = static_prune
         self.trace_derive = trace_derive
-        self.instrumentor = resolve_instrumentor_name(instrumentor)
         self.fingerprint_cache = fingerprint_cache
         self.woven_specs: List[MethodSpec] = []
 
     # -- phases ------------------------------------------------------
 
-    def _profile(
-        self,
-    ) -> Tuple[
-        int,
-        RunLog,
-        Optional[StaticPruner],
-        Optional[TraceDeriver],
-        Optional[TraceRecorder],
-    ]:
-        """Weave + profile in the parent; returns (total points, profile
-        log, attached static pruner / trace deriver / trace recorder).
+    def _profile(self) -> Tuple[Profile, RunLog]:
+        """Weave + profile in the parent; returns the profile and the
+        profile log.
 
         The profile log carries the per-method call counts (Figures
         2b/3b) and no runs; the parent unweaves immediately so worker
         processes (forked afterwards) start from clean classes.  With
-        ``static_prune``/``trace_derive`` the passes observe this
-        profiling run's call stacks — the sweep itself happens in
-        workers, but the decision of which points need a worker at all is
-        made here in the parent.  The trace recorder's write barriers are
-        removed before any worker forks.
+        ``trace_derive`` the trace pass observes this profiling run — the
+        sweep itself happens in workers, but the decision of which points
+        need a worker at all is made here in the parent.  The trace
+        recorder's write barriers are removed before any worker forks.
         """
         campaign = InjectionCampaign(capture_args=self.capture_args)
-        instrumentor = get_instrumentor(
-            self.instrumentor,
-            campaign,
-            analyzer=Analyzer(exclude=self.program.exclude),
+        weaver = Weaver(
+            lambda spec: make_injection_wrapper(spec, campaign),
+            Analyzer(exclude=self.program.exclude),
         )
-        pruner: Optional[StaticPruner] = None
-        deriver: Optional[TraceDeriver] = None
-        recorder: Optional[TraceRecorder] = None
-        with instrumentor:
-            self.woven_specs = instrumentor.instrument(self.program.classes)
-            if self.static_prune:
-                pruner = StaticPruner(self.woven_specs)
-            observers: List[Any] = []
-            if self.trace_derive:
-                recorder = TraceRecorder()
-                instrumentor.start_write_trace(
-                    recorder,
-                    {spec.owner for spec in self.woven_specs if spec.owner},
-                )
-                deriver = TraceDeriver(campaign, pruner=pruner, recorder=recorder)
-                observers.append(deriver)
-            elif pruner is not None:
-                observers.append(pruner)
-            for observer in observers:
-                instrumentor.subscribe(observer)
-            if observers:
-                instrumentor.attach()
-            campaign.begin_profile()
-            try:
-                call_through_boundary(self.program)
-            except BaseException as exc:
-                raise DetectionError(
-                    f"program {self.program.name!r} failed during profiling: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            finally:
-                total = campaign.end_profile()
-                if instrumentor.attached:
-                    instrumentor.detach()
-                for observer in observers:
-                    instrumentor.unsubscribe(observer)
-                if recorder is not None:
-                    instrumentor.stop_write_trace(recorder)
-        return total, campaign.log, pruner, deriver, recorder
+        with weaver:
+            self.woven_specs = weaver.weave_classes(self.program.classes)
+            profile = profile_program(
+                self.program,
+                campaign,
+                self.woven_specs,
+                trace_derive=self.trace_derive,
+            )
+        return profile, campaign.log
 
     def _chunks(self, points: List[int]) -> List[Tuple[int, List[int]]]:
         if not points:
@@ -816,13 +753,9 @@ class ParallelDetector:
 
     def detect(self) -> DetectionResult:
         started = time.perf_counter()
-        total, profile_log, pruner, deriver, recorder = self._profile()
-        prune_map = pruner.prune_map() if pruner is not None else {}
-        derive_map = deriver.derive_map() if deriver is not None else {}
-        # Statically decided points win the provenance tag; the records
-        # agree modulo provenance whenever both passes decide a point.
-        decided = dict(derive_map)
-        decided.update(prune_map)
+        profile, profile_log = self._profile()
+        total = profile.total_points
+        decided = profile.decided
         profiled = time.perf_counter()
 
         points = plan_points(total, stride=self.stride)
@@ -833,9 +766,7 @@ class ParallelDetector:
             "total_points": total,
             "capture_args": self.capture_args,
             "state_backend": self.state_backend,
-            "static_prune": self.static_prune,
             "trace_derive": self.trace_derive,
-            "instrumentor": self.instrumentor,
         }
 
         journal: Optional[CampaignJournal] = None
@@ -843,28 +774,27 @@ class ParallelDetector:
         if self.journal_path is not None:
             journal = CampaignJournal(self.journal_path)
             if self.resume:
-                resumed = journal.load(header)
-                resumed = {p: e for p, e in resumed.items() if p in set(points)}
+                planned = set(points)
+                resumed = {
+                    p: e
+                    for p, e in journal.load(header).items()
+                    if p in planned
+                }
             if not resumed:
                 journal.start(header)
 
         # Points decided without execution are never dispatched (and
         # never journaled: a resumed campaign re-derives them from its
         # own fresh profiling run).  A resumed record wins over a
-        # synthesized one — both describe the same outcome.
-        pruned_points = [
-            p for p in points if p not in resumed and p in prune_map
-        ]
+        # derived one — both describe the same outcome.
         derived_points = [
-            p
-            for p in points
-            if p not in resumed and p in decided and p not in prune_map
+            p for p in points if p not in resumed and p in decided
         ]
         remaining = [
             p for p in points if p not in resumed and p not in decided
         ]
         chunks = self._chunks(remaining)
-        done = len(resumed) + len(pruned_points) + len(derived_points)
+        done = len(resumed) + len(derived_points)
         if self.progress is not None and done:
             self.progress(done, len(points))
 
@@ -886,7 +816,6 @@ class ParallelDetector:
                     self.timeout,
                     self.retries,
                     self.state_backend,
-                    self.instrumentor,
                     self.fingerprint_cache,
                 ),
             )
@@ -935,8 +864,7 @@ class ParallelDetector:
         for point in points:
             entry = by_point.get(point)
             if entry is None:
-                # Decided without execution: splice in the synthesized
-                # (static) or derived (trace) record.
+                # Decided without execution: splice in the derived record.
                 runs_log.runs.append(decided[point])
                 continue
             runs_log.runs.append(RunRecord.from_dict(entry["record"]))
@@ -947,12 +875,7 @@ class ParallelDetector:
 
         wall = finished - started
         execute_wall = executed - profiled
-        executed_runs = (
-            len(points)
-            - len(resumed)
-            - len(pruned_points)
-            - len(derived_points)
-        )
+        executed_runs = len(points) - len(resumed) - len(derived_points)
         utilization = 0.0
         if busy and execute_wall > 0:
             pool_size = min(self.workers, len(chunks)) or 1
@@ -965,25 +888,13 @@ class ParallelDetector:
             runs_total=len(points),
             runs_executed=executed_runs,
             runs_resumed=len(resumed),
-            runs_pruned=len(pruned_points),
             runs_derived=len(derived_points),
             runs_crashed=crashed_count,
             retries=retry_count,
-            static_pure_methods=(
-                pruner.pure_method_count if pruner is not None else 0
-            ),
-            static_seconds=pruner.seconds if pruner is not None else 0.0,
-            trace_seconds=deriver.seconds if deriver is not None else 0.0,
-            trace_writes=(
-                recorder.recorded_writes if recorder is not None else 0
-            ),
-            trace_captures=(
-                deriver.stats.captures if deriver is not None else 0
-            ),
-            trace_capture_retries=(
-                deriver.capture_retries if deriver is not None else 0
-            ),
-            instrumentor=self.instrumentor,
+            trace_seconds=profile.trace_seconds,
+            trace_writes=profile.trace_writes,
+            trace_captures=profile.trace_captures,
+            trace_capture_retries=profile.trace_capture_retries,
             fingerprint_cache_hits=cache_hits,
             fingerprint_cache_misses=cache_misses,
             wall_seconds=wall,

@@ -10,13 +10,13 @@ coordination beyond agreeing on ``(program, config, shard_count)`` — and
 each emits a self-contained **journal fragment**.  A coordinator then
 merges the fragments into a result **bit-identical** to the sequential
 engine's (``RunLog.to_json()`` equality), across engines × state
-backends × ``--static-prune``/``--trace-derive``.
+backends × ``--trace-derive``.
 
 Why this is safe without a coordinator during execution:
 
 * the plan is a pure function of the profiling run, and the profiling
   run is deterministic — every shard computes the *same* plan and the
-  same static/trace decisions from its own profile;
+  same trace decisions from its own profile;
 * :func:`shard_points` is a stable balanced partition of that plan, and
   the shard assignment (``shard_index``/``shard_count``) is recorded in
   each fragment's header, so fragments from different campaigns or
@@ -51,19 +51,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.core import (
     Analyzer,
     ClassificationResult,
-    DetectionError,
     InjectionCampaign,
     WrapPolicy,
+    make_injection_wrapper,
     plan_points,
     reclassify,
 )
-from repro.core.detector import DetectionResult
-from repro.core.instrument import get_instrumentor, resolve_instrumentor_name
+from repro.core.detector import DetectionResult, profile_program
 from repro.core.runlog import RunLog, RunRecord, merge_logs
 from repro.core.state import FingerprintCache, get_backend
-from repro.core.staticpass import StaticPruner, call_through_boundary
 from repro.core.telemetry import CampaignTelemetry
-from repro.core.tracepass import TraceDeriver, TraceRecorder
+from repro.core.weaver import Weaver
 
 from .parallel import CampaignJournal, run_point_with_timeout
 
@@ -87,9 +85,7 @@ CAMPAIGN_KEYS = (
     "total_points",
     "capture_args",
     "state_backend",
-    "static_prune",
     "trace_derive",
-    "instrumentor",
     "shard_count",
 )
 
@@ -235,7 +231,6 @@ class ShardResult:
     total_points: int
     executed: int
     resumed: int
-    pruned: int
     derived: int
     crashed: int
     retries: int
@@ -255,19 +250,17 @@ def run_shard(
     retries: int = 1,
     resume: bool = False,
     state_backend: str = "graph",
-    static_prune: bool = False,
     trace_derive: bool = False,
-    instrumentor: str = "weave",
     fingerprint_cache: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> ShardResult:
     """Run one shard of a campaign and write its journal fragment.
 
-    Profiles in-process (weave → count points → static/trace decisions),
-    takes the ``shard_index``-th slice of the deterministic shard
-    assignment, executes exactly those points, and appends every record
-    — executed, synthesized (static) and derived (trace) alike — to the
-    fragment so the coordinator can merge without re-profiling.  With
+    Profiles in-process (weave → count points → trace decisions), takes
+    the ``shard_index``-th slice of the deterministic shard assignment,
+    executes exactly those points, and appends every record — executed
+    and derived alike — to the fragment so the coordinator can merge
+    without re-profiling.  With
     ``resume=True`` a fragment left behind by a killed worker is
     replayed first and only the unfinished points run.
 
@@ -286,55 +279,22 @@ def run_shard(
     if retries < 0:
         raise ValueError("retries must be >= 0")
     state_backend = get_backend(state_backend).name
-    instrumentor = resolve_instrumentor_name(instrumentor)
 
     started = time.perf_counter()
     campaign = InjectionCampaign(
         capture_args=capture_args, state_backend=state_backend
     )
-    engine = get_instrumentor(
-        instrumentor, campaign, analyzer=Analyzer(exclude=program.exclude)
+    weaver = Weaver(
+        lambda spec: make_injection_wrapper(spec, campaign),
+        Analyzer(exclude=program.exclude),
     )
-    with engine:
-        specs = engine.instrument(program.classes)
-        pruner: Optional[StaticPruner] = None
-        deriver: Optional[TraceDeriver] = None
-        recorder: Optional[TraceRecorder] = None
-        if static_prune:
-            pruner = StaticPruner(specs)
-        observers: List[Any] = []
-        woven_classes = {spec.owner for spec in specs if spec.owner}
-        if trace_derive:
-            recorder = TraceRecorder()
-            engine.start_write_trace(recorder, woven_classes)
-            deriver = TraceDeriver(campaign, pruner=pruner, recorder=recorder)
-            observers.append(deriver)
-        elif pruner is not None:
-            observers.append(pruner)
-        for observer in observers:
-            engine.subscribe(observer)
-        if observers:
-            engine.attach()
-        campaign.begin_profile()
-        try:
-            call_through_boundary(program)
-        except BaseException as exc:
-            raise DetectionError(
-                f"program {program.name!r} failed during profiling: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        finally:
-            total = campaign.end_profile()
-            if engine.attached:
-                engine.detach()
-            for observer in observers:
-                engine.unsubscribe(observer)
-            if recorder is not None:
-                engine.stop_write_trace(recorder)
-        prune_map = pruner.prune_map() if pruner is not None else {}
-        derive_map = deriver.derive_map() if deriver is not None else {}
-        decided = dict(derive_map)
-        decided.update(prune_map)
+    with weaver:
+        specs = weaver.weave_classes(program.classes)
+        profile = profile_program(
+            program, campaign, specs, trace_derive=trace_derive
+        )
+        total = profile.total_points
+        decided = profile.decided
         profiled = time.perf_counter()
 
         points = plan_points(total, stride=stride)
@@ -346,9 +306,7 @@ def run_shard(
             "total_points": total,
             "capture_args": capture_args,
             "state_backend": state_backend,
-            "static_prune": static_prune,
             "trace_derive": trace_derive,
-            "instrumentor": instrumentor,
             "shard_index": shard_index,
             "shard_count": shard_count,
         }
@@ -369,11 +327,16 @@ def run_shard(
         fragment = ShardFragment(fragment_path)
         resumed: Dict[int, Dict[str, Any]] = {}
         if resume:
-            resumed = fragment.load_done(header)
-            resumed = {p: e for p, e in resumed.items() if p in set(mine)}
+            assigned = set(mine)
+            resumed = {
+                p: e
+                for p, e in fragment.load_done(header).items()
+                if p in assigned
+            }
         if not resumed:
             fragment.start(header, profile_payload)
 
+        woven_classes = {spec.owner for spec in specs if spec.owner}
         cache: Optional[FingerprintCache] = None
         if (
             fingerprint_cache
@@ -385,7 +348,7 @@ def run_shard(
             cache.start(woven_classes)
             campaign.digest_cache = cache
 
-        executed = pruned = derived = crashed = retry_count = 0
+        executed = derived = crashed = retry_count = 0
         done = len(resumed)
         if progress is not None and done:
             progress(done, len(mine))
@@ -394,15 +357,12 @@ def run_shard(
                 if point in resumed:
                     continue
                 if point in decided:
-                    # Decided without execution: journal the synthesized
-                    # (static) or derived (trace) record so the merge
-                    # step needs no re-derivation.  attempts=0 marks the
-                    # record as never having run the subject.
+                    # Decided without execution: journal the derived
+                    # record so the merge step needs no re-derivation.
+                    # attempts=0 marks the record as never having run
+                    # the subject.
                     fragment.append_run(point, decided[point], None, 0)
-                    if point in prune_map:
-                        pruned += 1
-                    else:
-                        derived += 1
+                    derived += 1
                 else:
                     record, failure, attempts, did_crash = (
                         run_point_with_timeout(
@@ -435,21 +395,13 @@ def run_shard(
         runs_total=len(mine),
         runs_executed=executed,
         runs_resumed=len(resumed),
-        runs_pruned=pruned,
         runs_derived=derived,
         runs_crashed=crashed,
         retries=retry_count,
-        static_pure_methods=(
-            pruner.pure_method_count if pruner is not None else 0
-        ),
-        static_seconds=pruner.seconds if pruner is not None else 0.0,
-        trace_seconds=deriver.seconds if deriver is not None else 0.0,
-        trace_writes=recorder.recorded_writes if recorder is not None else 0,
-        trace_captures=deriver.stats.captures if deriver is not None else 0,
-        trace_capture_retries=(
-            deriver.capture_retries if deriver is not None else 0
-        ),
-        instrumentor=instrumentor,
+        trace_seconds=profile.trace_seconds,
+        trace_writes=profile.trace_writes,
+        trace_captures=profile.trace_captures,
+        trace_capture_retries=profile.trace_capture_retries,
         fingerprint_cache_hits=cache.hits if cache is not None else 0,
         fingerprint_cache_misses=cache.misses if cache is not None else 0,
         wall_seconds=wall,
@@ -472,7 +424,6 @@ def run_shard(
         total_points=total,
         executed=executed,
         resumed=len(resumed),
-        pruned=pruned,
         derived=derived,
         crashed=crashed,
         retries=retry_count,
@@ -524,8 +475,8 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
     Validates, then merges deterministically:
 
     1. every fragment's header agrees on the campaign plan (program,
-       stride, total points, backend, instrumentor, passes, shard
-       count) — any differing key/value pairs are reported;
+       stride, total points, backend, trace pass, shard count) — any
+       differing key/value pairs are reported;
     2. shard indices cover ``0..shard_count-1`` exactly once;
     3. every fragment's embedded profiling log is byte-identical (the
        determinism the whole scheme rests on);
@@ -610,7 +561,7 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
     merge_started = time.perf_counter()
     runs_log = RunLog()
     genuine_failures: List[str] = []
-    executed = pruned = derived = crashed = retry_count = 0
+    executed = derived = crashed = retry_count = 0
     for point in points:
         entry = by_point[point]
         record = RunRecord.from_dict(entry["record"])
@@ -621,8 +572,6 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
         if attempts > 0:
             executed += 1
             retry_count += attempts - 1
-        elif record.provenance == "static":
-            pruned += 1
         else:
             derived += 1
         if record.crashed:
@@ -646,11 +595,9 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
         workers=shard_count,
         runs_total=len(points),
         runs_executed=executed,
-        runs_pruned=pruned,
         runs_derived=derived,
         runs_crashed=crashed,
         retries=retry_count,
-        instrumentor=str(base.header.get("instrumentor", "weave")),
         state_backend=str(base.header.get("state_backend", "graph")),
         wall_seconds=merge_seconds,
         phase_seconds={"merge": merge_seconds},

@@ -7,7 +7,7 @@ retry: a :class:`ShardSupervisor` runs each shard worker on a monitored
 thread, watches a heartbeat the worker stamps after every completed
 point, kills workers whose heartbeat goes stale (the same
 async-exception mechanism the per-run watchdog uses, so a hung worker
-unwinds cleanly through the instrumentor context), and retries crashed
+unwinds cleanly through the weaver context), and retries crashed
 or hung shards with capped exponential backoff and seeded jitter until
 the fragment is complete or the attempt budget runs out.
 
@@ -297,7 +297,7 @@ class ShardSupervisor:
                     # The worker sleeps in short slices (chaos hangs) or
                     # runs subject bytecode, so the async exception is
                     # delivered promptly; it unwinds through ``with
-                    # engine:`` restoring the woven classes.
+                    # weaver:`` restoring the woven classes.
                     _post_async_exc(beat.ident, ShardHung)
                 thread.join(timeout=self.kill_grace)
                 return True
@@ -456,9 +456,7 @@ def run_chaos_campaign(
     timeout: Optional[float] = 0.25,
     retries: int = 1,
     state_backend: str = "graph",
-    static_prune: bool = False,
     trace_derive: bool = False,
-    instrumentor: str = "weave",
     fingerprint_cache: bool = True,
     hang_seconds: float = 1.0,
 ) -> ChaosReport:
@@ -487,9 +485,7 @@ def run_chaos_campaign(
         "timeout": timeout,
         "retries": retries,
         "state_backend": state_backend,
-        "static_prune": static_prune,
         "trace_derive": trace_derive,
-        "instrumentor": instrumentor,
         "fingerprint_cache": fingerprint_cache,
     }
     reference = run_app_campaign(
@@ -497,9 +493,7 @@ def run_chaos_campaign(
         stride=stride,
         capture_args=capture_args,
         state_backend=state_backend,
-        static_prune=static_prune,
         trace_derive=trace_derive,
-        instrumentor=instrumentor,
         fingerprint_cache=fingerprint_cache,
     )
     if plan is None:
@@ -522,9 +516,7 @@ def run_chaos_campaign(
                 timeout=timeout,
                 retries=retries,
                 state_backend=state_backend,
-                static_prune=static_prune,
                 trace_derive=trace_derive,
-                instrumentor=instrumentor,
                 fingerprint_cache=fingerprint_cache,
             )
         except (SupervisorError, ShardError) as exc:

@@ -34,9 +34,9 @@ from repro.core import (
     InjectionCampaign,
     MaskingStats,
     WrapPolicy,
+    make_injection_wrapper,
     reclassify,
 )
-from repro.core.instrument import get_instrumentor
 from repro.core.classify import CATEGORY_ATOMIC, ClassificationResult
 from repro.core.cow import (
     install_write_barrier,
@@ -171,7 +171,6 @@ def mask_and_redetect(
     graph_checks: Optional[List[GraphCheck]] = None,
     atomic_factory=None,
     state_backend: str = "graph",
-    instrumentor: str = "weave",
 ) -> Tuple[DetectionResult, ClassificationResult]:
     """Weave atomicity wrappers for *to_wrap*, re-run the campaign.
 
@@ -194,12 +193,6 @@ def mask_and_redetect(
             state with.  The graph-checker layer always uses full graph
             captures regardless — it is the independent observer whose
             verdict must not depend on the backend under test.
-        instrumentor: instrumentation backend
-            (:mod:`repro.core.instrument`) the injection layer is woven
-            through.  The atomicity and checker layers always weave by
-            method replacement — they *change* behavior (rollback,
-            observation) rather than observe it, which is outside the
-            instrumentor protocol's scope.
 
     Returns:
         ``(detection, classification)`` of the masked campaign.
@@ -228,8 +221,8 @@ def mask_and_redetect(
         if graph_checks is not None
         else None
     )
-    injection_engine = get_instrumentor(
-        instrumentor, campaign, analyzer=analyzer
+    injection_weaver = Weaver(
+        lambda spec: make_injection_wrapper(spec, campaign), analyzer
     )
 
     def weave_selected(weaver: Weaver) -> None:
@@ -253,22 +246,16 @@ def mask_and_redetect(
             if checker_weaver is not None:
                 with checker_weaver:
                     weave_selected(checker_weaver)
-                    with injection_engine:
-                        specs = injection_engine.instrument(program.classes)
+                    with injection_weaver:
+                        specs = injection_weaver.weave_classes(program.classes)
                         detection = Detector(
-                            program,
-                            campaign,
-                            stride=stride,
-                            instrumentor=injection_engine,
+                            program, campaign, stride=stride
                         ).detect()
             else:
-                with injection_engine:
-                    specs = injection_engine.instrument(program.classes)
+                with injection_weaver:
+                    specs = injection_weaver.weave_classes(program.classes)
                     detection = Detector(
-                        program,
-                        campaign,
-                        stride=stride,
-                        instrumentor=injection_engine,
+                        program, campaign, stride=stride
                     ).detect()
         effective = WrapPolicy.from_specs(specs)
         if policy is not None:
@@ -288,9 +275,7 @@ def validate_masking(
     wrap_conditional: bool = False,
     strategy: str = "snapshot",
     state_backend: str = "graph",
-    static_prune: bool = False,
     trace_derive: bool = False,
-    instrumentor: str = "weave",
     fingerprint_cache: bool = True,
 ) -> MaskingValidation:
     """Detect, mask, and re-detect; return both campaigns' verdicts.
@@ -304,17 +289,10 @@ def validate_masking(
             methods come back atomic once their pure callees are masked).
         strategy: checkpoint strategy for the masked campaign's wrappers.
         state_backend: state backend both campaigns compare state with.
-        static_prune: prune the *first* campaign with the static purity
-            pre-analysis.  The masked re-detection always runs fully
-            dynamic: atomicity wrappers rebind the woven methods, so the
-            purity proofs from the unmasked program do not carry over.
         trace_derive: derive the *first* campaign's trace-decidable
-            points from one instrumented reference run.  Like
-            ``static_prune``, it never applies to the masked
-            re-detection — the rollback behavior under test must be
-            observed by real execution.
-        instrumentor: instrumentation backend both campaigns' injection
-            layers route through (:mod:`repro.core.instrument`).
+            points from one instrumented reference run.  It never
+            applies to the masked re-detection — the rollback behavior
+            under test must be observed by real execution.
         fingerprint_cache: enable the first campaign's frame-digest
             cache when ``state_backend`` supports it.  The masked
             re-detection never uses it: the atomicity wrappers' own
@@ -325,9 +303,7 @@ def validate_masking(
         stride=stride,
         policy=policy,
         state_backend=state_backend,
-        static_prune=static_prune,
         trace_derive=trace_derive,
-        instrumentor=instrumentor,
         fingerprint_cache=fingerprint_cache,
     )
     selection_policy = WrapPolicy(wrap_conditional=wrap_conditional)
@@ -344,7 +320,6 @@ def validate_masking(
         policy=policy,
         stats=stats,
         state_backend=state_backend,
-        instrumentor=instrumentor,
     )
     return MaskingValidation(
         program_name=program.name,

@@ -128,7 +128,8 @@ def build_classes(spec: ProgramSpec) -> List[type]:
     namespace = build_namespace()
     source = render_source(spec)
     # Register the rendered source so inspect.getsource works on the
-    # generated methods — the static pruning pass reads method bodies.
+    # generated methods — the trace pass's transparency certificates
+    # read method bodies.
     filename = register_virtual_source(f"<{spec.name}>", source)
     exec(compile(source, filename, "exec"), namespace)
     return [namespace[cd.name] for cd in spec.classes]

@@ -43,9 +43,9 @@ from repro.core.classify import (
     ClassificationResult,
 )
 from repro.core.detector import DetectionResult
-from repro.core.staticpass import log_json_without_provenance
 from repro.core.masking import MaskingStats
 from repro.core.policy import select_methods_to_wrap
+from repro.core.runlog import log_json_without_provenance
 from repro.experiments.campaign import run_app_campaign
 from repro.experiments.parallel import ParallelDetector, ProgramRef
 from repro.experiments.validation import GraphCheck, mask_and_redetect
@@ -117,13 +117,10 @@ class FuzzReport:
     mismatches: List[Mismatch]
     failing_programs: List[str]
     state_backend: str = "graph"
-    static_prune: bool = False
-    total_pruned: int = 0
     trace_derive: bool = False
     total_derived: int = 0
     variants: int = 0
     total_variant_applied: int = 0
-    instrumentor: str = "weave"
 
     @property
     def ok(self) -> bool:
@@ -138,13 +135,10 @@ class FuzzReport:
             "workers": self.workers,
             "defect": self.defect,
             "state_backend": self.state_backend,
-            "static_prune": self.static_prune,
-            "total_pruned": self.total_pruned,
             "trace_derive": self.trace_derive,
             "total_derived": self.total_derived,
             "variants": self.variants,
             "total_variant_applied": self.total_variant_applied,
-            "instrumentor": self.instrumentor,
             "total_points": self.total_points,
             "total_runs": self.total_runs,
             "category_counts": self.category_counts,
@@ -164,16 +158,12 @@ class FuzzReport:
 def _sequential_campaign(
     spec: ProgramSpec,
     state_backend: str = "graph",
-    static_prune: bool = False,
     trace_derive: bool = False,
-    instrumentor: str = "weave",
 ) -> Tuple[DetectionResult, ClassificationResult]:
     outcome = run_app_campaign(
         build_program(spec),
         state_backend=state_backend,
-        static_prune=static_prune,
         trace_derive=trace_derive,
-        instrumentor=instrumentor,
     )
     return outcome.detection, outcome.classification
 
@@ -182,7 +172,6 @@ def _parallel_campaign(
     spec: ProgramSpec,
     workers: int,
     state_backend: str = "graph",
-    instrumentor: str = "weave",
 ) -> Tuple[DetectionResult, ClassificationResult]:
     program = build_program(spec)
     detector = ParallelDetector(
@@ -190,7 +179,6 @@ def _parallel_campaign(
         workers=workers,
         program_ref=ProgramRef(factory=functools.partial(build_program, spec)),
         state_backend=state_backend,
-        instrumentor=instrumentor,
     )
     detection = detector.detect()
     classification = reclassify(
@@ -418,16 +406,15 @@ def _check_variants(
     variants: int,
     variant_seed: int,
     state_backend: str,
-    static_prune: bool,
     trace_derive: bool,
 ) -> Tuple[List[Mismatch], int]:
-    """Check 8: detection invariance across semantic-preserving variants.
+    """Check 7: detection invariance across semantic-preserving variants.
 
     Builds ``variants`` transformed editions of the subject (seeded
     recipes over :mod:`repro.core.variants`) and requires every
     campaign observable — run log modulo provenance, classification,
-    per-strategy masking fixpoints, and (when the respective flags are
-    on) the pruned/derived campaign outputs — to be identical between
+    per-strategy masking fixpoints, and (when ``trace_derive`` is on)
+    the derived campaign output — to be identical between
     the original and each variant.  Returns the mismatches plus the
     total number of rule applications (so reports can prove the corpus
     was not vacuously untransformed).
@@ -458,7 +445,6 @@ def _check_variants(
         functools.partial(build_program, spec),
         factories,
         state_backend=state_backend,
-        static_prune=static_prune,
         trace_derive=trace_derive,
     )
     mismatches = [
@@ -486,11 +472,9 @@ def check_program(
     workers: int = 2,
     defect: Optional[str] = None,
     state_backend: str = "graph",
-    static_prune: bool = False,
     trace_derive: bool = False,
     variants: int = 0,
     variant_seed: int = 0,
-    instrumentor: str = "weave",
 ) -> ProgramVerdict:
     """Run every differential check for one generated program.
 
@@ -501,32 +485,18 @@ def check_program(
     oracle proving the fingerprint backend classifies every generated
     program identically to the reference semantics.
 
-    With ``static_prune``, a sixth **prune-equivalence** check runs the
-    sequential campaign again under ``--static-prune`` and asserts its
+    With ``trace_derive``, a sixth **trace-equivalence** check runs the
+    sequential campaign again under ``--trace-derive`` and asserts its
     run log (modulo per-run provenance) and its classification are
-    byte-identical to the unpruned sweep — the fuzzer is the soundness
-    oracle for the static purity pre-analysis.
+    byte-identical to the dynamic sweep — the fuzzer is the soundness
+    oracle for the trace-derivation pass.
 
-    With ``trace_derive``, a seventh **trace-equivalence** check runs
-    the sequential campaign again under ``--trace-derive`` and asserts
-    the same bit-identity (run log modulo provenance, classification
-    byte-for-byte) against the dynamic sweep — the fuzzer is the
-    soundness oracle for the trace-derivation pass.
-
-    With ``variants > 0``, an eighth **variant-invariance** check
+    With ``variants > 0``, a seventh **variant-invariance** check
     generates that many semantic-preserving AST variants of the subject
     (seeded by ``variant_seed``) and asserts the campaign's observable
     outputs — run log modulo provenance, classification, and both
     masking fixpoints — are identical across the original and every
     variant (see :mod:`repro.core.variants`).
-
-    With a non-default ``instrumentor``, a ninth
-    **instrumentor-equivalence** check runs the sequential campaign
-    again with *both* profiling passes attached (so the observation
-    layer is actually exercised) under that instrumentor and under the
-    default weaving one, and asserts the run logs (modulo provenance)
-    and classifications are byte-identical — the fuzzer is the
-    conformance oracle for :mod:`repro.core.instrument` backends.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -537,9 +507,7 @@ def check_program(
 
     sequential: Optional[Tuple[DetectionResult, ClassificationResult]] = None
     if engine in ("sequential", "both"):
-        detection, classification = _sequential_campaign(
-            spec, state_backend, instrumentor=instrumentor
-        )
+        detection, classification = _sequential_campaign(spec, state_backend)
         if defect == "swap_pure_conditional":
             classification = _swap_pure_conditional(classification)
         sequential = (detection, classification)
@@ -569,7 +537,7 @@ def check_program(
                 )
     if engine in ("parallel", "both"):
         detection, classification = _parallel_campaign(
-            spec, workers, state_backend, instrumentor
+            spec, workers, state_backend
         )
         if defect == "merge_reversed":
             detection.log.runs.reverse()
@@ -599,39 +567,9 @@ def check_program(
                 )
             )
 
-    runs_pruned = 0
-    if static_prune:
-        # Check 6: prune equivalence against the unpruned sweep.
-        reference = sequential
-        if reference is None:
-            reference = _sequential_campaign(spec, state_backend)
-        pruned_detection, pruned_classification = _sequential_campaign(
-            spec, state_backend, static_prune=True
-        )
-        if pruned_detection.telemetry is not None:
-            runs_pruned = pruned_detection.telemetry.runs_pruned
-        if log_json_without_provenance(
-            pruned_detection.log
-        ) != log_json_without_provenance(reference[0].log):
-            mismatches.append(
-                Mismatch(
-                    "prune-equivalence",
-                    spec.name,
-                    "pruned and full run logs differ (modulo provenance)",
-                )
-            )
-        elif pruned_classification.to_json() != reference[1].to_json():
-            mismatches.append(
-                Mismatch(
-                    "prune-equivalence",
-                    spec.name,
-                    "pruned and full classifications differ",
-                )
-            )
-
     runs_derived = 0
     if trace_derive:
-        # Check 7: trace equivalence against the fully dynamic sweep.
+        # Check 6: trace equivalence against the fully dynamic sweep.
         reference = sequential
         if reference is None:
             reference = _sequential_campaign(spec, state_backend)
@@ -659,44 +597,6 @@ def check_program(
                 )
             )
 
-    if instrumentor != "weave":
-        # Check 9: instrumentor equivalence.  Both profiling passes are
-        # attached so the event dispatch (call-enter stacks, escapes,
-        # write traces) is actually exercised, not just the weave.
-        alt = _sequential_campaign(
-            spec,
-            state_backend,
-            static_prune=True,
-            trace_derive=True,
-            instrumentor=instrumentor,
-        )
-        ref = _sequential_campaign(
-            spec,
-            state_backend,
-            static_prune=True,
-            trace_derive=True,
-            instrumentor="weave",
-        )
-        if log_json_without_provenance(
-            alt[0].log
-        ) != log_json_without_provenance(ref[0].log):
-            mismatches.append(
-                Mismatch(
-                    "instrumentor-equivalence",
-                    spec.name,
-                    f"{instrumentor} and weave run logs differ "
-                    "(modulo provenance)",
-                )
-            )
-        elif alt[1].to_json() != ref[1].to_json():
-            mismatches.append(
-                Mismatch(
-                    "instrumentor-equivalence",
-                    spec.name,
-                    f"{instrumentor} and weave classifications differ",
-                )
-            )
-
     for strategy in ("snapshot", "undolog"):
         mismatches.extend(
             _check_masking(spec, oracle, strategy, defect, state_backend)
@@ -704,13 +604,12 @@ def check_program(
 
     variant_applied = 0
     if variants > 0:
-        # Check 8: variant invariance (see _check_variants).
+        # Check 7: variant invariance (see _check_variants).
         variant_mismatches, variant_applied = _check_variants(
             spec,
             variants,
             variant_seed,
             state_backend,
-            static_prune,
             trace_derive,
         )
         mismatches.extend(variant_mismatches)
@@ -718,7 +617,6 @@ def check_program(
     stats = {
         "total_points": oracle.total_points,
         "runs": len(oracle.runs),
-        "runs_pruned": runs_pruned,
         "runs_derived": runs_derived,
         "variant_applied": variant_applied,
     }
@@ -738,10 +636,8 @@ def run_fuzz(
     workers: int = 2,
     defect: Optional[str] = None,
     state_backend: str = "graph",
-    static_prune: bool = False,
     trace_derive: bool = False,
     variants: int = 0,
-    instrumentor: str = "weave",
     progress: Optional[Callable[[int, int, ProgramVerdict], None]] = None,
 ) -> FuzzReport:
     """Fuzz ``programs`` generated subjects; return the aggregate report.
@@ -750,19 +646,12 @@ def run_fuzz(
         state_backend: backend the checked campaigns compare state with;
             a non-graph value additionally enables the per-program
             backend-equivalence check (see :func:`check_program`).
-        static_prune: additionally run each program's sequential campaign
-            under the static pruning pass and assert prune equivalence
-            (see :func:`check_program`).
         trace_derive: additionally run each program's sequential campaign
             under the trace-derivation pass and assert trace equivalence
             (see :func:`check_program`).
         variants: when positive, additionally check detection invariance
             across this many semantic-preserving AST variants of every
-            program — Check 8 (recipes seeded by the fuzz seed).
-        instrumentor: instrumentation backend the checked campaigns
-            observe through; a non-default value additionally enables
-            the per-program instrumentor-equivalence check — Check 9
-            (see :func:`check_program`).
+            program — Check 7 (recipes seeded by the fuzz seed).
         progress: optional ``(done, total, verdict)`` callback after each
             program (the CLI prints a line per failure).
     """
@@ -771,7 +660,6 @@ def run_fuzz(
     failing: List[str] = []
     total_points = 0
     total_runs = 0
-    total_pruned = 0
     total_derived = 0
     total_variant_applied = 0
     category_counts = {category: 0 for category in CATEGORIES}
@@ -782,15 +670,12 @@ def run_fuzz(
             workers=workers,
             defect=defect,
             state_backend=state_backend,
-            static_prune=static_prune,
             trace_derive=trace_derive,
             variants=variants,
             variant_seed=seed,
-            instrumentor=instrumentor,
         )
         total_points += verdict.stats["total_points"]
         total_runs += verdict.stats["runs"]
-        total_pruned += verdict.stats.get("runs_pruned", 0)
         total_derived += verdict.stats.get("runs_derived", 0)
         total_variant_applied += verdict.stats.get("variant_applied", 0)
         for category in CATEGORIES:
@@ -813,13 +698,10 @@ def run_fuzz(
         mismatches=mismatches,
         failing_programs=failing,
         state_backend=state_backend,
-        static_prune=static_prune,
-        total_pruned=total_pruned,
         trace_derive=trace_derive,
         total_derived=total_derived,
         variants=variants,
         total_variant_applied=total_variant_applied,
-        instrumentor=instrumentor,
     )
 
 

@@ -135,11 +135,9 @@ def make_failure_predicate(
     workers: int = 2,
     defect: Optional[str] = None,
     state_backend: str = "graph",
-    static_prune: bool = False,
     trace_derive: bool = False,
     variants: int = 0,
     variant_seed: int = 0,
-    instrumentor: str = "weave",
 ) -> Callable[[ProgramSpec], bool]:
     """Predicate: does any of the *same* checks still fail on a spec?
 
@@ -158,11 +156,9 @@ def make_failure_predicate(
             workers=workers,
             defect=defect,
             state_backend=state_backend,
-            static_prune=static_prune,
             trace_derive=trace_derive,
             variants=variants,
             variant_seed=variant_seed,
-            instrumentor=instrumentor,
         )
         return any(m.check in wanted for m in verdict.mismatches)
 

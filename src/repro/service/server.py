@@ -8,7 +8,7 @@ protocol surface is four routes), designed around three properties:
   :class:`asyncio.Queue`; when it is full the service answers ``503``
   immediately instead of buffering unboundedly (the "millions of
   users" failure mode is a full queue, not a dead server);
-* **one campaign at a time** — the weave instrumentor rewrites classes
+* **one campaign at a time** — weaving rewrites classes
   process-globally, so a single worker coroutine drains the queue and
   runs each campaign in an executor thread (which also means per-run
   timeouts exercise the non-main-thread watchdog path, not SIGALRM);
@@ -379,9 +379,7 @@ class CampaignService:
                 timeout=cfg["timeout"],
                 retries=cfg["retries"],
                 state_backend=cfg["state_backend"],
-                static_prune=cfg["static_prune"],
                 trace_derive=cfg["trace_derive"],
-                instrumentor=cfg["instrumentor"],
                 fingerprint_cache=cfg["fingerprint_cache"],
                 progress=progress,
                 program_ref=program_ref,

@@ -9,7 +9,8 @@ re-runnable workload the detection campaign sweeps — same contract as
 ``difference`` strings and therefore in the bit-identical engine
 comparison — are deterministic across processes; the rendered source is
 registered with :mod:`repro.core.virtualsource` so ``inspect`` (and
-with it the static pruning pass) can read method bodies.
+with it the trace pass's transparency certificates) can read method
+bodies.
 
 Campaign configs are canonicalized before they reach the result cache:
 defaults filled, values coerced, keys sorted, unknown keys rejected.
@@ -26,7 +27,6 @@ import hashlib
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.core.exceptions import exception_free, throws
-from repro.core.instrument import resolve_instrumentor_name
 from repro.core.state import get_backend
 from repro.core.virtualsource import register_virtual_source
 from repro.experiments.programs import AppProgram
@@ -56,9 +56,7 @@ CONFIG_DEFAULTS: Dict[str, Any] = {
     "rounds": 1,
     "capture_args": True,
     "state_backend": "graph",
-    "static_prune": False,
     "trace_derive": False,
-    "instrumentor": "weave",
     "fingerprint_cache": True,
     "workers": None,
     "timeout": None,
@@ -73,9 +71,8 @@ class SubmissionError(ValueError):
 def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     """Validate and canonicalize a campaign config.
 
-    Fills defaults, coerces value types, normalizes backend and
-    instrumentor names through their registries, and rejects unknown
-    keys — so the config that reaches the cache key is exactly the
+    Fills defaults, coerces value types, normalizes the backend name
+    through its registry, and rejects unknown keys — so the config that reaches the cache key is exactly the
     config the campaign will run with.
     """
     config = dict(config or {})
@@ -92,7 +89,6 @@ def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         out["rounds"] = int(out["rounds"])
         out["retries"] = int(out["retries"])
         out["capture_args"] = bool(out["capture_args"])
-        out["static_prune"] = bool(out["static_prune"])
         out["trace_derive"] = bool(out["trace_derive"])
         out["fingerprint_cache"] = bool(out["fingerprint_cache"])
         if out["workers"] is not None:
@@ -113,9 +109,6 @@ def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         raise SubmissionError("timeout must be > 0")
     try:
         out["state_backend"] = get_backend(str(out["state_backend"])).name
-        out["instrumentor"] = resolve_instrumentor_name(
-            str(out["instrumentor"])
-        )
     except ValueError as exc:
         raise SubmissionError(str(exc)) from exc
     return out

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.core.objgraph import CaptureLimitError, capture, capture_frame
-from repro.core.snapshot import CheckpointError, checkpoint
+from repro.core.state import (
+    CaptureLimitError,
+    CheckpointError,
+    capture,
+    capture_frame,
+    checkpoint,
+)
 
 
 class Node:

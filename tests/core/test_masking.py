@@ -9,7 +9,7 @@ from repro.core.masking import (
     failure_atomic,
     make_atomicity_wrapper,
 )
-from repro.core.objgraph import capture, graphs_equal
+from repro.core.state import capture, graphs_equal
 
 
 class Ledger:
@@ -273,7 +273,7 @@ def test_atomic_block_never_swallows_exception():
 
 def test_atomic_block_respects_max_objects():
     from repro.core.masking import atomic_block
-    from repro.core.snapshot import CheckpointError
+    from repro.core.state import CheckpointError
 
     deep = Ledger()
     deep.entries.extend(range(100))

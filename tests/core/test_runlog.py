@@ -1,6 +1,15 @@
 """Tests for run logs and their offline (JSON) format."""
 
-from repro.core.runlog import ATOMIC, NONATOMIC, Mark, RunLog, RunRecord
+import json
+
+from repro.core.runlog import (
+    ATOMIC,
+    NONATOMIC,
+    Mark,
+    RunLog,
+    RunRecord,
+    log_json_without_provenance,
+)
 
 
 def test_record_call_counts_and_order():
@@ -86,3 +95,18 @@ def test_save_and_load_file(tmp_path):
 def test_mark_is_nonatomic_property():
     assert Mark("A.m", NONATOMIC, 0).is_nonatomic
     assert not Mark("A.m", ATOMIC, 0).is_nonatomic
+
+
+def test_log_json_without_provenance_strips_only_provenance():
+    log = RunLog()
+    log.record_call("A.m")
+    derived = RunRecord(injection_point=1, escaped=True, provenance="trace")
+    derived.add_mark("A.m", ATOMIC)
+    log.runs.append(derived)
+    log.runs.append(RunRecord(injection_point=2, completed=True))
+    stripped = json.loads(log_json_without_provenance(log))
+    assert all("provenance" not in run for run in stripped["runs"])
+    full = json.loads(log.to_json())
+    for run in full["runs"]:
+        run.pop("provenance")
+    assert stripped == full

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.core.objgraph import capture, graphs_equal
-from repro.core.snapshot import Checkpoint, checkpoint, restore
+from repro.core.state import (
+    Checkpoint,
+    capture,
+    checkpoint,
+    graphs_equal,
+    restore,
+)
 
 
 class Node:

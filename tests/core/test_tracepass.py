@@ -11,17 +11,14 @@ from repro.core import InjectionCampaign, make_injection_wrapper
 from repro.core.analyzer import Analyzer
 from repro.core.cow import UndoLog, active_log_top
 from repro.core.detector import CallableProgram, Detector
-from repro.core.runlog import ATOMIC, NONATOMIC
-from repro.core.staticpass import (
-    StaticPruner,
-    call_through_boundary,
-    log_json_without_provenance,
-)
+from repro.core.runlog import ATOMIC, NONATOMIC, log_json_without_provenance
 from repro.core.tracepass import (
     PROVENANCE_TRACE,
     TraceDeriver,
     TraceRecorder,
+    TransparencyIndex,
     barrier_covered,
+    call_through_boundary,
 )
 from repro.core.weaver import Weaver
 
@@ -67,7 +64,7 @@ class Counter:
 # -- campaign helper ------------------------------------------------------
 
 
-def _campaign(classes, body, *, trace_derive=False, static_prune=False):
+def _campaign(classes, body, *, trace_derive=False):
     campaign = InjectionCampaign()
     weaver = Weaver(
         lambda spec: make_injection_wrapper(spec, campaign), Analyzer()
@@ -78,7 +75,6 @@ def _campaign(classes, body, *, trace_derive=False, static_prune=False):
         detector = Detector(
             program,
             campaign,
-            static_prune=static_prune,
             trace_derive=trace_derive,
             woven_specs=specs,
         )
@@ -215,10 +211,9 @@ def test_derived_log_is_bit_identical_modulo_provenance():
 
 def test_nonatomic_verdict_is_derivable():
     # Injecting into read_balance while mutate_then_call's half-done
-    # mutation is on the stack: the static pruner must leave this point
-    # dynamic, but the trace pass derives the NONATOMIC mark by diffing
-    # the enclosing wrapper's entry capture against the recapture at the
-    # inner entry.
+    # mutation is on the stack: the trace pass derives the NONATOMIC
+    # mark by diffing the enclosing wrapper's entry capture against the
+    # recapture at the inner entry.
     traced = _campaign([Ledger], _ledger_body, trace_derive=True)
     derived_nonatomic = [
         record
@@ -237,10 +232,10 @@ def test_nonatomic_verdict_is_derivable():
 
 
 def test_ambient_marks_derive_points_after_caught_genuine_failure():
-    # A genuine failure caught by the workload taints every later point
-    # for the static pruner; the trace pass instead records the escape's
-    # verdict at the moment it crosses the wrapper (the ambient mark)
-    # and keeps deriving.
+    # A genuine failure caught by the workload leaves a mark in every
+    # later run; the trace pass records the escape's verdict at the
+    # moment it crosses the wrapper (the ambient mark) and keeps
+    # deriving.
     def body():
         ledger = Ledger()
         try:
@@ -265,24 +260,11 @@ def test_ambient_marks_derive_points_after_caught_genuine_failure():
         assert any(m.method == "Ledger.deposit" for m in record.marks)
 
 
-def test_composes_with_static_prune():
-    full = _campaign([Ledger], _ledger_body)
-    both = _campaign(
-        [Ledger], _ledger_body, trace_derive=True, static_prune=True
-    )
-    assert both.telemetry.runs_pruned > 0
-    assert both.telemetry.runs_derived > 0
-    tags = {record.provenance for record in both.log.runs}
-    assert {"static", "trace"} <= tags
-    # statically decided points keep the static tag even though the
-    # trace pass could also derive them
-    static_count = sum(
-        1 for record in both.log.runs if record.provenance == "static"
-    )
-    assert static_count == both.telemetry.runs_pruned
-    assert log_json_without_provenance(both.log) == (
-        log_json_without_provenance(full.log)
-    )
+def test_baseline_run_is_never_derived():
+    traced = _campaign([Ledger], _ledger_body, trace_derive=True)
+    baseline = traced.log.runs[-1]
+    assert baseline.injection_point == traced.total_points + 1
+    assert baseline.provenance == "dynamic"
 
 
 def test_recorder_fast_path_skips_recaptures():
@@ -376,28 +358,6 @@ def test_sourceless_workload_is_undecidable_with_reason():
     assert deriver.derive_map() == {}
 
 
-def test_deriver_chains_pruner_on_one_profiling_run():
-    campaign = InjectionCampaign()
-    weaver = Weaver(
-        lambda spec: make_injection_wrapper(spec, campaign), Analyzer()
-    )
-    with weaver:
-        specs = weaver.weave_classes([Ledger])
-        pruner = StaticPruner(specs)
-        deriver = TraceDeriver(campaign, pruner=pruner)
-        assert deriver.transparency is pruner.transparency
-        deriver.attach(campaign)
-        campaign.begin_profile()
-        try:
-            call_through_boundary(_ledger_body)
-        finally:
-            campaign.end_profile()
-            deriver.detach(campaign)
-    # both passes observed the same single run
-    assert pruner.prune_map()
-    assert deriver.derive_map()
-
-
 def test_derived_records_respect_repertoire_offsets():
     traced = _campaign([Ledger], _ledger_body, trace_derive=True)
     by_point = {record.injection_point: record for record in traced.log.runs}
@@ -405,3 +365,42 @@ def test_derived_records_respect_repertoire_offsets():
     assert sorted(by_point) == list(range(1, len(by_point) + 1))
     for point, record in by_point.items():
         assert record.injection_point == point
+
+
+# -- transparency certificates -------------------------------------------
+
+
+def _plain_frame(x):
+    return x + 1
+
+
+def _guarded_frame(x):
+    try:
+        return x + 1
+    except ValueError:
+        return 0
+
+
+def test_plain_line_is_transparent():
+    index = TransparencyIndex()
+    code = _plain_frame.__code__
+    assert index.transparent_at(code, code.co_firstlineno + 1)
+
+
+def test_line_inside_try_is_not_transparent():
+    index = TransparencyIndex()
+    code = _guarded_frame.__code__
+    assert not index.transparent_at(code, code.co_firstlineno + 2)
+
+
+def test_sourceless_code_with_handlers_is_never_transparent():
+    # A sourceless frame that *has* exception machinery (non-empty
+    # handler table on 3.11+, and no AST certificate ever) must stay
+    # uncertified at every line.  Handler-free sourceless frames are
+    # covered by test_transparency_sourceless.py.
+    index = TransparencyIndex()
+    code = compile(
+        "try:\n    x = 1\nfinally:\n    pass", "<nosource>", "exec"
+    )
+    assert not index.transparent_at(code, 1)
+    assert not index.transparent_at(code, 2)

@@ -9,7 +9,7 @@ the frame cannot catch, transform, or clean up after a propagating
 exception at any line.  These tests pin that certificate down, from the
 minimal reproducer (one sourceless glue frame between an injection point
 and the profile boundary keeps the point dynamic) to the end-to-end
-pruning win.
+derivation win.
 """
 
 import functools
@@ -21,10 +21,8 @@ import pytest
 from repro.core import InjectionCampaign, make_injection_wrapper
 from repro.core.analyzer import Analyzer
 from repro.core.detector import CallableProgram, Detector
-from repro.core.staticpass import (
-    TransparencyIndex,
-    log_json_without_provenance,
-)
+from repro.core.runlog import log_json_without_provenance
+from repro.core.tracepass import TransparencyIndex
 from repro.core.weaver import Weaver
 
 HAS_EXCEPTIONTABLE = hasattr(
@@ -99,7 +97,7 @@ def test_sourced_frames_unaffected():
     assert not index.transparent_at(code, code.co_firstlineno + 2)
 
 
-# -- end-to-end: pruning through a sourceless adapter --------------------
+# -- end-to-end: derivation through a sourceless adapter -----------------
 
 
 class Box:
@@ -110,7 +108,7 @@ class Box:
         return self.value
 
 
-def _campaign_through_glue(glue_factory, static_prune):
+def _campaign_through_glue(glue_factory, trace_derive):
     campaign = InjectionCampaign()
     weaver = Weaver(
         lambda spec: make_injection_wrapper(spec, campaign), Analyzer()
@@ -126,27 +124,27 @@ def _campaign_through_glue(glue_factory, static_prune):
         result = Detector(
             CallableProgram("glue-subject", body),
             campaign,
-            static_prune=static_prune,
+            trace_derive=trace_derive,
             woven_specs=specs,
         ).detect()
     return result
 
 
 @pytest.mark.parametrize("flavor", ["passthrough", "guarded"])
-def test_pruning_through_sourceless_glue(flavor):
+def test_derivation_through_sourceless_glue(flavor):
     """The glue frame sits between ``Box.get``'s injection point and the
     profile boundary.  Handler-free glue is certifiable on 3.11+ (the
-    point prunes); glue with exception machinery never is (the point
-    stays dynamic).  Either way the pruned log is bit-identical."""
+    point is derived); glue with exception machinery never is (the
+    point stays dynamic).  Either way the derived log is bit-identical."""
     passthrough, guarded = _sourceless_factories()
     factory = passthrough if flavor == "passthrough" else guarded
-    full = _campaign_through_glue(factory, static_prune=False)
-    pruned = _campaign_through_glue(factory, static_prune=True)
+    full = _campaign_through_glue(factory, trace_derive=False)
+    derived = _campaign_through_glue(factory, trace_derive=True)
     assert log_json_without_provenance(
-        pruned.log
+        derived.log
     ) == log_json_without_provenance(full.log)
-    # Box.__init__'s points never cross the glue and prune on any
+    # Box.__init__'s points never cross the glue and are derived on any
     # version; only a certified glue frame lets Box.get's points join.
-    assert pruned.telemetry.runs_pruned >= 1
-    expect_glue_pruned = flavor == "passthrough" and HAS_EXCEPTIONTABLE
-    assert (pruned.telemetry.runs_pruned > 1) == expect_glue_pruned
+    assert derived.telemetry.runs_derived >= 1
+    expect_glue_derived = flavor == "passthrough" and HAS_EXCEPTIONTABLE
+    assert (derived.telemetry.runs_derived > 1) == expect_glue_derived

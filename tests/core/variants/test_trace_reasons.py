@@ -28,8 +28,7 @@ import pytest
 
 from repro.core import InjectionCampaign, make_injection_wrapper
 from repro.core.analyzer import Analyzer
-from repro.core.staticpass import call_through_boundary
-from repro.core.tracepass import TraceDeriver
+from repro.core.tracepass import TraceDeriver, call_through_boundary
 from repro.core.variants import transform_source
 from repro.core.virtualsource import (
     register_virtual_source,

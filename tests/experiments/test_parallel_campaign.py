@@ -10,14 +10,21 @@ The contract under test (see ``docs/GUIDE.md`` §"Campaign engines"):
   times and then marked ``crashed`` instead of wedging the campaign.
 """
 
+import dataclasses
 import json
 import threading
 import time
 
 import pytest
 
-from repro.core import Analyzer, CampaignTelemetry, InjectionCampaign, plan_points
-from repro.core.instrument import get_instrumentor
+from repro.core import (
+    Analyzer,
+    CampaignTelemetry,
+    InjectionCampaign,
+    Weaver,
+    make_injection_wrapper,
+    plan_points,
+)
 from repro.core.runlog import RunLog, RunRecord
 from repro.experiments.parallel import run_point_with_timeout
 from repro.experiments import (
@@ -352,6 +359,58 @@ def test_telemetry_from_dict_defaults_missing_keys():
     assert "engine=sequential" in CampaignTelemetry.from_dict({}).summary()
 
 
+def test_telemetry_roundtrips_every_field():
+    """Every field survives to_dict/from_dict, even a non-default value."""
+    changed = {}
+    for f in dataclasses.fields(CampaignTelemetry):
+        default = getattr(CampaignTelemetry(), f.name)
+        if isinstance(default, dict):
+            changed[f.name] = {"profile": 1.5, "7": 2.25}
+        elif isinstance(default, str):
+            changed[f.name] = default + "-changed"
+        else:
+            changed[f.name] = type(default)(default + 3)
+    telemetry = CampaignTelemetry(**changed)
+    payload = json.loads(json.dumps(telemetry.to_dict()))
+    assert payload == changed
+    assert CampaignTelemetry.from_dict(payload) == telemetry
+
+
+def test_telemetry_loads_legacy_dict_with_retired_keys(tmp_path):
+    """meta.json written when telemetry still carried the static-pass
+    and instrumentor fields loads: retired keys are ignored, the rest
+    are coerced to their field types."""
+    legacy = {
+        "engine": "sequential",
+        "workers": "1",
+        "runs_total": 12,
+        "runs_executed": 5,
+        "runs_pruned": 4,
+        "runs_derived": "3",
+        "static_pure_methods": 2,
+        "static_seconds": 0.01,
+        "instrumentor": "weave",
+        "wall_seconds": 1,
+        "phase_seconds": {"profile": "0.5", "execute": 1},
+    }
+    telemetry = CampaignTelemetry.from_dict(legacy)
+    assert telemetry.workers == 1
+    assert telemetry.runs_derived == 3
+    assert telemetry.wall_seconds == 1.0
+    assert isinstance(telemetry.wall_seconds, float)
+    assert telemetry.phase_seconds == {"profile": 0.5, "execute": 1.0}
+    assert "runs_pruned" not in telemetry.to_dict()
+    outcome = run_app_campaign(program_by_name("Dynarray"), stride=4)
+    directory = str(tmp_path / "campaign")
+    save_outcome(outcome, directory)
+    meta_path = tmp_path / "campaign" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["telemetry"] = legacy
+    meta_path.write_text(json.dumps(meta))
+    loaded_meta, _, _ = load_outcome(directory)
+    assert loaded_meta["telemetry"] == telemetry
+
+
 def test_crashed_flag_roundtrips_and_defaults():
     log = RunLog()
     log.runs.append(RunRecord(injection_point=3, crashed=True))
@@ -492,11 +551,11 @@ def _run_slow_point(timeout, retries):
     under a budget, via the shared single-point kernel."""
     program = _slow_program()
     campaign = InjectionCampaign(capture_args=True)
-    engine = get_instrumentor(
-        "weave", campaign, analyzer=Analyzer(exclude=program.exclude)
-    )
-    with engine:
-        engine.instrument(program.classes)
+    with Weaver(
+        lambda spec: make_injection_wrapper(spec, campaign),
+        Analyzer(exclude=program.exclude),
+    ) as weaver:
+        weaver.weave_classes(program.classes)
         campaign.begin_profile()
         program()
         campaign.end_profile()

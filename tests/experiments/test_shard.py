@@ -6,9 +6,10 @@ The contract under test:
   computes the same assignment from ``(plan, shard_count)`` alone;
 * for **any** shard count, running every shard independently and
   merging the fragments yields a run log byte-identical to the
-  sequential engine's, across state backends and the static-prune /
-  trace-derive passes — including shards that crashed mid-write and
-  resumed from their own fragment;
+  sequential engine's, across state backends and the trace-derive
+  pass — including shards that crashed mid-write and resumed from their
+  own fragment, and fragments written before the static-prune and
+  instrumentor options were retired;
 * the coordinator merge validates before it trusts: mismatched
   headers name the differing keys, incomplete coverage names the shard
   to resume, diverged profiles are rejected outright.
@@ -19,6 +20,7 @@ import json
 import pytest
 
 from repro.core import plan_points
+from repro.core.runlog import log_json_without_provenance
 from repro.experiments import (
     ShardError,
     merge_fragments,
@@ -114,19 +116,16 @@ def test_merge_is_byte_identical_for_any_shard_count(
     "config",
     [
         {"state_backend": "fingerprint"},
-        {"static_prune": True, "trace_derive": True},
-        {"state_backend": "fingerprint", "static_prune": True,
-         "trace_derive": True},
+        {"trace_derive": True},
+        {"state_backend": "fingerprint", "trace_derive": True},
     ],
-    ids=["fingerprint", "prune+trace", "fingerprint+prune+trace"],
+    ids=["fingerprint", "trace", "fingerprint+trace"],
 )
 def test_merge_identical_across_backends_and_passes(tmp_path, config):
     sequential = run_app_campaign(program_by_name(APP), **config)
     paths = _run_all_shards(tmp_path, 3, **config)
     merged = merge_fragments(paths)
     _same_as_sequential(merged, sequential)
-    if config.get("static_prune"):
-        assert merged.detection.telemetry.runs_pruned > 0
     if config.get("trace_derive"):
         assert merged.detection.telemetry.runs_derived > 0
 
@@ -246,6 +245,51 @@ def test_fragment_torn_mid_byte_resume_repairs_durably(
         json.loads(line)  # no concatenation corruption anywhere
     merged = merge_fragments(paths)
     _same_as_sequential(merged, sequential)
+
+
+def _as_pre_retirement_fragment(path: str, keep_runs: int) -> int:
+    """Rewrite a fresh fragment the way the engine wrote it while the
+    static pass and the instrumentor option existed: the header carries
+    ``static_prune``/``instrumentor``, and every record the static pass
+    could synthesize (escaped, all marks atomic) is journaled with
+    ``attempts: 0`` and ``provenance: "static"``.  Only the first
+    *keep_runs* run lines survive, as if the shard died there.  Returns
+    how many static records were written."""
+    with open(path, encoding="utf-8") as handle:
+        header, profile, *runs = [json.loads(line) for line in handle]
+    header.update(static_prune=True, instrumentor="weave")
+    static = 0
+    for entry in runs[:keep_runs]:
+        record = entry["record"]
+        if record["escaped"] and all(
+            mark["verdict"] == "atomic" for mark in record["marks"]
+        ):
+            entry["attempts"] = 0
+            record["provenance"] = "static"
+            static += 1
+    with open(path, "w", encoding="utf-8") as handle:
+        for entry in [header, profile] + runs[:keep_runs]:
+            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    return static
+
+
+def test_pre_retirement_fragment_resumes_and_merges(sequential, tmp_path):
+    paths = _run_all_shards(tmp_path, 3)
+    static = _as_pre_retirement_fragment(paths[1], keep_runs=4)
+    assert static > 0
+    result = run_shard(program_by_name(APP), 1, 3, paths[1], resume=True)
+    assert result.resumed == 4
+    assert result.executed == len(result.points) - 4
+    merged = merge_fragments(paths)
+    assert log_json_without_provenance(merged.detection.log) == (
+        log_json_without_provenance(sequential.detection.log)
+    )
+    provenance = [run.provenance for run in merged.detection.log.runs]
+    assert provenance.count("static") == static
+    assert merged.detection.telemetry.runs_derived == static
+    assert (
+        merged.classify().to_json() == sequential.classification.to_json()
+    )
 
 
 def test_resume_with_complete_fragment_executes_nothing(tmp_path):

@@ -188,7 +188,6 @@ def test_chaos_harness_with_passes_and_fingerprint_backend(tmp_path):
         shard_count=2,
         hang_seconds=0.5,
         state_backend="fingerprint",
-        static_prune=True,
         trace_derive=True,
         supervisor=ShardSupervisor(seed=12, backoff_base=0.01),
     )

@@ -4,9 +4,9 @@ The acceptance contract of the one-trace-many-points pass: under
 ``trace_derive=True`` the campaign must reproduce the ground-truth
 classification of :data:`repro.experiments.synthetic.GROUND_TRUTH`
 **bit-identically** — on both engines (sequential, and parallel with 1
-and 4 workers), under both state backends, with and without the static
-pruner chained in — while actually deriving injection runs from the one
-instrumented reference execution instead of executing them.  Only the
+and 4 workers) and under both state backends — while actually deriving
+injection runs from the one instrumented reference execution instead of
+executing them.  Only the
 per-run ``provenance`` tags and the telemetry may reveal that
 derivation happened.
 """
@@ -14,7 +14,7 @@ derivation happened.
 import pytest
 
 from repro.core import WrapPolicy, reclassify
-from repro.core.staticpass import log_json_without_provenance
+from repro.core.runlog import log_json_without_provenance
 from repro.experiments import (
     GROUND_TRUTH,
     ParallelDetector,
@@ -34,13 +34,12 @@ def reference():
     return run_app_campaign(synthetic_program())
 
 
-def _parallel_derived(workers, backend, static_prune=False, **kwargs):
+def _parallel_derived(workers, backend, **kwargs):
     detector = ParallelDetector(
         synthetic_program(),
         workers=workers,
         program_ref=ProgramRef(factory=synthetic_program),
         state_backend=backend,
-        static_prune=static_prune,
         trace_derive=True,
         **kwargs,
     )
@@ -71,29 +70,9 @@ def test_sequential_derive_matches_ground_truth(reference, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_sequential_derive_composes_with_prune(reference, backend):
-    outcome = run_app_campaign(
-        synthetic_program(),
-        state_backend=backend,
-        static_prune=True,
-        trace_derive=True,
-    )
-    assert outcome.detection.telemetry.runs_pruned > 0
-    _assert_equivalent(reference, outcome.detection, outcome.classification)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("workers", [1, 4])
 def test_parallel_derive_matches_ground_truth(reference, workers, backend):
     detection, classification = _parallel_derived(workers, backend)
-    _assert_equivalent(reference, detection, classification)
-
-
-def test_parallel_derive_composes_with_prune(reference):
-    detection, classification = _parallel_derived(
-        2, "graph", static_prune=True
-    )
-    assert detection.telemetry.runs_pruned > 0
     _assert_equivalent(reference, detection, classification)
 
 

@@ -71,12 +71,14 @@ def test_canonical_config_fills_defaults():
 
 
 def test_canonical_config_coerces_and_validates():
-    cfg = canonical_config({"stride": "2", "static_prune": 1, "timeout": "5"})
+    cfg = canonical_config({"stride": "2", "trace_derive": 1, "timeout": "5"})
     assert cfg["stride"] == 2
-    assert cfg["static_prune"] is True
+    assert cfg["trace_derive"] is True
     assert cfg["timeout"] == 5.0
-    with pytest.raises(SubmissionError, match="unknown config keys"):
-        canonical_config({"bogus": 1})
+    for unknown in ({"bogus": 1}, {"static_prune": True},
+                    {"instrumentor": "weave"}):
+        with pytest.raises(SubmissionError, match="unknown config keys"):
+            canonical_config(unknown)
     with pytest.raises(SubmissionError, match="stride"):
         canonical_config({"stride": 0})
     with pytest.raises(SubmissionError, match="workers"):
