@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow bench bench-smoke bench-state bench-trace bench-trace-full bench-variants bench-shard bench-resilience chaos-smoke fuzz-smoke fuzz-trace-smoke fuzz-variant-smoke docs-check reproduce examples clean
+.PHONY: install test test-slow bench bench-smoke bench-state bench-trace bench-trace-full bench-variants bench-shard bench-resilience engine-smoke chaos-smoke fuzz-smoke fuzz-trace-smoke fuzz-variant-smoke docs-check reproduce examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -63,6 +63,24 @@ bench-variants:
 bench-shard:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_shard.py --benchmark-only -s
+
+# One engine, three entry points: a journaled 2-shard campaign, the
+# coordinator merge of its fragments, and a resume that asks for 3
+# workers (the shard count comes from the fragments) must each print the
+# sequential engine's classification lines, and the resume must execute
+# nothing (runs=0/N, resumed=N).
+engine-smoke:
+	@J=$$(mktemp -d) && \
+	$(PYTHON) -m repro detect LLMap | grep 'calls=' > $$J/expected && \
+	$(PYTHON) -m repro detect LLMap --workers 2 --journal $$J/journal \
+		| grep 'calls=' | diff $$J/expected - && \
+	$(PYTHON) -m repro merge $$J/journal/shard-*.jsonl \
+		| grep 'calls=' | diff $$J/expected - && \
+	$(PYTHON) -m repro detect LLMap --workers 3 --journal $$J/journal \
+		--resume > $$J/resumed && \
+	grep 'calls=' $$J/resumed | diff $$J/expected - && \
+	grep -E 'runs=0/([0-9]+) \(resumed=\1,' $$J/resumed && \
+	rm -rf $$J && echo "engine-smoke: OK"
 
 # Chaos resilience: seeded fault plans (worker kills, torn journal
 # writes, IO errors, hung runs) against the supervised sharded campaign

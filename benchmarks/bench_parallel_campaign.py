@@ -1,10 +1,10 @@
-"""Benchmark — parallel campaign engine vs. the sequential sweep.
+"""Benchmark — the shard engine vs. the sequential sweep.
 
 The detection phase executes the test program once per injection point
 (Listing 1, Step 3), so campaign wall-clock grows linearly with the
-point count.  The runs are independent, which the parallel engine
-(`repro.experiments.parallel`) exploits by fanning them out over a
-process pool.  This benchmark runs the *same* campaign on both engines,
+point count.  The runs are independent, which the shard engine behind
+``run_app_campaign(workers=N)`` (`repro.experiments.supervise`) exploits
+by splitting the plan into interleaved shards, one child process each.  This benchmark runs the *same* campaign on both engines,
 verifies the results are bit-identical (the determinism guarantee), and
 reports the speedup.
 
@@ -14,7 +14,8 @@ Modes:
   to 300+ injection points, the regime the engine is built for.
 * smoke (``REPRO_BENCH_SMOKE=1``, used by ``make bench-smoke``): a tiny
   point budget that exercises the full engine path in seconds; the
-  speedup bar is not enforced because pool startup dominates tiny runs.
+  speedup bar is not enforced because process startup dominates tiny
+  runs.
 
 The ≥2× speedup assertion only applies when the host actually has ≥4
 usable CPUs — a single-core container can verify determinism and record
@@ -102,8 +103,8 @@ def bench_parallel_campaign(benchmark):
                 f"CPUs, measured {speedup:.2f}x"
             )
 
-    # the benchmarked unit: a small end-to-end parallel campaign, pool
-    # startup included (rounds kept low — each round forks a pool)
+    # the benchmarked unit: a small end-to-end sharded campaign, process
+    # startup included (rounds kept low — each round forks its shards)
     benchmark.pedantic(
         lambda: run_app_campaign(
             program_by_name("Dynarray"), stride=8, workers=2

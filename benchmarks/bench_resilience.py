@@ -4,8 +4,9 @@ The robustness layer's acceptance contract, enforced end to end:
 
 * under a seeded :func:`~repro.resilience.chaos.standard_plan` (at
   least one worker kill mid-fragment, one torn journal append, one
-  injected IO error, one hung run), the supervised sharded campaign
-  (:class:`~repro.experiments.supervise.ShardSupervisor`) converges
+  injected IO error, one hung run, all fired inside the shard
+  processes), the supervised campaign — interleaved shards, one killable
+  child process each (:class:`~repro.experiments.supervise.ShardSupervisor`) — converges
   within its bounded retry budget to a result **bit-identical** to the
   fault-free sequential engine's — run log and classification JSON —
   across state backends and the trace-derive pass;

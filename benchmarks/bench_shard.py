@@ -1,8 +1,9 @@
 """Benchmark — shard-able campaign service: merge bit-identity + cache.
 
 The shard layer (:mod:`repro.experiments.shard`) splits a campaign's
-injection plan into deterministic contiguous shards; independent workers
-each write a journal fragment and a coordinator merges them.  The whole
+injection plan into deterministic interleaved shards (shard *i* of *n*
+holds every *n*-th point from *i*); independent workers each write a
+journal fragment and a coordinator merges them.  The whole
 scheme is only useful if it is *invisible* in the output, so this
 benchmark enforces the acceptance contract:
 

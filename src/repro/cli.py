@@ -15,8 +15,8 @@ Subcommands::
 
     python -m repro apps                     list the evaluation applications
     python -m repro detect LinkedList        run one detection campaign
-    python -m repro detect LinkedList --workers 4 --journal c.jsonl --resume
-                                             parallel engine, resumable
+    python -m repro detect LinkedList --workers 4 --journal campaign/ --resume
+                                             4 shard processes, resumable
     python -m repro validate LinkedList      detect -> mask -> re-detect
     python -m repro validate LinkedList --strategy undolog
                                              undo-log checkpointing
@@ -105,28 +105,40 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         trace_derive=args.trace_derive,
     )
     report = outcome.report
-    print(
+    _print_campaign(
         f"{report.name}: {report.class_count} classes, "
         f"{report.method_count} methods, "
-        f"{report.injection_count} injections"
+        f"{report.injection_count} injections",
+        report,
+        outcome.classification,
+        outcome.detection,
+        args.save_log,
+        wrap=select_methods_to_wrap(
+            outcome.classification, policy or WrapPolicy()
+        ),
     )
-    print(format_run_provenance(outcome.classification))
+    return 0
+
+
+def _print_campaign(
+    title, report, classification, detection, save_log, wrap=None
+) -> None:
+    """The classification block ``detect`` and ``merge`` both print."""
+    print(title)
+    print(format_run_provenance(classification))
     print(render_bars(report.fractions_by_methods()))
     print()
-    for key in sorted(outcome.classification.methods):
-        mc = outcome.classification.methods[key]
+    for key in sorted(classification.methods):
+        mc = classification.methods[key]
         print(f"  {mc.category:12s} {key}  (calls={mc.calls})")
-    to_wrap = select_methods_to_wrap(
-        outcome.classification, policy or WrapPolicy()
-    )
-    print(f"\nmethods the masking phase would wrap: {to_wrap}")
-    if outcome.detection.telemetry is not None:
+    if wrap is not None:
+        print(f"\nmethods the masking phase would wrap: {wrap}")
+    if detection.telemetry is not None:
         print("\n-- campaign telemetry --")
-        print(outcome.detection.telemetry.summary())
-    if args.save_log:
-        outcome.detection.log.save(args.save_log)
-        print(f"run log written to {args.save_log}")
-    return 0
+        print(detection.telemetry.summary())
+    if save_log:
+        detection.log.save(save_log)
+        print(f"run log written to {save_log}")
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
@@ -159,7 +171,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    from repro.core import format_run_provenance, render_bars
     from repro.core.report import build_app_report
     from repro.experiments import merge_fragments
 
@@ -168,23 +179,15 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     report = build_app_report(
         merged.detection.program, merged.detection, classification
     )
-    print(
+    _print_campaign(
         f"{report.name}: merged {len(args.fragments)} fragment(s) -> "
         f"{report.class_count} classes, {report.method_count} methods, "
-        f"{report.injection_count} injections"
+        f"{report.injection_count} injections",
+        report,
+        classification,
+        merged.detection,
+        args.save_log,
     )
-    print(format_run_provenance(classification))
-    print(render_bars(report.fractions_by_methods()))
-    print()
-    for key in sorted(classification.methods):
-        mc = classification.methods[key]
-        print(f"  {mc.category:12s} {key}  (calls={mc.calls})")
-    if merged.detection.telemetry is not None:
-        print("\n-- campaign telemetry --")
-        print(merged.detection.telemetry.summary())
-    if args.save_log:
-        merged.detection.log.save(args.save_log)
-        print(f"run log written to {args.save_log}")
     return 0
 
 
@@ -652,17 +655,19 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--save-log", help="write the run log (JSON)")
     detect.add_argument(
         "--workers", type=int, default=None,
-        help="run the campaign on the parallel engine with N worker "
-             "processes (results are identical to the sequential engine)")
+        help="run the campaign as N shards in N child processes at once "
+             "(results are identical to the sequential engine)")
     detect.add_argument(
         "--journal", default=None,
-        help="campaign journal path (JSONL of completed points)")
+        help="campaign journal directory: one fragment per shard "
+             "(shard-NN.jsonl), which `repro merge` also reads")
     detect.add_argument(
         "--resume", action="store_true",
-        help="skip injection points already recorded in the journal")
+        help="skip injection points already recorded in the journal "
+             "(the shard count comes from its fragments)")
     detect.add_argument(
         "--timeout", type=float, default=None,
-        help="per-run wall-clock budget in seconds (parallel engine)")
+        help="per-run wall-clock budget in seconds (with --workers)")
     detect.add_argument(
         "--retries", type=int, default=1,
         help="retries per timed-out point before marking it crashed")
@@ -766,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--heartbeat-timeout", type=float, default=5.0,
         help="seconds without shard progress before the supervisor "
-             "kills the worker")
+             "kills the shard process")
     chaos.add_argument(
         "--workdir", default=None,
         help="directory for shard fragments (default: temp dir)")
@@ -805,9 +810,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bound on the generated class-graph depth")
     fuzz.add_argument("--engine", choices=("sequential", "parallel", "both"),
                       default="both",
-                      help="which detection engine(s) to cross-check")
+                      help="which detection engine(s) to cross-check "
+                           "(parallel: the shard engine)")
     fuzz.add_argument("--workers", type=int, default=2,
-                      help="worker processes for the parallel engine")
+                      help="shard processes for the parallel engine")
     fuzz.add_argument("--self-check", action="store_true",
                       help="plant known defects (classifier swap, merge "
                            "reorder, rollback removal) and assert the "

@@ -28,7 +28,7 @@ from .analyzer import MethodSpec
 from .exceptions import InjectionAbort, is_injected
 from .injection import InjectionCampaign
 from .runlog import RunLog, RunRecord
-from .state import FingerprintCache, get_backend
+from .state import campaign_digest_cache, get_backend
 from .telemetry import CampaignTelemetry
 from .tracepass import TraceDeriver, TraceRecorder, call_through_boundary
 
@@ -95,7 +95,7 @@ def plan_points(
 ) -> List[int]:
     """The ordered list of thresholds a campaign will sweep.
 
-    Shared by the sequential and parallel engines so both execute the
+    Shared by the sequential and shard engines so both execute the
     *same* plan: points ``1..total`` thinned by ``stride`` (or an explicit
     point list), plus the trailing baseline run at ``total + 1`` that
     observes genuine (non-injected) failures without injecting anything.
@@ -127,7 +127,7 @@ def run_injection_point(
 
     Args:
         reraise: exception types to re-raise instead of recording — the
-            parallel engine passes its timeout exception here so a timed
+            shard engine passes its timeout exception here so a timed
             out run is retried rather than logged as a genuine failure.
 
     When the campaign uses a lossy-diff backend (fingerprints) and the
@@ -347,21 +347,9 @@ class Detector:
         woven_classes = {
             spec.owner for spec in self.woven_specs or [] if spec.owner
         }
-        cache: Optional[FingerprintCache] = None
-        if (
-            self.fingerprint_cache
-            and woven_classes
-            and self.campaign.digest_cache is None
-            and getattr(self.campaign.backend, "supports_digest_cache", False)
-        ):
-            # Memoize frame digests across the sweep: the write barriers
-            # invalidate on any attribute write to a woven class, so the
-            # cached digest is only ever served when it is provably the
-            # digest the backend would recompute (bit-identical output).
-            cache = FingerprintCache()
-            cache.start(woven_classes)
-            self.campaign.digest_cache = cache
-        try:
+        with campaign_digest_cache(
+            self.campaign, woven_classes, enabled=self.fingerprint_cache
+        ) as cache:
             for injection_point in points:
                 if injection_point in decided:
                     # Decided without execution: append the derived
@@ -378,10 +366,6 @@ class Detector:
                 done += 1
                 if self.progress is not None:
                     self.progress(done, len(points))
-        finally:
-            if cache is not None:
-                self.campaign.digest_cache = None
-                cache.stop()
         finished = time.perf_counter()
         wall = finished - started
         state_stats = self.campaign.state_stats

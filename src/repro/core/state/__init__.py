@@ -46,7 +46,7 @@ from .fingerprint import (
     fingerprint_frame,
     fingerprint_frame_covered,
 )
-from .fpcache import FingerprintCache
+from .fpcache import FingerprintCache, campaign_digest_cache
 from .graph import (
     CaptureLimitError,
     GraphDifference,
@@ -94,6 +94,7 @@ __all__ = [
     "fingerprint_frame",
     "fingerprint_frame_covered",
     "FingerprintCache",
+    "campaign_digest_cache",
     "DIGEST_BITS",
     # checkpoint
     "Checkpoint",

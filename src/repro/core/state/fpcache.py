@@ -29,6 +29,7 @@ conformance/fuzz oracles sweep with the cache enabled.
 
 from __future__ import annotations
 
+import contextlib
 import weakref
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -41,7 +42,7 @@ from ..cow import (
     remove_write_barrier,
 )
 
-__all__ = ["FingerprintCache"]
+__all__ = ["FingerprintCache", "campaign_digest_cache"]
 
 #: Entry-count bound; crossing it drops the whole table (epoch reset) —
 #: cheap, and unbounded fuzz campaigns cannot grow the cache forever.
@@ -175,10 +176,33 @@ class FingerprintCache:
                 self._entries[key] = (self.version, digest, refs)
         return digest
 
-    def to_dict(self) -> Dict[str, int]:
-        """Telemetry counters."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bypasses": self.bypasses,
-        }
+
+@contextlib.contextmanager
+def campaign_digest_cache(
+    campaign: Any, classes: Iterable[type], *, enabled: bool = True
+):
+    """Memoize *campaign*'s frame digests for the ``with`` block.
+
+    Installs a :class:`FingerprintCache` with write barriers on the woven
+    *classes* when *enabled*, the campaign has none yet, and its backend
+    supports one; yields it (or ``None``) and removes it on exit.  Any
+    attribute write to a woven class invalidates, so a cached digest is
+    always the one the backend would recompute (bit-identical output).
+    """
+    classes = set(classes)
+    if not (
+        enabled
+        and classes
+        and campaign.digest_cache is None
+        and getattr(campaign.backend, "supports_digest_cache", False)
+    ):
+        yield None
+        return
+    cache = FingerprintCache()
+    cache.start(classes)
+    campaign.digest_cache = cache
+    try:
+        yield cache
+    finally:
+        campaign.digest_cache = None
+        cache.stop()

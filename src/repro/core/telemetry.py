@@ -3,7 +3,7 @@
 The paper reports only end results; a campaign that sweeps hundreds of
 injection points at production scale needs observability of its own.
 Both detection engines (the sequential :class:`~repro.core.detector.Detector`
-and the parallel engine in :mod:`repro.experiments.parallel`) attach a
+and the shard engine in :mod:`repro.experiments.supervise`) attach a
 :class:`CampaignTelemetry` to their :class:`DetectionResult`, and
 ``save_outcome``/``load_outcome`` round-trip it through ``meta.json``.
 
@@ -21,9 +21,8 @@ from typing import Any, Dict, Mapping, Optional
 
 __all__ = ["CampaignTelemetry"]
 
-#: Engine identifiers recorded in the telemetry.
+#: The engine a telemetry record defaults to.
 ENGINE_SEQUENTIAL = "sequential"
-ENGINE_PARALLEL = "parallel"
 
 
 @dataclass
@@ -31,8 +30,10 @@ class CampaignTelemetry:
     """Observability record of one detection campaign.
 
     Attributes:
-        engine: ``"sequential"`` or ``"parallel"``.
-        workers: number of worker processes (1 for the sequential engine).
+        engine: ``"sequential"``; the shard engine's ``"parallel"``
+            (``run_app_campaign``) or ``"supervised"`` (``ShardSupervisor``);
+            ``"shard"`` (one shard) or ``"sharded"`` (``repro merge``).
+        workers: shard processes run at once (1 for the sequential engine).
         runs_total: number of runs the campaign plan called for.
         runs_executed: runs actually executed this invocation (resumed
             runs are *not* re-executed and are counted separately).
@@ -74,10 +75,10 @@ class CampaignTelemetry:
         runs_per_second: ``runs_executed / wall_seconds`` (0 when unknown).
         phase_seconds: per-phase wall-clock (``profile`` / ``execute`` /
             ``merge``).
-        worker_busy_seconds: per-worker busy time, keyed by worker id
-            (the pool worker's pid as a string).
+        worker_busy_seconds: per-shard busy time of the shard process
+            that completed it, keyed by shard index.
         worker_utilization: mean fraction of the execute phase the
-            workers spent busy (1.0 = perfectly utilized).
+            shard processes spent busy (1.0 = perfectly utilized).
         state_backend: name of the state backend the campaign compared
             state with (``graph``, ``fingerprint``).
         state_captures: full graph/checkpoint captures performed.
@@ -160,7 +161,7 @@ class CampaignTelemetry:
         if self.worker_busy_seconds:
             lines.append(
                 f"worker utilization: {100.0 * self.worker_utilization:.0f}% "
-                f"mean over {len(self.worker_busy_seconds)} worker(s)"
+                f"mean over {len(self.worker_busy_seconds)} shard(s)"
             )
         if self.runs_derived or self.trace_captures:
             lines.append(

@@ -28,13 +28,7 @@ from .fig5 import (
     measure_undolog_ablation,
 )
 from .linkedlist_fixes import FixComparison, compare_linkedlist_fixes
-from .parallel import (
-    CampaignJournal,
-    JournalError,
-    ParallelDetector,
-    ProgramRef,
-    run_parallel_detection,
-)
+from .parallel import JournalError, ProgramRef
 from .programs import (
     ALL_PROGRAMS,
     CPP_PROGRAMS,
@@ -83,11 +77,8 @@ __all__ = [
     "save_outcome",
     "load_outcome",
     "library_wide_classification",
-    "ParallelDetector",
     "ProgramRef",
-    "CampaignJournal",
     "JournalError",
-    "run_parallel_detection",
     "MergedCampaign",
     "ShardError",
     "ShardFragment",

@@ -7,8 +7,11 @@ report rows the paper's tables and figures are made of.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -27,6 +30,7 @@ from repro.core import (
     reclassify,
 )
 
+from .parallel import ProgramRef
 from .programs import ALL_PROGRAMS, AppProgram
 
 __all__ = [
@@ -87,16 +91,18 @@ def run_app_campaign(
             before classification (Section 4.3).
         scale: workload repetitions per execution; larger values approach
             the paper's injection counts at quadratically growing cost.
-        workers: when set (or when ``resume``/``journal`` is used), run
-            the campaign on the parallel engine
-            (:mod:`repro.experiments.parallel`) with this many worker
-            processes.  The merged result is identical to the sequential
-            engine's; only the attached telemetry differs.
-        resume: skip injection points already recorded in ``journal``.
-        journal: path of the campaign journal (JSONL of completed points).
-        timeout: per-run wall-clock budget (seconds, parallel engine only).
+        workers: when set (or with ``resume``/``journal``), run the
+            campaign on the shard engine
+            (:class:`~repro.experiments.supervise.ShardSupervisor`) as
+            this many shard processes at once (default: the machine's
+            CPUs).  The result is identical to the sequential engine's.
+        resume: skip injection points already recorded in ``journal``
+            (whose fragments also fix the shard count).
+        journal: directory of the journal fragments (``shard-NN.jsonl``,
+            which ``repro merge`` reads); a temporary one when unset.
+        timeout: per-run wall-clock budget (seconds, shard engine only).
         retries: retry attempts per timed-out point before marking it
-            crashed (parallel engine only).
+            crashed (shard engine only).
         progress: optional ``(runs_done, runs_total)`` callback.
         state_backend: how the campaign compares before/after state —
             ``graph`` (full object-graph isomorphism, the reference) or
@@ -111,77 +117,80 @@ def run_app_campaign(
         fingerprint_cache: memoize frame digests between barriered
             writes when ``state_backend`` supports it (fingerprint
             sweeps only; output is bit-identical either way).
-        program_ref: optional
-            :class:`~repro.experiments.parallel.ProgramRef` the parallel
-            engine's workers rebuild the program from.  Required when
-            *program* itself is not picklable — e.g. campaigns the
-            service layer runs over ``exec``'d submitted source.
+        program_ref: the :class:`~repro.experiments.parallel.ProgramRef`
+            shard processes rebuild a non-registry *program* from (e.g.
+            the service's ``exec``'d submitted source).
     """
     if scale > 1:
         program = program.scaled(scale * program.rounds)
     if workers is not None or resume or journal is not None:
-        from .parallel import ParallelDetector
+        from .supervise import ShardSupervisor
 
-        parallel_detector = ParallelDetector(
-            program,
-            workers=workers,
-            stride=stride,
-            capture_args=capture_args,
-            timeout=timeout,
-            retries=retries,
-            journal_path=journal,
-            resume=resume,
-            progress=progress,
-            state_backend=state_backend,
-            trace_derive=trace_derive,
-            fingerprint_cache=fingerprint_cache,
-            program_ref=program_ref,
+        if resume and journal is None:
+            raise ValueError("resume=True requires a journal directory")
+        ref = program_ref or ProgramRef.for_program(program)
+        shards = os.cpu_count() or 1 if workers is None else workers
+        # Without a run budget a point may take arbitrarily long, so only
+        # a shard process that died, not a slow one, is retried.
+        heartbeat = (
+            math.inf if timeout is None else (retries + 1) * timeout + 5.0
         )
-        detection = parallel_detector.detect()
-        specs = parallel_detector.woven_specs
-        return _classify_and_report(program, detection, specs, policy)
-    analyzer = Analyzer(exclude=program.exclude)
-    campaign = InjectionCampaign(
-        capture_args=capture_args, state_backend=state_backend
-    )
-    with Weaver(
-        lambda spec: make_injection_wrapper(spec, campaign), analyzer
-    ) as weaver:
-        specs = weaver.weave_classes(program.classes)
-        # AppProgram satisfies the Program protocol (name + __call__ with
-        # scaling applied), so it is the detector's test program directly
-        detector = Detector(
-            program,
-            campaign,
-            stride=stride,
-            progress=progress,
-            trace_derive=trace_derive,
-            woven_specs=specs,
-            fingerprint_cache=fingerprint_cache,
+        with (
+            tempfile.TemporaryDirectory(prefix="repro-campaign-")
+            if journal is None
+            else contextlib.nullcontext(journal)
+        ) as workdir:
+            merged = ShardSupervisor(heartbeat_timeout=heartbeat).run(
+                ref.resolve,
+                shards,
+                workdir,
+                workers=shards,
+                resume=resume,
+                progress=progress,
+                stride=stride,
+                capture_args=capture_args,
+                timeout=timeout,
+                retries=retries,
+                state_backend=state_backend,
+                trace_derive=trace_derive,
+                fingerprint_cache=fingerprint_cache,
+            ).merged
+        detection = merged.detection
+        # Campaigns fanned out from here report as the "parallel" engine;
+        # ShardSupervisor.run on its own reports "supervised".
+        detection.telemetry.engine = "parallel"
+        classification = merged.classify(policy)
+    else:
+        campaign = InjectionCampaign(
+            capture_args=capture_args, state_backend=state_backend
         )
-        detection = detector.detect()
-    return _classify_and_report(program, detection, specs, policy)
-
-
-def _classify_and_report(
-    program: AppProgram,
-    detection: DetectionResult,
-    specs,
-    policy: Optional[WrapPolicy],
-) -> CampaignOutcome:
-    """Shared tail of both engines: classify the log, build the report."""
-    # the programmer-declared exception-free annotations always apply
-    # (§4.3 third case); a caller-supplied policy is merged on top
-    effective = WrapPolicy.from_specs(specs)
-    if policy is not None:
-        effective = effective.merged_with(policy)
-    classification = reclassify(detection.log, effective)
-    report = build_app_report(program.name, detection, classification)
+        with Weaver(
+            lambda spec: make_injection_wrapper(spec, campaign),
+            Analyzer(exclude=program.exclude),
+        ) as weaver:
+            specs = weaver.weave_classes(program.classes)
+            # AppProgram satisfies the Program protocol (name + __call__
+            # with scaling applied): it is the detector's test program
+            detection = Detector(
+                program,
+                campaign,
+                stride=stride,
+                progress=progress,
+                trace_derive=trace_derive,
+                woven_specs=specs,
+                fingerprint_cache=fingerprint_cache,
+            ).detect()
+        # the programmer-declared exception-free annotations always apply
+        # (§4.3 third case); a caller-supplied policy is merged on top
+        effective = WrapPolicy.from_specs(specs)
+        if policy is not None:
+            effective = effective.merged_with(policy)
+        classification = reclassify(detection.log, effective)
     return CampaignOutcome(
         program=program,
         detection=detection,
         classification=classification,
-        report=report,
+        report=build_app_report(program.name, detection, classification),
     )
 
 

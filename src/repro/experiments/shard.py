@@ -1,43 +1,32 @@
-"""Shard-able campaign service: point-range shards + coordinator merge.
+"""Shard-able campaigns: interleaved shards, journal fragments, merge.
 
-The parallel engine (:mod:`repro.experiments.parallel`) fans a campaign
-out over one process pool on one host.  This module promotes the same
-resumable-journal design to a *distributed* shape: a campaign is split
-into deterministic **shards** (contiguous point-range partitions of the
-shared :func:`~repro.core.detector.plan_points` plan), every shard runs
-in an independent worker process — possibly on another host, with no
-coordination beyond agreeing on ``(program, config, shard_count)`` — and
-each emits a self-contained **journal fragment**.  A coordinator then
-merges the fragments into a result **bit-identical** to the sequential
-engine's (``RunLog.to_json()`` equality), across engines × state
-backends × ``--trace-derive``.
+A campaign splits into deterministic **shards** — interleaved slices of
+the :func:`~repro.core.detector.plan_points` plan — and every shard
+writes a self-contained **journal fragment**; merging the fragments
+gives a result **bit-identical** to the sequential engine's
+(``RunLog.to_json()`` equality) across state backends and
+``--trace-derive``.  The campaign engine
+(:class:`~repro.experiments.supervise.ShardSupervisor`) runs every shard
+in a child process; ``repro shard`` runs one anywhere, with no
+coordination beyond agreeing on ``(program, config, shard_count)``:
 
-Why this is safe without a coordinator during execution:
-
-* the plan is a pure function of the profiling run, and the profiling
-  run is deterministic — every shard computes the *same* plan and the
-  same trace decisions from its own profile;
-* :func:`shard_points` is a stable balanced partition of that plan, and
-  the shard assignment (``shard_index``/``shard_count``) is recorded in
-  each fragment's header, so fragments from different campaigns or
-  mis-numbered workers are rejected at merge time rather than mixed;
-* each fragment embeds its shard's profiling log; the coordinator
-  asserts all profiles are byte-identical before trusting any of them
-  (a nondeterministic subject is detected, not silently merged);
-* fragments are append-only JSONL with the same crash-safe semantics as
-  the campaign journal — a shard killed mid-write leaves a truncated
-  tail that is dropped on ``resume=True``, and the merge step reports
-  exactly which points (and which shard) are missing.
+* the plan is a pure function of the deterministic profiling run, so a
+  shard that profiles for itself computes the *same* plan and trace
+  decisions as the engine's parent;
+* the shard assignment is recorded in each fragment's header, so
+  fragments of different campaigns or mis-numbered shards are rejected
+  at merge time rather than mixed;
+* each fragment embeds the profiling log, and the merge asserts all of
+  them are byte-identical (a nondeterministic subject is detected);
+* a shard killed mid-write leaves a torn tail, which
+  :func:`~repro.experiments.parallel.scan_jsonl` drops on resume, and
+  the merge names every missing point and its shard.
 
 The fragment format (one JSON object per line)::
 
-    {"kind": "header", ...campaign plan..., "shard_index": 1, "shard_count": 4}
+    {"kind": "header", "version": 2, ...campaign plan..., "shard_index": 1, "shard_count": 4}
     {"kind": "profile", "total_points": N, "log": {...}, "exception_free": [...]}
     {"kind": "run", "point": 17, "record": {...}, "genuine_failure": null, "attempts": 1}
-
-``repro shard`` / ``repro merge`` expose this from the CLI; the async
-front end (:mod:`repro.service`) builds the "millions of users" queueing
-and caching layer on top.
 """
 
 from __future__ import annotations
@@ -57,23 +46,36 @@ from repro.core import (
     plan_points,
     reclassify,
 )
-from repro.core.detector import DetectionResult, profile_program
+from repro.core.detector import DetectionResult, Profile, profile_program
 from repro.core.runlog import RunLog, RunRecord, merge_logs
-from repro.core.state import FingerprintCache, get_backend
+from repro.core.state import campaign_digest_cache, get_backend
 from repro.core.telemetry import CampaignTelemetry
 from repro.core.weaver import Weaver
+from repro.resilience.chaos import fire as _fault_site
 
-from .parallel import CampaignJournal, run_point_with_timeout
+from .parallel import (
+    JournalError,
+    repair_jsonl_tail,
+    run_point_with_timeout,
+    scan_jsonl,
+)
 
 __all__ = [
     "ShardError",
     "ShardFragment",
+    "ShardProfile",
     "ShardResult",
     "MergedCampaign",
     "shard_points",
+    "profile_shards",
     "run_shard",
     "merge_fragments",
 ]
+
+#: Fragment schema version.  Version 2 fragments hold interleaved
+#: slices of the plan; version-1 fragments (contiguous ranges) are
+#: rejected on resume and merge instead of being mixed in.
+FRAGMENT_VERSION = 2
 
 #: Header keys that identify the campaign a fragment belongs to.  Two
 #: fragments may only be merged when they agree on every one of these.
@@ -95,26 +97,45 @@ class ShardError(ValueError):
 
 
 def shard_points(points: Sequence[int], shard_count: int) -> List[List[int]]:
-    """Deterministically partition a campaign plan into contiguous shards.
+    """Deterministically partition a campaign plan into interleaved shards.
 
-    The split is *stable*: it depends only on the plan and the shard
-    count, so independent workers (different processes, different hosts)
-    agree on the assignment without talking to each other.  Shard sizes
-    are balanced to within one point (the first ``len(points) %
-    shard_count`` shards get the extra one), and every shard holds a
-    contiguous range of the plan, so a fragment's byte layout mirrors a
-    slice of the sequential sweep.
+    Shard *i* holds ``points[i::shard_count]``: stable, so independent
+    workers agree without talking, and balanced to within one point —
+    in cost too, since a later point runs more of the workload before
+    its injection fires, which would load contiguous ranges unevenly.
     """
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
-    base, extra = divmod(len(points), shard_count)
-    shards: List[List[int]] = []
-    start = 0
-    for index in range(shard_count):
-        size = base + (1 if index < extra else 0)
-        shards.append(list(points[start : start + size]))
-        start += size
-    return shards
+    return [list(points[index::shard_count]) for index in range(shard_count)]
+
+
+def check_shard_args(stride: int, retries: int) -> None:
+    """Reject a stride or per-point retry budget no campaign can use."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+
+
+def shard_header(
+    program,
+    total_points: int,
+    *,
+    stride: int,
+    capture_args: bool,
+    state_backend: str,
+    trace_derive: bool,
+) -> Dict[str, Any]:
+    """The campaign plan a fragment's header records, shard aside."""
+    return {
+        "program": program.name,
+        "rounds": program.rounds,
+        "stride": stride,
+        "total_points": total_points,
+        "capture_args": capture_args,
+        "state_backend": state_backend,
+        "trace_derive": trace_derive,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -125,26 +146,20 @@ def shard_points(points: Sequence[int], shard_count: int) -> List[List[int]]:
 class ShardFragment:
     """One shard's append-only journal: header, profile, run lines.
 
-    Wraps :class:`~repro.experiments.parallel.CampaignJournal` (same
-    crash-safe line format, same lenient/tail-tolerant replay) and adds
-    the ``profile`` line that makes a fragment self-contained: the merge
-    step needs the profiling run's call counts without re-executing the
-    subject.
+    The ``profile`` line gives the merge the profiling run's call counts
+    without re-executing the subject; every run line records one point's
+    :class:`RunRecord`, its genuine failure, and its attempts (``0`` for
+    a record derived without running the subject).
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._journal = CampaignJournal(path)
 
     def start(self, header: Dict[str, Any], profile: Dict[str, Any]) -> None:
         """Truncate and write a fresh header + profile line."""
-        self._journal.start(header)
-        payload = {"kind": "profile"}
-        payload.update(profile)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+        header = dict(header, kind="header", version=FRAGMENT_VERSION)
+        self._write("w", header, dict(profile, kind="profile"))
 
     def append_run(
         self,
@@ -153,12 +168,85 @@ class ShardFragment:
         genuine_failure: Optional[str],
         attempts: int,
     ) -> None:
-        self._journal.append_run(point, record, genuine_failure, attempts)
+        line = {
+            "kind": "run",
+            "point": point,
+            "record": record.to_dict(),
+            "genuine_failure": genuine_failure,
+            "attempts": attempts,
+        }
+        # Chaos seams (no-ops unless a FaultPlan is armed): an armed
+        # ioerror fires before the write, a kill/torn fault after it —
+        # the on-disk states a real ENOSPC or mid-write SIGKILL leaves.
+        _fault_site("journal.append", self.path)
+        self._write("a", line)
+        _fault_site("journal.appended", self.path)
+
+    def _write(self, mode: str, *lines: Dict[str, Any]) -> None:
+        with open(self.path, mode, encoding="utf-8") as handle:
+            for line in lines:
+                handle.write(json.dumps(line, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    def check_header(
+        self, found: Dict[str, Any], expected: Dict[str, Any]
+    ) -> None:
+        """Raise :class:`JournalError` unless *found*, this fragment's
+        header line, is this version's and describes the *expected* plan
+        (a missing key counts as matching; every differing key is named).
+        """
+        if found.get("kind") != "header":
+            raise JournalError(
+                f"journal {self.path!r} does not start with a header"
+            )
+        if found.get("version") != FRAGMENT_VERSION:
+            raise JournalError(
+                f"journal {self.path!r} has fragment version "
+                f"{found.get('version')!r}, not {FRAGMENT_VERSION}: it was "
+                "written before shards were interleaved and cannot be "
+                "resumed; delete it or pass a different --journal directory"
+            )
+        present = [key for key in sorted(expected) if found.get(key) is not None]
+        mismatches = _differences(found, expected, present)
+        if mismatches:
+            raise JournalError(
+                f"journal {self.path!r} was written for a different "
+                f"campaign: " + ", ".join(mismatches) + "; delete it or "
+                "pass a different --journal path"
+            )
 
     def load_done(self, header: Dict[str, Any]) -> Dict[int, Dict[str, Any]]:
-        """Completed (non-crashed) points for a resume; tolerant of a
-        truncated tail, strict about a mismatched header."""
-        return self._journal.load(header)
+        """Replay the fragment for a resume: ``{point: run line}`` of
+        every point done (crashed ones are re-attempted).  Strict about
+        the header; a torn tail is dropped and truncated from the file,
+        so the next :meth:`append_run` starts on a fresh line, and a
+        fragment torn inside its header loads as empty."""
+        try:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return {}
+        entries, valid_end = scan_jsonl(data)
+        if entries:
+            self.check_header(entries[0], header)
+        repair_jsonl_tail(self.path, data, valid_end)
+        return {
+            point: entry
+            for point, entry in _run_lines(entries[1:]).items()
+            if not entry["record"].get("crashed", False)
+        }
+
+
+def _run_lines(entries: List[Dict[str, Any]]) -> Dict[int, Dict[str, Any]]:
+    """The last run line of every point among a fragment's lines."""
+    return {
+        int(entry["point"]): entry
+        for entry in entries
+        if entry.get("kind") == "run"
+        and "point" in entry
+        and isinstance(entry.get("record"), dict)
+    }
 
 
 @dataclass
@@ -172,52 +260,84 @@ class _Fragment:
 
 
 def _replay_fragment(path: str) -> _Fragment:
-    """Parse a fragment for merging.
-
-    Unlike the resume path, crashed records are *kept* — a merged
-    campaign reports crashed points exactly like the parallel engine
-    does (the fix is to re-run that shard with ``resume=True``).  A
-    truncated tail line (shard killed mid-write) is dropped; the
-    coverage check then reports the missing points.
-    """
+    """Parse a fragment for merging.  Unlike a resume, this keeps
+    crashed records (the merge reports them); a torn tail is dropped,
+    and the coverage check reports the points it held."""
     try:
         with open(path, "rb") as handle:
-            raw_lines = handle.read().splitlines()
+            data = handle.read()
     except FileNotFoundError:
         raise ShardError(f"fragment {path!r} does not exist")
-    if not raw_lines:
+    if not data:
         raise ShardError(f"fragment {path!r} is empty")
-    try:
-        header = json.loads(raw_lines[0].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    entries, _ = scan_jsonl(data)
+    if not entries:
         raise ShardError(f"fragment {path!r} has a corrupt header")
-    if not isinstance(header, dict) or header.get("kind") != "header":
+    header = entries[0]
+    if header.get("kind") != "header":
         raise ShardError(f"fragment {path!r} does not start with a header")
-    profile: Optional[Dict[str, Any]] = None
-    runs: Dict[int, Dict[str, Any]] = {}
-    for raw in raw_lines[1:]:
-        if not raw.strip():
-            continue
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            break  # truncated tail: everything before it still counts
-        if not isinstance(entry, dict):
-            break
-        kind = entry.get("kind")
-        if kind == "profile":
-            profile = entry
-        elif kind == "run" and "point" in entry:
-            record = entry.get("record")
-            if not isinstance(record, dict):
-                break  # torn inside the record payload
-            runs[int(entry["point"])] = entry
-    return _Fragment(path=path, header=header, profile=profile, runs=runs)
+    if header.get("version") != FRAGMENT_VERSION:
+        raise ShardError(
+            f"fragment {path!r} has version {header.get('version')!r}, not "
+            f"{FRAGMENT_VERSION}: it was written before shards were "
+            "interleaved; re-run its campaign"
+        )
+    profiles = [entry for entry in entries if entry.get("kind") == "profile"]
+    return _Fragment(
+        path=path,
+        header=header,
+        profile=profiles[-1] if profiles else None,
+        runs=_run_lines(entries[1:]),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Shard execution
+# Profiling and shard execution
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class ShardProfile:
+    """A campaign's one profiling run, as every shard consumes it: the
+    point count and trace decisions, and the fragments' ``profile`` line
+    (call counts and exception-free annotations)."""
+
+    profile: Profile
+    payload: Dict[str, Any]
+
+
+def profile_shards(
+    program,
+    *,
+    capture_args: bool = True,
+    state_backend: str = "graph",
+    trace_derive: bool = False,
+) -> ShardProfile:
+    """Weave *program*, run its profiling run, unweave.
+
+    The engine's parent calls this once per campaign and hands the
+    result to every shard; a shard run on its own calls it itself.
+    """
+    campaign = InjectionCampaign(
+        capture_args=capture_args, state_backend=state_backend
+    )
+    with Weaver(
+        lambda spec: make_injection_wrapper(spec, campaign),
+        Analyzer(exclude=program.exclude),
+    ) as weaver:
+        specs = weaver.weave_classes(program.classes)
+        profile = profile_program(
+            program, campaign, specs, trace_derive=trace_derive
+        )
+    # No injection run yet: the log holds call counts only.
+    payload = {
+        "total_points": profile.total_points,
+        "log": json.loads(campaign.log.to_json()),
+        "exception_free": sorted(
+            spec.key for spec in specs if spec.exception_free
+        ),
+    }
+    return ShardProfile(profile, payload)
 
 
 @dataclass
@@ -253,20 +373,17 @@ def run_shard(
     trace_derive: bool = False,
     fingerprint_cache: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
+    profile: Optional[ShardProfile] = None,
 ) -> ShardResult:
     """Run one shard of a campaign and write its journal fragment.
 
-    Profiles in-process (weave → count points → trace decisions), takes
-    the ``shard_index``-th slice of the deterministic shard assignment,
-    executes exactly those points, and appends every record — executed
-    and derived alike — to the fragment so the coordinator can merge
-    without re-profiling.  With
-    ``resume=True`` a fragment left behind by a killed worker is
-    replayed first and only the unfinished points run.
-
-    Runs on any thread: per-run timeouts use SIGALRM on the main thread
-    and the async-exception watchdog elsewhere (see
-    :func:`~repro.experiments.parallel.run_point_with_timeout`).
+    Weaves *program*, executes the ``shard_index``-th slice of the plan,
+    and journals every record, executed or derived, so the merge needs
+    no re-profiling.  The *profile* comes from the engine's parent;
+    without one the shard profiles for itself.  With ``resume=True`` a
+    fragment left by a killed worker is replayed and only unfinished
+    points run.  A *timeout* is a per-run ``SIGALRM`` budget, so a timed
+    shard runs on the main thread of its process.
     """
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
@@ -274,93 +391,67 @@ def run_shard(
         raise ValueError(
             f"shard_index must be in [0, {shard_count}), got {shard_index}"
         )
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
+    check_shard_args(stride, retries)
     state_backend = get_backend(state_backend).name
 
     started = time.perf_counter()
+    if profile is None:
+        profile = profile_shards(
+            program,
+            capture_args=capture_args,
+            state_backend=state_backend,
+            trace_derive=trace_derive,
+        )
+    total = profile.profile.total_points
+    decided = profile.profile.decided
+    profiled = time.perf_counter()
+
+    mine = shard_points(plan_points(total, stride=stride), shard_count)[
+        shard_index
+    ]
+    header = shard_header(
+        program,
+        total,
+        stride=stride,
+        capture_args=capture_args,
+        state_backend=state_backend,
+        trace_derive=trace_derive,
+    )
+    header.update(shard_index=shard_index, shard_count=shard_count)
+    fragment = ShardFragment(fragment_path)
+    resumed: Dict[int, Dict[str, Any]] = {}
+    if resume:
+        assigned = set(mine)
+        resumed = {
+            p: e for p, e in fragment.load_done(header).items() if p in assigned
+        }
+    if not resumed:
+        fragment.start(header, profile.payload)
+
     campaign = InjectionCampaign(
         capture_args=capture_args, state_backend=state_backend
     )
-    weaver = Weaver(
+    executed = derived = crashed = retry_count = 0
+    done = len(resumed)
+    if progress is not None and done:
+        progress(done, len(mine))
+    with Weaver(
         lambda spec: make_injection_wrapper(spec, campaign),
         Analyzer(exclude=program.exclude),
-    )
-    with weaver:
+    ) as weaver:
         specs = weaver.weave_classes(program.classes)
-        profile = profile_program(
-            program, campaign, specs, trace_derive=trace_derive
-        )
-        total = profile.total_points
-        decided = profile.decided
-        profiled = time.perf_counter()
-
-        points = plan_points(total, stride=stride)
-        mine = shard_points(points, shard_count)[shard_index]
-        header = {
-            "program": program.name,
-            "rounds": program.rounds,
-            "stride": stride,
-            "total_points": total,
-            "capture_args": capture_args,
-            "state_backend": state_backend,
-            "trace_derive": trace_derive,
-            "shard_index": shard_index,
-            "shard_count": shard_count,
-        }
-        # The profile line makes the fragment self-contained: the merge
-        # step takes call counts from here (asserting every shard saw
-        # the identical profile) instead of re-executing the subject.
-        # The snapshot is taken before any injection run, so the log
-        # holds counts and no runs — exactly the parent profile log the
-        # parallel engine merges from.
-        profile_payload = {
-            "total_points": total,
-            "log": json.loads(campaign.log.to_json()),
-            "exception_free": sorted(
-                spec.key for spec in specs if spec.exception_free
-            ),
-        }
-
-        fragment = ShardFragment(fragment_path)
-        resumed: Dict[int, Dict[str, Any]] = {}
-        if resume:
-            assigned = set(mine)
-            resumed = {
-                p: e
-                for p, e in fragment.load_done(header).items()
-                if p in assigned
-            }
-        if not resumed:
-            fragment.start(header, profile_payload)
-
-        woven_classes = {spec.owner for spec in specs if spec.owner}
-        cache: Optional[FingerprintCache] = None
-        if (
-            fingerprint_cache
-            and woven_classes
-            and campaign.digest_cache is None
-            and getattr(campaign.backend, "supports_digest_cache", False)
-        ):
-            cache = FingerprintCache()
-            cache.start(woven_classes)
-            campaign.digest_cache = cache
-
-        executed = derived = crashed = retry_count = 0
-        done = len(resumed)
-        if progress is not None and done:
-            progress(done, len(mine))
-        try:
+        with campaign_digest_cache(
+            campaign,
+            (spec.owner for spec in specs if spec.owner),
+            enabled=fingerprint_cache,
+        ) as cache:
             for point in mine:
                 if point in resumed:
                     continue
                 if point in decided:
                     # Decided without execution: journal the derived
                     # record so the merge step needs no re-derivation.
-                    # attempts=0 marks the record as never having run
-                    # the subject.
+                    # attempts=0 marks it as never having run the subject.
                     fragment.append_run(point, decided[point], None, 0)
                     derived += 1
                 else:
@@ -381,10 +472,6 @@ def run_shard(
                 done += 1
                 if progress is not None:
                     progress(done, len(mine))
-        finally:
-            if cache is not None:
-                campaign.digest_cache = None
-                cache.stop()
     finished = time.perf_counter()
 
     wall = finished - started
@@ -398,10 +485,10 @@ def run_shard(
         runs_derived=derived,
         runs_crashed=crashed,
         retries=retry_count,
-        trace_seconds=profile.trace_seconds,
-        trace_writes=profile.trace_writes,
-        trace_captures=profile.trace_captures,
-        trace_capture_retries=profile.trace_capture_retries,
+        trace_seconds=profile.profile.trace_seconds,
+        trace_writes=profile.profile.trace_writes,
+        trace_captures=profile.profile.trace_captures,
+        trace_capture_retries=profile.profile.trace_capture_retries,
         fingerprint_cache_hits=cache.hits if cache is not None else 0,
         fingerprint_cache_misses=cache.misses if cache is not None else 0,
         wall_seconds=wall,
@@ -443,7 +530,6 @@ class MergedCampaign:
     plus everything needed to classify it offline."""
 
     detection: DetectionResult
-    header: Dict[str, Any]
     exception_free: frozenset = field(default_factory=frozenset)
 
     def classify(
@@ -459,41 +545,35 @@ class MergedCampaign:
         return reclassify(self.detection.log, effective)
 
 
-def _header_mismatches(
-    base: Dict[str, Any], other: Dict[str, Any]
+def _differences(
+    found: Dict[str, Any], expected: Dict[str, Any], keys: Sequence[str]
 ) -> List[str]:
-    diffs = []
-    for key in CAMPAIGN_KEYS:
-        if base.get(key) != other.get(key):
-            diffs.append(f"{key}={other.get(key)!r} (expected {base.get(key)!r})")
-    return diffs
+    """``key=found (expected …)`` for every key in *keys* that differs."""
+    return [
+        f"{key}={found.get(key)!r} (expected {expected.get(key)!r})"
+        for key in keys
+        if found.get(key) != expected.get(key)
+    ]
 
 
 def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
     """Merge journal fragments into one campaign result.
 
-    Validates, then merges deterministically:
-
-    1. every fragment's header agrees on the campaign plan (program,
-       stride, total points, backend, trace pass, shard count) — any
-       differing key/value pairs are reported;
-    2. shard indices cover ``0..shard_count-1`` exactly once;
-    3. every fragment's embedded profiling log is byte-identical (the
-       determinism the whole scheme rests on);
-    4. the union of the fragments' run records covers the plan exactly,
-       each point inside its shard's assigned range — missing points
-       name the shard to resume.
-
-    The merged :class:`DetectionResult` is bit-identical to the
-    sequential engine's: call counts from the (shared) profiling log,
-    run records in planned-point order.
+    Validates first: the headers agree on the campaign plan (naming
+    every differing key), shard indices cover ``0..shard_count-1``
+    exactly once, the embedded profiling logs are byte-identical, and
+    the run records cover the plan exactly, each point in its own
+    shard's slice (missing points name the shard to resume).  The merged
+    :class:`DetectionResult` is bit-identical to the sequential
+    engine's: call counts from the profiling log, run records in plan
+    order.
     """
     if not paths:
         raise ShardError("no fragments to merge")
     fragments = [_replay_fragment(path) for path in paths]
     base = fragments[0]
     for fragment in fragments[1:]:
-        diffs = _header_mismatches(base.header, fragment.header)
+        diffs = _differences(fragment.header, base.header, CAMPAIGN_KEYS)
         if diffs:
             raise ShardError(
                 f"fragment {fragment.path!r} belongs to a different "
@@ -542,16 +622,16 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
                 )
             by_point[point] = entry
 
-    missing: Dict[int, List[int]] = {}
-    for index, assigned in enumerate(assignment):
-        gone = [p for p in assigned if p not in by_point]
-        if gone:
-            missing[index] = gone
-    if missing:
+    missing = [
+        (index, [p for p in assigned if p not in by_point])
+        for index, assigned in enumerate(assignment)
+    ]
+    if any(gone for _, gone in missing):
         detail = "; ".join(
             f"shard {index} is missing point(s) "
             + ", ".join(str(p) for p in gone)
-            for index, gone in sorted(missing.items())
+            for index, gone in missing
+            if gone
         )
         raise ShardError(
             f"incomplete campaign: {detail} — re-run those shards with "
@@ -612,6 +692,5 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
     )
     return MergedCampaign(
         detection=detection,
-        header=dict(base.header),
         exception_free=frozenset(base.profile.get("exception_free", ())),
     )

@@ -1,60 +1,61 @@
-"""Shard supervision: heartbeats, bounded retries, chaos convergence.
+"""The campaign engine: shards as supervised, killable child processes.
 
-:mod:`repro.experiments.shard` made a campaign resumable — any shard can
-die mid-fragment and a later ``run_shard(resume=True)`` finishes the
-work.  This module adds the part that *notices* the death and issues the
-retry: a :class:`ShardSupervisor` runs each shard worker on a monitored
-thread, watches a heartbeat the worker stamps after every completed
-point, kills workers whose heartbeat goes stale (the same
-async-exception mechanism the per-run watchdog uses, so a hung worker
-unwinds cleanly through the weaver context), and retries crashed
-or hung shards with capped exponential backoff and seeded jitter until
-the fragment is complete or the attempt budget runs out.
+:meth:`ShardSupervisor.run` — behind ``run_app_campaign(workers=N)``,
+``repro chaos`` and the supervised benchmark alike — weaves and profiles
+the subject **once**, in the parent, then runs each interleaved shard of
+the plan in a forked child process (at most ``workers`` at once) that
+weaves its own copy and appends to its own journal fragment.  Children
+tick once per finished point on a pipe, the parent's heartbeat and
+``progress`` feed.  A child whose tick goes stale gets
+``Process.kill()``, which cannot land in a ``finally`` of the parent or
+leave its classes woven; a shard that died, hung, raised, or journaled
+crashed points is retried from its fragment with capped exponential
+backoff and seeded jitter.  The fragments then merge bit-identical to
+the sequential engine.
 
-Shards run **sequentially** under the supervisor: instrumentation
-rewrites classes process-globally, so two shard workers in one process
-would trample each other's weave.  The supervisor buys fault tolerance,
-not parallelism — run one supervisor per process (or per host) and
-merge the fragments, exactly like ``repro shard`` / ``repro merge``.
-
-:func:`run_chaos_campaign` closes the loop with the paper's own thesis:
-recovery code is the least-tested code, so our recovery code gets a
-dedicated test harness.  It runs a fault-free sequential reference,
-arms a seeded :class:`~repro.resilience.chaos.FaultPlan` (worker kills
-mid-fragment, torn journal tails, injected IO errors, hung runs), runs
-the supervised sharded campaign under fire, and asserts the merged
-result is **bit-identical** to the reference — same run log JSON, same
-classification — with every scheduled fault kind actually fired.
-``repro chaos`` and ``benchmarks/bench_resilience.py`` are thin shells
-around it.
+:func:`run_chaos_campaign` turns the paper's thesis — recovery code is
+the least-tested code — on our own recovery code: it arms a seeded
+:class:`~repro.resilience.chaos.FaultPlan` (worker kills, torn journal
+tails, IO errors, hung runs, fired inside the shard processes), runs the
+supervised campaign under fire, and asserts the merged result is
+**bit-identical** to a fault-free sequential reference, with every
+scheduled fault kind fired.  ``repro chaos`` and
+``benchmarks/bench_resilience.py`` are thin shells around it.
 """
 
 from __future__ import annotations
 
-import ctypes
+import dataclasses
+import glob
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core import plan_points
+from repro.core.state import get_backend
 from repro.resilience.chaos import (
     FaultPlan,
-    ShardHung,
     active_injector,
     arm,
     standard_plan,
 )
 
+from . import parallel as _kernel
 from .campaign import run_app_campaign
+from .parallel import JournalError
 from .programs import AppProgram
 from .shard import (
     MergedCampaign,
     ShardError,
+    ShardFragment,
+    ShardProfile,
     ShardResult,
+    check_shard_args,
     merge_fragments,
-    run_shard,
+    profile_shards,
+    shard_header,
 )
 
 __all__ = [
@@ -66,42 +67,27 @@ __all__ = [
     "run_chaos_campaign",
 ]
 
+#: Trace-pass counters of the parent's profiling run.
+_TRACE_COUNTERS = (
+    "trace_seconds",
+    "trace_writes",
+    "trace_captures",
+    "trace_capture_retries",
+)
+
+#: Counters each shard process keeps; the campaign reports their sum.
+_SHARD_COUNTERS = (
+    "fingerprint_cache_hits",
+    "fingerprint_cache_misses",
+    "state_captures",
+    "state_fingerprints",
+    "state_compares",
+    "state_seconds",
+)
+
 
 class SupervisorError(RuntimeError):
     """A shard exhausted its attempt budget without a complete fragment."""
-
-
-class _Heartbeat:
-    """Monotonic liveness stamp shared between worker and supervisor."""
-
-    def __init__(self) -> None:
-        self.ident: Optional[int] = None  # worker thread id, set on start
-        self._lock = threading.Lock()
-        self._last = time.monotonic()
-
-    def stamp(self) -> None:
-        with self._lock:
-            self._last = time.monotonic()
-
-    def age(self) -> float:
-        with self._lock:
-            return time.monotonic() - self._last
-
-
-def _post_async_exc(ident: int, exc_type: type) -> bool:
-    """Raise *exc_type* inside the thread *ident* at its next bytecode
-    boundary — the only portable way to interrupt a hung worker thread
-    (same mechanism as :class:`~repro.experiments.parallel._TimeoutGuard`).
-    """
-    posted = ctypes.pythonapi.PyThreadState_SetAsyncExc(
-        ctypes.c_ulong(ident), ctypes.py_object(exc_type)
-    )
-    if posted > 1:  # hit more than one thread state: undo, do no harm
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(ident), ctypes.py_object(None)
-        )
-        return False
-    return posted == 1
 
 
 @dataclass
@@ -124,24 +110,92 @@ class SupervisedCampaign:
 
     merged: MergedCampaign
     outcomes: List[ShardOutcome]
-    fragment_paths: List[str]
     shard_retries: int
-    wall_seconds: float
+
+
+class _ShardProcess:
+    """One attempt of one shard, running in a forked child process."""
+
+    def __init__(self, ctx, *args: Any) -> None:
+        self.conn, writer = ctx.Pipe(duplex=False)
+        # Looked up now, not at import, so an instrumented _run_chunk
+        # (the benchmark's span probes) is what the child enters.
+        self.process = ctx.Process(
+            target=_kernel._run_chunk, args=(writer,) + args, daemon=True
+        )
+        self.process.start()
+        writer.close()
+        self.last_tick = time.monotonic()
+        self.done = 0
+        self.result: Optional[ShardResult] = None
+        self.error: Optional[str] = None
+
+    def drain(self) -> None:
+        """Read every message the child has sent so far."""
+        try:
+            while self.conn.poll():
+                kind, payload = self.conn.recv()
+                if kind == "tick":
+                    self.done, self.last_tick = payload, time.monotonic()
+                elif kind == "done":
+                    self.result = payload
+                else:
+                    self.error = payload
+        except (EOFError, OSError):
+            pass  # the child is gone; its exit code says the rest
+
+    def stop(self, grace: float) -> None:
+        self.process.kill()
+        self.process.join(grace)
+        self.conn.close()
+
+
+def _fragment_paths(
+    workdir: str, shard_count: int, resume: bool, plan: Dict[str, Any]
+) -> List[str]:
+    """The fragment paths of a campaign journaled in *workdir*.
+
+    A fresh run removes stale ``shard-*.jsonl`` files first.  A resume
+    keeps them, checks that their headers describe *plan* — before any
+    shard starts, since a fragment of another campaign is the caller's
+    error, not a shard failure to retry — and takes the shard count
+    from them.
+    """
+    if os.path.isfile(workdir):
+        raise JournalError(
+            f"journal {workdir!r} is a file, not a directory of shard "
+            "fragments: single-file journals of older versions cannot be "
+            "resumed; delete it or pass a directory"
+        )
+    os.makedirs(workdir, exist_ok=True)
+    for path in glob.glob(os.path.join(workdir, "shard-*.jsonl")):
+        if not resume:
+            os.remove(path)
+            continue
+        with open(path, "rb") as handle:
+            entries, _ = _kernel.scan_jsonl(handle.readline())
+        if entries:  # a fragment torn inside its header holds nothing
+            ShardFragment(path).check_header(entries[0], plan)
+            shard_count = int(entries[0].get("shard_count", shard_count))
+    return [
+        os.path.join(workdir, f"shard-{index:02d}.jsonl")
+        for index in range(shard_count)
+    ]
 
 
 class ShardSupervisor:
-    """Runs shard workers under heartbeat monitoring with bounded retry.
+    """Runs a campaign's shards as supervised child processes.
 
     Args:
-        max_attempts: attempts per shard before :class:`SupervisorError`.
+        max_attempts: attempts per shard; a shard still missing points
+            after the last raises :class:`SupervisorError`, one whose
+            crashed points survive it is merged with them reported.
         backoff_base: first retry delay (seconds); doubles per attempt.
         backoff_cap: upper bound on any single delay.
-        heartbeat_timeout: seconds without a completed point before a
-            worker is declared hung and killed.
-        kill_grace: seconds to wait for a killed worker to unwind.
-        seed: seeds the backoff jitter so supervised runs are
-            reproducible end to end.
-        sleep: injection point for tests (defaults to ``time.sleep``).
+        heartbeat_timeout: seconds without a finished point before a
+            shard process is declared hung and killed.
+        kill_grace: seconds to wait for a killed process to be reaped.
+        seed: seeds the backoff jitter (reproducible supervised runs).
     """
 
     def __init__(
@@ -153,7 +207,6 @@ class ShardSupervisor:
         heartbeat_timeout: float = 5.0,
         kill_grace: float = 2.0,
         seed: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
@@ -167,7 +220,6 @@ class ShardSupervisor:
         self.heartbeat_timeout = heartbeat_timeout
         self.kill_grace = kill_grace
         self._rng = random.Random(seed)
-        self._sleep = sleep
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry *attempt*: capped exponential, seeded
@@ -175,188 +227,236 @@ class ShardSupervisor:
         delay = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
         return delay * (0.5 + self._rng.random())
 
-    # -- one shard ---------------------------------------------------
-
-    def supervise_shard(
-        self,
-        program_factory: Callable[[], AppProgram],
-        shard_index: int,
-        shard_count: int,
-        fragment_path: str,
-        *,
-        progress: Optional[Callable[[int, int], None]] = None,
-        **campaign_kwargs: Any,
-    ) -> ShardOutcome:
-        """Run one shard to a complete fragment, retrying as needed.
-
-        The first attempt starts fresh (truncating any stale fragment);
-        every retry resumes from whatever the dead worker journaled —
-        including repairing a torn tail — so work is never redone, and a
-        crashed record (a point that kept blowing its run budget) is
-        re-attempted rather than merged.
-        """
-        outcome = ShardOutcome(shard_index=shard_index)
-        for attempt in range(1, self.max_attempts + 1):
-            outcome.attempts = attempt
-            failure = self._run_attempt(
-                outcome,
-                program_factory,
-                shard_index,
-                shard_count,
-                fragment_path,
-                resume=attempt > 1,
-                progress=progress,
-                campaign_kwargs=campaign_kwargs,
-            )
-            if failure is None:
-                return outcome
-            outcome.failures.append(f"attempt {attempt}: {failure}")
-            if attempt < self.max_attempts:
-                self._sleep(self.backoff(attempt))
-        raise SupervisorError(
-            f"shard {shard_index}/{shard_count} did not complete after "
-            f"{self.max_attempts} attempt(s): "
-            + "; ".join(outcome.failures)
-        )
-
-    def _run_attempt(
-        self,
-        outcome: ShardOutcome,
-        program_factory: Callable[[], AppProgram],
-        shard_index: int,
-        shard_count: int,
-        fragment_path: str,
-        *,
-        resume: bool,
-        progress: Optional[Callable[[int, int], None]],
-        campaign_kwargs: Dict[str, Any],
-    ) -> Optional[str]:
-        """One monitored attempt; returns a failure reason or ``None``."""
-        beat = _Heartbeat()
-        box: Dict[str, Any] = {}
-
-        def beat_progress(done: int, total: int) -> None:
-            beat.stamp()
-            if progress is not None:
-                progress(done, total)
-
-        def worker() -> None:
-            beat.ident = threading.get_ident()
-            beat.stamp()
-            try:
-                box["result"] = run_shard(
-                    program_factory(),
-                    shard_index,
-                    shard_count,
-                    fragment_path,
-                    resume=resume,
-                    progress=beat_progress,
-                    **campaign_kwargs,
-                )
-            except BaseException as exc:  # WorkerKilled/ShardHung included
-                box["error"] = exc
-
-        thread = threading.Thread(
-            target=worker,
-            name=f"shard-{shard_index}-attempt-{outcome.attempts}",
-            daemon=True,
-        )
-        thread.start()
-        hung = self._monitor(thread, beat)
-        if hung:
-            reason = (
-                f"hung: no heartbeat for {self.heartbeat_timeout:g}s, "
-                "worker killed"
-            )
-            if thread.is_alive():
-                reason += f" (did not unwind within {self.kill_grace:g}s)"
-            return reason
-        error = box.get("error")
-        if error is not None:
-            return f"{type(error).__name__}: {error}"
-        result: ShardResult = box["result"]
-        if result.crashed:
-            # A crashed record in the fragment would survive the merge
-            # (and break bit-identity with the fault-free reference);
-            # resume excludes crashed points from "done", so a retry
-            # re-runs exactly them.
-            return f"{result.crashed} crashed point(s) journaled"
-        outcome.result = result
-        return None
-
-    def _monitor(self, thread: threading.Thread, beat: _Heartbeat) -> bool:
-        """Join *thread*, polling the heartbeat; returns True if it was
-        declared hung (and killed)."""
-        poll = max(0.01, min(0.05, self.heartbeat_timeout / 4.0))
-        while thread.is_alive():
-            thread.join(timeout=poll)
-            if not thread.is_alive():
-                return False
-            if beat.age() > self.heartbeat_timeout:
-                if beat.ident is not None:
-                    # The worker sleeps in short slices (chaos hangs) or
-                    # runs subject bytecode, so the async exception is
-                    # delivered promptly; it unwinds through ``with
-                    # weaver:`` restoring the woven classes.
-                    _post_async_exc(beat.ident, ShardHung)
-                thread.join(timeout=self.kill_grace)
-                return True
-        return False
-
-    # -- whole campaign ----------------------------------------------
-
     def run(
         self,
         program_factory: Callable[[], AppProgram],
         shard_count: int,
         workdir: str,
         *,
+        workers: int = 1,
+        resume: bool = False,
         progress: Optional[Callable[[int, int], None]] = None,
-        **campaign_kwargs: Any,
+        stride: int = 1,
+        capture_args: bool = True,
+        timeout: Optional[float] = None,
+        retries: int = 1,
+        state_backend: str = "graph",
+        trace_derive: bool = False,
+        fingerprint_cache: bool = True,
     ) -> SupervisedCampaign:
-        """Supervise every shard of one campaign, then merge.
+        """Run every shard of one campaign under supervision, then merge.
 
-        Fragments land in *workdir* as ``shard-NN.jsonl``.  The merged
-        result carries supervision telemetry (``shard_retries``, and
-        ``faults_injected`` when a chaos plan is armed) on top of the
-        usual campaign counters.
+        Fragments land in *workdir* as ``shard-NN.jsonl``.  At most
+        *workers* shard processes run at once; the default of one keeps
+        chaos schedules deterministic.  *program_factory* builds the
+        subject in the parent and again in every shard process.  With
+        *resume* only the points missing from *workdir* run.
         """
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
+        check_shard_args(stride, retries)
+        state_backend = get_backend(state_backend).name
         started = time.perf_counter()
-        os.makedirs(workdir, exist_ok=True)
-        paths = [
-            os.path.join(workdir, f"shard-{index:02d}.jsonl")
-            for index in range(shard_count)
-        ]
-        outcomes = [
-            self.supervise_shard(
-                program_factory,
-                index,
-                shard_count,
-                path,
-                progress=progress,
-                **campaign_kwargs,
-            )
-            for index, path in enumerate(paths)
-        ]
+        program = program_factory()
+        profile = profile_shards(
+            program,
+            capture_args=capture_args,
+            state_backend=state_backend,
+            trace_derive=trace_derive,
+        )
+        total = profile.profile.total_points
+        points = plan_points(total, stride=stride)
+        plan = shard_header(
+            program,
+            total,
+            stride=stride,
+            capture_args=capture_args,
+            state_backend=state_backend,
+            trace_derive=trace_derive,
+        )
+        paths = _fragment_paths(workdir, shard_count, resume, plan)
+        resumed = set()
+        for path in paths if resume else ():
+            resumed.update(ShardFragment(path).load_done(plan))
+        resumed &= set(points)
+        config = {
+            "stride": stride,
+            "capture_args": capture_args,
+            "timeout": timeout,
+            "retries": retries,
+            "state_backend": state_backend,
+            "trace_derive": trace_derive,
+            "fingerprint_cache": fingerprint_cache,
+        }
+        profiled = time.perf_counter()
+        outcomes = self._run_shards(
+            program_factory,
+            profile,
+            config,
+            paths,
+            workers=workers,
+            resume=resume,
+            progress=progress,
+            runs_total=len(points),
+        )
+        executed_at = time.perf_counter()
         merged = merge_fragments(paths)
-        wall = time.perf_counter() - started
+        finished = time.perf_counter()
+
+        results = [o.result for o in outcomes if o.result is not None]
+        derived = sum(
+            1 for p in points if p in profile.profile.decided and p not in resumed
+        )
+        busy = {str(r.shard_index): r.wall_seconds for r in results}
+        executed = len(points) - len(resumed) - derived
+        execute = executed_at - profiled
+        concurrency = min(workers, len(paths))
+        capacity = concurrency * execute
         shard_retries = sum(outcome.retries for outcome in outcomes)
-        telemetry = merged.detection.telemetry
-        telemetry.engine = "supervised"
-        telemetry.shard_retries = shard_retries
-        telemetry.wall_seconds = wall
-        telemetry.phase_seconds["supervise"] = wall
         injector = active_injector()
-        if injector is not None:
-            telemetry.faults_injected = injector.faults_injected
-        return SupervisedCampaign(
-            merged=merged,
-            outcomes=outcomes,
-            fragment_paths=paths,
+        merged.detection.telemetry = dataclasses.replace(
+            merged.detection.telemetry,
+            engine="supervised",
+            workers=concurrency,
+            runs_executed=executed,
+            runs_resumed=len(resumed),
+            runs_derived=derived,
+            faults_injected=injector.faults_injected if injector else 0,
             shard_retries=shard_retries,
-            wall_seconds=wall,
+            wall_seconds=finished - started,
+            runs_per_second=executed / (finished - started),
+            phase_seconds={
+                "profile": profiled - started,
+                "execute": execute,
+                "merge": finished - executed_at,
+            },
+            worker_busy_seconds=busy,
+            worker_utilization=(
+                min(1.0, sum(busy.values()) / capacity) if capacity else 0.0
+            ),
+            **{name: getattr(profile.profile, name) for name in _TRACE_COUNTERS},
+            **{
+                name: sum(getattr(r.telemetry, name) for r in results)
+                for name in _SHARD_COUNTERS
+            },
+        )
+        return SupervisedCampaign(merged, outcomes, shard_retries)
+
+    def _run_shards(
+        self,
+        program_factory: Callable[[], AppProgram],
+        profile: ShardProfile,
+        config: Dict[str, Any],
+        paths: List[str],
+        *,
+        workers: int,
+        resume: bool,
+        progress: Optional[Callable[[int, int], None]],
+        runs_total: int,
+    ) -> List[ShardOutcome]:
+        """Start, watch, kill and retry shard processes until every
+        fragment is complete."""
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        ctx = multiprocessing.get_context("fork")
+        count = len(paths)
+        outcomes = [ShardOutcome(shard_index=i) for i in range(count)]
+        waiting: List[Tuple[float, int]] = [(0.0, i) for i in range(count)]
+        running: Dict[int, _ShardProcess] = {}
+        done = [0] * count
+        poll = max(0.01, min(0.05, self.heartbeat_timeout / 4.0))
+        try:
+            while waiting or running:
+                waiting.sort()
+                while (
+                    waiting
+                    and len(running) < workers
+                    and waiting[0][0] <= time.monotonic()
+                ):
+                    index = waiting.pop(0)[1]
+                    outcome = outcomes[index]
+                    outcome.attempts += 1
+                    running[index] = _ShardProcess(
+                        ctx,
+                        program_factory,
+                        index,
+                        count,
+                        paths[index],
+                        profile,
+                        resume or outcome.attempts > 1,
+                        config,
+                    )
+                if not running:
+                    time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
+                    continue
+                wait(
+                    [c.conn for c in running.values()]
+                    + [c.process.sentinel for c in running.values()],
+                    poll,
+                )
+                for index, child in list(running.items()):
+                    child.drain()
+                    if child.done > done[index]:
+                        done[index] = child.done
+                        if progress is not None:
+                            progress(sum(done), runs_total)
+                    finished, failure = self._check(child)
+                    if not finished:
+                        continue
+                    del running[index]
+                    outcome = outcomes[index]
+                    if failure is not None:
+                        outcome.failures.append(
+                            f"attempt {outcome.attempts}: {failure}"
+                        )
+                    if failure is None or (
+                        # a complete fragment, crashed points and all:
+                        # the merge reports them
+                        outcome.attempts == self.max_attempts
+                        and child.result is not None
+                    ):
+                        outcome.result = child.result
+                    elif outcome.attempts < self.max_attempts:
+                        delay = self.backoff(outcome.attempts)
+                        waiting.append((time.monotonic() + delay, index))
+                    else:
+                        raise SupervisorError(
+                            f"shard {index}/{count} did not complete after "
+                            f"{self.max_attempts} attempt(s): "
+                            + "; ".join(outcome.failures)
+                        )
+        finally:
+            for child in running.values():
+                child.stop(self.kill_grace)
+        return outcomes
+
+    def _check(self, child: _ShardProcess) -> Tuple[bool, Optional[str]]:
+        """``(finished, failure)`` of *child*'s attempt; ``failure`` is
+        ``None`` for a clean finish, else the reason it failed."""
+        if child.process.is_alive():
+            if time.monotonic() - child.last_tick <= self.heartbeat_timeout:
+                return False, None
+            child.stop(self.kill_grace)
+            return True, (
+                f"hung: no heartbeat for {self.heartbeat_timeout:g}s, "
+                "worker killed"
+            )
+        child.process.join()
+        child.drain()  # whatever it sent before exiting
+        child.conn.close()
+        if child.result is not None:
+            # Resume excludes crashed points from "done", so a retry
+            # re-runs exactly them.
+            crashed = child.result.crashed
+            return True, f"{crashed} crashed point(s) journaled" if crashed else None
+        code = child.process.exitcode
+        return True, child.error or (
+            f"worker killed by signal {-code}"
+            if code < 0
+            else f"worker exited with code {code}"
         )
 
 
@@ -388,25 +488,7 @@ class ChaosReport:
     config: Dict[str, Any]
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "program": self.program,
-            "seed": self.seed,
-            "shard_count": self.shard_count,
-            "converged": self.converged,
-            "identical": self.identical,
-            "faults_injected": self.faults_injected,
-            "faults_by_kind": dict(self.faults_by_kind),
-            "required_kinds": list(self.required_kinds),
-            "missing_kinds": list(self.missing_kinds),
-            "shard_retries": self.shard_retries,
-            "attempts_per_shard": list(self.attempts_per_shard),
-            "failures": list(self.failures),
-            "fault_log": list(self.fault_log),
-            "plan": dict(self.plan),
-            "error": self.error,
-            "wall_seconds": self.wall_seconds,
-            "config": dict(self.config),
-        }
+        return dataclasses.asdict(self)
 
     def summary(self) -> str:
         verdict = "CONVERGED" if self.converged else "DIVERGED"
@@ -462,21 +544,15 @@ def run_chaos_campaign(
 ) -> ChaosReport:
     """Run one seeded chaos experiment and report convergence.
 
-    Protocol:
-
-    1. run the campaign fault-free on the sequential engine — the
-       reference result;
-    2. arm the seeded fault plan (default :func:`standard_plan`: one
-       worker kill mid-fragment, one torn append, one injected IO
-       error, and ``retries + 1`` consecutive hung runs so the hung
-       point is journaled *crashed* before the supervisor rescues it);
-    3. run the supervised sharded campaign under fire;
-    4. assert the merged result is bit-identical to the reference
-       (``RunLog.to_json()`` and classification JSON equality) and
-       that every scheduled fault kind actually fired.
-
-    ``converged`` is True only when all of that holds — it is the
-    boolean ``make chaos-smoke`` gates on.
+    Runs the campaign fault-free on the sequential engine (the
+    reference), arms the seeded fault plan (default
+    :func:`standard_plan`: a worker kill, a torn append, an IO error,
+    and ``retries + 1`` consecutive hung runs, so the hung point is
+    journaled *crashed* before the supervisor rescues it), runs the
+    supervised campaign under fire, and reports ``converged`` — what
+    ``make chaos-smoke`` gates on — only when the merged log and
+    classification equal the reference's and every scheduled fault
+    kind fired.
     """
     started = time.perf_counter()
     config: Dict[str, Any] = {
@@ -508,16 +584,7 @@ def run_chaos_campaign(
     with arm(plan) as injector:
         try:
             supervised = supervisor.run(
-                program_factory,
-                shard_count,
-                workdir,
-                stride=stride,
-                capture_args=capture_args,
-                timeout=timeout,
-                retries=retries,
-                state_backend=state_backend,
-                trace_derive=trace_derive,
-                fingerprint_cache=fingerprint_cache,
+                program_factory, shard_count, workdir, **config
             )
         except (SupervisorError, ShardError) as exc:
             error = f"{type(exc).__name__}: {exc}"

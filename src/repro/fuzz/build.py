@@ -4,7 +4,7 @@ The spec is rendered to ordinary Python source and ``exec``'d in a fresh
 namespace whose ``__name__`` is the fixed :data:`FUZZ_MODULE_NAME`, so
 type names — which appear inside run-log ``difference`` strings and are
 therefore part of the bit-identical engine comparison — are deterministic
-across processes (the parallel engine's workers rebuild the program from
+across processes (the shard engine's processes rebuild the program from
 the same spec via :func:`build_program`, which is picklable together with
 the spec for exactly that purpose).
 """
@@ -156,7 +156,7 @@ def build_program(spec: ProgramSpec) -> AppProgram:
 
     Module-level and driven purely by the picklable spec, so
     ``functools.partial(build_program, spec)`` is a valid
-    ``ProgramRef(factory=...)`` for the parallel engine's workers.
+    ``ProgramRef(factory=...)`` for the shard engine's processes.
     """
     classes = build_classes(spec)
     return AppProgram(

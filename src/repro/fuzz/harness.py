@@ -5,8 +5,9 @@ Every generated program is cross-checked four ways:
 1. **Oracle conformance** — the real pipeline's campaign (runs, marks,
    point totals, call counts) and classification must equal the
    spec-level simulation of :mod:`repro.fuzz.oracle`.
-2. **Engine equivalence** — the sequential and parallel engines must
-   produce bit-identical merged run logs and classifications.
+2. **Engine equivalence** — the sequential engine and the shard engine
+   (``run_app_campaign(workers=N)``) must produce bit-identical merged
+   run logs and classifications.
 3. **Masking soundness** — masking the oracle's pure set and re-running
    detection must classify *every* method failure atomic, under both the
    eager-snapshot and the undo-log checkpoint strategy.
@@ -36,7 +37,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core import WrapPolicy, reclassify
+from repro.core import WrapPolicy
 from repro.core.classify import (
     CATEGORY_ATOMIC,
     CATEGORIES,
@@ -47,7 +48,7 @@ from repro.core.masking import MaskingStats
 from repro.core.policy import select_methods_to_wrap
 from repro.core.runlog import log_json_without_provenance
 from repro.experiments.campaign import run_app_campaign
-from repro.experiments.parallel import ParallelDetector, ProgramRef
+from repro.experiments.parallel import ProgramRef
 from repro.experiments.validation import GraphCheck, mask_and_redetect
 
 from .build import build_program
@@ -155,36 +156,23 @@ class FuzzReport:
 # ---------------------------------------------------------------------------
 
 
-def _sequential_campaign(
+def _campaign(
     spec: ProgramSpec,
     state_backend: str = "graph",
+    *,
     trace_derive: bool = False,
+    workers: Optional[int] = None,
 ) -> Tuple[DetectionResult, ClassificationResult]:
+    """One campaign: the sequential engine, or with *workers* the shard
+    engine, whose processes rebuild the program from its spec."""
     outcome = run_app_campaign(
         build_program(spec),
+        workers=workers,
+        program_ref=ProgramRef(factory=functools.partial(build_program, spec)),
         state_backend=state_backend,
         trace_derive=trace_derive,
     )
     return outcome.detection, outcome.classification
-
-
-def _parallel_campaign(
-    spec: ProgramSpec,
-    workers: int,
-    state_backend: str = "graph",
-) -> Tuple[DetectionResult, ClassificationResult]:
-    program = build_program(spec)
-    detector = ParallelDetector(
-        program,
-        workers=workers,
-        program_ref=ProgramRef(factory=functools.partial(build_program, spec)),
-        state_backend=state_backend,
-    )
-    detection = detector.detect()
-    classification = reclassify(
-        detection.log, WrapPolicy.from_specs(detector.woven_specs)
-    )
-    return detection, classification
 
 
 def _swap_pure_conditional(
@@ -507,7 +495,7 @@ def check_program(
 
     sequential: Optional[Tuple[DetectionResult, ClassificationResult]] = None
     if engine in ("sequential", "both"):
-        detection, classification = _sequential_campaign(spec, state_backend)
+        detection, classification = _campaign(spec, state_backend)
         if defect == "swap_pure_conditional":
             classification = _swap_pure_conditional(classification)
         sequential = (detection, classification)
@@ -516,7 +504,7 @@ def check_program(
         )
         if state_backend != "graph":
             # Check 5: backend equivalence against the reference backend.
-            ref_detection, ref_classification = _sequential_campaign(
+            ref_detection, ref_classification = _campaign(
                 spec, "graph"
             )
             if detection.log.to_json() != ref_detection.log.to_json():
@@ -536,8 +524,8 @@ def check_program(
                     )
                 )
     if engine in ("parallel", "both"):
-        detection, classification = _parallel_campaign(
-            spec, workers, state_backend
+        detection, classification = _campaign(
+            spec, state_backend, workers=workers
         )
         if defect == "merge_reversed":
             detection.log.runs.reverse()
@@ -572,8 +560,8 @@ def check_program(
         # Check 6: trace equivalence against the fully dynamic sweep.
         reference = sequential
         if reference is None:
-            reference = _sequential_campaign(spec, state_backend)
-        derived_detection, derived_classification = _sequential_campaign(
+            reference = _campaign(spec, state_backend)
+        derived_detection, derived_classification = _campaign(
             spec, state_backend, trace_derive=True
         )
         if derived_detection.telemetry is not None:

@@ -21,7 +21,6 @@ from .chaos import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    ShardHung,
     WorkerKilled,
     active_injector,
     arm,
@@ -34,7 +33,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "ShardHung",
     "WorkerKilled",
     "active_injector",
     "arm",

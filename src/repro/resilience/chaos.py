@@ -2,25 +2,24 @@
 
 The paper's whole premise is that recovery code is the least-tested
 part of a system — and our own distributed campaign layer (shard
-fragments, crash-safe journals, per-run watchdogs, the service queue)
-is exactly that kind of code.  This module turns the recovery paths
-into *tested* paths: production code declares named **fault sites** at
-its seams (one :func:`fire` call each), and a test or the ``repro
-chaos`` harness arms a seeded :class:`FaultPlan` that makes chosen
-invocations of those seams fail deterministically.
+fragments, per-run budgets, shard-process kills, the service queue) is
+exactly that kind of code.  This module turns the recovery paths into
+*tested* paths: production code declares named **fault sites** at its
+seams (one :func:`fire` call each), and a test or the ``repro chaos``
+harness arms a seeded :class:`FaultPlan` that makes chosen invocations
+of those seams fail deterministically.
 
 Design constraints:
 
 * **zero cost unarmed** — :func:`fire` is a module-global ``None``
-  check when no plan is armed; production code pays one attribute load
-  per seam;
+  check when no plan is armed;
 * **deterministic** — a plan is a literal schedule (site, kind, skip
-  count, repeat count).  :func:`standard_plan` derives one from a seed
-  via ``random.Random``, so ``repro chaos --seed N`` reproduces the
-  exact same fault sequence every run, on every machine;
+  count, repeat count), counted across forked shard processes in shared
+  memory; :func:`standard_plan` derives one from a seed, so ``repro
+  chaos --seed N`` reproduces the same fault sequence on every machine;
 * **dependency-free** — nothing here imports the rest of ``repro``, so
-  the journal layer (:mod:`repro.experiments.parallel`), the shard
-  runner and the service can all declare sites without import cycles.
+  the shard journal, the per-run kernel and the service can all declare
+  sites without import cycles.
 
 Fault kinds and the seams they are meant for:
 
@@ -35,9 +34,9 @@ kill       ``journal.appended``  raise :class:`WorkerKilled` after a
 torn       ``journal.appended``  truncate the file mid-line, then raise
                                  :class:`WorkerKilled` — worker died
                                  inside ``write(2)``
-hang       ``run.exec``,         sleep in short slices (so an async
-           ``journal.appended``  exception can interrupt it) past the
-                                 watchdog budget
+hang       ``run.exec``,         sleep past the run's SIGALRM budget
+           ``journal.appended``  (or, outside a run, past the shard
+                                 heartbeat, which kills the process)
 disconnect ``stream.write``      raise ``ConnectionResetError`` — the
                                  subscriber vanished mid-stream
 ========== ===================== =======================================
@@ -45,6 +44,7 @@ disconnect ``stream.write``      raise ``ConnectionResetError`` — the
 
 from __future__ import annotations
 
+import collections
 import errno
 import random
 import threading
@@ -55,7 +55,6 @@ from typing import Any, Dict, List, Optional
 __all__ = [
     "FAULT_KINDS",
     "WorkerKilled",
-    "ShardHung",
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
@@ -77,11 +76,6 @@ class WorkerKilled(BaseException):
     cannot swallow it: it unwinds out of ``run_shard`` exactly like a
     real process death leaves a partial fragment behind.
     """
-
-
-class ShardHung(BaseException):
-    """Posted by the supervisor into a worker whose heartbeat went
-    stale; ``BaseException`` for the same no-swallowing reason."""
 
 
 @dataclass
@@ -167,20 +161,54 @@ class FaultPlan:
 class FaultInjector:
     """The armed runtime state of one :class:`FaultPlan`.
 
-    Thread-safe: shard workers, the service worker thread and the
-    event loop all hit :meth:`fire` concurrently.  Counters survive the
-    arming window, so the harness can assert coverage (every scheduled
-    kind actually fired) after disarming.
+    Safe across threads *and* forked processes: every claim counter lives
+    in shared memory behind one process-shared lock, so the parent sees
+    what its shard processes fired and a one-shot fault fires once
+    however many processes reach it.  Counters survive disarming, so the
+    harness can assert coverage afterwards.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
+        # Imported here, not at module load: every ``import repro`` loads
+        # this module, and only an armed plan needs shared memory.
+        import multiprocessing
+
         self.plan = plan
-        self.faults_injected = 0
-        self.injected_by_kind: Dict[str, int] = {}
-        self.site_invocations: Dict[str, int] = {}
-        self.log: List[Dict[str, Any]] = []
-        self._lock = threading.Lock()
-        self._fired: Dict[int, int] = {}  # spec index -> times fired
+        self._sites = sorted({spec.site for spec in plan.faults})
+        capacity = sum(spec.count for spec in plan.faults)
+        self._lock = multiprocessing.Lock()
+        self._fired = multiprocessing.RawArray("q", len(plan.faults) or 1)
+        self._seen = multiprocessing.RawArray("q", len(self._sites) or 1)
+        # The fire log: (spec index, site invocation) pairs, in order.
+        self._log = multiprocessing.RawArray("q", 2 * capacity or 1)
+        self._logged = multiprocessing.RawValue("q", 0)
+
+    # -- counters (read from the shared arrays) -----------------------
+
+    @property
+    def faults_injected(self) -> int:
+        return self._logged.value
+
+    @property
+    def site_invocations(self) -> Dict[str, int]:
+        """Invocations so far of every site the plan schedules."""
+        return {site: self._seen[i] for i, site in enumerate(self._sites)}
+
+    @property
+    def log(self) -> List[Dict[str, Any]]:
+        """Every fault fired, in order: site, kind, and invocation."""
+        fired = [
+            (self.plan.faults[self._log[2 * n]], self._log[2 * n + 1])
+            for n in range(self._logged.value)
+        ]
+        return [
+            {"site": spec.site, "kind": spec.kind, "invocation": seen}
+            for spec, seen in fired
+        ]
+
+    @property
+    def injected_by_kind(self) -> Dict[str, int]:
+        return dict(collections.Counter(entry["kind"] for entry in self.log))
 
     # -- bookkeeping -------------------------------------------------
 
@@ -188,25 +216,24 @@ class FaultInjector:
         """Record one invocation of *site*; return the spec to execute,
         if any.  The claim is atomic so concurrent callers never fire
         the same one-shot fault twice."""
+        if site not in self._sites:
+            return None
+        slot = self._sites.index(site)
         with self._lock:
-            seen = self.site_invocations.get(site, 0)
-            self.site_invocations[site] = seen + 1
+            seen = self._seen[slot]
+            self._seen[slot] = seen + 1
             for index, spec in enumerate(self.plan.faults):
                 if spec.site != site:
                     continue
-                fired = self._fired.get(index, 0)
-                if fired >= spec.count:
+                if self._fired[index] >= spec.count:
                     continue  # exhausted: retries run clean
                 if seen < spec.after:
                     continue
-                self._fired[index] = fired + 1
-                self.faults_injected += 1
-                self.injected_by_kind[spec.kind] = (
-                    self.injected_by_kind.get(spec.kind, 0) + 1
-                )
-                self.log.append(
-                    {"site": site, "kind": spec.kind, "invocation": seen}
-                )
+                self._fired[index] += 1
+                n = self._logged.value
+                self._log[2 * n] = index
+                self._log[2 * n + 1] = seen
+                self._logged.value = n + 1
                 return spec
             return None
 
@@ -230,10 +257,9 @@ class FaultInjector:
         if spec.kind == "kill":
             raise WorkerKilled(f"injected worker kill at {site}")
         if spec.kind == "hang":
-            # Short slices, not one long sleep: an async exception
-            # (the run watchdog's _RunTimeout or the supervisor's
-            # ShardHung) is delivered at a bytecode boundary, so a
-            # single time.sleep(seconds) could not be interrupted.
+            # Short slices, not one long sleep, so an exception raised
+            # by a signal handler (the per-run SIGALRM budget) or posted
+            # to the thread ends the hang at the next bytecode boundary.
             deadline = time.monotonic() + spec.seconds
             while time.monotonic() < deadline:
                 time.sleep(0.02)
@@ -255,8 +281,7 @@ class FaultInjector:
 
     def coverage(self) -> Dict[str, int]:
         """Faults that actually fired, by kind (for convergence reports)."""
-        with self._lock:
-            return dict(self.injected_by_kind)
+        return self.injected_by_kind
 
 
 #: The armed injector; ``None`` means every fault site is a no-op.

@@ -2,7 +2,7 @@
 
 The distributed story in three layers:
 
-* :mod:`shard <repro.experiments.shard>` — deterministic point-range
+* :mod:`shard <repro.experiments.shard>` — deterministic interleaved
   shards, journal fragments, coordinator merge (bit-identical to the
   sequential engine);
 * :mod:`subjects <repro.service.subjects>` /

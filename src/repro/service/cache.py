@@ -13,11 +13,11 @@ the same entry even when they spell the config differently.
 Passing ``path=`` adds a persistence layer: every ``put`` appends one
 ``{"kind": "entry", "digest": ..., "payload": ...}`` line to an
 append-only JSONL journal (fsync'd, same crash-safe format as the
-campaign journal), and a fresh cache replays the journal on
+campaign's shard fragments), and a fresh cache replays the journal on
 construction — so a restarted ``repro serve`` answers repeat
 submissions with **zero** subject executions.  The replay reuses the
-torn-tail-repair machinery from
-:class:`~repro.experiments.parallel.CampaignJournal`: a server killed
+torn-tail reader of the shard fragments
+(:func:`~repro.experiments.parallel.scan_jsonl`): a server killed
 mid-append leaves a partial final line that is dropped *and* durably
 truncated, so the next append starts on a fresh line.  A failed append
 (disk full, injected chaos fault) degrades the cache to in-memory for

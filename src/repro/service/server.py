@@ -10,8 +10,9 @@ protocol surface is four routes), designed around three properties:
   users" failure mode is a full queue, not a dead server);
 * **one campaign at a time** — weaving rewrites classes
   process-globally, so a single worker coroutine drains the queue and
-  runs each campaign in an executor thread (which also means per-run
-  timeouts exercise the non-main-thread watchdog path, not SIGALRM);
+  runs each campaign in an executor thread (per-run timeouts still hold:
+  they apply to campaigns with ``workers``, whose shard processes are
+  their own main thread and take SIGALRM);
 * **content-addressed results** — a finished campaign is cached under
   :func:`~repro.service.cache.submission_digest`; a repeat submission
   of the same source + canonical config is answered from the cache
@@ -363,14 +364,12 @@ class CampaignService:
             program = build_subject(record.source, record.name)
             if cfg["rounds"] > 1:
                 program = program.scaled(cfg["rounds"])
-            program_ref = None
-            if cfg["workers"] is not None:
-                # Worker processes rebuild the subject from the picklable
-                # (source, name) recipe; rounds re-applies the scaling.
-                program_ref = ProgramRef(
-                    factory=subject_factory(record.source, record.name),
-                    rounds=cfg["rounds"],
-                )
+            # With workers, shard processes rebuild the subject from the
+            # (source, name) recipe; rounds re-applies the scaling.
+            program_ref = ProgramRef(
+                factory=subject_factory(record.source, record.name),
+                rounds=cfg["rounds"],
+            )
             outcome = run_app_campaign(
                 program,
                 stride=cfg["stride"],
@@ -527,8 +526,8 @@ class ServiceServer:
         """Drain the queue forever, one campaign at a time.
 
         The campaign runs in an executor thread so the event loop keeps
-        serving requests — and so per-run timeouts take the
-        non-main-thread watchdog path (SIGALRM is unavailable there).
+        serving requests; a campaign with ``workers`` forks its shard
+        processes from that thread.
         """
         loop = asyncio.get_event_loop()
         while True:

@@ -133,7 +133,7 @@ def build_subject(source: str, name: str = "subject") -> AppProgram:
 
     Module-level and driven purely by picklable strings, so
     ``functools.partial(build_subject, source, name)`` is a valid
-    ``ProgramRef(factory=...)`` for the parallel engine's workers (see
+    ``ProgramRef(factory=...)`` for the shard engine's processes (see
     :func:`subject_factory`).
 
     Raises :class:`SubmissionError` when the source does not compile,

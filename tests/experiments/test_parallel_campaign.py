@@ -1,17 +1,22 @@
-"""Tests for the parallel, resumable injection-campaign engine.
+"""Tests for the shard engine behind ``run_app_campaign(workers=N)``.
 
 The contract under test (see ``docs/GUIDE.md`` §"Campaign engines"):
 
-* the parallel engine's merged result is **identical** to the sequential
+* the engine's merged result is **identical** to the sequential
   engine's — same run log bytes, same classification;
-* an interrupted campaign resumes from its journal without re-running
-  finished points, and still converges to the identical result;
+* an interrupted campaign resumes from its journal directory without
+  re-running finished points, and still converges to the identical
+  result;
 * a run that exceeds its time budget is retried a bounded number of
-  times and then marked ``crashed`` instead of wedging the campaign.
+  times and then marked ``crashed`` instead of wedging the campaign,
+  and a shard process that dies is retried instead of wedging it.
 """
 
 import dataclasses
+import glob
 import json
+import os
+import signal
 import threading
 import time
 
@@ -29,15 +34,17 @@ from repro.core.runlog import RunLog, RunRecord
 from repro.experiments.parallel import run_point_with_timeout
 from repro.experiments import (
     AppProgram,
-    CampaignJournal,
     JournalError,
-    ParallelDetector,
     ProgramRef,
+    ShardError,
+    ShardFragment,
     load_outcome,
+    merge_fragments,
     program_by_name,
     run_app_campaign,
     save_outcome,
 )
+from repro.experiments.shard import FRAGMENT_VERSION
 
 APP = "LLMap"  # small, fast campaign with real marks and an error path
 
@@ -45,6 +52,10 @@ APP = "LLMap"  # small, fast campaign with real marks and an error path
 @pytest.fixture(scope="module")
 def sequential():
     return run_app_campaign(program_by_name(APP))
+
+
+def _fragments(journal) -> list:
+    return sorted(glob.glob(os.path.join(str(journal), "shard-*.jsonl")))
 
 
 def _same_result(a, b) -> None:
@@ -108,15 +119,17 @@ def test_plan_points_shared_helper():
 
 
 def test_resume_after_interrupt_is_equivalent(sequential, tmp_path):
-    journal = str(tmp_path / "campaign.jsonl")
+    journal = str(tmp_path / "campaign")
     full = run_app_campaign(program_by_name(APP), workers=2, journal=journal)
     _same_result(sequential, full)
 
-    # simulate an interrupt: keep the header and the first 10 run lines
-    lines = open(journal, encoding="utf-8").read().splitlines()
-    assert len(lines) > 11
-    with open(journal, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines[:11]) + "\n")
+    # simulate an interrupt: every fragment keeps its header, its profile
+    # line and its first 5 run lines
+    for path in _fragments(journal):
+        lines = open(path, encoding="utf-8").read().splitlines()
+        assert len(lines) > 7
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[:7]) + "\n")
 
     resumed = run_app_campaign(
         program_by_name(APP), workers=2, journal=journal, resume=True
@@ -156,24 +169,19 @@ def test_resume_rejects_mismatched_journal(tmp_path):
 
 def test_resume_requires_journal_path():
     with pytest.raises(ValueError, match="journal"):
-        ParallelDetector(program_by_name(APP), resume=True)
+        run_app_campaign(program_by_name(APP), resume=True)
 
 
 def test_journal_tolerates_old_headers_and_corrupt_tail(tmp_path):
-    """Journals from older code (missing header keys) and interrupted
-    writes (a torn trailing line) must load, not raise."""
-    path = str(tmp_path / "old.jsonl")
+    """A fragment whose header lacks plan keys and whose last write was
+    torn must load, not raise."""
+    fragment = ShardFragment(str(tmp_path / "shard-00.jsonl"))
+    fragment.start({"program": "X"}, {"total_points": 7, "log": {}})
     record = RunRecord(injection_point=1, completed=False, escaped=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"kind": "header", "program": "X"}) + "\n")
-        handle.write(
-            json.dumps(
-                {"kind": "run", "point": 1, "record": record.to_dict()}
-            )
-            + "\n"
-        )
+    fragment.append_run(1, record, None, 1)
+    with open(fragment.path, "a", encoding="utf-8") as handle:
         handle.write('{"kind": "run", "point": 2, "rec')  # torn write
-    done = CampaignJournal(path).load(
+    done = fragment.load_done(
         {"program": "X", "stride": 1, "total_points": 7}
     )
     assert list(done) == [1]
@@ -181,20 +189,62 @@ def test_journal_tolerates_old_headers_and_corrupt_tail(tmp_path):
     assert rebuilt.escaped and not rebuilt.crashed
 
 
+def test_resume_takes_shard_count_from_disk(sequential, tmp_path):
+    """A resume keeps the fragments' shard count whatever ``workers``
+    says; a fresh run removes stale fragments before it starts."""
+    journal = str(tmp_path / "campaign")
+    run_app_campaign(program_by_name(APP), workers=3, journal=journal)
+    resumed = run_app_campaign(
+        program_by_name(APP), workers=2, journal=journal, resume=True
+    )
+    _same_result(sequential, resumed)
+    assert resumed.detection.telemetry.runs_executed == 0
+    assert len(_fragments(journal)) == 3
+    fresh = run_app_campaign(program_by_name(APP), workers=2, journal=journal)
+    _same_result(sequential, fresh)
+    assert len(_fragments(journal)) == 2
+
+
+def test_pre_interleaving_journals_are_rejected(tmp_path):
+    """Fragments of the older, contiguous format are rejected loudly on
+    resume and merge, and so is a single-file journal."""
+    journal = tmp_path / "campaign"
+    run_app_campaign(program_by_name(APP), workers=2, journal=str(journal))
+    paths = _fragments(journal)
+    for path in paths:
+        header, *rest = open(path, encoding="utf-8").read().splitlines()
+        old = dict(json.loads(header), version=1)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join([json.dumps(old)] + rest) + "\n")
+    with pytest.raises(JournalError, match="version 1"):
+        run_app_campaign(
+            program_by_name(APP), workers=2, journal=str(journal), resume=True
+        )
+    with pytest.raises(ShardError, match="version 1"):
+        merge_fragments(paths)
+    single = tmp_path / "campaign.jsonl"
+    single.write_text('{"kind": "header", "program": "LLMap"}\n')
+    with pytest.raises(JournalError, match="campaign.jsonl"):
+        run_app_campaign(
+            program_by_name(APP), workers=2, journal=str(single), resume=True
+        )
+
+
 def test_resume_reattempts_crashed_tail_record(sequential, tmp_path):
-    """A journal whose *last* record is crashed (the worker died mid-run
+    """A fragment whose *last* record is crashed (the worker died mid-run
     and the crash marker was the final write) must not be treated as
     done: resume re-attempts exactly that point and converges to the
     sequential result."""
-    journal = str(tmp_path / "campaign.jsonl")
+    journal = str(tmp_path / "campaign")
     run_app_campaign(program_by_name(APP), workers=2, journal=journal)
 
-    lines = open(journal, encoding="utf-8").read().splitlines()
+    path = _fragments(journal)[-1]
+    lines = open(path, encoding="utf-8").read().splitlines()
     tail = json.loads(lines[-1])
     assert tail["kind"] == "run"
     tail["record"]["crashed"] = True
     tail["record"]["marks"] = []
-    with open(journal, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines[:-1] + [json.dumps(tail)]) + "\n")
 
     resumed = run_app_campaign(
@@ -231,15 +281,14 @@ def _tiny_program() -> AppProgram:
 
 
 def test_more_workers_than_injection_points():
-    """A pool wider than the campaign must neither wedge nor duplicate
-    runs — idle workers simply never receive a point."""
+    """More shards than points must neither wedge nor duplicate runs —
+    the surplus shards simply hold no point."""
     seq = run_app_campaign(_tiny_program())
-    detector = ParallelDetector(
+    par = run_app_campaign(
         _tiny_program(),
         workers=8,
         program_ref=ProgramRef(factory=_tiny_program),
-    )
-    par = detector.detect()
+    ).detection
     assert par.total_points < 8
     assert par.runs_executed == seq.detection.runs_executed
     assert par.log.to_json() == seq.detection.log.to_json()
@@ -277,16 +326,15 @@ def _slow_program() -> AppProgram:
 
 
 def test_timeout_marks_points_crashed(tmp_path):
-    journal = str(tmp_path / "slow.jsonl")
-    detector = ParallelDetector(
+    journal = str(tmp_path / "slow")
+    result = run_app_campaign(
         _slow_program(),
         workers=2,
         timeout=0.05,
         retries=1,
-        journal_path=journal,
+        journal=journal,
         program_ref=ProgramRef(factory=_slow_program),
-    )
-    result = detector.detect()
+    ).detection
     assert result.runs_executed == result.total_points + 1
     assert all(run.crashed for run in result.log.runs)
     assert not result.genuine_failures  # timeouts are not genuine failures
@@ -296,14 +344,14 @@ def test_timeout_marks_points_crashed(tmp_path):
     assert telemetry.retries == result.runs_executed
 
     # crashed points are not treated as done: a resume re-attempts them
-    retry = ParallelDetector(
+    retry = run_app_campaign(
         _slow_program(),
         workers=2,
         timeout=30.0,
-        journal_path=journal,
+        journal=journal,
         resume=True,
         program_ref=ProgramRef(factory=_slow_program),
-    ).detect()
+    ).detection
     assert retry.telemetry.runs_resumed == 0
     assert retry.telemetry.runs_crashed == 0
     assert not any(run.crashed for run in retry.log.runs)
@@ -436,11 +484,17 @@ def test_program_ref_rejects_unknown_programs():
 
 
 def _journal_bytes() -> tuple:
-    """A journal with two completed runs whose lines carry real multibyte
+    """A fragment with two completed runs whose lines carry real multibyte
     UTF-8 (so a torn write can split a character, not just a brace).
     Returns ``(prefix bytes, last line bytes incl. newline)``."""
     header = json.dumps(
-        {"kind": "header", "program": "X", "stride": 1, "total_points": 7}
+        {
+            "kind": "header",
+            "version": FRAGMENT_VERSION,
+            "program": "X",
+            "stride": 1,
+            "total_points": 7,
+        }
     )
     first = json.dumps(
         {
@@ -467,10 +521,10 @@ def _journal_bytes() -> tuple:
 
 
 def test_journal_load_tolerates_truncation_at_every_byte(tmp_path):
-    """A worker killed mid-``write`` leaves the journal truncated at an
+    """A worker killed mid-``write`` leaves the fragment truncated at an
     arbitrary byte of its final line — possibly inside a multibyte
-    character.  ``load`` must never raise: every byte prefix yields the
-    fully-written records, and the torn tail is simply dropped."""
+    character.  ``load_done`` must never raise: every byte prefix yields
+    the fully-written records, and the torn tail is simply dropped."""
     expected_header = {"program": "X", "stride": 1, "total_points": 7}
     prefix, last = _journal_bytes()
     path = tmp_path / "torn.jsonl"
@@ -479,7 +533,7 @@ def test_journal_load_tolerates_truncation_at_every_byte(tmp_path):
     complete_from = len(prefix) + len(last) - 1
     for cut in range(len(prefix), len(prefix) + len(last) + 1):
         path.write_bytes((prefix + last)[:cut])
-        done = CampaignJournal(str(path)).load(expected_header)
+        done = ShardFragment(str(path)).load_done(expected_header)
         if cut >= complete_from:
             assert sorted(done) == [1, 2], f"cut at byte {cut}"
             assert done[2]["genuine_failure"] == "naïve Σtate ☃ diverged"
@@ -489,25 +543,26 @@ def test_journal_load_tolerates_truncation_at_every_byte(tmp_path):
 
 def test_journal_load_tolerates_truncated_header(tmp_path):
     """Truncation inside the *header* line means nothing was durably
-    recorded: the journal loads as empty rather than raising."""
+    recorded: the fragment loads as empty rather than raising."""
     prefix, last = _journal_bytes()
     header_line = prefix.split(b"\n", 1)[0] + b"\n"
     path = tmp_path / "torn-header.jsonl"
     for cut in (1, len(header_line) // 2, len(header_line) - 2):
         path.write_bytes(header_line[:cut])
-        done = CampaignJournal(str(path)).load({"program": "X"})
+        done = ShardFragment(str(path)).load_done({"program": "X"})
         assert done == {}
 
 
 def test_parallel_resume_after_torn_tail_write(sequential, tmp_path):
-    """End-to-end: a campaign whose journal ends in a torn write resumes
+    """End-to-end: a campaign whose fragment ends in a torn write resumes
     cleanly — the partial line is dropped *and* the records appended by
     the resumed campaign do not concatenate onto the torn bytes (the
-    journal must replay completely afterwards)."""
-    journal = str(tmp_path / "campaign.jsonl")
+    fragment must replay completely afterwards)."""
+    journal = str(tmp_path / "campaign")
     run_app_campaign(program_by_name(APP), workers=2, journal=journal)
-    data = open(journal, "rb").read()
-    with open(journal, "wb") as handle:
+    path = _fragments(journal)[-1]
+    data = open(path, "rb").read()
+    with open(path, "wb") as handle:
         handle.write(data[:-7])  # tear the final record mid-line
 
     resumed = run_app_campaign(
@@ -516,7 +571,7 @@ def test_parallel_resume_after_torn_tail_write(sequential, tmp_path):
     _same_result(sequential, resumed)
     assert resumed.detection.telemetry.runs_executed == 1
 
-    # the repaired + appended journal now holds every point: a second
+    # the repaired + appended fragment now holds every point: a second
     # resume replays it fully and executes nothing
     again = run_app_campaign(
         program_by_name(APP), workers=2, journal=journal, resume=True
@@ -527,12 +582,12 @@ def test_parallel_resume_after_torn_tail_write(sequential, tmp_path):
 
 def test_journal_header_mismatch_reports_differing_keys(tmp_path):
     """The resume error must say *which* header keys differ, not just
-    that the journal belongs to a different campaign."""
+    that the fragment belongs to a different campaign."""
     prefix, last = _journal_bytes()
     path = tmp_path / "other.jsonl"
     path.write_bytes(prefix + last)
     with pytest.raises(JournalError) as excinfo:
-        CampaignJournal(str(path)).load(
+        ShardFragment(str(path)).load_done(
             {"program": "X", "stride": 2, "total_points": 9}
         )
     message = str(excinfo.value)
@@ -572,40 +627,107 @@ def test_timeout_on_main_thread_uses_sigalrm_path():
     assert attempts == 2  # one attempt + one retry
 
 
-def test_timeout_on_worker_thread_uses_watchdog_path():
-    """SIGALRM is a main-thread-only facility (``signal.signal`` raises
-    ``ValueError`` elsewhere); driven from a thread — as under ``repro
-    serve`` — the budget must still be enforced via the watchdog."""
-    results = {}
+def test_timeout_off_the_main_thread_is_refused():
+    """The per-run budget is SIGALRM, which only a process's main thread
+    receives; a timed run from any other thread is refused, saying why."""
+    errors = {}
 
     def drive():
-        results["value"] = _run_slow_point(0.05, retries=1)
+        try:
+            _run_slow_point(0.05, retries=1)
+        except ValueError as exc:
+            errors["message"] = str(exc)
 
     thread = threading.Thread(target=drive)
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    record, failure, attempts, crashed = results["value"]
-    assert crashed and record.crashed
-    assert attempts == 2
+    assert "main thread" in errors["message"]
+    assert "SIGALRM" in errors["message"]
 
 
-def test_generous_timeout_on_worker_thread_completes_cleanly():
-    """The watchdog arms but never fires: the run completes, and no
-    pending async exception leaks into later code on that thread."""
+def test_timed_campaign_from_a_worker_thread():
+    """Driven from a thread — as under ``repro serve`` — the engine still
+    enforces the budget: a shard process forked from any thread is its
+    own main thread, where SIGALRM interrupts the run."""
     results = {}
 
     def drive():
-        results["value"] = _run_slow_point(30.0, retries=0)
-        # anything pending would surface at the next bytecode boundaries
-        for _ in range(10000):
-            pass
-        results["clean"] = True
+        results["value"] = run_app_campaign(
+            _slow_program(),
+            workers=2,
+            timeout=0.05,
+            retries=0,
+            program_ref=ProgramRef(factory=_slow_program),
+        ).detection
 
     thread = threading.Thread(target=drive)
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    record, failure, attempts, crashed = results["value"]
-    assert not crashed and not record.crashed
-    assert results["clean"]
+    assert all(run.crashed for run in results["value"].log.runs)
+
+
+# ---------------------------------------------------------------------------
+# a shard process that dies
+# ---------------------------------------------------------------------------
+
+
+class _Mortal:
+    def __init__(self):
+        self.items = []
+
+    def add(self, item):
+        self.items.append(item)
+
+
+#: Where a shard process leaves its death certificate, and the pid of
+#: the process that must not die (the parent, which also profiles).
+_DEATH = {"flag": None, "parent": None}
+
+
+def _mortal_body():
+    box = _Mortal()
+    box.add(1)
+    flag = _DEATH["flag"]
+    if flag is not None and os.getpid() != _DEATH["parent"]:
+        try:
+            os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass  # some shard process already died once
+        else:
+            os._exit(137)
+    box.add(2)
+
+
+def _mortal_program() -> AppProgram:
+    return AppProgram(
+        name="mortal", language="Java", classes=[_Mortal], body=_mortal_body
+    )
+
+
+def test_dead_shard_process_is_retried(tmp_path):
+    """A shard process that exits mid-shard is noticed and retried from
+    its fragment: the campaign neither wedges nor changes its result."""
+    sequential = run_app_campaign(_mortal_program())
+
+    def overdue(signum, frame):
+        raise TimeoutError("campaign wedged after a shard process died")
+
+    flag = str(tmp_path / "died")
+    _DEATH.update(flag=flag, parent=os.getpid())
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        outcome = run_app_campaign(
+            _mortal_program(),
+            workers=2,
+            program_ref=ProgramRef(factory=_mortal_program),
+        )
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+        _DEATH.update(flag=None, parent=None)
+    assert os.path.exists(flag)
+    _same_result(sequential, outcome)
+    assert outcome.detection.telemetry.shard_retries == 1

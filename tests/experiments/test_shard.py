@@ -2,8 +2,9 @@
 
 The contract under test:
 
-* :func:`shard_points` is a stable balanced partition — every worker
-  computes the same assignment from ``(plan, shard_count)`` alone;
+* :func:`shard_points` is a stable, balanced, interleaved partition —
+  every worker computes the same assignment from ``(plan,
+  shard_count)`` alone;
 * for **any** shard count, running every shard independently and
   merging the fragments yields a run log byte-identical to the
   sequential engine's, across state backends and the trace-derive
@@ -69,8 +70,9 @@ def test_shard_points_partitions_exactly():
     for count in range(1, len(points) + 3):
         shards = shard_points(points, count)
         assert len(shards) == count
-        # covers the plan exactly once, in order, contiguously
-        assert [p for shard in shards for p in shard] == points
+        # covers the plan exactly once, each shard interleaved
+        assert sorted(p for shard in shards for p in shard) == points
+        assert shards == [points[i::count] for i in range(count)]
         # balanced to within one point
         sizes = [len(shard) for shard in shards]
         assert max(sizes) - min(sizes) <= 1

@@ -8,7 +8,9 @@ refinement pass re-runs non-atomic points under the graph backend so the
 recorded difference strings match too.
 """
 
+import glob
 import json
+import os
 
 import pytest
 
@@ -16,7 +18,6 @@ from repro.core import InjectionCampaign
 from repro.core.runlog import NONATOMIC
 from repro.experiments import (
     JournalError,
-    ParallelDetector,
     program_by_name,
     run_app_campaign,
     validate_masking,
@@ -92,7 +93,9 @@ def test_campaign_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown state backend"):
         InjectionCampaign(state_backend="merkle")
     with pytest.raises(ValueError, match="unknown state backend"):
-        ParallelDetector(program_by_name(APP), state_backend="merkle")
+        run_app_campaign(
+            program_by_name(APP), workers=2, state_backend="merkle"
+        )
 
 
 # -- telemetry ------------------------------------------------------------
@@ -159,16 +162,21 @@ def test_journal_resume_under_fingerprint(tmp_path, graph_outcome):
     assert resumed.detection.telemetry.runs_resumed > 0
 
 
+def _fragments(journal) -> list:
+    return sorted(glob.glob(os.path.join(str(journal), "shard-*.jsonl")))
+
+
 def test_resume_rejects_backend_mismatch(tmp_path):
-    journal = tmp_path / "fp.jsonl"
+    journal = tmp_path / "fp"
     run_app_campaign(
         program_by_name(APP),
         workers=2,
         journal=str(journal),
         state_backend="fingerprint",
     )
-    header = json.loads(journal.read_text().splitlines()[0])
-    assert header["state_backend"] == "fingerprint"
+    for path in _fragments(journal):
+        header = json.loads(open(path, encoding="utf-8").readline())
+        assert header["state_backend"] == "fingerprint"
     with pytest.raises(JournalError, match="state_backend"):
         run_app_campaign(
             program_by_name(APP),
@@ -180,17 +188,18 @@ def test_resume_rejects_backend_mismatch(tmp_path):
 
 
 def test_resume_accepts_pre_backend_journal(tmp_path):
-    """Journals written before the state layer (no key) resume fine."""
-    journal = tmp_path / "old.jsonl"
+    """A header key that is missing (rather than different) counts as
+    matching: such fragments resume fine."""
+    journal = tmp_path / "old"
     run_app_campaign(
         program_by_name(APP), workers=2, journal=str(journal)
     )
-    lines = journal.read_text().splitlines()
-    header = json.loads(lines[0])
-    del header["state_backend"]
-    journal.write_text(
-        "\n".join([json.dumps(header)] + lines[1:]) + "\n"
-    )
+    for path in _fragments(journal):
+        lines = open(path, encoding="utf-8").read().splitlines()
+        header = json.loads(lines[0])
+        del header["state_backend"]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     resumed = run_app_campaign(
         program_by_name(APP), workers=2, journal=str(journal), resume=True
     )

@@ -3,21 +3,23 @@
 The acceptance contract of the one-trace-many-points pass: under
 ``trace_derive=True`` the campaign must reproduce the ground-truth
 classification of :data:`repro.experiments.synthetic.GROUND_TRUTH`
-**bit-identically** — on both engines (sequential, and parallel with 1
-and 4 workers) and under both state backends — while actually deriving
+**bit-identically** — on both engines (sequential, and the shard engine
+with 1 and 4 workers) and under both state backends — while actually deriving
 injection runs from the one instrumented reference execution instead of
 executing them.  Only the
 per-run ``provenance`` tags and the telemetry may reveal that
 derivation happened.
 """
 
+import glob
+import json
+import os
+
 import pytest
 
-from repro.core import WrapPolicy, reclassify
 from repro.core.runlog import log_json_without_provenance
 from repro.experiments import (
     GROUND_TRUTH,
-    ParallelDetector,
     ProgramRef,
     load_outcome,
     run_app_campaign,
@@ -35,7 +37,7 @@ def reference():
 
 
 def _parallel_derived(workers, backend, **kwargs):
-    detector = ParallelDetector(
+    outcome = run_app_campaign(
         synthetic_program(),
         workers=workers,
         program_ref=ProgramRef(factory=synthetic_program),
@@ -43,9 +45,7 @@ def _parallel_derived(workers, backend, **kwargs):
         trace_derive=True,
         **kwargs,
     )
-    detection = detector.detect()
-    policy = WrapPolicy.from_specs(detector.woven_specs)
-    return detection, reclassify(detection.log, policy)
+    return outcome.detection, outcome.classification
 
 
 def _assert_equivalent(reference, detection, classification):
@@ -91,36 +91,44 @@ def test_derived_and_dynamic_provenance_coexist(reference):
 
 
 def test_resume_rederives_decided_points(reference, tmp_path):
-    # Derived points are never journaled; a resumed campaign re-derives
-    # them from a fresh reference trace and only resumes/executes the
-    # dynamic remainder — with the identical final log.
-    journal = str(tmp_path / "campaign.jsonl")
-    first_detection, _ = _parallel_derived(2, "graph", journal_path=journal)
-    lines = open(journal, encoding="utf-8").read().splitlines()
-    kept = min(len(lines), 2)  # header + at most one dynamic run
-    with open(journal, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines[:kept]) + "\n")
+    # Derived records are journaled like executed ones.  A resumed
+    # campaign keeps what its fragments still hold, re-derives the lost
+    # decided points from a fresh reference trace, and executes only the
+    # lost dynamic remainder — with the identical final log.
+    journal = str(tmp_path / "campaign")
+    first_detection, _ = _parallel_derived(2, "graph", journal=journal)
+    kept = kept_derived = 0
+    for path in sorted(glob.glob(os.path.join(journal, "shard-*.jsonl"))):
+        lines = open(path, encoding="utf-8").read().splitlines()
+        runs = lines[2:3]  # header + profile + at most one run
+        kept += len(runs)
+        kept_derived += sum(json.loads(l)["attempts"] == 0 for l in runs)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[:2] + runs) + "\n")
     detection, classification = _parallel_derived(
-        2, "graph", journal_path=journal, resume=True
+        2, "graph", journal=journal, resume=True
     )
     assert detection.log.to_json() == first_detection.log.to_json()
-    assert detection.telemetry.runs_resumed == kept - 1
+    assert detection.telemetry.runs_resumed == kept
+    assert detection.telemetry.runs_derived == (
+        first_detection.telemetry.runs_derived - kept_derived
+    )
     _assert_equivalent(reference, detection, classification)
 
 
 def test_resume_rejects_trace_derive_mismatch(tmp_path):
     from repro.experiments import JournalError
 
-    journal = str(tmp_path / "campaign.jsonl")
-    _parallel_derived(2, "graph", journal_path=journal)
+    journal = str(tmp_path / "campaign")
+    _parallel_derived(2, "graph", journal=journal)
     with pytest.raises(JournalError, match="different campaign"):
-        ParallelDetector(
+        run_app_campaign(
             synthetic_program(),
             workers=2,
             program_ref=ProgramRef(factory=synthetic_program),
-            journal_path=journal,
+            journal=journal,
             resume=True,
-        ).detect()
+        )
 
 
 def test_provenance_roundtrips_through_persistence(tmp_path):
