@@ -68,12 +68,19 @@ bench-shard:
 # coordinator merge of its fragments, and a resume that asks for 3
 # workers (the shard count comes from the fragments) must each print the
 # sequential engine's classification lines, and the resume must execute
-# nothing (runs=0/N, resumed=N).
+# nothing (runs=0/N, resumed=N).  The 2-shard campaign must also take
+# the sequential engine's number of state captures: a shard process that
+# never installed its parent's profile captures before every call.
 engine-smoke:
 	@J=$$(mktemp -d) && \
-	$(PYTHON) -m repro detect LLMap | grep 'calls=' > $$J/expected && \
+	$(PYTHON) -m repro detect LLMap > $$J/plain && \
 	$(PYTHON) -m repro detect LLMap --workers 2 --journal $$J/journal \
-		| grep 'calls=' | diff $$J/expected - && \
+		> $$J/sharded && \
+	grep 'calls=' $$J/plain > $$J/expected && \
+	grep 'calls=' $$J/sharded | diff $$J/expected - && \
+	grep '^state:' $$J/plain | grep -o 'captures=[0-9]*' > $$J/captures && \
+	grep '^state:' $$J/sharded | grep -o 'captures=[0-9]*' \
+		| diff $$J/captures - && \
 	$(PYTHON) -m repro merge $$J/journal/shard-*.jsonl \
 		| grep 'calls=' | diff $$J/expected - && \
 	$(PYTHON) -m repro detect LLMap --workers 3 --journal $$J/journal \

@@ -1,41 +1,38 @@
 """Benchmark — fingerprint vs. graph state backend on a detection sweep.
 
-The detection phase spends most of its time in the state layer: every
-call of a woven method captures the reachable state before and after so
-the injector can compare them (Definition 2).  The graph backend
-materializes two full :class:`ObjectGraph` snapshots per comparison; the
-fingerprint backend reduces each side to a 128-bit structural digest in
-one traversal and compares 16 bytes, falling back to a graph re-run only
-for points that report non-atomicity (so diagnostics — and the run log
-bytes — are identical).  On top of the digests sits the per-campaign
-**digest cache** (`repro.core.state.fpcache`): a receiver whose write
-barrier reported no writes since its last capture reuses the stored
-digest without traversing at all.
+The detection phase spends much of its time in the state layer: a call
+of a woven method that an exception can leave captures the reachable
+state before and after so the injector can compare them (Definition 2).
+The graph backend materializes two full :class:`ObjectGraph` snapshots
+per comparison; the fingerprint backend reduces each side to a 128-bit
+structural digest in one traversal and compares 16 bytes, falling back
+to a graph re-run only for points that report non-atomicity (so
+diagnostics — and the run log bytes — are identical).
 
 The workload is a read-heavy variant of the Figure-5 synthetic service:
-the original ``step`` writes three attributes per call, so every capture
-misses the cache by design — the variant interleaves each write with a
-run of read-only calls, the access pattern the cache exists for (and
-the common shape of getter-heavy subjects), and keeps its state vector
-barrier-covered so digests are actually storable.  The object size is
-the knob the paper turns in Figure 5, and it is exactly the knob that
-decides how much a skipped traversal is worth.
+the original ``step`` writes three attributes per call, and the variant
+interleaves each write with a run of read-only calls.  The object size
+is the knob the paper turns in Figure 5, and it is exactly the knob that
+decides how much a one-pass digest saves over a full graph capture.
+Every call of this subject returns before the injection of its run
+fires, so runs skip its before-captures (see
+:meth:`repro.core.injection.InjectionCampaign.elides`): what the sweep
+still measures per backend is the capture of the calls an injected
+exception does leave.
 
-Each grid point runs the *same* sweep three ways — graph, fingerprint
-with the digest cache disabled, fingerprint with the cache on — verifies
-all three results are bit-identical (the refinement + invalidation
-guarantees), and reports two speedup trajectories over object size:
-fingerprint-over-graph and cache-over-no-cache.  Measurements go to
-``BENCH_state_backends.json``.
+Each grid point runs the *same* sweep two ways — graph and fingerprint
+— verifies both results are bit-identical (the refinement guarantee),
+and reports the fingerprint-over-graph speedup trajectory over object
+size.  Measurements go to ``BENCH_state_backends.json``.
 
 Modes:
 
 * full (default): sizes 64/256/1024; the aggregate sweep must show
-  ≥ 2× fingerprint-over-graph and ≥ 1.2× cache-over-no-cache.
+  ≥ 2× fingerprint-over-graph.
 * smoke (``REPRO_BENCH_SMOKE=1``, used by ``make bench-state``): one
-  tiny size that exercises all three columns and the equivalence
-  assertions in seconds; the speedup bars are not enforced because
-  fixed per-run costs dominate tiny states.
+  tiny size that exercises both columns and the equivalence assertions
+  in seconds; the speedup bar is not enforced because fixed per-run
+  costs dominate tiny states.
 """
 
 from __future__ import annotations
@@ -62,22 +59,16 @@ REPORT_PATH = os.environ.get(
 FULL_GRID = ((64, 10, 4), (256, 10, 4), (1024, 8, 4))
 SMOKE_GRID = ((16, 4, 2),)
 
-#: Full-mode acceptance floors on the aggregate sweep.
+#: Full-mode acceptance floor on the aggregate sweep.
 MIN_FINGERPRINT_SPEEDUP = 2.0
-MIN_CACHE_SPEEDUP = 1.2
 
 
 class ReadHeavyService:
     """Figure-5 service shape with read-mostly traffic.
 
     ``step`` is the writer (three attribute writes per call, one into
-    a size-*n* state vector); ``total`` and ``peek`` read without
-    writing, so consecutive calls leave the receiver digest valid in
-    the cache.  The state vector is a tuple rather than fig5's list:
-    tuples are immutable shells, so every mutation of the reachable
-    state is an attribute write on the (barriered) receiver — the
-    coverage property the digest cache requires to store an entry at
-    all, while the capture traversal still scales with ``size``.
+    a size-*n* state vector, which the capture traversal scales with);
+    ``total`` and ``peek`` read without writing.
     """
 
     def __init__(self, size: int) -> None:
@@ -121,52 +112,38 @@ def _program(size: int, writes: int, reads: int) -> AppProgram:
     )
 
 
-def _timed_sweep(program: AppProgram, backend: str, cache: bool):
+def _timed_sweep(program: AppProgram, backend: str):
     started = time.perf_counter()
-    outcome = run_app_campaign(
-        program, state_backend=backend, fingerprint_cache=cache
-    )
+    outcome = run_app_campaign(program, state_backend=backend)
     return time.perf_counter() - started, outcome
 
 
 def bench_state_backends(benchmark):
     grid = SMOKE_GRID if SMOKE else FULL_GRID
     rows = []
-    graph_total = uncached_total = cached_total = 0.0
+    graph_total = fingerprint_total = 0.0
     for size, writes, reads in grid:
         program = _program(size, writes, reads)
-        graph_seconds, graph_outcome = _timed_sweep(program, "graph", True)
-        uncached_seconds, uncached_outcome = _timed_sweep(
-            program, "fingerprint", False
-        )
-        cached_seconds, cached_outcome = _timed_sweep(
-            program, "fingerprint", True
+        graph_seconds, graph_outcome = _timed_sweep(program, "graph")
+        fingerprint_seconds, fingerprint_outcome = _timed_sweep(
+            program, "fingerprint"
         )
 
-        # The refinement + invalidation guarantees: identical run logs,
-        # bit for bit, across backend and cache mode.
-        reference = graph_outcome.detection.log.to_json()
-        assert uncached_outcome.detection.log.to_json() == reference, (
-            f"fingerprint backend diverged from graph at size {size}"
-        )
-        assert cached_outcome.detection.log.to_json() == reference, (
-            f"digest cache diverged from uncached sweep at size {size}"
-        )
+        # The refinement guarantee: identical run logs, bit for bit,
+        # across backends.
+        assert (
+            fingerprint_outcome.detection.log.to_json()
+            == graph_outcome.detection.log.to_json()
+        ), f"fingerprint backend diverged from graph at size {size}"
         assert (
             graph_outcome.classification.to_json()
-            == uncached_outcome.classification.to_json()
-            == cached_outcome.classification.to_json()
+            == fingerprint_outcome.classification.to_json()
         )
 
-        cached_telemetry = cached_outcome.detection.telemetry
-        assert cached_telemetry.fingerprint_cache_hits > 0, (
-            f"read-heavy workload produced no cache hits at size {size}"
-        )
-        assert uncached_outcome.detection.telemetry.fingerprint_cache_hits == 0
-
+        graph_telemetry = graph_outcome.detection.telemetry
+        fingerprint_telemetry = fingerprint_outcome.detection.telemetry
         graph_total += graph_seconds
-        uncached_total += uncached_seconds
-        cached_total += cached_seconds
+        fingerprint_total += fingerprint_seconds
         rows.append(
             {
                 "size": size,
@@ -174,59 +151,48 @@ def bench_state_backends(benchmark):
                 "reads_per_write": reads,
                 "points": graph_outcome.detection.total_points,
                 "graph_seconds": graph_seconds,
-                "fingerprint_uncached_seconds": uncached_seconds,
-                "fingerprint_cached_seconds": cached_seconds,
-                "fingerprint_speedup": graph_seconds / cached_seconds,
-                "cache_speedup": uncached_seconds / cached_seconds,
-                "cache_hits": cached_telemetry.fingerprint_cache_hits,
-                "cache_misses": cached_telemetry.fingerprint_cache_misses,
-                "fingerprints": cached_telemetry.state_fingerprints,
-                "refinement_captures": cached_telemetry.state_captures,
+                "fingerprint_seconds": fingerprint_seconds,
+                "fingerprint_speedup": graph_seconds / fingerprint_seconds,
+                "graph_captures": graph_telemetry.state_captures,
+                "fingerprints": fingerprint_telemetry.state_fingerprints,
+                "refinement_captures": fingerprint_telemetry.state_captures,
             }
         )
 
-    fingerprint_speedup = graph_total / cached_total
-    cache_speedup = uncached_total / cached_total
+    fingerprint_speedup = graph_total / fingerprint_total
     report = {
         "workload": "fig5-read-heavy-service",
         "smoke": SMOKE,
         "rows": rows,
         "graph_seconds": graph_total,
-        "fingerprint_uncached_seconds": uncached_total,
-        "fingerprint_cached_seconds": cached_total,
+        "fingerprint_seconds": fingerprint_total,
         "fingerprint_speedup": fingerprint_speedup,
-        "cache_speedup": cache_speedup,
     }
     with open(REPORT_PATH, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
 
     lines = [
         f"size={row['size']:5d}: graph {row['graph_seconds']:.3f}s   "
-        f"fp-uncached {row['fingerprint_uncached_seconds']:.3f}s   "
-        f"fp-cached {row['fingerprint_cached_seconds']:.3f}s   "
+        f"fingerprint {row['fingerprint_seconds']:.3f}s   "
         f"fp-speedup {row['fingerprint_speedup']:.2f}x   "
-        f"cache-speedup {row['cache_speedup']:.2f}x   "
-        f"(hits={row['cache_hits']}, misses={row['cache_misses']})"
+        f"(graph captures={row['graph_captures']}, "
+        f"fingerprints={row['fingerprints']})"
         for row in rows
     ]
     lines.append(
         f"aggregate: graph {graph_total:.3f}s   "
-        f"fp-uncached {uncached_total:.3f}s   "
-        f"fp-cached {cached_total:.3f}s   "
-        f"fp-speedup {fingerprint_speedup:.2f}x   "
-        f"cache-speedup {cache_speedup:.2f}x"
+        f"fingerprint {fingerprint_total:.3f}s   "
+        f"fp-speedup {fingerprint_speedup:.2f}x"
     )
     lines.append(f"results bit-identical: yes   report: {REPORT_PATH}")
     emit(
-        "State backends: detection sweep, graph vs fingerprint "
-        "(cached and uncached)",
+        "State backends: detection sweep, graph vs fingerprint",
         "\n".join(lines),
     )
 
     benchmark.extra_info["fingerprint_speedup"] = fingerprint_speedup
-    benchmark.extra_info["cache_speedup"] = cache_speedup
     benchmark.extra_info["graph_seconds"] = graph_total
-    benchmark.extra_info["fingerprint_cached_seconds"] = cached_total
+    benchmark.extra_info["fingerprint_seconds"] = fingerprint_total
     benchmark.extra_info["report_path"] = REPORT_PATH
 
     if not SMOKE:
@@ -234,10 +200,6 @@ def bench_state_backends(benchmark):
             f"expected the fingerprint backend to sweep >= "
             f"{MIN_FINGERPRINT_SPEEDUP}x faster than graph, "
             f"measured {fingerprint_speedup:.2f}x"
-        )
-        assert cache_speedup >= MIN_CACHE_SPEEDUP, (
-            f"expected the digest cache to sweep >= {MIN_CACHE_SPEEDUP}x "
-            f"faster than uncached digests, measured {cache_speedup:.2f}x"
         )
 
     # the benchmarked unit: one small end-to-end sweep on the fast path

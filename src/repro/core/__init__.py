@@ -83,7 +83,6 @@ from .state import (
     Checkpoint,
     CheckpointError,
     FingerprintBackend,
-    FingerprintCache,
     GraphBackend,
     GraphDifference,
     ObjectGraph,
@@ -140,7 +139,6 @@ __all__ = [
     "StateFingerprint",
     "fingerprint",
     "fingerprint_frame",
-    "FingerprintCache",
     # state layer: checkpointing
     "Checkpoint",
     "CheckpointError",

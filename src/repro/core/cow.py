@@ -22,6 +22,8 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, List, Tuple
 
+from .state.introspect import slot_names
+
 __all__ = [
     "UndoLog",
     "active_log_top",
@@ -76,7 +78,10 @@ class UndoLog:
         if key in self._seen:
             return
         self._seen.add(key)
-        old = obj.__dict__.get(name, _MISSING) if hasattr(obj, "__dict__") else getattr(obj, name, _MISSING)
+        if hasattr(obj, "__dict__") and name not in slot_names(type(obj)):
+            old = obj.__dict__.get(name, _MISSING)
+        else:
+            old = getattr(obj, name, _MISSING)
         self._entries.append((obj, name, old))
 
     def rollback(self) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -28,7 +29,7 @@ from .analyzer import MethodSpec
 from .exceptions import InjectionAbort, is_injected
 from .injection import InjectionCampaign
 from .runlog import RunLog, RunRecord
-from .state import campaign_digest_cache, get_backend
+from .state import get_backend
 from .telemetry import CampaignTelemetry
 from .tracepass import TraceDeriver, TraceRecorder, call_through_boundary
 
@@ -130,15 +131,24 @@ def run_injection_point(
             shard engine passes its timeout exception here so a timed
             out run is retried rather than logged as a genuine failure.
 
-    When the campaign uses a lossy-diff backend (fingerprints) and the
-    run produced non-atomic marks, the run is transparently re-executed
-    under the graph backend and the refined record replaces the lossy
-    one: digests can witness *that* state changed but not *where*, and
-    the run log's ``difference`` strings are part of the deliverable.
-    Programs are re-runnable by contract (:class:`Program`), so the
-    refinement run observes the identical execution — the emitted log is
-    bit-identical to an all-graph campaign's.  Atomic-only runs (the vast
-    majority in a sweep, Figure 5) never pay for a second execution.
+    Two kinds of run are transparently executed again, the second
+    record replacing the first:
+
+    * a run in which a call whose before-capture was skipped
+      (:meth:`InjectionCampaign.elides`) raised after all is *replayed*
+      with every before-capture taken (``campaign.runs_replayed``
+      counts them), since that call's mark may be missing.  A
+      deterministic :class:`Program` is never replayed; the replay makes
+      the log independent of that contract;
+    * when the campaign uses a lossy-diff backend (fingerprints) and the
+      run produced non-atomic marks, it is *refined* under the graph
+      backend: digests can witness *that* state changed but not
+      *where*, and the run log's ``difference`` strings are part of the
+      deliverable.  Atomic-only runs (the vast majority in a sweep,
+      Figure 5) never pay for a second execution.
+
+    Either way the emitted log is bit-identical to an all-graph campaign
+    that captures every call.
     """
     record = campaign.begin_run(injection_point)
     completed = False
@@ -159,9 +169,38 @@ def run_injection_point(
             failure = f"point={injection_point}: {type(exc).__name__}: {exc}"
     finally:
         campaign.end_run(completed=completed, escaped=escaped)
+    if campaign.elision_missed:
+        campaign.runs_replayed += 1
+        return _rerun(
+            program, campaign, injection_point, record, reraise, call_exits=[]
+        )
     if campaign.backend.lossy_diff and record.first_nonatomic() is not None:
         return _refine_run(program, campaign, injection_point, record, reraise)
     return record, failure
+
+
+def _rerun(
+    program: Program,
+    campaign: InjectionCampaign,
+    injection_point: int,
+    record: RunRecord,
+    reraise: Tuple[Type[BaseException], ...],
+    **settings: Any,
+) -> Tuple[RunRecord, Optional[str]]:
+    """Drop *record*, the run just logged, and execute its point again
+    with the campaign attributes in *settings* overridden."""
+    if campaign.log.runs and campaign.log.runs[-1] is record:
+        campaign.log.runs.pop()
+    saved = {name: getattr(campaign, name) for name in settings}
+    for name, value in settings.items():
+        setattr(campaign, name, value)
+    try:
+        return run_injection_point(
+            program, campaign, injection_point, reraise=reraise
+        )
+    finally:
+        for name, value in saved.items():
+            setattr(campaign, name, value)
 
 
 def _refine_run(
@@ -172,28 +211,30 @@ def _refine_run(
     reraise: Tuple[Type[BaseException], ...],
 ) -> Tuple[RunRecord, Optional[str]]:
     """Re-execute one run under the graph backend for full diagnostics."""
-    if campaign.log.runs and campaign.log.runs[-1] is lossy_record:
-        campaign.log.runs.pop()
-    saved_backend = campaign.backend
-    campaign.backend = get_backend("graph")
-    try:
-        return run_injection_point(
-            program, campaign, injection_point, reraise=reraise
-        )
-    finally:
-        campaign.backend = saved_backend
+    return _rerun(
+        program,
+        campaign,
+        injection_point,
+        lossy_record,
+        reraise,
+        backend=get_backend("graph"),
+    )
 
 
 @dataclass
 class Profile:
     """What a campaign's profiling run established.
 
-    ``decided`` maps each injection point the trace pass derived to its
-    record (empty without ``trace_derive``); the ``trace_*`` fields are
-    that pass's telemetry.
+    ``call_entries``/``call_exits`` are the campaign's record of every
+    wrapper entry (see :class:`InjectionCampaign`), which decides the
+    before-captures a run may skip.  ``decided`` maps each injection
+    point the trace pass derived to its record (empty without
+    ``trace_derive``); the ``trace_*`` fields are that pass's telemetry.
     """
 
     total_points: int
+    call_entries: List[int] = field(default_factory=list)
+    call_exits: List[Optional[int]] = field(default_factory=list)
     decided: Dict[int, RunRecord] = field(default_factory=dict)
     trace_seconds: float = 0.0
     trace_writes: int = 0
@@ -236,8 +277,12 @@ def profile_program(
         if deriver is not None:
             deriver.detach(campaign)
             recorder.stop()
+    calls = {
+        "call_entries": campaign.call_entries,
+        "call_exits": campaign.call_exits,
+    }
     if deriver is None:
-        return Profile(total)
+        return Profile(total, **calls)
     decided = deriver.derive_map()  # counts into deriver.seconds
     return Profile(
         total,
@@ -246,6 +291,7 @@ def profile_program(
         trace_writes=recorder.recorded_writes,
         trace_captures=deriver.stats.captures,
         trace_capture_retries=deriver.capture_retries,
+        **calls,
     )
 
 
@@ -264,13 +310,8 @@ class Detector:
             that one execution; only trace-undecidable points run for
             real.
         woven_specs: the campaign's woven method specs — the classes the
-            trace pass puts write barriers on and the digest cache
-            watches.  Optional; without it the trace pass always
-            recaptures state and no digest cache is installed.
-        fingerprint_cache: memoize frame digests between barriered
-            writes when the campaign's backend supports it
-            (fingerprint sweeps only; output is bit-identical either
-            way, this is purely a hot-path switch).
+            trace pass puts write barriers on.  Optional; without it the
+            trace pass always recaptures state.
     """
 
     def __init__(
@@ -282,7 +323,6 @@ class Detector:
         progress: Optional[Callable[[int, int], None]] = None,
         trace_derive: bool = False,
         woven_specs: Optional[List[MethodSpec]] = None,
-        fingerprint_cache: bool = True,
     ) -> None:
         """
         Args:
@@ -298,7 +338,6 @@ class Detector:
         self.progress = progress
         self.trace_derive = trace_derive
         self.woven_specs = woven_specs
-        self.fingerprint_cache = fingerprint_cache
 
     def profile(self) -> int:
         """Count injection points and record call counts (no injection)."""
@@ -344,28 +383,22 @@ class Detector:
         executed = 0
         derived = 0
         done = 0
-        woven_classes = {
-            spec.owner for spec in self.woven_specs or [] if spec.owner
-        }
-        with campaign_digest_cache(
-            self.campaign, woven_classes, enabled=self.fingerprint_cache
-        ) as cache:
-            for injection_point in points:
-                if injection_point in decided:
-                    # Decided without execution: append the derived
-                    # record in plan order, bypassing begin_run.
-                    self.campaign.log.runs.append(decided[injection_point])
-                    derived += 1
-                else:
-                    _, failure = run_injection_point(
-                        self.program, self.campaign, injection_point
-                    )
-                    if failure is not None:
-                        genuine_failures.append(failure)
-                    executed += 1
-                done += 1
-                if self.progress is not None:
-                    self.progress(done, len(points))
+        for injection_point in points:
+            if injection_point in decided:
+                # Decided without execution: append the derived record
+                # in plan order, bypassing begin_run.
+                self.campaign.log.runs.append(decided[injection_point])
+                derived += 1
+            else:
+                _, failure = run_injection_point(
+                    self.program, self.campaign, injection_point
+                )
+                if failure is not None:
+                    genuine_failures.append(failure)
+                executed += 1
+            done += 1
+            if self.progress is not None:
+                self.progress(done, len(points))
         finished = time.perf_counter()
         wall = finished - started
         state_stats = self.campaign.state_stats
@@ -375,6 +408,7 @@ class Detector:
             runs_total=len(points),
             runs_executed=executed,
             runs_derived=derived,
+            runs_replayed=self.campaign.runs_replayed,
             wall_seconds=wall,
             runs_per_second=(executed / wall) if wall > 0 else 0.0,
             phase_seconds={
@@ -390,8 +424,6 @@ class Detector:
             trace_writes=profile.trace_writes,
             trace_captures=profile.trace_captures,
             trace_capture_retries=profile.trace_capture_retries,
-            fingerprint_cache_hits=cache.hits if cache is not None else 0,
-            fingerprint_cache_misses=cache.misses if cache is not None else 0,
         )
         return DetectionResult(
             program=self.program.name,

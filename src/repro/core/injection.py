@@ -7,6 +7,13 @@ wrapper otherwise deep-copies the receiver's object graph, calls the real
 method, and — if an exception propagates out — compares the graphs and
 marks the method atomic or non-atomic for this call before re-throwing.
 
+The copy is only ever compared when an exception leaves the call, so a
+run skips it for every call the profiling run saw return normally before
+the run's threshold (:meth:`InjectionCampaign.elides`).  Should such a
+call raise after all, the run is flagged and replayed with every copy
+taken (:func:`repro.core.detector.run_injection_point`), so skipping can
+never change a run log.
+
 Here the counter pair lives in an :class:`InjectionCampaign` object rather
 than in actual globals, so several campaigns can coexist (e.g. in tests)
 without interfering.
@@ -42,8 +49,10 @@ class InjectionCampaign:
 
     * ``enabled=False`` — wrappers call through without any bookkeeping.
     * profiling (``injection_point == 0``) — wrappers count calls and
-      injection points but skip state capture.
-    * detecting (``injection_point > 0``) — full Listing-1 behavior.
+      injection points, and record where each call starts and ends
+      (``call_entries``/``call_exits``), but skip state capture.
+    * detecting (``injection_point > 0``) — full Listing-1 behavior,
+      minus the before-captures :meth:`elides` proves unused.
     """
 
     def __init__(
@@ -84,12 +93,21 @@ class InjectionCampaign:
         #: failure leaves a mark in every detection run that executes past
         #: it — the trace pass records that mark at this moment.
         self.escape_observer: Optional[Callable[[MethodSpec], None]] = None
-        #: Optional per-campaign digest cache
-        #: (:class:`repro.core.state.FingerprintCache`).  Installed by the
-        #: engines for fingerprint-backend sweeps; ``capture_state``
-        #: consults it only while the active backend supports digests, so
-        #: graph-backend refinement re-runs bypass it.
-        self.digest_cache = None
+        #: Every wrapper entry of the profiling run, in entry order: the
+        #: point counter at entry, and at normal return (``None`` when
+        #: the call raised).  Runs consult them through :meth:`elides`;
+        #: a shard process installs its parent's, and a replay runs with
+        #: no exits, so it skips nothing.
+        self.call_entries: List[int] = []
+        self.call_exits: List[Optional[int]] = []
+        #: Wrapper entries so far in the current run or profiling run
+        #: (the ordinal of the next one).
+        self.calls_entered = 0
+        #: Set when a call whose before-capture was skipped raised: the
+        #: run may lack that call's mark, so it must be replayed.
+        self.elision_missed = False
+        #: Runs replayed with every before-capture taken.
+        self.runs_replayed = 0
         self.current_run: Optional[RunRecord] = None
         self._suspended = 0
         self._owner_thread: Optional[int] = None
@@ -114,6 +132,9 @@ class InjectionCampaign:
         self._check_thread()
         self.point = 0
         self.injection_point = 0
+        self.call_entries = []
+        self.call_exits = []
+        self.calls_entered = 0
         self.enabled = True
         self.current_run = None
 
@@ -129,6 +150,8 @@ class InjectionCampaign:
         self._check_thread()
         self.point = 0
         self.injection_point = injection_point
+        self.calls_entered = 0
+        self.elision_missed = False
         self.enabled = True
         self.current_run = self.log.begin_run(injection_point)
         return self.current_run
@@ -158,6 +181,27 @@ class InjectionCampaign:
         capture, comparison) so the observer does not perturb the counter.
         """
         return _Suspension(self)
+
+    def elides(self, ordinal: int, entry: int) -> bool:
+        """Whether this run may skip the before-capture of its wrapper
+        entry number *ordinal*, entered with the point counter at *entry*.
+
+        Yes when the profiling run's entry of the same ordinal started at
+        the same counter and returned normally with the counter below
+        this run's threshold: the run has executed exactly like the
+        profiling run so far, so the call returns before the injection
+        fires, no exception leaves it, and its before-state is never
+        compared.  Never under a capture budget, whose oversized
+        before-capture must still raise ``CaptureLimitError``.
+        """
+        if self.max_graph_nodes is not None or ordinal >= len(self.call_exits):
+            return False
+        finished = self.call_exits[ordinal]
+        return (
+            finished is not None
+            and finished < self.injection_point
+            and self.call_entries[ordinal] == entry
+        )
 
     def note_call(self, method: MethodKey) -> None:
         # Call counts feed the call-weighted statistics (Figures 2b/3b);
@@ -190,20 +234,8 @@ class InjectionCampaign:
         ever hand it back to :meth:`compare_states`.
         """
         with self.suspend():
-            roots = self.capture_roots(spec, args, kwargs)
-            cache = self.digest_cache
-            if cache is not None and getattr(
-                self.backend, "supports_digest_cache", False
-            ):
-                return cache.capture(
-                    self.backend,
-                    roots,
-                    ignore_attrs=self.ignore_attrs,
-                    max_nodes=self.max_graph_nodes,
-                    stats=self.state_stats,
-                )
             return self.backend.capture_frame(
-                roots,
+                self.capture_roots(spec, args, kwargs),
                 ignore_attrs=self.ignore_attrs,
                 max_nodes=self.max_graph_nodes,
                 stats=self.state_stats,
@@ -255,9 +287,10 @@ def make_injection_wrapper(
 
     The wrapper (a) walks the method's injection repertoire, incrementing
     the campaign counter once per potential injection point and raising
-    when the threshold is hit; (b) snapshots the object graph; (c) calls
-    the original method; and (d) on exception, compares before/after
-    graphs, marks the method, and re-throws.
+    when the threshold is hit; (b) snapshots the object graph, unless the
+    campaign proves the snapshot unused; (c) calls the original method;
+    and (d) on exception, compares before/after graphs, marks the method,
+    and re-throws.
     """
     original = spec.func
     exceptions = spec.exceptions
@@ -267,9 +300,12 @@ def make_injection_wrapper(
         if not campaign.enabled or campaign.suspended:
             return original(*args, **kwargs)
         campaign.note_call(spec.key)
+        ordinal = campaign.calls_entered
+        campaign.calls_entered = ordinal + 1
+        entry = campaign.point
         observer = campaign.point_observer
         if observer is not None and campaign.injection_point == 0:
-            observer(spec, campaign.point)
+            observer(spec, entry)
         for exc_type in exceptions:
             campaign.point += 1
             if campaign.point == campaign.injection_point:
@@ -279,13 +315,25 @@ def make_injection_wrapper(
                 campaign.note_injection(spec.key, exc)
                 raise exc
         if not campaign.detecting:
-            escape = campaign.escape_observer
-            if escape is None:
-                return original(*args, **kwargs)
+            campaign.call_entries.append(entry)
+            exits = campaign.call_exits
+            exits.append(None)
+            try:
+                result = original(*args, **kwargs)
+            except BaseException:
+                escape = campaign.escape_observer
+                if escape is not None:
+                    escape(spec)
+                raise
+            exits[ordinal] = campaign.point
+            return result
+        if campaign.elides(ordinal, entry):
             try:
                 return original(*args, **kwargs)
+            except InjectionAbort:
+                raise
             except BaseException:
-                escape(spec)
+                campaign.elision_missed = True
                 raise
         before = campaign.capture_state(spec, args, kwargs)
         try:

@@ -44,9 +44,7 @@ from .fingerprint import (
     StateFingerprint,
     fingerprint,
     fingerprint_frame,
-    fingerprint_frame_covered,
 )
-from .fpcache import FingerprintCache, campaign_digest_cache
 from .graph import (
     CaptureLimitError,
     GraphDifference,
@@ -92,9 +90,6 @@ __all__ = [
     "StateFingerprint",
     "fingerprint",
     "fingerprint_frame",
-    "fingerprint_frame_covered",
-    "FingerprintCache",
-    "campaign_digest_cache",
     "DIGEST_BITS",
     # checkpoint
     "Checkpoint",

@@ -241,10 +241,6 @@ class FingerprintBackend(StateBackend):
 
     name = "fingerprint"
     lossy_diff = True
-    #: Digest summaries are value-free tokens, so a per-campaign cache
-    #: (:class:`repro.core.state.FingerprintCache`) may replay them
-    #: between mutations; graph backends must not be cached this way.
-    supports_digest_cache = True
 
     def capture(self, value, *, ignore_attrs=None, max_nodes=None, stats=None):
         started = time.perf_counter()
@@ -264,35 +260,6 @@ class FingerprintBackend(StateBackend):
         try:
             return _fingerprint.fingerprint_frame(
                 label_values, ignore_attrs=ignore_attrs, max_nodes=max_nodes
-            )
-        finally:
-            if stats is not None:
-                stats.fingerprints += 1
-                stats.seconds += time.perf_counter() - started
-
-    def capture_frame_covered(
-        self,
-        label_values,
-        *,
-        ignore_attrs=None,
-        max_nodes=None,
-        stats=None,
-        barriered=None,
-    ):
-        """Frame digest plus write-barrier coverage, one traversal.
-
-        The digest is bit-identical to :meth:`capture_frame`'s; the
-        second element reports whether every reachable object is
-        barrier-covered (see
-        :func:`~repro.core.state.fingerprint.fingerprint_frame_covered`).
-        """
-        started = time.perf_counter()
-        try:
-            return _fingerprint.fingerprint_frame_covered(
-                label_values,
-                ignore_attrs=ignore_attrs,
-                max_nodes=max_nodes,
-                barriered=barriered,
             )
         finally:
             if stats is not None:

@@ -46,9 +46,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .introspect import (
     KIND_BYTEARRAY,
-    KIND_FROZENSET,
     KIND_OBJECT,
-    KIND_TUPLE,
     CaptureLimitError,
     default_ignore,
     is_opaque,
@@ -64,7 +62,6 @@ __all__ = [
     "StateFingerprint",
     "fingerprint",
     "fingerprint_frame",
-    "fingerprint_frame_covered",
     "DIGEST_BITS",
 ]
 
@@ -274,7 +271,6 @@ class _Fingerprinter:
         self,
         ignore_attrs: Callable[[str], bool],
         max_nodes: Optional[int] = None,
-        barriered: Optional[Iterable[type]] = None,
     ) -> None:
         self._hasher = hashlib.blake2b(digest_size=DIGEST_BITS // 8)
         self._hasher.update(_FORMAT_TAG)
@@ -288,14 +284,6 @@ class _Fingerprinter:
         # large zero-copy (memoryview) batches: thousands of tiny
         # hasher.update calls cost more than the buffering.
         self._buffer = bytearray()
-        # Optional write-barrier coverage tracking, fused into the same
-        # traversal (same rules as tracepass.recorder.barrier_covered):
-        # when a type set is supplied, ``covered`` ends True iff every
-        # reachable object is scalar, opaque, an exact tuple/frozenset,
-        # or an instance of a barriered class — i.e. iff any later
-        # mutation of the serialized state must pass a write barrier.
-        self._barriered = set(barriered) if barriered is not None else None
-        self.covered = barriered is not None
 
     def _flush(self) -> None:
         buffer = self._buffer
@@ -326,8 +314,6 @@ class _Fingerprinter:
         pin = self._pins.append
         ignore_attrs = self._ignore_attrs
         max_nodes = self._max_nodes
-        barriered = self._barriered
-        covered = self.covered
         count = self._count
         stack: List[Tuple[bool, Any]] = [(False, value)]
         pop = stack.pop
@@ -374,15 +360,6 @@ class _Fingerprinter:
                 if category == _CAT_OPAQUE:
                     feed(_encode_str(opaque_token(item)))
                     continue
-                if barriered is not None:
-                    # barrier_covered's rules, fused into the traversal:
-                    # mutable nodes must be instances of barriered
-                    # classes; immutable shells (tuple/frozenset) pass.
-                    if kind == KIND_OBJECT:
-                        if tp not in barriered:
-                            covered = False
-                    elif kind != KIND_TUPLE and kind != KIND_FROZENSET:
-                        covered = False
                 if tp is list or tp is tuple:
                     # Exact builtin sequences: index-labeled items, no
                     # instance attributes — the generic path would yield
@@ -449,7 +426,6 @@ class _Fingerprinter:
                     push((True, _encode_label(label)))
         finally:
             self._count = count
-            self.covered = covered
 
     def _budget_check(self) -> None:
         if self._max_nodes is not None and self._count >= self._max_nodes:
@@ -495,25 +471,3 @@ def fingerprint_frame(
     hasher.add_frame(label_values)
     return hasher.digest()
 
-
-def fingerprint_frame_covered(
-    label_values: Iterable[Tuple[Any, Any]],
-    *,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
-    max_nodes: Optional[int] = None,
-    barriered: Optional[Iterable[type]] = None,
-) -> Tuple[StateFingerprint, bool]:
-    """Digest labeled roots and report write-barrier coverage.
-
-    Identical digest to :func:`fingerprint_frame` (the coverage check is
-    fused into the same traversal and feeds no bytes to the hasher).
-    The second element is True iff every reachable object is immutable,
-    opaque, or an instance of one of the *barriered* classes — the
-    precondition for the digest cache to trust its version counter
-    (every later mutation of this state must cross a write barrier).
-    """
-    hasher = _Fingerprinter(
-        ignore_attrs or default_ignore, max_nodes, barriered=barriered
-    )
-    hasher.add_frame(label_values)
-    return hasher.digest(), hasher.covered

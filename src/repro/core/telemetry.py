@@ -42,6 +42,10 @@ class CampaignTelemetry:
         runs_derived: runs whose records were derived from the
             instrumented reference trace (``--trace-derive``) instead of
             executed.
+        runs_replayed: runs executed a second time with every
+            before-capture taken, because a call whose capture the
+            profiling run showed unused raised after all (0 for a
+            deterministic program).
         trace_seconds: wall time spent in the trace pass (stack
             reconciliation, entry captures, verdict derivation).
         trace_writes: attribute writes/deletes the trace recorder's
@@ -51,10 +55,6 @@ class CampaignTelemetry:
         trace_capture_retries: entry captures the trace pass retried at
             a doubled node budget after the first attempt blew the
             limit (the adaptive capture-budget lift).
-        fingerprint_cache_hits: frame digests served from the
-            per-campaign digest cache instead of recomputed.
-        fingerprint_cache_misses: frame digests the cache had to
-            compute (including uncacheable captures).
         result_cache_hits: whole-campaign results the service layer
             (:mod:`repro.service`) served from its digest-keyed result
             cache instead of re-running the campaign.
@@ -94,14 +94,13 @@ class CampaignTelemetry:
     runs_executed: int = 0
     runs_resumed: int = 0
     runs_derived: int = 0
+    runs_replayed: int = 0
     runs_crashed: int = 0
     retries: int = 0
     trace_seconds: float = 0.0
     trace_writes: int = 0
     trace_captures: int = 0
     trace_capture_retries: int = 0
-    fingerprint_cache_hits: int = 0
-    fingerprint_cache_misses: int = 0
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     cache_persist_hits: int = 0
@@ -147,7 +146,8 @@ class CampaignTelemetry:
             f"engine={self.engine} workers={self.workers} "
             f"runs={self.runs_executed}/{self.runs_total} "
             f"(resumed={self.runs_resumed}, "
-            f"derived={self.runs_derived}, crashed={self.runs_crashed}, "
+            f"derived={self.runs_derived}, replayed={self.runs_replayed}, "
+            f"crashed={self.runs_crashed}, "
             f"retries={self.retries})",
             f"wall={self.wall_seconds:.3f}s "
             f"throughput={self.runs_per_second:.1f} runs/s",
@@ -170,11 +170,6 @@ class CampaignTelemetry:
                 f"{self.trace_captures} capture(s) "
                 f"({self.trace_capture_retries} budget retries), "
                 f"pass time {self.trace_seconds:.3f}s"
-            )
-        if self.fingerprint_cache_hits or self.fingerprint_cache_misses:
-            lines.append(
-                f"fingerprint cache: {self.fingerprint_cache_hits} hit(s), "
-                f"{self.fingerprint_cache_misses} miss(es)"
             )
         if self.result_cache_hits or self.result_cache_misses:
             line = (

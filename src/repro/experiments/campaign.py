@@ -77,7 +77,6 @@ def run_app_campaign(
     progress: Optional[Callable[[int, int], None]] = None,
     state_backend: str = "graph",
     trace_derive: bool = False,
-    fingerprint_cache: bool = True,
     program_ref=None,
 ) -> CampaignOutcome:
     """Run detection + classification for one application.
@@ -114,9 +113,6 @@ def run_app_campaign(
             reference execution; only trace-undecidable points execute.
             Composes with every ``state_backend``; the classification is
             identical, with derived runs tagged ``provenance="trace"``.
-        fingerprint_cache: memoize frame digests between barriered
-            writes when ``state_backend`` supports it (fingerprint
-            sweeps only; output is bit-identical either way).
         program_ref: the :class:`~repro.experiments.parallel.ProgramRef`
             shard processes rebuild a non-registry *program* from (e.g.
             the service's ``exec``'d submitted source).
@@ -153,7 +149,6 @@ def run_app_campaign(
                 retries=retries,
                 state_backend=state_backend,
                 trace_derive=trace_derive,
-                fingerprint_cache=fingerprint_cache,
             ).merged
         detection = merged.detection
         # Campaigns fanned out from here report as the "parallel" engine;
@@ -178,7 +173,6 @@ def run_app_campaign(
                 progress=progress,
                 trace_derive=trace_derive,
                 woven_specs=specs,
-                fingerprint_cache=fingerprint_cache,
             ).detect()
         # the programmer-declared exception-free annotations always apply
         # (§4.3 third case); a caller-supplied policy is merged on top

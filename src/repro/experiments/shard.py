@@ -48,7 +48,7 @@ from repro.core import (
 )
 from repro.core.detector import DetectionResult, Profile, profile_program
 from repro.core.runlog import RunLog, RunRecord, merge_logs
-from repro.core.state import campaign_digest_cache, get_backend
+from repro.core.state import get_backend
 from repro.core.telemetry import CampaignTelemetry
 from repro.core.weaver import Weaver
 from repro.resilience.chaos import fire as _fault_site
@@ -299,7 +299,8 @@ def _replay_fragment(path: str) -> _Fragment:
 @dataclass
 class ShardProfile:
     """A campaign's one profiling run, as every shard consumes it: the
-    point count and trace decisions, and the fragments' ``profile`` line
+    point count, the wrapper entries that decide which before-captures a
+    run skips, the trace decisions, and the fragments' ``profile`` line
     (call counts and exception-free annotations)."""
 
     profile: Profile
@@ -371,7 +372,6 @@ def run_shard(
     resume: bool = False,
     state_backend: str = "graph",
     trace_derive: bool = False,
-    fingerprint_cache: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
     profile: Optional[ShardProfile] = None,
 ) -> ShardResult:
@@ -431,6 +431,10 @@ def run_shard(
     campaign = InjectionCampaign(
         capture_args=capture_args, state_backend=state_backend
     )
+    # The profiling run's wrapper entries decide which before-captures
+    # this shard's runs skip, as they do in the sequential engine.
+    campaign.call_entries = profile.profile.call_entries
+    campaign.call_exits = profile.profile.call_exits
     executed = derived = crashed = retry_count = 0
     done = len(resumed)
     if progress is not None and done:
@@ -439,39 +443,32 @@ def run_shard(
         lambda spec: make_injection_wrapper(spec, campaign),
         Analyzer(exclude=program.exclude),
     ) as weaver:
-        specs = weaver.weave_classes(program.classes)
-        with campaign_digest_cache(
-            campaign,
-            (spec.owner for spec in specs if spec.owner),
-            enabled=fingerprint_cache,
-        ) as cache:
-            for point in mine:
-                if point in resumed:
-                    continue
-                if point in decided:
-                    # Decided without execution: journal the derived
-                    # record so the merge step needs no re-derivation.
-                    # attempts=0 marks it as never having run the subject.
-                    fragment.append_run(point, decided[point], None, 0)
-                    derived += 1
-                else:
-                    record, failure, attempts, did_crash = (
-                        run_point_with_timeout(
-                            program,
-                            campaign,
-                            point,
-                            timeout=timeout,
-                            retries=retries,
-                        )
-                    )
-                    fragment.append_run(point, record, failure, attempts)
-                    executed += 1
-                    retry_count += attempts - 1
-                    if did_crash:
-                        crashed += 1
-                done += 1
-                if progress is not None:
-                    progress(done, len(mine))
+        weaver.weave_classes(program.classes)
+        for point in mine:
+            if point in resumed:
+                continue
+            if point in decided:
+                # Decided without execution: journal the derived record
+                # so the merge step needs no re-derivation.  attempts=0
+                # marks it as never having run the subject.
+                fragment.append_run(point, decided[point], None, 0)
+                derived += 1
+            else:
+                record, failure, attempts, did_crash = run_point_with_timeout(
+                    program,
+                    campaign,
+                    point,
+                    timeout=timeout,
+                    retries=retries,
+                )
+                fragment.append_run(point, record, failure, attempts)
+                executed += 1
+                retry_count += attempts - 1
+                if did_crash:
+                    crashed += 1
+            done += 1
+            if progress is not None:
+                progress(done, len(mine))
     finished = time.perf_counter()
 
     wall = finished - started
@@ -483,14 +480,13 @@ def run_shard(
         runs_executed=executed,
         runs_resumed=len(resumed),
         runs_derived=derived,
+        runs_replayed=campaign.runs_replayed,
         runs_crashed=crashed,
         retries=retry_count,
         trace_seconds=profile.profile.trace_seconds,
         trace_writes=profile.profile.trace_writes,
         trace_captures=profile.profile.trace_captures,
         trace_capture_retries=profile.profile.trace_capture_retries,
-        fingerprint_cache_hits=cache.hits if cache is not None else 0,
-        fingerprint_cache_misses=cache.misses if cache is not None else 0,
         wall_seconds=wall,
         runs_per_second=(executed / wall) if wall > 0 else 0.0,
         phase_seconds={

@@ -77,8 +77,7 @@ _TRACE_COUNTERS = (
 
 #: Counters each shard process keeps; the campaign reports their sum.
 _SHARD_COUNTERS = (
-    "fingerprint_cache_hits",
-    "fingerprint_cache_misses",
+    "runs_replayed",
     "state_captures",
     "state_fingerprints",
     "state_compares",
@@ -242,7 +241,6 @@ class ShardSupervisor:
         retries: int = 1,
         state_backend: str = "graph",
         trace_derive: bool = False,
-        fingerprint_cache: bool = True,
     ) -> SupervisedCampaign:
         """Run every shard of one campaign under supervision, then merge.
 
@@ -288,7 +286,6 @@ class ShardSupervisor:
             "retries": retries,
             "state_backend": state_backend,
             "trace_derive": trace_derive,
-            "fingerprint_cache": fingerprint_cache,
         }
         profiled = time.perf_counter()
         outcomes = self._run_shards(
@@ -539,7 +536,6 @@ def run_chaos_campaign(
     retries: int = 1,
     state_backend: str = "graph",
     trace_derive: bool = False,
-    fingerprint_cache: bool = True,
     hang_seconds: float = 1.0,
 ) -> ChaosReport:
     """Run one seeded chaos experiment and report convergence.
@@ -562,7 +558,6 @@ def run_chaos_campaign(
         "retries": retries,
         "state_backend": state_backend,
         "trace_derive": trace_derive,
-        "fingerprint_cache": fingerprint_cache,
     }
     reference = run_app_campaign(
         program_factory(),
@@ -570,7 +565,6 @@ def run_chaos_campaign(
         capture_args=capture_args,
         state_backend=state_backend,
         trace_derive=trace_derive,
-        fingerprint_cache=fingerprint_cache,
     )
     if plan is None:
         plan = standard_plan(

@@ -276,7 +276,6 @@ def validate_masking(
     strategy: str = "snapshot",
     state_backend: str = "graph",
     trace_derive: bool = False,
-    fingerprint_cache: bool = True,
 ) -> MaskingValidation:
     """Detect, mask, and re-detect; return both campaigns' verdicts.
 
@@ -293,10 +292,6 @@ def validate_masking(
             points from one instrumented reference run.  It never
             applies to the masked re-detection — the rollback behavior
             under test must be observed by real execution.
-        fingerprint_cache: enable the first campaign's frame-digest
-            cache when ``state_backend`` supports it.  The masked
-            re-detection never uses it: the atomicity wrappers' own
-            rollback writes must not race cache invalidation.
     """
     first = run_app_campaign(
         program,
@@ -304,7 +299,6 @@ def validate_masking(
         policy=policy,
         state_backend=state_backend,
         trace_derive=trace_derive,
-        fingerprint_cache=fingerprint_cache,
     )
     selection_policy = WrapPolicy(wrap_conditional=wrap_conditional)
     if policy is not None:

@@ -7,7 +7,10 @@ Every generated program is cross-checked four ways:
    spec-level simulation of :mod:`repro.fuzz.oracle`.
 2. **Engine equivalence** — the sequential engine and the shard engine
    (``run_app_campaign(workers=N)``) must produce bit-identical merged
-   run logs and classifications.
+   run logs and classifications.  Neither may replay a run
+   (``capture-replay``): generated programs are deterministic, so a
+   replay means the profile disagreed with a run about its wrapper
+   entries, which would otherwise show only as a slower campaign.
 3. **Masking soundness** — masking the oracle's pure set and re-running
    detection must classify *every* method failure atomic, under both the
    eager-snapshot and the undo-log checkpoint strategy.
@@ -173,6 +176,23 @@ def _campaign(
         trace_derive=trace_derive,
     )
     return outcome.detection, outcome.classification
+
+
+def _check_replays(
+    spec: ProgramSpec, detection: DetectionResult, engine: str
+) -> List[Mismatch]:
+    """A ``capture-replay`` mismatch when *detection* replayed runs."""
+    replayed = detection.telemetry.runs_replayed if detection.telemetry else 0
+    if not replayed:
+        return []
+    return [
+        Mismatch(
+            "capture-replay",
+            spec.name,
+            f"{engine} campaign replayed {replayed} run(s) of a "
+            "deterministic program",
+        )
+    ]
 
 
 def _swap_pure_conditional(
@@ -502,6 +522,7 @@ def check_program(
         mismatches.extend(
             _check_oracle(spec, oracle, detection, classification, "oracle-sequential")
         )
+        mismatches.extend(_check_replays(spec, detection, "sequential"))
         if state_backend != "graph":
             # Check 5: backend equivalence against the reference backend.
             ref_detection, ref_classification = _campaign(
@@ -529,6 +550,7 @@ def check_program(
         )
         if defect == "merge_reversed":
             detection.log.runs.reverse()
+        mismatches.extend(_check_replays(spec, detection, "parallel"))
         if sequential is not None:
             # Check 2: merged parallel output is bit-identical to the
             # sequential engine's (same plan, deterministic merge).

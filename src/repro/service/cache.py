@@ -3,12 +3,11 @@
 A detection campaign is a pure function of ``(subject source, campaign
 config)``: the profiling run is deterministic and the plan, the sweep
 and the classification all derive from it.  That makes whole campaign
-results content-addressable — the same trick PR 7's
-:class:`~repro.core.state.FingerprintCache` plays per-frame, lifted to
-whole campaigns.  The service keys its cache on a 128-bit BLAKE2b digest
-of the submitted source plus the *canonicalized* config (defaults
-filled, keys sorted), so two submissions that mean the same campaign hit
-the same entry even when they spell the config differently.
+results content-addressable.  The service keys its cache on a 128-bit
+BLAKE2b digest of the submitted source plus the *canonicalized* config
+(defaults filled, keys sorted), so two submissions that mean the same
+campaign hit the same entry even when they spell the config
+differently.
 
 Passing ``path=`` adds a persistence layer: every ``put`` appends one
 ``{"kind": "entry", "digest": ..., "payload": ...}`` line to an

@@ -379,7 +379,6 @@ class CampaignService:
                 retries=cfg["retries"],
                 state_backend=cfg["state_backend"],
                 trace_derive=cfg["trace_derive"],
-                fingerprint_cache=cfg["fingerprint_cache"],
                 progress=progress,
                 program_ref=program_ref,
             )

@@ -57,7 +57,6 @@ CONFIG_DEFAULTS: Dict[str, Any] = {
     "capture_args": True,
     "state_backend": "graph",
     "trace_derive": False,
-    "fingerprint_cache": True,
     "workers": None,
     "timeout": None,
     "retries": 1,
@@ -90,7 +89,6 @@ def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         out["retries"] = int(out["retries"])
         out["capture_args"] = bool(out["capture_args"])
         out["trace_derive"] = bool(out["trace_derive"])
-        out["fingerprint_cache"] = bool(out["fingerprint_cache"])
         if out["workers"] is not None:
             out["workers"] = int(out["workers"])
         if out["timeout"] is not None:

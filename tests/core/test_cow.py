@@ -200,3 +200,47 @@ def test_barrier_removal_restores_delattr():
     with log:
         del counter.value  # barrier gone: unrecorded
     assert log.recorded_writes == 0
+
+
+class SlotsAndDict:
+    """A slot next to a ``__dict__``: both must roll back, the slot
+    through its descriptor rather than as a missing dict entry."""
+
+    __slots__ = ("s", "__dict__")
+
+    def __init__(self):
+        self.s = 1
+        self.d = 2
+
+    def bump(self):
+        self.s = 10
+        self.d = 20
+        raise ValueError("boom")
+
+
+@pytest.fixture
+def slots_barriered():
+    install_write_barrier(SlotsAndDict)
+    yield
+    remove_write_barrier(SlotsAndDict)
+
+
+def test_undolog_restores_slot_beside_dict(slots_barriered):
+    target = SlotsAndDict()
+    with pytest.raises(ValueError):
+        failure_atomic_undolog(SlotsAndDict.bump)(target)
+    assert (target.s, target.d) == (1, 2)
+
+
+def test_undolog_atomicity_wrapper_restores_slot_beside_dict(slots_barriered):
+    from repro.core.analyzer import Analyzer
+    from repro.core.masking import make_atomicity_wrapper
+
+    spec = next(
+        s for s in Analyzer().analyze_class(SlotsAndDict) if s.name == "bump"
+    )
+    wrapped = make_atomicity_wrapper(spec, backend="undolog")
+    target = SlotsAndDict()
+    with pytest.raises(ValueError):
+        wrapped(target)
+    assert (target.s, target.d) == (1, 2)

@@ -180,3 +180,108 @@ def test_progress_callback_invoked(woven_campaign):
     assert len(events) == result.runs_executed
     assert events[-1] == (result.runs_executed, result.runs_executed)
     assert [done for done, _ in events] == list(range(1, len(events) + 1))
+
+
+# -- before-capture elision --------------------------------------------------
+
+
+def test_runs_capture_only_calls_an_exception_can_leave(woven_campaign):
+    """Every call of ``stack_program`` returns before the injection
+    fires except the one that raises for real, so only that call takes
+    a before-capture, and only in the baseline run (points 1-5 fire in
+    each call's own repertoire, before its capture)."""
+    result = make_detector(woven_campaign).detect()
+    telemetry = result.telemetry
+    assert (telemetry.state_captures, telemetry.state_compares) == (2, 1)
+    assert telemetry.runs_replayed == 0
+
+
+#: Executions of ``Settler.settle`` in this process; a shard process
+#: inherits its parent's count when it forks.
+_SETTLES = 0
+
+
+class Settler:
+    def __init__(self):
+        self.n = 0
+
+    def step(self):
+        self.n += 1
+
+    def settle(self):
+        global _SETTLES
+        _SETTLES += 1
+        self.n += 1
+        if _SETTLES > 1:
+            raise LookupError("settles only once")
+
+
+def settler_program():
+    settler = Settler()
+    settler.step()
+    try:
+        settler.settle()
+    except LookupError:
+        pass
+    settler.step()
+
+
+def _settler_detection(**campaign_kwargs):
+    global _SETTLES
+    _SETTLES = 0
+    campaign = InjectionCampaign(**campaign_kwargs)
+    weaver = Weaver(lambda spec: make_injection_wrapper(spec, campaign))
+    with weaver:
+        weaver.weave_class(Settler)
+        return Detector(
+            CallableProgram("settler", settler_program), campaign
+        ).detect()
+
+
+def _settle_marked_runs(result):
+    return [
+        run.injection_point
+        for run in result.log.runs
+        if "Settler.settle" in run.nonatomic_methods()
+    ]
+
+
+def test_skipped_call_that_raises_is_replayed_with_full_captures():
+    """``settle`` returns normally only in the profiling run, so runs
+    skip its before-capture; each run in which it raises anyway is
+    replayed and carries the mark of a run that captures every call."""
+    elided = _settler_detection()
+    # A capture budget keeps every before-capture: the reference.
+    full = _settler_detection(max_graph_nodes=10**6)
+    assert elided.log.to_json() == full.log.to_json()
+    assert elided.genuine_failures == full.genuine_failures
+    assert _settle_marked_runs(full) == [4, 5]
+    assert elided.telemetry.runs_replayed == 2
+    assert full.telemetry.runs_replayed == 0
+
+
+def _settler_app():
+    from repro.experiments.programs import AppProgram
+
+    return AppProgram(
+        name="settler", language="Java", classes=[Settler], body=settler_program
+    )
+
+
+def test_shard_engine_replays_like_the_sequential_engine(tmp_path):
+    global _SETTLES
+    from repro.experiments import run_app_campaign
+    from repro.experiments.parallel import ProgramRef
+
+    full = _settler_detection(max_graph_nodes=10**6)
+    _SETTLES = 0
+    sharded = run_app_campaign(
+        _settler_app(),
+        workers=2,
+        journal=str(tmp_path / "journal"),
+        program_ref=ProgramRef(factory=_settler_app),
+    ).detection
+    assert [run.to_dict() for run in sharded.log.runs] == [
+        run.to_dict() for run in full.log.runs
+    ]
+    assert sharded.telemetry.runs_replayed == len(_settle_marked_runs(full))

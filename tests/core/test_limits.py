@@ -116,6 +116,36 @@ def test_before_capture_budget_is_genuine_failure_not_verdict():
         assert not run.marks  # no partial-graph verdict leaked
 
 
+class FatReader:
+    """Receiver too large to capture, whose method returns normally."""
+
+    def __init__(self):
+        self.blobs = [[i] for i in range(40)]
+
+    def peek(self):
+        return len(self.blobs)
+
+
+def _fat_reader_workload():
+    reader = FatReader()
+    for _ in range(3):
+        reader.peek()
+
+
+def test_budget_keeps_before_captures_of_calls_that_return():
+    """A run may skip the before-capture of a call that returns before
+    its injection fires, but not under a budget: the oversized capture
+    must still fail the run.  Points: ``__init__`` then three ``peek``
+    calls; the first ``peek`` returns before the injection of runs 3
+    and 4 and of the baseline, and its capture fails each of them."""
+    result = _detect(FatReader, _fat_reader_workload, max_graph_nodes=30)
+    assert len(result.log.runs) == 5
+    failures = [f for f in result.genuine_failures if "CaptureLimitError" in f]
+    assert len(failures) == 3
+    for run in result.log.runs:
+        assert not run.marks
+
+
 class Grower:
     """Receiver small at entry; the method inflates it past the budget
     before raising, so only the *after* capture can exceed."""
