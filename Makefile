@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow bench bench-smoke bench-state bench-trace bench-trace-full bench-variants bench-shard bench-resilience engine-smoke chaos-smoke fuzz-smoke fuzz-trace-smoke fuzz-variant-smoke docs-check reproduce examples clean
+.PHONY: install test test-slow bench bench-smoke bench-state bench-trace bench-trace-full bench-variants bench-shard bench-resilience engine-smoke chaos-smoke fuzz-smoke fuzz-trace-smoke fuzz-variant-smoke golden-check docs-check reproduce examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -136,6 +136,17 @@ fuzz-variant-smoke:
 	$(PYTHON) -m repro fuzz --seed 20260806 --programs 20 \
 		--engine sequential --variants 3 \
 		--reproducer-out fuzz-reproducer.json
+
+# Golden verdicts: one pass of each benchmark workload whose run logs
+# are pinned in benchmarks/e2e/golden/table1.json (every difference
+# string included).  run.py exits 1 on any mismatch.  Needs Python
+# >= 3.10 (the harness's yardstick uses bisect's key=).
+golden-check:
+	@for w in t1-dynamic t1-derived mask-harden; do \
+		$(PYTHON) benchmarks/e2e/run.py --workload $$w --seed 1 \
+			--seconds 0 > /dev/null || exit 1; \
+		echo "golden-check: $$w OK"; \
+	done
 
 # Every internal link in docs/*.md and every `src/repro/...` module
 # path mentioned in the docs must resolve to a real file.

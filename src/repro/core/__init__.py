@@ -99,6 +99,7 @@ from .state import (
     get_backend,
     graph_diff,
     graph_diff_all,
+    graph_diff_live,
     graphs_equal,
     restore,
 )
@@ -134,6 +135,7 @@ __all__ = [
     "graphs_equal",
     "graph_diff",
     "graph_diff_all",
+    "graph_diff_live",
     "CaptureLimitError",
     # state layer: fingerprints
     "StateFingerprint",

@@ -311,7 +311,7 @@ class Detector:
             real.
         woven_specs: the campaign's woven method specs — the classes the
             trace pass puts write barriers on.  Optional; without it the
-            trace pass always recaptures state.
+            trace pass always compares state.
     """
 
     def __init__(

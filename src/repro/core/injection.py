@@ -4,8 +4,12 @@ The paper injects exceptions with a global counter ``Point`` that is
 incremented at every potential injection point; when it equals the preset
 threshold ``InjectionPoint`` the corresponding exception is thrown.  The
 wrapper otherwise deep-copies the receiver's object graph, calls the real
-method, and — if an exception propagates out — compares the graphs and
-marks the method atomic or non-atomic for this call before re-throwing.
+method, and — if an exception propagates out — compares that copy with
+the receiver's state as it is now and marks the method atomic or
+non-atomic for this call before re-throwing.  Only the copy is
+materialized: the graph backend reads the after-state straight from the
+live objects (:meth:`InjectionCampaign.diff_state`), and captures it only
+under a node budget.
 
 The copy is only ever compared when an exception leaves the call, so a
 run skips it for every call the profiling run saw return normally before
@@ -231,7 +235,7 @@ class InjectionCampaign:
         argument is a reference, so we include each argument that holds
         mutable state.  The summary type is backend-specific (a full
         :class:`~repro.core.state.ObjectGraph` or a digest); callers only
-        ever hand it back to :meth:`compare_states`.
+        ever hand it back to :meth:`diff_state`.
         """
         with self.suspend():
             return self.backend.capture_frame(
@@ -241,10 +245,23 @@ class InjectionCampaign:
                 stats=self.state_stats,
             )
 
-    def compare_states(self, before: Any, after: Any) -> Optional[GraphDifference]:
-        """First difference between two state summaries, or None if equal."""
+    def diff_state(
+        self,
+        before: Any,
+        spec: MethodSpec,
+        args: Tuple[Any, ...],
+        kwargs: Dict[str, Any],
+    ) -> Optional[GraphDifference]:
+        """First difference between *before* (a :meth:`capture_state` of
+        this call) and the call's state now, or None if equal."""
         with self.suspend():
-            return self.backend.diff(before, after, stats=self.state_stats)
+            return self.backend.diff_live(
+                before,
+                self.capture_roots(spec, args, kwargs),
+                ignore_attrs=self.ignore_attrs,
+                max_nodes=self.max_graph_nodes,
+                stats=self.state_stats,
+            )
 
     def capture_roots(
         self, spec: MethodSpec, args: Tuple[Any, ...], kwargs: Dict[str, Any]
@@ -289,8 +306,8 @@ def make_injection_wrapper(
     the campaign counter once per potential injection point and raising
     when the threshold is hit; (b) snapshots the object graph, unless the
     campaign proves the snapshot unused; (c) calls the original method;
-    and (d) on exception, compares before/after graphs, marks the method,
-    and re-throws.
+    and (d) on exception, compares the snapshot with the state now, marks
+    the method, and re-throws.
     """
     original = spec.func
     exceptions = spec.exceptions
@@ -341,8 +358,7 @@ def make_injection_wrapper(
         except InjectionAbort:
             raise
         except BaseException:
-            after = campaign.capture_state(spec, args, kwargs)
-            difference = campaign.compare_states(before, after)
+            difference = campaign.diff_state(before, spec, args, kwargs)
             if difference is None:
                 campaign.mark(spec.key, ATOMIC)
             else:

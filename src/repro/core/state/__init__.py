@@ -12,7 +12,8 @@ Submodules:
 * :mod:`~repro.core.state.introspect` — shared type introspection and the
   canonical child-ordering every backend agrees on.
 * :mod:`~repro.core.state.graph` — materialized object graphs and
-  rooted-isomorphism comparison.
+  rooted-isomorphism comparison, against another graph or the live
+  objects.
 * :mod:`~repro.core.state.checkpoint` — eager in-place checkpoints.
 * :mod:`~repro.core.state.fingerprint` — one-pass 128-bit structural
   digests, the fast path for "did the state change?".
@@ -54,6 +55,7 @@ from .graph import (
     capture_frame,
     graph_diff,
     graph_diff_all,
+    graph_diff_live,
     graphs_equal,
 )
 from .introspect import (
@@ -85,6 +87,7 @@ __all__ = [
     "graphs_equal",
     "graph_diff",
     "graph_diff_all",
+    "graph_diff_live",
     "GraphDifference",
     # fingerprint
     "StateFingerprint",

@@ -1,14 +1,18 @@
 """The :class:`StateBackend` protocol and its three implementations.
 
-Everything the pipeline ever does with reachable state fits five verbs —
-*fingerprint*, *capture*, *diff*, *checkpoint*, *restore* — plus *commit*
-for strategies (the undo log) whose checkpoints must be explicitly
-retired.  A backend packages one coherent strategy for those verbs:
+Everything the pipeline ever does with reachable state fits six verbs —
+*fingerprint*, *capture*, *diff*, *diff_live*, *checkpoint*, *restore* —
+plus *commit* for strategies (the undo log) whose checkpoints must be
+explicitly retired.  *diff_live* compares a summary with the state as it
+is now; by default it captures that state and diffs the two summaries.
+A backend packages one coherent strategy for those verbs:
 
 ``GraphBackend``
     Today's semantics: full materialized :class:`ObjectGraph` snapshots
     compared by rooted isomorphism, eager :class:`Checkpoint` rollback.
     The reference implementation every other backend must agree with.
+    Its *diff_live* walks the live objects against the before-graph, so
+    the after-state is never materialized (except under a node budget).
 
 ``FingerprintBackend``
     The fast path: state summaries are 128-bit structural digests
@@ -158,6 +162,28 @@ class StateBackend:
     ) -> bool:
         return self.diff(a, b, stats=stats) is None
 
+    def diff_live(
+        self,
+        before: Any,
+        label_values: Iterable[Tuple[Any, Any]],
+        *,
+        ignore_attrs: Optional[Callable[[str], bool]] = None,
+        max_nodes: Optional[int] = None,
+        stats: Optional[StateStats] = None,
+    ) -> Optional[_graph.GraphDifference]:
+        """First difference between the frame summary *before* and the
+        live state of the same labeled roots, or None when equal.
+
+        The default captures the after-state and diffs the two summaries.
+        """
+        after = self.capture_frame(
+            label_values,
+            ignore_attrs=ignore_attrs,
+            max_nodes=max_nodes,
+            stats=stats,
+        )
+        return self.diff(before, after, stats=stats)
+
     # -- checkpoints --------------------------------------------------
 
     def checkpoint(
@@ -230,6 +256,29 @@ class GraphBackend(StateBackend):
         started = time.perf_counter()
         try:
             return _graph.graph_diff(a, b)
+        finally:
+            if stats is not None:
+                stats.compares += 1
+                stats.seconds += time.perf_counter() - started
+
+    def diff_live(
+        self, before, label_values, *, ignore_attrs=None, max_nodes=None, stats=None
+    ):
+        if max_nodes is not None:
+            # An over-budget after-state must still raise
+            # CaptureLimitError, which only a capture can tell.
+            return super().diff_live(
+                before,
+                label_values,
+                ignore_attrs=ignore_attrs,
+                max_nodes=max_nodes,
+                stats=stats,
+            )
+        started = time.perf_counter()
+        try:
+            return _graph.graph_diff_live(
+                before, label_values, ignore_attrs=ignore_attrs
+            )
         finally:
             if stats is not None:
                 stats.compares += 1

@@ -9,10 +9,12 @@ An :class:`ObjectGraph` is a fully materialized snapshot: it holds no
 references to the live objects it was captured from, so it doubles as the
 ``deep_copy`` used by the paper's injection wrappers (Listing 1).  Failure
 atomicity of a method is judged by comparing the graph captured before the
-call with the graph captured when an exception propagates out
-(Definition 2); :func:`graphs_equal` implements that comparison as a rooted
-isomorphism check that respects edge labels, node types, scalar values, and
-sharing structure.
+call with the state when an exception propagates out (Definition 2).  The
+comparison is a rooted isomorphism check that respects edge labels, node
+types, scalar values, and sharing structure.  One walker implements it,
+reading its second side either from another graph (:func:`graph_diff`,
+:func:`graphs_equal`) or straight from the live objects
+(:func:`graph_diff_live`), so the after-state need not be materialized.
 
 Type introspection and the canonical child ordering live in
 :mod:`repro.core.state.introspect`, shared with the fingerprint and
@@ -58,6 +60,7 @@ __all__ = [
     "graphs_equal",
     "graph_diff",
     "graph_diff_all",
+    "graph_diff_live",
     "GraphDifference",
     "SCALAR_TYPES",
     "is_scalar",
@@ -313,6 +316,25 @@ def graph_diff(a: ObjectGraph, b: ObjectGraph) -> Optional[GraphDifference]:
     return differences[0] if differences else None
 
 
+def graph_diff_live(
+    before: ObjectGraph,
+    label_values: Iterable[Tuple[Any, Any]],
+    *,
+    ignore_attrs: Optional[Callable[[str], bool]] = None,
+) -> Optional[GraphDifference]:
+    """First difference between *before* and the live state of several
+    labeled roots, or None if equal.
+
+    Returns exactly what ``graph_diff(before, capture_frame(label_values))``
+    returns, but reads the after side straight from the live objects, so
+    no after-graph is ever built (Definition 2 needs only the graph
+    *before* the call).  The walk stops at the first difference.
+    """
+    view = _LiveView(label_values, ignore_attrs or default_ignore)
+    differences = _diff_walk(before, view, 1)
+    return differences[0] if differences else None
+
+
 def graph_diff_all(
     a: ObjectGraph, b: ObjectGraph, *, limit: int = 10
 ) -> List[GraphDifference]:
@@ -323,86 +345,179 @@ def graph_diff_all(
     report shows every independently corrupted region — useful when
     deciding whether a non-atomic method has one defect or several.
     """
-    differences: List[GraphDifference] = []
-    # Parallel BFS maintaining a bijection between mutable node ids.
-    a_to_b: Dict[int, int] = {}
-    b_to_a: Dict[int, int] = {}
-    queue: List[Tuple[int, int, str]] = [(a.root, b.root, "")]
+    return _diff_walk(a, _GraphView(b), limit)
 
-    def note(path: str, reason: str) -> bool:
+
+class _GraphView:
+    """The after side of a diff, read from a materialized graph.
+
+    A view answers three questions about a handle (here a node id): its
+    sharing key (None for a scalar leaf, which is never shared), its
+    ``(kind, type_name, value)``, and its labeled edges.
+    """
+
+    __slots__ = ("_nodes", "root")
+
+    def __init__(self, graph: ObjectGraph) -> None:
+        self._nodes = graph.nodes
+        self.root: Any = graph.root
+
+    def key(self, node_id: int) -> Optional[int]:
+        return None if self._nodes[node_id].kind == KIND_SCALAR else node_id
+
+    def describe(self, node_id: int) -> Tuple[str, str, Any]:
+        node = self._nodes[node_id]
+        return node.kind, node.type_name, node.value
+
+    def edges(self, node_id: int, kind: str) -> List[Tuple[Tuple[str, Any], Any]]:
+        return self._nodes[node_id].edges
+
+
+class _LiveView:
+    """The after side of a diff, read from live objects.
+
+    Each object reads exactly as :class:`_Capturer` would record it, and
+    a handle is the object itself.  The root is a synthetic frame whose
+    ``("slot", key)`` edges lead to the labeled roots; sharing is keyed
+    by ``id()``, which stays unique because the walk keeps every object
+    it maps alive until it ends.
+    """
+
+    __slots__ = ("root", "_frame_edges", "_ignore_attrs")
+
+    def __init__(
+        self,
+        label_values: Iterable[Tuple[Any, Any]],
+        ignore_attrs: Callable[[str], bool],
+    ) -> None:
+        self.root: Any = object()
+        self._frame_edges = [(("slot", key), value) for key, value in label_values]
+        self._ignore_attrs = ignore_attrs
+
+    def key(self, obj: Any) -> Optional[int]:
+        return None if isinstance(obj, SCALAR_TYPES) else id(obj)
+
+    def describe(self, obj: Any) -> Tuple[str, str, Any]:
+        if isinstance(obj, SCALAR_TYPES):  # is_scalar, inlined: the hot case
+            return KIND_SCALAR, type(obj).__name__, obj
+        if obj is self.root:
+            return KIND_FRAME, "<frame>", None
+        if is_opaque(obj):
+            return KIND_OPAQUE, type(obj).__name__, opaque_token(obj)
+        kind = kind_of(obj)
+        if kind == KIND_BYTEARRAY:
+            return kind, type_name(obj), bytes(obj)
+        return kind, type_name(obj), None
+
+    def edges(self, obj: Any, kind: str) -> List[Tuple[Tuple[str, Any], Any]]:
+        if obj is self.root:
+            return self._frame_edges
+        if kind in (KIND_OPAQUE, KIND_BYTEARRAY):
+            return []
+        return list(iter_children(obj, kind, self._ignore_attrs))
+
+
+#: A walk position's path: ``None`` at the root, else ``(parent, label)``.
+_Trail = Optional[Tuple[Any, Tuple[str, Any]]]
+
+
+def _diff_walk(a: ObjectGraph, view: Any, limit: int) -> List[GraphDifference]:
+    """The one diff walker: *a* against the after side that *view* reads.
+
+    A depth-first walk keeps a bijection between *a*'s mutable node ids
+    and the view's sharing keys.  A mismatching pair is not descended
+    into; the walk stops once *limit* differences are collected.  Paths
+    are rendered from the parent trail only when a difference is noted.
+    """
+    differences: List[GraphDifference] = []
+    a_nodes = a.nodes
+    key_of, describe, edges_of = view.key, view.describe, view.edges
+    a_to_b: Dict[int, Any] = {}
+    # The view's mapped sharing keys, each with its handle: holding the
+    # handle keeps a live object, and so its id(), alive for the walk.
+    b_mapped: Dict[Any, Any] = {}
+    stack: List[Tuple[int, Any, _Trail]] = [(a.root, view.root, None)]
+
+    def note(trail: _Trail, reason: str) -> bool:
         """Record a difference; return True when the limit is reached."""
-        differences.append(GraphDifference(path, reason))
+        differences.append(GraphDifference(_trail_path(trail), reason))
         return len(differences) >= limit
 
-    while queue:
-        na_id, nb_id, path = queue.pop()
-        na = a.nodes[na_id]
-        nb = b.nodes[nb_id]
-        if na.kind == KIND_SCALAR or nb.kind == KIND_SCALAR:
-            diff = _compare_scalars(na, nb, path)
-            if diff is not None and note(diff.path, diff.reason):
+    while stack:
+        a_id, handle, trail = stack.pop()
+        na = a_nodes[a_id]
+        b_key = key_of(handle)
+        if b_key is None or na.kind == KIND_SCALAR:
+            reason = _scalar_reason(na, *describe(handle))
+            if reason is not None and note(trail, reason):
                 return differences
             continue
-        mapped = a_to_b.get(na_id)
+        mapped = a_to_b.get(a_id)
         if mapped is not None:
-            if mapped != nb_id and note(path, "sharing structure differs"):
+            if mapped != b_key and note(trail, "sharing structure differs"):
                 return differences
             continue  # already compared through another path
-        if nb_id in b_to_a:
-            if note(path, "sharing structure differs"):
+        if b_key in b_mapped:
+            if note(trail, "sharing structure differs"):
                 return differences
             continue
-        a_to_b[na_id] = nb_id
-        b_to_a[nb_id] = na_id
-        if na.kind != nb.kind:
-            if note(path, f"kind {na.kind} != {nb.kind}"):
+        a_to_b[a_id] = b_key
+        b_mapped[b_key] = handle
+        kind, tname, value = describe(handle)
+        if na.kind != kind:
+            if note(trail, f"kind {na.kind} != {kind}"):
                 return differences
             continue
-        if na.type_name != nb.type_name:
-            if note(path, f"type {na.type_name} != {nb.type_name}"):
+        if na.type_name != tname:
+            if note(trail, f"type {na.type_name} != {tname}"):
                 return differences
             continue
-        if na.kind in (KIND_OPAQUE, KIND_BYTEARRAY) and na.value != nb.value:
-            if note(path, f"value {na.value!r} != {nb.value!r}"):
+        if kind in (KIND_OPAQUE, KIND_BYTEARRAY) and na.value != value:
+            if note(trail, f"value {na.value!r} != {value!r}"):
                 return differences
             continue
-        if len(na.edges) != len(nb.edges):
-            if note(
-                path, f"child count {len(na.edges)} != {len(nb.edges)}"
-            ):
+        a_edges = na.edges
+        b_edges = edges_of(handle, kind)
+        if len(a_edges) != len(b_edges):
+            if note(trail, f"child count {len(a_edges)} != {len(b_edges)}"):
                 return differences
             continue
-        labels_match = True
-        for (label_a, _), (label_b, _) in zip(na.edges, nb.edges):
+        children = []
+        for (label_a, child_a), (label_b, child_b) in zip(a_edges, b_edges):
             if label_a != label_b:
-                labels_match = False
                 # safe_repr: a dict-key label embeds the raw key object,
                 # whose __repr__ may raise — the diff must not.
                 if note(
-                    path,
+                    trail,
                     f"edge label {safe_repr(label_a)} != {safe_repr(label_b)}",
                 ):
                     return differences
                 break
-        if not labels_match:
-            continue
-        for (label_a, child_a), (_, child_b) in zip(na.edges, nb.edges):
-            queue.append(
-                (child_a, child_b, f"{path}/{label_a[0]}={safe_repr(label_a[1])}")
-            )
+            children.append((child_a, child_b, (trail, label_a)))
+        else:
+            stack.extend(children)
     return differences
 
 
-def _compare_scalars(
-    na: GraphNode, nb: GraphNode, path: str
-) -> Optional[GraphDifference]:
-    if na.kind != nb.kind:
-        return GraphDifference(path, f"kind {na.kind} != {nb.kind}")
-    if na.type_name != nb.type_name:
-        return GraphDifference(path, f"type {na.type_name} != {nb.type_name}")
-    va, vb = na.value, nb.value
+def _trail_path(trail: _Trail) -> str:
+    parts: List[str] = []
+    while trail is not None:
+        trail, label = trail
+        parts.append(f"/{label[0]}={safe_repr(label[1])}")
+    parts.reverse()
+    return "".join(parts)
+
+
+def _scalar_reason(
+    na: GraphNode, kind: str, tname: str, value: Any
+) -> Optional[str]:
+    if na.kind != kind:
+        return f"kind {na.kind} != {kind}"
+    if na.type_name != tname:
+        return f"type {na.type_name} != {tname}"
+    va = na.value
     # bool is an int subclass; type_name already separated them.  NaN is
     # deliberately equal to itself here: the *state* did not change.
-    if va != vb and not (va != va and vb != vb):
-        return GraphDifference(path, f"value {va!r} != {vb!r}")
+    if va != value and not (va != va and value != value):
+        return f"value {va!r} != {value!r}"
     return None

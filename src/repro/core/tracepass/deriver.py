@@ -14,16 +14,17 @@ So the program state at the moment point *p* (belonging to wrapper entry
 reference execution — no later statement has run yet.  The mark an
 enclosing wrapper *W* would record in run *p* is therefore::
 
-    diff(capture(W's roots at W's entry), capture(W's roots at E's entry))
+    diff(capture(W's roots at W's entry), W's roots at E's entry)
 
-both of which this pass captures during the ONE profiling run.  The
-trace-derived record for *p* is then
+both sides of which this pass sees during the ONE profiling run: it
+captures *W*'s roots at *W*'s entry and, at *E*'s entry, walks the live
+roots against that capture.  The trace-derived record for *p* is then
 
 * one mark per genuine exception that escaped a wrapped call *before*
   *E* in the trace (the "ambient" marks — a dynamic run for *p* replays
   those failures identically and records the identical verdicts, since
-  the dynamic after-capture happens at the same program moment as this
-  pass's escape-time recapture), in chronological order, followed by
+  the dynamic run compares at the same program moment as this pass's
+  escape-time comparison), in chronological order, followed by
 * one mark per enclosing wrapper of *E*, innermost first (propagation
   order of the injected exception).
 
@@ -47,12 +48,12 @@ construction, never by luck.  Verdicts come in three flavors:
 * **zero-writes fast path** — the receiver's reachable state was
   barrier-covered at *W*'s entry (:func:`~.recorder.barrier_covered`)
   and the :class:`~.recorder.TraceRecorder` sequence is unchanged:
-  atomic without a recapture;
-* **recapture-equal** — the graph recapture at *E*'s entry equals *W*'s
-  entry capture: atomic (this is how handler-compensated writes — state
+  atomic without a comparison;
+* **live-equal** — the live roots at *E*'s entry equal *W*'s entry
+  capture: atomic (this is how handler-compensated writes — state
   restored by a finally/except block before the exception crossed *W* —
   are recognized as atomic, exactly as a dynamic run would);
-* **recapture-differs** — an unreversed write precedes the point:
+* **live-differs** — an unreversed write precedes the point:
   non-atomic, with the same ``GraphDifference`` string a dynamic run
   under the graph backend would record.
 
@@ -68,7 +69,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analyzer import MethodSpec
 from ..exceptions import is_injected, make_injected
@@ -88,6 +89,10 @@ PROVENANCE_TRACE = "trace"
 
 #: A derived mark: (method key, verdict, difference-or-None).
 _MarkTuple = Tuple[Any, str, Optional[str]]
+
+#: What :meth:`TraceDeriver._within_budget` returns when even the doubled
+#: budget is exceeded.
+_OVER_BUDGET = object()
 
 
 @dataclass
@@ -155,7 +160,7 @@ class TraceDeriver:
         #: observed after it is undecidable (rule R5).
         self._ambient: List[Optional[_MarkTuple]] = []
         self._probe: Dict[type, bool] = {}
-        #: How often the adaptive budget lift re-captured after a
+        #: How often the adaptive budget lift retried after a
         #: CaptureLimitError (telemetry ``trace_capture_retries``).
         self.capture_retries = 0
         self.seconds = time.perf_counter() - started
@@ -291,7 +296,20 @@ class TraceDeriver:
         )
 
     def _capture(self, roots) -> Any:
-        """Graph capture under suspension; None when over budget.
+        """Graph capture under suspension; None when over budget."""
+        capture = self._within_budget(
+            lambda budget: self._graph.capture_frame(
+                roots,
+                ignore_attrs=self.campaign.ignore_attrs,
+                max_nodes=budget,
+                stats=self.stats,
+            )
+        )
+        return None if capture is _OVER_BUDGET else capture
+
+    def _within_budget(self, verb: Callable[[Optional[int]], Any]) -> Any:
+        """``verb(budget)`` under suspension; ``_OVER_BUDGET`` when the
+        state exceeds the budget.
 
         Budget overruns retry once with a doubled budget (the adaptive
         lift of ROADMAP item 1): the deriver's captures exist only to
@@ -303,23 +321,13 @@ class TraceDeriver:
         budget = self.campaign.max_graph_nodes
         with self.campaign.suspend():
             try:
-                return self._graph.capture_frame(
-                    roots,
-                    ignore_attrs=self.campaign.ignore_attrs,
-                    max_nodes=budget,
-                    stats=self.stats,
-                )
+                return verb(budget)
             except CaptureLimitError:
                 self.capture_retries += 1
                 try:
-                    return self._graph.capture_frame(
-                        roots,
-                        ignore_attrs=self.campaign.ignore_attrs,
-                        max_nodes=budget * 2,
-                        stats=self.stats,
-                    )
+                    return verb(budget * 2)
                 except CaptureLimitError:
-                    return None
+                    return _OVER_BUDGET
 
     def _verdict(self, entry: _ActiveEntry) -> Optional[_MarkTuple]:
         """The mark *entry*'s wrapper would record if an exception
@@ -333,11 +341,17 @@ class TraceDeriver:
             and self.recorder.sequence == entry.write_seq
         ):
             return (entry.spec.key, ATOMIC, None)
-        now = self._capture(entry.roots)
-        if now is None:
+        difference = self._within_budget(
+            lambda budget: self._graph.diff_live(
+                entry.capture,
+                entry.roots,
+                ignore_attrs=self.campaign.ignore_attrs,
+                max_nodes=budget,
+                stats=self.stats,
+            )
+        )
+        if difference is _OVER_BUDGET:
             return None
-        with self.campaign.suspend():
-            difference = self._graph.diff(entry.capture, now, stats=self.stats)
         if difference is None:
             return (entry.spec.key, ATOMIC, None)
         return (entry.spec.key, NONATOMIC, str(difference))
@@ -371,7 +385,7 @@ class TraceDeriver:
             for entry in reversed(self._stack):  # innermost first
                 mark = self._verdict(entry)
                 if mark is None:
-                    reason = "capture"  # R3: entry capture/recapture failed
+                    reason = "capture"  # R3: a capture went over budget
                     break
                 marks.append(mark)
         self.spans.append(

@@ -22,7 +22,7 @@ a barriered class.  Any mutation of a covered root set must pass
 through the barrier, so "no events recorded since entry" is then a
 sound proof that the reachable state is unchanged.  Root sets that a
 stray list or foreign object makes uncoverable simply fall back to a
-state recapture, which is sound unconditionally.
+state comparison, which is sound unconditionally.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ rather than files on disk: the fuzz builder ``exec``'s the source a
 :class:`~repro.fuzz.spec.ProgramSpec` renders to, and the variant
 builder ``exec``'s transformed module sources.  Downstream passes then
 read that source back through the ordinary ``inspect`` machinery — the
-static purity scan parses method bodies, the transparency index
-certifies suspended lines, and tracebacks want real lines — so every
-generated module must be registered with :mod:`linecache` under its
-synthetic ``<...>`` filename.
+trace pass's transparency index certifies suspended lines, and
+tracebacks want real lines — so every generated module must be
+registered with :mod:`linecache` under its synthetic ``<...>``
+filename.
 
 :func:`register_virtual_source` is the one shared way to do that.  The
 angle-bracket convention matters: ``inspect.getsource`` only consults

@@ -47,7 +47,7 @@ from repro.core.detector import DetectionResult, Detector
 from repro.core.exceptions import InjectionAbort
 from repro.core.masking import make_atomicity_wrapper
 from repro.core.policy import select_methods_to_wrap
-from repro.core.state import capture_frame, graph_diff, graphs_equal
+from repro.core.state import capture_frame, graph_diff_live
 from repro.core.runlog import MethodKey
 from repro.core.weaver import Weaver
 
@@ -128,8 +128,9 @@ def _make_graph_checker(spec, records: List[GraphCheck]):
     Woven *between* the atomicity wrapper (inner) and the injection
     wrapper (outer), it captures the receiver's graph on entry and, when
     an exception unwinds through it — i.e. after the atomicity wrapper's
-    rollback ran — captures again and records whether the graphs match.
-    It adds no injection points and never swallows the exception.
+    rollback ran — compares that graph with the live receiver and records
+    whether they match.  It adds no injection points and never swallows
+    the exception.
     """
     original = spec.func
     has_receiver = spec.has_receiver
@@ -139,19 +140,18 @@ def _make_graph_checker(spec, records: List[GraphCheck]):
         receiver = args[0] if has_receiver and args else None
         if receiver is None:
             return original(*args, **kwargs)
-        before = capture_frame([("self", receiver)])
+        roots = [("self", receiver)]
+        before = capture_frame(roots)
         try:
             return original(*args, **kwargs)
         except InjectionAbort:
             raise
         except BaseException:
-            after = capture_frame([("self", receiver)])
-            if graphs_equal(before, after):
+            difference = graph_diff_live(before, roots)
+            if difference is None:
                 records.append(GraphCheck(spec.key, True))
             else:
-                records.append(
-                    GraphCheck(spec.key, False, str(graph_diff(before, after)))
-                )
+                records.append(GraphCheck(spec.key, False, str(difference)))
             raise
 
     check_m._repro_wrapped = original  # type: ignore[attr-defined]

@@ -213,7 +213,7 @@ def test_nonatomic_verdict_is_derivable():
     # Injecting into read_balance while mutate_then_call's half-done
     # mutation is on the stack: the trace pass derives the NONATOMIC
     # mark by diffing the enclosing wrapper's entry capture against the
-    # recapture at the inner entry.
+    # live state at the inner entry.
     traced = _campaign([Ledger], _ledger_body, trace_derive=True)
     derived_nonatomic = [
         record
@@ -269,9 +269,9 @@ def test_baseline_run_is_never_derived():
 
 def test_recorder_fast_path_skips_recaptures():
     # Counter's reachable state is scalar-only, so with the recorder the
-    # enclosing wrapper's verdict needs no recapture: entry coverage +
-    # unchanged sequence proves atomicity.  Without a recorder the same
-    # verdict costs an extra capture + diff.
+    # enclosing wrapper's verdict needs no state comparison: entry
+    # coverage + unchanged sequence proves atomicity.  Without a recorder
+    # the same verdict costs a comparison against the live state.
     def body():
         Counter().outer()
 
@@ -311,7 +311,7 @@ def test_recorder_fast_path_skips_recaptures():
     assert any(
         (mark[1] == ATOMIC) for record in marks.values() for mark in record
     )
-    assert fast.stats.captures < slow.stats.captures
+    assert fast.stats.compares < slow.stats.compares
 
 
 def test_sourceless_workload_is_undecidable_with_reason():
