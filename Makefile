@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow bench bench-smoke bench-state bench-trace bench-trace-full bench-variants bench-shard bench-resilience engine-smoke chaos-smoke fuzz-smoke fuzz-trace-smoke fuzz-variant-smoke golden-check docs-check reproduce examples clean
+.PHONY: install test test-slow bench bench-smoke bench-fig5 bench-state bench-trace bench-trace-full bench-variants bench-shard bench-resilience engine-smoke chaos-smoke fuzz-smoke fuzz-trace-smoke fuzz-variant-smoke golden-check docs-check reproduce examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -24,6 +24,16 @@ bench:
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_parallel_campaign.py --benchmark-only -s
+
+# Figure 5's shape on the full grid (overhead grows with the wrapped-call
+# ratio and with the checkpointed object's size, and is negligible when
+# almost no call is wrapped) plus the Section 6.2 ablation (the undo log
+# beats the eager checkpoint at 1,024 fields and grows less with size).
+# Guards the shape of the masking-overhead curves whenever the checkpoint
+# gets faster.
+bench-fig5:
+	$(PYTHON) -m pytest benchmarks/bench_fig5.py \
+		benchmarks/bench_ablation_cow.py --benchmark-only -s
 
 # Graph vs fingerprint state backend on the Figure-5 detection sweep.
 # Smoke budget in CI (REPRO_BENCH_SMOKE=1 skips the >=2x assertion, which

@@ -25,8 +25,17 @@ Objects created after the checkpoint become unreachable after restore and
 are reclaimed by Python's garbage collector; this subsumes the reference
 counting / GC discussion in Section 5.1 of the paper.
 
-Type introspection is shared with the other state backends via
-:mod:`repro.core.state.introspect`.
+Every atomicity wrapper pays for a checkpoint on every call, so the
+traversal visits each reachable object once: one step saves its record
+and returns its children, read from the copies it has just saved.  A run
+of children that are all exact scalars (a list of ints, say) is skipped
+in one C-level pass instead of being pushed and popped one by one.
+
+The scalar, opaque and slot answers are shared with the other state
+backends via :mod:`repro.core.state.introspect`; the children are not
+read through ``iter_children``, but the traversal must reach the objects
+a graph capture reaches, ``defaultdict.default_factory`` and the
+attributes of tuple and frozenset subclasses included.
 """
 
 from __future__ import annotations
@@ -34,7 +43,13 @@ from __future__ import annotations
 import collections as _collections
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from .introspect import default_ignore, is_opaque, is_scalar, slot_names
+from .introspect import (
+    SCALAR_TYPES,
+    default_ignore,
+    is_opaque,
+    is_scalar,
+    slot_names,
+)
 
 __all__ = [
     "Checkpoint",
@@ -73,7 +88,17 @@ _KIND_SET = "set"
 _KIND_DEQUE = "deque"
 _KIND_BYTEARRAY = "bytearray"
 _KIND_OBJECT = "object"
-_KIND_IMMUTABLE = "immutable"  # tuples/frozensets: traversed, not restored
+_KIND_IMMUTABLE = "immutable"  # tuple/frozenset subclasses: attributes only
+
+#: Exact scalar types.  A group of children made only of these is skipped
+#: by one C-level pass (``issuperset(map(type, group))``) instead of being
+#: pushed and popped one by one; a subclass of a scalar type is not in the
+#: set, so it still reaches :func:`is_scalar`.
+_SCALAR_EXACT = frozenset(SCALAR_TYPES)
+
+#: Exact builtin containers: they carry no attribute state, so neither
+#: ``__dict__`` nor ``__slots__`` is read.
+_BARE_CONTAINERS = frozenset((list, dict, set, _collections.deque))
 
 
 class Checkpoint:
@@ -118,49 +143,69 @@ class Checkpoint:
                 raise CheckpointError(
                     f"reachable state exceeds {self._max_objects} objects"
                 )
-            record = self._make_record(current)
+            record, groups = self._visit(current)
             self._seen[oid] = record
             self._pins.append(current)
             if record is not None:
                 self._records.append(record)
-            stack.extend(self._children(current))
+            for group in groups:
+                if not _SCALAR_EXACT.issuperset(map(type, group)):
+                    stack.extend(group)
 
-    def _make_record(self, obj: Any) -> Optional[_ObjectRecord]:
-        """Build the restore record for one object.
+    def _visit(
+        self, obj: Any
+    ) -> Tuple[Optional[_ObjectRecord], Tuple[Iterable[Any], ...]]:
+        """Build *obj*'s restore record; return it with *obj*'s children.
 
-        Container *subclasses* are recorded as (items, attribute state)
-        pairs so both their contents and any extra instance attributes
-        are rolled back.
+        The children come in groups read from the shallow copies the record
+        has just saved: the items (a dict's keys, then its values), then
+        the attribute values.  A set's members are read from the live set,
+        whose iteration order its copy need not share.  Container
+        *subclasses* are recorded as (items, attribute state) pairs so both
+        their contents and any extra instance attributes are rolled back.
         """
-        if isinstance(obj, (tuple, frozenset)):
-            return None  # immutable: traversed for children, never restored
-        if isinstance(obj, list):
-            return _ObjectRecord(
-                obj, _KIND_LIST, (list(obj), self._subclass_state(obj))
-            )
-        if isinstance(obj, dict):
-            return _ObjectRecord(
-                obj, _KIND_DICT, (dict(obj), self._subclass_state(obj))
-            )
-        if isinstance(obj, set):
-            return _ObjectRecord(
-                obj, _KIND_SET, (set(obj), self._subclass_state(obj))
-            )
-        if isinstance(obj, _collections.deque):
-            return _ObjectRecord(
-                obj, _KIND_DEQUE, (list(obj), self._subclass_state(obj))
-            )
+        cls = type(obj)
+        if cls is tuple or cls is frozenset:
+            return None, (obj,)  # immutable, no attributes: never restored
         if isinstance(obj, bytearray):
-            return _ObjectRecord(obj, _KIND_BYTEARRAY, bytes(obj))
-        return _ObjectRecord(obj, _KIND_OBJECT, self._object_state(obj))
+            return _ObjectRecord(obj, _KIND_BYTEARRAY, bytes(obj)), ()
+        if cls in _BARE_CONTAINERS:
+            attrs, children = None, ()
+        else:
+            attrs = self._attr_state(obj)
+            dict_copy, slot_values = attrs
+            children = (
+                () if dict_copy is None else dict_copy.values(),
+                [value for _, value in slot_values if value is not _UNSET],
+            )
+        if isinstance(obj, (list, _collections.deque)):
+            items = list(obj)
+            kind = _KIND_LIST if isinstance(obj, list) else _KIND_DEQUE
+            record = _ObjectRecord(obj, kind, (items, attrs))
+            return record, (items,) + children
+        if isinstance(obj, dict):
+            items = dict(obj)
+            record = _ObjectRecord(obj, _KIND_DICT, (items, attrs))
+            return record, (items.keys(), items.values()) + children
+        if isinstance(obj, set):
+            record = _ObjectRecord(obj, _KIND_SET, (set(obj), attrs))
+            return record, (obj,) + children
+        if isinstance(obj, (tuple, frozenset)):
+            if dict_copy is None and not slot_values:
+                return None, (obj,) + children  # e.g. a namedtuple
+            record = _ObjectRecord(obj, _KIND_IMMUTABLE, attrs)
+            return record, (obj,) + children
+        return _ObjectRecord(obj, _KIND_OBJECT, attrs), children
 
-    def _subclass_state(self, obj: Any):
-        """Attribute state of a container subclass (None for builtins)."""
-        if type(obj).__module__ == "builtins" and not hasattr(obj, "__dict__"):
-            return None
-        return self._object_state(obj)
+    def _attr_state(
+        self, obj: Any
+    ) -> Tuple[Optional[dict], List[Tuple[str, Any]]]:
+        """``(copy of __dict__ or None, [(slot, value or _UNSET)])``.
 
-    def _object_state(self, obj: Any) -> Tuple[Optional[dict], List[Tuple[str, Any]]]:
+        A ``defaultdict``'s ``default_factory`` is state too (the graph
+        capture yields it as an attribute), so it is saved and restored
+        like a slot.
+        """
         obj_dict = getattr(obj, "__dict__", None)
         dict_copy = None
         if isinstance(obj_dict, dict):
@@ -172,29 +217,9 @@ class Checkpoint:
             if self._ignore_attrs(name):
                 continue
             slot_values.append((name, getattr(obj, name, _UNSET)))
+        if isinstance(obj, _collections.defaultdict):
+            slot_values.append(("default_factory", obj.default_factory))
         return (dict_copy, slot_values)
-
-    def _children(self, obj: Any) -> List[Any]:
-        children: List[Any] = []
-        if isinstance(obj, (list, tuple, set, frozenset, _collections.deque)):
-            children.extend(obj)
-        elif isinstance(obj, dict):
-            children.extend(obj.keys())
-            children.extend(obj.values())
-        elif isinstance(obj, bytearray):
-            return []
-        obj_dict = getattr(obj, "__dict__", None)
-        if isinstance(obj_dict, dict):
-            children.extend(
-                v for k, v in obj_dict.items() if not self._ignore_attrs(k)
-            )
-        for name in slot_names(type(obj)):
-            if self._ignore_attrs(name):
-                continue
-            value = getattr(obj, name, _UNSET)
-            if value is not _UNSET:
-                children.append(value)
-        return children
 
     # -- restore -----------------------------------------------------
 
@@ -227,7 +252,7 @@ class Checkpoint:
         elif kind == _KIND_BYTEARRAY:
             obj[:] = state
             return
-        else:
+        else:  # an object, or the attributes of an immutable subclass
             self._restore_object(obj, state)
             return
         if attrs is not None:

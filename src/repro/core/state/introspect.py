@@ -19,6 +19,14 @@ iteration order in :func:`iter_children` is the single source of truth:
 the fingerprint of a value equals the fingerprint of another value if and
 only if their captured object graphs are equal, *because* both traversals
 share this code.
+
+The checkpoint does not use :func:`iter_children`: it reads each
+object's children from the shallow copies it saves, in one pass per
+object, and needs no canonical order.  It must still reach the same
+objects (``default_factory`` and the attributes of container subclasses
+included), or a restore would leave captured state changed;
+``tests/core/state/test_checkpoint_roundtrip.py`` checks that a restore
+returns random graphs to the state a capture recorded.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ the checkpoint — a silent false-atomic verdict.  These tests pin the
 isinstance-based handling.
 """
 
-from collections import OrderedDict, defaultdict, deque
+from collections import OrderedDict, defaultdict, deque, namedtuple
 
 import pytest
 
@@ -107,9 +107,10 @@ def test_restore_defaultdict():
     saved = checkpoint(dd)
     dd["k"].append(2)
     dd["fresh"].append(9)
+    dd.default_factory = set
     saved.restore()
     assert dict(dd) == {"k": [1]}
-    assert dd.default_factory is list  # factory untouched
+    assert dd.default_factory is list  # the factory is state, like capture's
 
 
 def test_restore_list_subclass_items_and_attrs():
@@ -132,6 +133,27 @@ def test_restore_dict_subclass():
     saved.restore()
     assert dict(ad) == {"x": 1}
     assert ad.note == "mine"
+
+
+def test_restore_tuple_subclass_attributes():
+    class TaggedTuple(tuple):
+        pass
+
+    tagged = TaggedTuple((1, [2]))
+    tagged.tag = "x"
+    before = capture(tagged)
+    saved = checkpoint(tagged)
+    tagged.tag = "y"
+    tagged.extra = 1
+    tagged[1].append(3)
+    saved.restore()
+    assert graphs_equal(before, capture(tagged))
+    assert saved.recorded_count == 2  # the tuple's attributes, the list
+
+
+def test_namedtuple_gets_no_record():
+    point = namedtuple("Point", "x y")(1, [2])
+    assert checkpoint(point).recorded_count == 1  # the list only
 
 
 def test_restore_nested_deque_in_object():
