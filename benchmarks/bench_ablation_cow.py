@@ -4,6 +4,8 @@ Section 6.2 of the paper suggests copy-on-write mechanisms to speed up
 checkpointing of very large objects.  This bench compares the eager
 deep-copy checkpoint against the write-barrier undo log across object
 sizes: the eager overhead grows with size, the undo log's stays flat.
+Both time the same masking wrapper, under its ``snapshot`` and
+``undolog`` checkpoint strategies.
 """
 
 from __future__ import annotations
@@ -30,17 +32,16 @@ def bench_ablation_cow(benchmark):
     assert undolog[1024] < eager[1024]
     assert undolog[1024] / undolog[4] < eager[1024] / eager[4]
 
-    from repro.core.cow import (
-        failure_atomic_undolog,
-        install_write_barrier,
-        remove_write_barrier,
-    )
+    from repro.core.masking import failure_atomic, get_strategy
     from repro.experiments.fig5 import SyntheticService
 
-    install_write_barrier(SyntheticService)
+    undolog = get_strategy("undolog")
+    undolog.cover([SyntheticService])
     try:
         service = SyntheticService(1024)
-        wrapped = failure_atomic_undolog(SyntheticService.step)
+        wrapped = failure_atomic(
+            SyntheticService.step, checkpoint_args=False, strategy="undolog"
+        )
         benchmark(lambda: wrapped(service, 7))
     finally:
-        remove_write_barrier(SyntheticService)
+        undolog.uncover([SyntheticService])

@@ -39,8 +39,9 @@ def bench_fig5(benchmark):
     assert grid[(sizes[0], ratios[1])] < grid[(sizes[0], 1.0)] / 2
 
     # the benchmarked unit: one masked call on a mid-size object
-    from repro.experiments.fig5 import SyntheticService, _wrapped_step
+    from repro.core.masking import failure_atomic
+    from repro.experiments.fig5 import SyntheticService
 
     service = SyntheticService(64)
-    wrapped = _wrapped_step("eager")
+    wrapped = failure_atomic(SyntheticService.step, checkpoint_args=False)
     benchmark(lambda: wrapped(service, 7))

@@ -52,6 +52,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core import WrapPolicy, format_run_provenance, render_bars
+from repro.core.masking import STRATEGIES
 from repro.core.policy import select_methods_to_wrap
 
 __all__ = ["main", "build_parser", "load_policy"]
@@ -623,10 +624,10 @@ def _add_trace_derive_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_state_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.core.state import DETECTION_BACKENDS
+    from repro.core.state import BACKENDS
 
     parser.add_argument(
-        "--state-backend", choices=DETECTION_BACKENDS, default="graph",
+        "--state-backend", choices=tuple(BACKENDS), default="graph",
         help="how campaigns compare before/after state (default: graph): "
              "full object-graph isomorphism (graph, the reference) or "
              "one-pass 128-bit digests with a graph fallback for "
@@ -791,10 +792,11 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--policy", help="JSON policy file")
     validate.add_argument("--wrap-conditional", action="store_true")
     validate.add_argument(
-        "--strategy", choices=("snapshot", "undolog"), default="snapshot",
-        help="checkpoint strategy for the masked re-detection: eager deep "
-             "copy (snapshot) or write-barrier undo log (undolog; only "
-             "sound for attribute-reassignment state)")
+        "--strategy", choices=tuple(STRATEGIES), default="snapshot",
+        help="checkpoint strategy of the atomicity wrappers during the "
+             "masked re-detection: eager deep copy (snapshot) or an undo "
+             "log fed by a write barrier on every program class (undolog; "
+             "only sound for attribute-reassignment state)")
     _add_state_backend_flag(validate)
     _add_trace_derive_flag(validate)
     validate.set_defaults(func=_cmd_validate)

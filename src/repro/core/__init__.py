@@ -12,13 +12,14 @@ Public API map (mirrors the phases of the paper, Figure 1):
 * Classification — :func:`classify` (Definition 3: atomic / conditional /
   pure failure non-atomic).
 * Steps 4–5 — :class:`Masker` / :func:`failure_atomic` weave atomicity
-  wrappers; :class:`WrapPolicy` decides what to wrap (Section 4.3).
+  wrappers, checkpointing by a strategy chosen by name (``snapshot`` or
+  ``undolog``); :class:`WrapPolicy` decides what to wrap (Section 4.3).
 * Reporting — :func:`build_app_report` and the ``format_*`` helpers
   reproduce Table 1 and Figures 2–4.
 * State layer — :mod:`repro.core.state` owns all reachable-state
-  concerns (graphs, fingerprints, checkpoints) behind the
-  :class:`StateBackend` protocol; campaigns select a backend by name
-  (``graph``, ``fingerprint``, ``undolog``).
+  concerns (graphs, fingerprints, checkpoints); campaigns compare states
+  through the :class:`StateBackend` selected by name (``graph`` or
+  ``fingerprint``).
 """
 
 from .analyzer import Analyzer, MethodSpec, method_key
@@ -51,12 +52,7 @@ from .exceptions import (
     is_injected,
     throws,
 )
-from .cow import (
-    UndoLog,
-    failure_atomic_undolog,
-    install_write_barrier,
-    remove_write_barrier,
-)
+from .cow import UndoLog, install_write_barrier, remove_write_barrier
 from .harden import HardeningResult, harden
 from .htmlreport import policy_template, render_campaign_html
 from .injection import InjectionCampaign, make_injection_wrapper
@@ -90,7 +86,6 @@ from .state import (
     StateBackend,
     StateFingerprint,
     StateStats,
-    UndoLogBackend,
     capture,
     capture_frame,
     checkpoint,
@@ -123,7 +118,6 @@ __all__ = [
     "StateBackend",
     "GraphBackend",
     "FingerprintBackend",
-    "UndoLogBackend",
     "StateStats",
     "BACKENDS",
     "get_backend",
@@ -201,7 +195,6 @@ __all__ = [
     "HardeningResult",
     # copy-on-write extension
     "UndoLog",
-    "failure_atomic_undolog",
     "install_write_barrier",
     "remove_write_barrier",
     # html reports

@@ -15,12 +15,14 @@ barrier-installed classes are covered.  Mutations of plain containers
 (``list.append`` etc.) bypass the barrier, so the undo-log wrapper is
 only safe for classes whose state lives in attributes of barriered
 objects — exactly the trade-off a production system would document.
+
+The atomicity wrappers that use this log are the masking phase's
+``undolog`` checkpoint strategy (:mod:`repro.core.masking`).
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, List, Tuple
+from typing import Any, List, Tuple
 
 from .state.introspect import slot_names
 
@@ -31,8 +33,6 @@ __all__ = [
     "pop_active_log",
     "push_active_log",
     "remove_write_barrier",
-    "failure_atomic_undolog",
-    "make_undolog_atomicity_wrapper",
 ]
 
 _MISSING = object()
@@ -171,44 +171,3 @@ def remove_write_barrier(cls: type) -> None:
     cls.__delattr__ = vars(cls)[_BARRIER_DELATTR]  # type: ignore[method-assign]
     delattr(cls, _BARRIER_ATTR)
     delattr(cls, _BARRIER_DELATTR)
-
-
-def make_undolog_atomicity_wrapper(spec: Any, *, stats: Any = None) -> Callable:
-    """Spec-based atomicity wrapper backed by the undo log.
-
-    Equivalent to
-    ``make_atomicity_wrapper(spec, stats=stats, backend="undolog")`` and
-    kept as a named entry point for the write-barrier strategy.  ``stats``
-    is a :class:`~repro.core.masking.MaskingStats`; the
-    checkpointed-object count is reported as the number of *recorded
-    writes* rolled back — there is no up-front copy to count, which is
-    the strategy's point.
-    """
-    # Lazy import: masking builds on the state layer, which builds on the
-    # UndoLog defined in this module.
-    from .masking import make_atomicity_wrapper
-
-    return make_atomicity_wrapper(spec, stats=stats, backend="undolog")
-
-
-def failure_atomic_undolog(func: Callable) -> Callable:
-    """Atomicity wrapper backed by the undo log instead of a deep copy.
-
-    The wrapped method's receiver class (and any class it writes to) must
-    have the write barrier installed; writes to other objects are not
-    rolled back.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        log = UndoLog()
-        with log:
-            try:
-                return func(*args, **kwargs)
-            except BaseException:
-                log.rollback()
-                raise
-
-    wrapper._repro_wrapped = func  # type: ignore[attr-defined]
-    wrapper._repro_kind = "atomicity-undolog"  # type: ignore[attr-defined]
-    return wrapper

@@ -13,29 +13,143 @@ atomic for free once their callees are masked, Section 4.3).
 
 :func:`failure_atomic` is the standalone decorator form for programmers
 who want the "checkpoint, execute, roll back on exception" idiom directly.
+
+Every wrapper checkpoints through one of two strategies, chosen by name
+from :data:`STRATEGIES`: ``snapshot`` copies the reachable state eagerly
+(Listing 2's ``deep_copy``), ``undolog`` logs the first write of each
+attribute through a class write barrier (§6.2's copy-on-write, cost
+∝ writes, not object size).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .analyzer import Analyzer, MethodSpec
 from .classify import ClassificationResult
+from .cow import UndoLog, install_write_barrier, remove_write_barrier
 from .policy import WrapPolicy, select_methods_to_wrap
 from .runlog import MethodKey
-from .state import StateBackend, checkpoint, get_backend
+from .state import Checkpoint, checkpoint
 from .state.introspect import is_opaque, is_scalar
 from .weaver import Weaver
 
 __all__ = [
+    "CheckpointStrategy",
+    "STRATEGIES",
+    "get_strategy",
     "MaskingStats",
     "make_atomicity_wrapper",
     "Masker",
     "failure_atomic",
     "atomic_block",
 ]
+
+
+class CheckpointStrategy:
+    """How an atomicity wrapper saves state and rolls it back.
+
+    The base class is the eager ``snapshot`` strategy: :meth:`checkpoint`
+    copies everything reachable from the roots, :meth:`restore` writes
+    it back in place.
+    """
+
+    #: registry name; what ``strategy=`` and ``--strategy`` carry.
+    name = "snapshot"
+    #: ``_repro_kind`` tag stamped on the wrappers using this strategy.
+    kind = "atomicity"
+
+    def cover(self, classes: Iterable[type]) -> None:
+        """Make writes to instances of *classes* restorable."""
+
+    def uncover(self, classes: Iterable[type]) -> None:
+        """Undo :meth:`cover`."""
+
+    def checkpoint(
+        self,
+        roots: List[Any],
+        ignore_attrs: Optional[Callable[[str], bool]],
+        max_objects: Optional[int],
+    ) -> Any:
+        return checkpoint(
+            *roots, ignore_attrs=ignore_attrs, max_objects=max_objects
+        )
+
+    def restore(self, saved: Checkpoint) -> None:
+        saved.restore()
+
+    def commit(self, saved: Any) -> None:
+        """Retire a checkpoint after the call returned (default no-op)."""
+
+    def checkpoint_size(self, saved: Checkpoint) -> int:
+        """Objects recorded *at checkpoint time* (for MaskingStats)."""
+        return saved.recorded_count
+
+    def rollback_size(self, saved: Any) -> int:
+        """Extra objects counted *at rollback time* (for MaskingStats)."""
+        return 0
+
+
+class UndoLogStrategy(CheckpointStrategy):
+    """A :class:`~repro.core.cow.UndoLog` region per call.
+
+    Roots are implicit: the write barrier, installed by :meth:`cover`,
+    routes every attribute write on a covered class into the innermost
+    active log, whatever object it lands on, so a checkpoint copies
+    nothing.  Writes that bypass the barrier — in-place container
+    mutation, or instances of uncovered classes — are not rolled back.
+    """
+
+    name = "undolog"
+    kind = "atomicity-undolog"
+
+    def cover(self, classes: Iterable[type]) -> None:
+        for cls in classes:
+            install_write_barrier(cls)
+
+    def uncover(self, classes: Iterable[type]) -> None:
+        for cls in classes:
+            remove_write_barrier(cls)
+
+    def checkpoint(self, roots, ignore_attrs, max_objects) -> UndoLog:
+        return UndoLog().__enter__()
+
+    def restore(self, saved: UndoLog) -> None:
+        try:
+            saved.rollback()
+        finally:
+            saved.__exit__(None, None, None)
+
+    def commit(self, saved: UndoLog) -> None:
+        # Exiting absorbs the log into any enclosing active log, keeping
+        # nested-region rollback sound (see UndoLog.__exit__).
+        saved.__exit__(None, None, None)
+
+    def checkpoint_size(self, saved: UndoLog) -> int:
+        return 0  # nothing is copied up front — that is the point
+
+    def rollback_size(self, saved: UndoLog) -> int:
+        return saved.recorded_writes
+
+
+#: The masking registry; strategies are stateless, so instances are shared.
+STRATEGIES: Dict[str, CheckpointStrategy] = {
+    strategy.name: strategy
+    for strategy in (CheckpointStrategy(), UndoLogStrategy())
+}
+
+
+def get_strategy(name: str) -> CheckpointStrategy:
+    """Resolve a checkpoint strategy name."""
+    try:
+        return STRATEGIES[name]
+    except KeyError:
+        known = ", ".join(STRATEGIES)
+        raise ValueError(
+            f"unknown checkpoint strategy {name!r} (known: {known})"
+        ) from None
 
 
 @dataclass
@@ -89,7 +203,7 @@ def make_atomicity_wrapper(
     checkpoint_args: bool = True,
     ignore_attrs: Optional[Callable[[str], bool]] = None,
     max_objects: Optional[int] = None,
-    backend: Union[str, StateBackend, None] = None,
+    strategy: str = "snapshot",
 ) -> Callable:
     """Build the atomicity wrapper of Listing 2 for one method.
 
@@ -99,21 +213,18 @@ def make_atomicity_wrapper(
             :class:`~repro.core.state.CheckpointError` *before* the
             method runs (an explicit bound on the paper's "no upper bound
             on the size of objects", §6.2).
-        backend: how to checkpoint and restore — the default (graph)
-            backend copies the reachable state eagerly; the ``undolog``
-            backend records writes through the class's write barrier
-            instead (cost ∝ writes, not object size).
+        strategy: the name of a :data:`STRATEGIES` entry.  Under
+            ``undolog`` the classes the method writes to must be covered
+            (:meth:`CheckpointStrategy.cover`).
     """
     original = spec.func
     has_receiver = spec.has_receiver
-    state = get_backend(backend)
+    state = get_strategy(strategy)
 
     @functools.wraps(original)
     def atomic_m(*args: Any, **kwargs: Any) -> Any:
         roots = _mutable_roots(has_receiver, args, kwargs, checkpoint_args)
-        saved = state.checkpoint(
-            *roots, ignore_attrs=ignore_attrs, max_objects=max_objects
-        )
+        saved = state.checkpoint(roots, ignore_attrs, max_objects)
         if stats is not None:
             stats.note_call(spec.key, state.checkpoint_size(saved))
         try:
@@ -129,7 +240,7 @@ def make_atomicity_wrapper(
 
     atomic_m._repro_wrapped = original  # type: ignore[attr-defined]
     atomic_m._repro_spec = spec  # type: ignore[attr-defined]
-    atomic_m._repro_kind = state.wrapper_kind  # type: ignore[attr-defined]
+    atomic_m._repro_kind = state.kind  # type: ignore[attr-defined]
     return atomic_m
 
 
@@ -141,9 +252,11 @@ class Masker:
             :func:`repro.core.policy.select_methods_to_wrap`.
         stats: optional shared counters.
         analyzer: method discovery; defaults to a fresh :class:`Analyzer`.
+        strategy: the wrappers' checkpoint strategy (:data:`STRATEGIES`);
+            every class handed to :meth:`mask_class` is covered by it.
 
-    The masker is a context manager; on exit it unweaves every wrapper,
-    restoring the original classes.
+    The masker is a context manager; on exit it unweaves every wrapper
+    and uncovers every class, restoring the original classes.
     """
 
     def __init__(
@@ -154,14 +267,15 @@ class Masker:
         analyzer: Optional[Analyzer] = None,
         checkpoint_args: bool = True,
         ignore_attrs: Optional[Callable[[str], bool]] = None,
-        state_backend: Union[str, StateBackend, None] = None,
+        strategy: str = "snapshot",
     ) -> None:
         self.methods = set(methods)
         self.stats = stats if stats is not None else MaskingStats()
         self._checkpoint_args = checkpoint_args
         self._ignore_attrs = ignore_attrs
-        self._backend = get_backend(state_backend)
+        self._strategy = get_strategy(strategy)
         self._weaver = Weaver(self._factory, analyzer)
+        self._covered: List[type] = []
         self.wrapped: List[MethodKey] = []
 
     @classmethod
@@ -181,11 +295,13 @@ class Masker:
             stats=self.stats,
             checkpoint_args=self._checkpoint_args,
             ignore_attrs=self._ignore_attrs,
-            backend=self._backend,
+            strategy=self._strategy.name,
         )
 
     def mask_class(self, cls: type) -> List[MethodKey]:
         """Wrap the selected methods that *cls* defines; return their keys."""
+        self._strategy.cover([cls])
+        self._covered.append(cls)
         analyzer = self._weaver._analyzer
         wanted = [
             spec.name
@@ -224,6 +340,8 @@ class Masker:
 
     def unmask_all(self) -> None:
         self._weaver.unweave_all()
+        self._strategy.uncover(self._covered)
+        self._covered.clear()
         self.wrapped.clear()
 
     def __enter__(self) -> "Masker":
@@ -285,6 +403,7 @@ def failure_atomic(
     checkpoint_args: bool = True,
     ignore_attrs: Optional[Callable[[str], bool]] = None,
     stats: Optional[MaskingStats] = None,
+    strategy: str = "snapshot",
 ) -> Callable:
     """Decorator form of the atomicity wrapper.
 
@@ -296,7 +415,9 @@ def failure_atomic(
             def transfer(self, other, amount): ...
 
     With no parentheses it decorates directly; with keyword arguments it
-    returns a configured decorator.
+    returns a configured decorator.  Under ``strategy="undolog"`` the
+    classes the function writes to must be covered first, e.g.
+    ``STRATEGIES["undolog"].cover([Account])``.
     """
 
     def decorate(target: Callable) -> Callable:
@@ -313,6 +434,7 @@ def failure_atomic(
             stats=stats,
             checkpoint_args=checkpoint_args,
             ignore_attrs=ignore_attrs,
+            strategy=strategy,
         )
 
     if func is not None:

@@ -2,10 +2,13 @@
 
 Everything the pipeline does with object state — materialize it
 (Definition 1), compare it (Definition 2), summarize it, checkpoint it,
-and roll it back (Listing 2's ``deep_copy``/``replace``) — lives behind
-the :class:`StateBackend` protocol defined here.  Consumers select a
-backend by name (``graph``, ``fingerprint``, ``undolog``) and never touch
-the underlying machinery directly.
+and roll it back (Listing 2's ``deep_copy``/``replace``) — lives here.
+Detection compares states through the :class:`StateBackend` protocol,
+selecting a backend by name (``graph`` or ``fingerprint``).  The
+checkpoints here are eager copies; the masking phase
+(:mod:`repro.core.masking`) chooses between them and the undo log of
+:mod:`repro.core.cow`.  The package imports nothing else from
+:mod:`repro.core`.
 
 Submodules:
 
@@ -17,7 +20,7 @@ Submodules:
 * :mod:`~repro.core.state.checkpoint` — eager in-place checkpoints.
 * :mod:`~repro.core.state.fingerprint` — one-pass 128-bit structural
   digests, the fast path for "did the state change?".
-* :mod:`~repro.core.state.backend` — the protocol and its three
+* :mod:`~repro.core.state.backend` — the detection protocol and its two
   implementations.
 """
 
@@ -25,12 +28,10 @@ from __future__ import annotations
 
 from .backend import (
     BACKENDS,
-    DETECTION_BACKENDS,
     FingerprintBackend,
     GraphBackend,
     StateBackend,
     StateStats,
-    UndoLogBackend,
     get_backend,
 )
 from .checkpoint import (
@@ -73,10 +74,8 @@ __all__ = [
     "StateBackend",
     "GraphBackend",
     "FingerprintBackend",
-    "UndoLogBackend",
     "StateStats",
     "BACKENDS",
-    "DETECTION_BACKENDS",
     "get_backend",
     # graph
     "GraphNode",

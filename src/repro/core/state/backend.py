@@ -1,18 +1,17 @@
-"""The :class:`StateBackend` protocol and its three implementations.
+"""The :class:`StateBackend` protocol and its two implementations.
 
-Everything the pipeline ever does with reachable state fits six verbs —
-*fingerprint*, *capture*, *diff*, *diff_live*, *checkpoint*, *restore* —
-plus *commit* for strategies (the undo log) whose checkpoints must be
-explicitly retired.  *diff_live* compares a summary with the state as it
-is now; by default it captures that state and diffs the two summaries.
-A backend packages one coherent strategy for those verbs:
+Detection compares the state a call leaves behind with the state it
+found (Definition 2).  A backend packages one way of doing that in three
+verbs: *capture_frame* summarizes labeled roots, *diff* compares two
+summaries, and *diff_live* compares a summary with the same roots as
+they are now (by default it captures them and diffs the two summaries).
 
 ``GraphBackend``
-    Today's semantics: full materialized :class:`ObjectGraph` snapshots
-    compared by rooted isomorphism, eager :class:`Checkpoint` rollback.
-    The reference implementation every other backend must agree with.
-    Its *diff_live* walks the live objects against the before-graph, so
-    the after-state is never materialized (except under a node budget).
+    Full materialized :class:`ObjectGraph` snapshots compared by rooted
+    isomorphism.  The reference implementation every other backend must
+    agree with.  Its *diff_live* walks the live objects against the
+    before-graph, so the after-state is never materialized (except under
+    a node budget).
 
 ``FingerprintBackend``
     The fast path: state summaries are 128-bit structural digests
@@ -20,17 +19,14 @@ A backend packages one coherent strategy for those verbs:
     compare.  Its :meth:`~StateBackend.diff` is *lossy* — it knows the
     state changed but not where; callers wanting diagnostics fall back
     to a graph-backend re-run (see
-    :func:`repro.core.detector.run_injection_point`).  Checkpointing
-    delegates to the eager checkpoint: digests cannot restore state.
+    :func:`repro.core.detector.run_injection_point`).
 
-``UndoLogBackend``
-    Checkpoints are write-barrier undo logs (cost ∝ writes, not object
-    size); capture/diff delegate to graph semantics since the undo log
-    has no summary representation of its own.
+Checkpointing and rollback (Listing 2) are the masking phase's job: see
+the checkpoint strategies of :mod:`repro.core.masking`.
 
 Backends are selected *by name* everywhere user-facing (CLI flags,
-journal headers, multiprocessing initargs) so the choice is picklable
-and survives ``--resume``.
+fragment headers, service configs) so the choice is picklable and
+survives ``--resume``.
 """
 
 from __future__ import annotations
@@ -39,19 +35,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
-from . import checkpoint as _checkpoint
 from . import fingerprint as _fingerprint
 from . import graph as _graph
-from ..cow import UndoLog
 
 __all__ = [
     "StateBackend",
     "GraphBackend",
     "FingerprintBackend",
-    "UndoLogBackend",
     "StateStats",
     "BACKENDS",
-    "DETECTION_BACKENDS",
     "get_backend",
 ]
 
@@ -60,13 +52,13 @@ __all__ = [
 class StateStats:
     """Counters for where a campaign's state-machinery time goes.
 
-    Accumulated by every consumer that holds a backend (campaigns,
-    maskers) and surfaced through
+    Accumulated by every consumer that holds a backend (campaigns, the
+    trace pass) and surfaced through
     :class:`~repro.core.telemetry.CampaignTelemetry` so ``repro detect``
     can show the capture/compare split before and after a backend swap.
     """
 
-    captures: int = 0  #: full graph captures (and checkpoint captures)
+    captures: int = 0  #: full graph captures
     fingerprints: int = 0  #: one-pass digest computations
     compares: int = 0  #: state comparisons (graph diff or digest equality)
     seconds: float = 0.0  #: cumulative wall time inside the state layer
@@ -87,34 +79,17 @@ class StateStats:
 
 
 class StateBackend:
-    """One strategy for materializing, comparing, and restoring state.
+    """One way to summarize state and compare summaries.
 
-    Subclasses override the capture/diff quartet; the checkpoint trio
-    defaults to the eager in-place checkpoint, which every strategy can
-    fall back on.  All methods accept/return the backend's *own* summary
-    type — callers treat summaries as opaque values and only ever hand
-    them back to the same backend.
+    All methods accept/return the backend's *own* summary type — callers
+    treat summaries as opaque values and only ever hand them back to the
+    same backend.
     """
 
-    #: registry name; also what journals and CLI flags carry.
+    #: registry name; also what fragment headers and CLI flags carry.
     name: str = "abstract"
     #: True when :meth:`diff` cannot localize a difference (digest-only).
     lossy_diff: bool = False
-    #: ``_repro_kind`` tag stamped on atomicity wrappers using this backend.
-    wrapper_kind: str = "atomicity"
-
-    # -- summaries ----------------------------------------------------
-
-    def capture(
-        self,
-        value: Any,
-        *,
-        ignore_attrs: Optional[Callable[[str], bool]] = None,
-        max_nodes: Optional[int] = None,
-        stats: Optional[StateStats] = None,
-    ) -> Any:
-        """Summarize the state reachable from *value*."""
-        raise NotImplementedError
 
     def capture_frame(
         self,
@@ -127,40 +102,11 @@ class StateBackend:
         """Summarize several labeled roots under one synthetic frame."""
         raise NotImplementedError
 
-    def fingerprint(
-        self,
-        value: Any,
-        *,
-        ignore_attrs: Optional[Callable[[str], bool]] = None,
-        max_nodes: Optional[int] = None,
-        stats: Optional[StateStats] = None,
-    ) -> _fingerprint.StateFingerprint:
-        """128-bit structural digest of the state reachable from *value*.
-
-        Available on every backend (digests are universally useful for
-        logs and cross-run comparison); only the fingerprint backend uses
-        them as its primary summary.
-        """
-        started = time.perf_counter()
-        try:
-            return _fingerprint.fingerprint(
-                value, ignore_attrs=ignore_attrs, max_nodes=max_nodes
-            )
-        finally:
-            if stats is not None:
-                stats.fingerprints += 1
-                stats.seconds += time.perf_counter() - started
-
     def diff(
         self, a: Any, b: Any, *, stats: Optional[StateStats] = None
     ) -> Optional[_graph.GraphDifference]:
         """First difference between two summaries, or None when equal."""
         raise NotImplementedError
-
-    def equal(
-        self, a: Any, b: Any, *, stats: Optional[StateStats] = None
-    ) -> bool:
-        return self.diff(a, b, stats=stats) is None
 
     def diff_live(
         self,
@@ -184,41 +130,6 @@ class StateBackend:
         )
         return self.diff(before, after, stats=stats)
 
-    # -- checkpoints --------------------------------------------------
-
-    def checkpoint(
-        self,
-        *roots: Any,
-        ignore_attrs: Optional[Callable[[str], bool]] = None,
-        max_objects: Optional[int] = None,
-        stats: Optional[StateStats] = None,
-    ) -> Any:
-        """Checkpoint *roots* for in-place rollback (paper's ``deep_copy``)."""
-        started = time.perf_counter()
-        try:
-            return _checkpoint.checkpoint(
-                *roots, ignore_attrs=ignore_attrs, max_objects=max_objects
-            )
-        finally:
-            if stats is not None:
-                stats.captures += 1
-                stats.seconds += time.perf_counter() - started
-
-    def restore(self, cp: Any) -> None:
-        """Roll the checkpointed objects back (paper's ``replace``)."""
-        cp.restore()
-
-    def commit(self, cp: Any) -> None:
-        """Retire a checkpoint after a successful region (default no-op)."""
-
-    def checkpoint_size(self, cp: Any) -> int:
-        """Objects recorded *at checkpoint time* (for MaskingStats)."""
-        return cp.recorded_count
-
-    def rollback_size(self, cp: Any) -> int:
-        """Extra objects counted *at rollback time* (for MaskingStats)."""
-        return 0
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -227,17 +138,6 @@ class GraphBackend(StateBackend):
     """Full object-graph snapshots compared by rooted isomorphism."""
 
     name = "graph"
-
-    def capture(self, value, *, ignore_attrs=None, max_nodes=None, stats=None):
-        started = time.perf_counter()
-        try:
-            return _graph.capture(
-                value, ignore_attrs=ignore_attrs, max_nodes=max_nodes
-            )
-        finally:
-            if stats is not None:
-                stats.captures += 1
-                stats.seconds += time.perf_counter() - started
 
     def capture_frame(
         self, label_values, *, ignore_attrs=None, max_nodes=None, stats=None
@@ -291,17 +191,6 @@ class FingerprintBackend(StateBackend):
     name = "fingerprint"
     lossy_diff = True
 
-    def capture(self, value, *, ignore_attrs=None, max_nodes=None, stats=None):
-        started = time.perf_counter()
-        try:
-            return _fingerprint.fingerprint(
-                value, ignore_attrs=ignore_attrs, max_nodes=max_nodes
-            )
-        finally:
-            if stats is not None:
-                stats.fingerprints += 1
-                stats.seconds += time.perf_counter() - started
-
     def capture_frame(
         self, label_values, *, ignore_attrs=None, max_nodes=None, stats=None
     ):
@@ -333,78 +222,11 @@ class FingerprintBackend(StateBackend):
                 stats.seconds += time.perf_counter() - started
 
 
-class UndoLogBackend(StateBackend):
-    """Write-barrier undo logs for checkpointing; graph semantics otherwise.
-
-    Requires :func:`repro.core.cow.install_write_barrier` on every class
-    whose attribute writes must be undoable — the backend cannot verify
-    that precondition, it is the caller's contract (documented limitation
-    of the §6.2 copy-on-write strategy).
-    """
-
-    name = "undolog"
-    wrapper_kind = "atomicity-undolog"
-
-    _graph_delegate = GraphBackend()
-
-    def capture(self, value, *, ignore_attrs=None, max_nodes=None, stats=None):
-        return self._graph_delegate.capture(
-            value, ignore_attrs=ignore_attrs, max_nodes=max_nodes, stats=stats
-        )
-
-    def capture_frame(
-        self, label_values, *, ignore_attrs=None, max_nodes=None, stats=None
-    ):
-        return self._graph_delegate.capture_frame(
-            label_values,
-            ignore_attrs=ignore_attrs,
-            max_nodes=max_nodes,
-            stats=stats,
-        )
-
-    def diff(self, a, b, *, stats=None):
-        return self._graph_delegate.diff(a, b, stats=stats)
-
-    def checkpoint(
-        self, *roots, ignore_attrs=None, max_objects=None, stats=None
-    ):
-        # Roots are implicit: the write barrier routes every attribute
-        # write on barriered classes into the active log, whatever object
-        # it lands on.  Cost at checkpoint time is therefore zero.
-        if stats is not None:
-            stats.captures += 1
-        log = UndoLog()
-        log.__enter__()
-        return log
-
-    def restore(self, cp: UndoLog) -> None:
-        try:
-            cp.rollback()
-        finally:
-            cp.__exit__(None, None, None)
-
-    def commit(self, cp: UndoLog) -> None:
-        # Exiting absorbs the log into any enclosing active log, keeping
-        # nested-region rollback sound (see UndoLog.__exit__).
-        cp.__exit__(None, None, None)
-
-    def checkpoint_size(self, cp: UndoLog) -> int:
-        return 0  # nothing is copied up front — that is the point
-
-    def rollback_size(self, cp: UndoLog) -> int:
-        return cp.recorded_writes
-
-
-#: Singleton registry; backends are stateless so sharing instances is safe.
+#: The detection registry; backends are stateless so sharing instances
+#: is safe.
 BACKENDS: Dict[str, StateBackend] = {
-    backend.name: backend
-    for backend in (GraphBackend(), FingerprintBackend(), UndoLogBackend())
+    backend.name: backend for backend in (GraphBackend(), FingerprintBackend())
 }
-
-#: The backends a detection campaign may use for before/after comparison.
-#: (The undo-log backend is a *masking* strategy: it has no cheap summary
-#: representation, so offering it on ``detect`` would silently run graph.)
-DETECTION_BACKENDS: Tuple[str, ...] = ("graph", "fingerprint")
 
 
 def get_backend(which: Union[str, StateBackend, None]) -> StateBackend:

@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import WrapPolicy
 from repro.core.classify import CATEGORY_ATOMIC
+from repro.core.masking import STRATEGIES
 from repro.core.policy import select_methods_to_wrap
 from repro.core.runlog import log_json_without_provenance
 
@@ -138,7 +139,6 @@ def campaign_bundle(
     state_backend: str = "graph",
     trace_derive: bool = False,
     masking: bool = True,
-    strategies: Sequence[str] = ("snapshot", "undolog"),
 ) -> CampaignBundle:
     """Run the campaign(s) for one subject; collect comparable outputs.
 
@@ -151,7 +151,8 @@ def campaign_bundle(
         trace_derive: additionally run the campaign under the trace
             pass and include its output (modulo provenance) in the
             bundle.
-        masking: include the per-strategy masking fixpoint transcript.
+        masking: include the masking fixpoint transcript of every
+            checkpoint strategy in :data:`repro.core.masking.STRATEGIES`.
     """
     from repro.experiments.campaign import run_app_campaign
 
@@ -161,7 +162,7 @@ def campaign_bundle(
         classification=outcome.classification.to_json(),
     )
     if masking:
-        for strategy in strategies:
+        for strategy in STRATEGIES:
             bundle.masking[strategy] = _masking_rounds(
                 make_program,
                 outcome.classification,

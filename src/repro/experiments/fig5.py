@@ -6,10 +6,10 @@ that go to transformed (wrapped) methods; each point is the median of 40
 runs, on a method whose unwrapped processing time is ~0.5 µs.
 
 This module reproduces the experiment on a synthetic service whose state
-size is a parameter.  It also measures the undo-log ("copy-on-write")
-checkpoint of :mod:`repro.core.cow` as the ablation suggested in the
-paper's Section 6.2: its cost is write-proportional, so the overhead
-stays flat as the object grows.
+size is a parameter.  It also measures the masking wrapper under the
+undo-log ("copy-on-write") checkpoint strategy as the ablation suggested
+in the paper's Section 6.2: its cost is write-proportional, so the
+overhead stays flat as the object grows.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 from repro.core.analyzer import Analyzer
-from repro.core.cow import (
-    failure_atomic_undolog,
-    install_write_barrier,
-    remove_write_barrier,
-)
-from repro.core.masking import make_atomicity_wrapper
+from repro.core.masking import STRATEGIES, make_atomicity_wrapper
 
 __all__ = [
     "SyntheticService",
@@ -43,6 +38,9 @@ DEFAULT_SIZES: Sequence[int] = (4, 16, 64, 256, 1024)
 
 #: Fraction of calls that go to the wrapped (masked) method.
 DEFAULT_RATIOS: Sequence[float] = (0.0, 0.001, 0.01, 0.1, 1.0)
+
+#: The checkpoint strategy each ``variant`` of :func:`measure_overhead` times.
+_VARIANTS: Dict[str, str] = {"eager": "snapshot", "undolog": "undolog"}
 
 
 class SyntheticService:
@@ -83,16 +81,6 @@ class OverheadPoint:
         return self.masked_seconds_per_call / self.base_seconds_per_call
 
 
-def _wrapped_step(variant: str) -> Callable:
-    spec = Analyzer().analyze_class(SyntheticService)
-    step_spec = next(s for s in spec if s.name == "step")
-    if variant == "eager":
-        return make_atomicity_wrapper(step_spec, checkpoint_args=False)
-    if variant == "undolog":
-        return failure_atomic_undolog(SyntheticService.step)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def _run_loop(
     service: SyntheticService,
     calls: int,
@@ -128,11 +116,20 @@ def measure_overhead(
     Each point compares the per-call time of a loop where a *ratio*
     fraction of calls is masked against the fully unmasked loop, taking
     the median of *repeats* runs (the paper uses the median of 40).
+    The masked calls go through :func:`make_atomicity_wrapper` with the
+    ``snapshot`` (``variant="eager"``) or ``undolog`` strategy.
     """
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    strategy = STRATEGIES[_VARIANTS[variant]]
+    step_spec = next(
+        s for s in Analyzer().analyze_class(SyntheticService) if s.name == "step"
+    )
+    wrapped = make_atomicity_wrapper(
+        step_spec, checkpoint_args=False, strategy=strategy.name
+    )
     points: List[OverheadPoint] = []
-    wrapped = _wrapped_step(variant)
-    if variant == "undolog":
-        install_write_barrier(SyntheticService)
+    strategy.cover([SyntheticService])
     try:
         for size in sizes:
             service = SyntheticService(size)
@@ -152,8 +149,7 @@ def measure_overhead(
                     )
                 )
     finally:
-        if variant == "undolog":
-            remove_write_barrier(SyntheticService)
+        strategy.uncover([SyntheticService])
     return points
 
 

@@ -8,15 +8,12 @@ masked program*: atomicity wrappers are woven first (innermost), then
 injection wrappers on top, so every injected or genuine exception passes
 through the rollback before the detector compares object graphs.
 
-Two checkpoint strategies can back the atomicity wrappers:
-
-* ``"snapshot"`` — the eager deep copy of Listing 2 (the default).
-* ``"undolog"`` — the §6.2 copy-on-write extension
-  (:mod:`repro.core.cow`): a write barrier is installed on every program
-  class for the duration of the masked campaign, and rollback replays
-  the undo log.  Only sound for programs whose state changes through
-  attribute (re)assignment; in-place container mutation bypasses the
-  barrier, so such an application honestly reports INEFFECTIVE.
+Either checkpoint strategy of :mod:`repro.core.masking` can back the
+atomicity wrappers; it covers every program class for the duration of
+the masked campaign.  The ``undolog`` strategy is only sound for
+programs whose state changes through attribute (re)assignment; in-place
+container mutation bypasses its write barrier, so such an application
+honestly reports INEFFECTIVE.
 
 The expected verdict — asserted by tests and reported by the harness —
 is that every method that was wrapped is classified failure atomic in
@@ -38,14 +35,9 @@ from repro.core import (
     reclassify,
 )
 from repro.core.classify import CATEGORY_ATOMIC, ClassificationResult
-from repro.core.cow import (
-    install_write_barrier,
-    make_undolog_atomicity_wrapper,
-    remove_write_barrier,
-)
 from repro.core.detector import DetectionResult, Detector
 from repro.core.exceptions import InjectionAbort
-from repro.core.masking import make_atomicity_wrapper
+from repro.core.masking import get_strategy, make_atomicity_wrapper
 from repro.core.policy import select_methods_to_wrap
 from repro.core.state import capture_frame, graph_diff_live
 from repro.core.runlog import MethodKey
@@ -57,13 +49,9 @@ from .programs import AppProgram
 __all__ = [
     "GraphCheck",
     "MaskingValidation",
-    "STRATEGIES",
     "mask_and_redetect",
     "validate_masking",
 ]
-
-#: Supported checkpoint strategies for the masked re-detection.
-STRATEGIES = ("snapshot", "undolog")
 
 
 @dataclass
@@ -182,7 +170,7 @@ def mask_and_redetect(
     same injection points, in the same order, as the original one.
 
     Args:
-        strategy: ``"snapshot"`` or ``"undolog"`` (see module docstring).
+        strategy: a :data:`repro.core.masking.STRATEGIES` name.
         policy: merged into the woven specs' exception-free policy before
             the final classification.
         atomic_factory: override the strategy's wrapper factory (a
@@ -197,23 +185,15 @@ def mask_and_redetect(
     Returns:
         ``(detection, classification)`` of the masked campaign.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
+    checkpoints = get_strategy(strategy)
     if stats is None:
         stats = MaskingStats()
     wrap_set = set(to_wrap)
     analyzer = Analyzer(exclude=program.exclude)
     if atomic_factory is None:
-        if strategy == "snapshot":
-            atomic_factory = lambda spec: make_atomicity_wrapper(  # noqa: E731
-                spec, stats=stats
-            )
-        else:
-            atomic_factory = lambda spec: make_undolog_atomicity_wrapper(  # noqa: E731
-                spec, stats=stats
-            )
+        atomic_factory = lambda spec: make_atomicity_wrapper(  # noqa: E731
+            spec, stats=stats, strategy=strategy
+        )
     campaign = InjectionCampaign(state_backend=state_backend)
     atomic_weaver = Weaver(atomic_factory, analyzer)
     checker_weaver = (
@@ -235,12 +215,8 @@ def mask_and_redetect(
             if wanted:
                 weaver.weave_class(cls, methods=wanted)
 
-    barriered: List[type] = []
     try:
-        if strategy == "undolog":
-            for cls in program.classes:
-                install_write_barrier(cls)
-                barriered.append(cls)
+        checkpoints.cover(program.classes)
         with atomic_weaver:
             weave_selected(atomic_weaver)
             if checker_weaver is not None:
@@ -262,8 +238,7 @@ def mask_and_redetect(
             effective = effective.merged_with(policy)
         classification = reclassify(detection.log, effective)
     finally:
-        for cls in barriered:
-            remove_write_barrier(cls)
+        checkpoints.uncover(program.classes)
     return detection, classification
 
 

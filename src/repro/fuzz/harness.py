@@ -12,8 +12,8 @@ Every generated program is cross-checked four ways:
    replay means the profile disagreed with a run about its wrapper
    entries, which would otherwise show only as a slower campaign.
 3. **Masking soundness** — masking the oracle's pure set and re-running
-   detection must classify *every* method failure atomic, under both the
-   eager-snapshot and the undo-log checkpoint strategy.
+   detection must classify *every* method failure atomic, under every
+   checkpoint strategy of :data:`repro.core.masking.STRATEGIES`.
 4. **Observable rollback** — a checker layer between the atomicity and
    injection wrappers asserts that whenever an exception leaves a masked
    method, the receiver's post-rollback object graph equals the graph
@@ -47,7 +47,7 @@ from repro.core.classify import (
     ClassificationResult,
 )
 from repro.core.detector import DetectionResult
-from repro.core.masking import MaskingStats
+from repro.core.masking import STRATEGIES, MaskingStats
 from repro.core.policy import select_methods_to_wrap
 from repro.core.runlog import log_json_without_provenance
 from repro.experiments.campaign import run_app_campaign
@@ -607,7 +607,7 @@ def check_program(
                 )
             )
 
-    for strategy in ("snapshot", "undolog"):
+    for strategy in STRATEGIES:
         mismatches.extend(
             _check_masking(spec, oracle, strategy, defect, state_backend)
         )

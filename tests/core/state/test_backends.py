@@ -1,19 +1,19 @@
-"""The StateBackend protocol: registry, semantics, checkpoint contracts."""
+"""The StateBackend protocol: the detection registry and its semantics."""
 
 import pytest
 
-from repro.core.cow import install_write_barrier, remove_write_barrier
+from repro.core import InjectionCampaign
+from repro.core.masking import get_strategy
 from repro.core.state import (
     BACKENDS,
-    DETECTION_BACKENDS,
     FingerprintBackend,
     GraphBackend,
     StateBackend,
     StateFingerprint,
     StateStats,
-    UndoLogBackend,
     get_backend,
 )
+from repro.experiments import program_by_name, run_app_campaign
 
 
 class Point:
@@ -22,18 +22,23 @@ class Point:
         self.y = y
 
 
+def _summary(backend, value, stats=None):
+    return backend.capture_frame([("self", value)], stats=stats)
+
+
 # -- registry -------------------------------------------------------------
 
 
 def test_registry_names():
-    assert set(BACKENDS) == {"graph", "fingerprint", "undolog"}
+    assert list(BACKENDS) == ["graph", "fingerprint"]
     for name, backend in BACKENDS.items():
         assert backend.name == name
 
 
 def test_detection_backends_excludes_undolog():
-    assert DETECTION_BACKENDS == ("graph", "fingerprint")
-    assert "undolog" not in DETECTION_BACKENDS
+    # The undo log is a masking strategy (repro.core.masking.STRATEGIES):
+    # it has no summary of its own, so detection never offers it.
+    assert "undolog" not in BACKENDS
 
 
 def test_get_backend_resolution():
@@ -50,108 +55,83 @@ def test_get_backend_unknown_name_lists_known():
         get_backend("nope")
 
 
+def test_get_backend_refuses_undolog():
+    with pytest.raises(ValueError, match=r"\(known: fingerprint, graph\)"):
+        get_backend("undolog")
+
+
+def test_campaign_refuses_undolog():
+    with pytest.raises(ValueError, match=r"\(known: fingerprint, graph\)"):
+        InjectionCampaign(state_backend="undolog")
+
+
+@pytest.mark.parametrize("workers", (None, 2))
+def test_run_app_campaign_refuses_undolog(workers):
+    with pytest.raises(ValueError, match=r"\(known: fingerprint, graph\)"):
+        run_app_campaign(
+            program_by_name("LLMap"), workers=workers, state_backend="undolog"
+        )
+
+
 # -- capture/diff semantics agree across backends -------------------------
 
 
-@pytest.mark.parametrize("name", DETECTION_BACKENDS)
+@pytest.mark.parametrize("name", tuple(BACKENDS))
 def test_equal_states_have_no_diff(name):
     backend = get_backend(name)
-    a = backend.capture(Point(1, [2, 3]))
-    b = backend.capture(Point(1, [2, 3]))
+    a = _summary(backend, Point(1, [2, 3]))
+    b = _summary(backend, Point(1, [2, 3]))
     assert backend.diff(a, b) is None
-    assert backend.equal(a, b)
 
 
-@pytest.mark.parametrize("name", DETECTION_BACKENDS)
+@pytest.mark.parametrize("name", tuple(BACKENDS))
 def test_changed_states_diff(name):
     backend = get_backend(name)
-    a = backend.capture(Point(1, [2, 3]))
-    b = backend.capture(Point(1, [2, 3, 4]))
-    difference = backend.diff(a, b)
-    assert difference is not None
-    assert not backend.equal(a, b)
+    a = _summary(backend, Point(1, [2, 3]))
+    b = _summary(backend, Point(1, [2, 3, 4]))
+    assert backend.diff(a, b) is not None
 
 
 def test_fingerprint_backend_is_lossy_graph_is_not():
     assert get_backend("fingerprint").lossy_diff
     assert not get_backend("graph").lossy_diff
-    assert not get_backend("undolog").lossy_diff
 
 
 def test_fingerprint_diff_reason_names_the_digests():
     backend = FingerprintBackend()
-    a = backend.capture([1])
-    b = backend.capture([2])
+    a = _summary(backend, [1])
+    b = _summary(backend, [2])
     difference = backend.diff(a, b)
     assert "fingerprint changed" in difference.reason
     assert a in difference.reason and b in difference.reason
 
 
 def test_fingerprint_capture_returns_digest():
-    summary = get_backend("fingerprint").capture(Point(0, 0))
+    summary = _summary(get_backend("fingerprint"), Point(0, 0))
     assert isinstance(summary, StateFingerprint)
 
 
-def test_every_backend_offers_fingerprint():
-    for backend in BACKENDS.values():
-        digest = backend.fingerprint(Point(3, 4))
-        assert isinstance(digest, StateFingerprint)
-    assert (
-        BACKENDS["graph"].fingerprint(Point(3, 4))
-        == BACKENDS["fingerprint"].fingerprint(Point(3, 4))
-    )
+# -- eager checkpoint, judged by each backend -----------------------------
 
 
-# -- checkpoint / restore / commit ----------------------------------------
-
-
-@pytest.mark.parametrize("name", ("graph", "fingerprint"))
+@pytest.mark.parametrize("name", tuple(BACKENDS))
 def test_eager_checkpoint_roundtrip(name):
+    # The eager checkpoint is masking's ``snapshot`` strategy; a rollback
+    # must leave a state every detection backend calls unchanged.
     backend = get_backend(name)
+    snapshot = get_strategy("snapshot")
     obj = Point(1, [2, 3])
-    cp = backend.checkpoint(obj)
-    assert backend.checkpoint_size(cp) > 0
-    assert backend.rollback_size(cp) == 0
+    before = _summary(backend, obj)
+    cp = snapshot.checkpoint([obj], None, None)
+    assert snapshot.checkpoint_size(cp) > 0
+    assert snapshot.rollback_size(cp) == 0
     obj.x = 99
     obj.y.append(4)
-    backend.restore(cp)
+    assert backend.diff(before, _summary(backend, obj)) is not None
+    snapshot.restore(cp)
     assert obj.x == 1 and obj.y == [2, 3]
-    backend.commit(cp)  # no-op for eager checkpoints
-
-
-def test_undolog_checkpoint_rollback():
-    backend = get_backend("undolog")
-    install_write_barrier(Point)
-    try:
-        obj = Point(1, 2)
-        cp = backend.checkpoint(obj)
-        assert backend.checkpoint_size(cp) == 0  # nothing copied up front
-        obj.x = 99
-        assert backend.rollback_size(cp) == 1
-        backend.restore(cp)
-        assert obj.x == 1
-    finally:
-        remove_write_barrier(Point)
-
-
-def test_undolog_commit_retires_the_log():
-    backend = get_backend("undolog")
-    install_write_barrier(Point)
-    try:
-        obj = Point(1, 2)
-        cp = backend.checkpoint(obj)
-        obj.x = 5
-        backend.commit(cp)
-        obj.x = 7  # writes after commit land nowhere
-        assert obj.x == 7
-    finally:
-        remove_write_barrier(Point)
-
-
-def test_wrapper_kinds():
-    assert get_backend("graph").wrapper_kind == "atomicity"
-    assert get_backend("fingerprint").wrapper_kind == "atomicity"
-    assert get_backend("undolog").wrapper_kind == "atomicity-undolog"
+    assert backend.diff(before, _summary(backend, obj)) is None
+    snapshot.commit(cp)  # no-op for eager checkpoints
 
 
 # -- stats ----------------------------------------------------------------
@@ -160,8 +140,8 @@ def test_wrapper_kinds():
 def test_stats_counted_per_operation():
     stats = StateStats()
     backend = get_backend("graph")
-    a = backend.capture(Point(1, 2), stats=stats)
-    b = backend.capture(Point(1, 2), stats=stats)
+    a = _summary(backend, Point(1, 2), stats)
+    b = _summary(backend, Point(1, 2), stats)
     backend.diff(a, b, stats=stats)
     assert stats.captures == 2
     assert stats.compares == 1
@@ -169,8 +149,8 @@ def test_stats_counted_per_operation():
 
     fp_stats = StateStats()
     fp = get_backend("fingerprint")
-    x = fp.capture(Point(1, 2), stats=fp_stats)
-    y = fp.capture(Point(1, 2), stats=fp_stats)
+    x = _summary(fp, Point(1, 2), fp_stats)
+    y = _summary(fp, Point(1, 2), fp_stats)
     fp.diff(x, y, stats=fp_stats)
     assert fp_stats.fingerprints == 2
     assert fp_stats.captures == 0
@@ -192,4 +172,4 @@ def test_stats_merge_and_to_dict():
 def test_backend_repr_names_backend():
     assert "graph" in repr(get_backend("graph"))
     assert isinstance(get_backend("graph"), StateBackend)
-    assert isinstance(get_backend("undolog"), UndoLogBackend)
+    assert isinstance(get_backend("fingerprint"), FingerprintBackend)

@@ -151,7 +151,7 @@ def test_graph_backend_diff_live_under_budget_captures_the_after_state():
         backend.diff_live(before, roots, max_nodes=100)
 
 
-@pytest.mark.parametrize("name", ("fingerprint", "undolog"))
+@pytest.mark.parametrize("name", ("fingerprint",))
 def test_other_backends_capture_then_diff(name):
     backend = get_backend(name)
     holder = _holder(payload=[1])

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core.cow import (
-    UndoLog,
-    failure_atomic_undolog,
-    install_write_barrier,
-    remove_write_barrier,
-)
+from repro.core.cow import UndoLog, install_write_barrier, remove_write_barrier
+from repro.core.masking import failure_atomic
 
 
 class Counter:
@@ -115,18 +111,18 @@ def test_nested_masked_commit_then_outer_failure_restores_all(barriered):
 
     def outer_body(counter):
         counter.value = 10
-        failure_atomic_undolog(inner)(counter)
+        failure_atomic(inner, strategy="undolog")(counter)
         raise ValueError("late failure")
 
     counter = Counter()
     with pytest.raises(ValueError):
-        failure_atomic_undolog(outer_body)(counter)
+        failure_atomic(outer_body, strategy="undolog")(counter)
     assert counter.value == 0
     assert counter.history == 0
 
 
 def test_failure_atomic_undolog_wrapper(barriered):
-    wrapped = failure_atomic_undolog(Counter.bump_then_fail)
+    wrapped = failure_atomic(Counter.bump_then_fail, strategy="undolog")
     counter = Counter()
     wrapped(counter, 5)
     assert counter.value == 5
@@ -137,7 +133,7 @@ def test_failure_atomic_undolog_wrapper(barriered):
 
 
 def test_undolog_wrapper_success_keeps_changes(barriered):
-    wrapped = failure_atomic_undolog(Counter.bump_then_fail)
+    wrapped = failure_atomic(Counter.bump_then_fail, strategy="undolog")
     counter = Counter()
     wrapped(counter, 1)
     wrapped(counter, 2)
@@ -228,7 +224,7 @@ def slots_barriered():
 def test_undolog_restores_slot_beside_dict(slots_barriered):
     target = SlotsAndDict()
     with pytest.raises(ValueError):
-        failure_atomic_undolog(SlotsAndDict.bump)(target)
+        failure_atomic(SlotsAndDict.bump, strategy="undolog")(target)
     assert (target.s, target.d) == (1, 2)
 
 
@@ -239,7 +235,7 @@ def test_undolog_atomicity_wrapper_restores_slot_beside_dict(slots_barriered):
     spec = next(
         s for s in Analyzer().analyze_class(SlotsAndDict) if s.name == "bump"
     )
-    wrapped = make_atomicity_wrapper(spec, backend="undolog")
+    wrapped = make_atomicity_wrapper(spec, strategy="undolog")
     target = SlotsAndDict()
     with pytest.raises(ValueError):
         wrapped(target)

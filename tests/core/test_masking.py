@@ -3,10 +3,13 @@
 import pytest
 
 from repro.core.analyzer import Analyzer
+from repro.core.cow import active_log_top
 from repro.core.masking import (
+    STRATEGIES,
     Masker,
     MaskingStats,
     failure_atomic,
+    get_strategy,
     make_atomicity_wrapper,
 )
 from repro.core.state import capture, graphs_equal
@@ -297,3 +300,110 @@ def test_atomic_block_nested():
         assert ledger.entries == [1]  # inner rollback only
         ledger.add(3)
     assert ledger.entries == [1, 3]
+
+
+# -- checkpoint strategies --------------------------------------------------
+
+
+class Point:
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+
+
+@pytest.fixture
+def undolog():
+    strategy = get_strategy("undolog")
+    strategy.cover([Point])
+    yield strategy
+    strategy.uncover([Point])
+
+
+def test_strategy_registry():
+    assert list(STRATEGIES) == ["snapshot", "undolog"]
+    for name, strategy in STRATEGIES.items():
+        assert strategy.name == name
+        assert get_strategy(name) is strategy
+    with pytest.raises(ValueError, match=r"\(known: snapshot, undolog\)"):
+        get_strategy("graph")
+    with pytest.raises(ValueError, match="unknown checkpoint strategy"):
+        Masker({"Ledger.add"}, strategy="eager")
+
+
+def test_snapshot_strategy_roundtrip():
+    snapshot = get_strategy("snapshot")
+    obj = Point(1, [2, 3])
+    saved = snapshot.checkpoint([obj], None, None)
+    assert snapshot.checkpoint_size(saved) > 0
+    assert snapshot.rollback_size(saved) == 0
+    obj.x = 99
+    obj.y.append(4)
+    snapshot.restore(saved)
+    assert obj.x == 1 and obj.y == [2, 3]
+    snapshot.commit(saved)  # no-op for eager checkpoints
+
+
+def test_undolog_strategy_rollback(undolog):
+    obj = Point(1, 2)
+    saved = undolog.checkpoint([obj], None, None)
+    assert undolog.checkpoint_size(saved) == 0  # nothing copied up front
+    obj.x = 99
+    assert undolog.rollback_size(saved) == 1
+    undolog.restore(saved)
+    assert obj.x == 1
+    assert active_log_top() is None
+
+
+def test_undolog_strategy_commit_retires_the_log(undolog):
+    obj = Point(1, 2)
+    saved = undolog.checkpoint([obj], None, None)
+    obj.x = 5
+    undolog.commit(saved)
+    assert active_log_top() is None
+    obj.x = 7  # writes after commit land nowhere
+    assert obj.x == 7
+
+
+def test_undolog_cover_installs_and_uncover_removes_the_barrier():
+    undolog = get_strategy("undolog")
+    undolog.cover([Point])
+    try:
+        assert "_repro_original_setattr" in vars(Point)
+    finally:
+        undolog.uncover([Point])
+    assert "_repro_original_setattr" not in vars(Point)
+
+
+def test_wrapper_kind_names_the_strategy():
+    assert make_atomicity_wrapper(spec_for("add"))._repro_kind == "atomicity"
+    wrapped = make_atomicity_wrapper(spec_for("add"), strategy="undolog")
+    assert wrapped._repro_kind == "atomicity-undolog"
+
+
+def test_undolog_masker_covers_every_class_it_is_given():
+    class Audit:  # no wrapped method, but its writes must roll back too
+        def __init__(self):
+            self.count = 0
+
+    class Account:
+        def __init__(self):
+            self.balance = 0
+            self.audit = Audit()
+
+        def deposit(self, amount):
+            self.balance += amount
+            self.audit.count += 1
+            if amount < 0:
+                raise ValueError("negative")
+
+    stats = MaskingStats()
+    with Masker({"Account.deposit"}, stats=stats, strategy="undolog") as masker:
+        assert masker.mask_classes([Account, Audit]) == ["Account.deposit"]
+        account = Account()
+        account.deposit(5)
+        with pytest.raises(ValueError):
+            account.deposit(-1)
+        assert (account.balance, account.audit.count) == (5, 1)
+        assert stats.checkpointed_objects == 2  # the two writes undone
+    for cls in (Account, Audit):
+        assert "_repro_original_setattr" not in vars(cls)

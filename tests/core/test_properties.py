@@ -16,11 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cow import (
-    failure_atomic_undolog,
-    install_write_barrier,
-    remove_write_barrier,
-)
+from repro.core.cow import install_write_barrier, remove_write_barrier
 from repro.core.masking import failure_atomic
 from repro.core.state import capture, checkpoint, graph_diff, graphs_equal
 
@@ -185,7 +181,7 @@ def apply_attr_ops(record, ops):
 @given(values, attr_ops)
 @settings(max_examples=60)
 def test_undolog_masked_failure_is_atomic(value, ops):
-    """failure_atomic_undolog is a left inverse of any attribute-write
+    """The undo-log wrapper is a left inverse of any attribute-write
     script that ends in a raise: the receiver graph is unchanged."""
     install_write_barrier(Record)
     try:
@@ -197,7 +193,7 @@ def test_undolog_masked_failure_is_atomic(value, ops):
 
         before = capture(record)
         with pytest.raises(ValueError):
-            failure_atomic_undolog(body)(record)
+            failure_atomic(body, strategy="undolog")(record)
         diff = graph_diff(before, capture(record))
         assert diff is None, str(diff)
     finally:
@@ -213,7 +209,7 @@ def test_undolog_masked_success_commits(value, ops):
     try:
         masked = Record(value)
         plain = Record(copy.deepcopy(value))
-        failure_atomic_undolog(apply_attr_ops)(masked, ops)
+        failure_atomic(apply_attr_ops, strategy="undolog")(masked, ops)
         apply_attr_ops(plain, ops)
         diff = graph_diff(capture(masked), capture(plain))
         assert diff is None, str(diff)
@@ -232,12 +228,12 @@ def test_undolog_nested_commit_then_outer_failure(value, inner_ops, outer_ops):
 
         def outer(rec):
             apply_attr_ops(rec, outer_ops)
-            failure_atomic_undolog(apply_attr_ops)(rec, inner_ops)
+            failure_atomic(apply_attr_ops, strategy="undolog")(rec, inner_ops)
             raise RuntimeError("late failure")
 
         before = capture(record)
         with pytest.raises(RuntimeError):
-            failure_atomic_undolog(outer)(record)
+            failure_atomic(outer, strategy="undolog")(record)
         diff = graph_diff(before, capture(record))
         assert diff is None, str(diff)
     finally:

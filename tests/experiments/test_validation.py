@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.classify import CATEGORY_ATOMIC
+from repro.core.masking import STRATEGIES
 from repro.experiments import (
     program_by_name,
     synthetic_program,
@@ -58,3 +59,37 @@ def test_wrap_conditional_variant_also_effective():
     # wrapping conditionals enlarges the wrapped set (the §4.3 waste)
     baseline = validate_masking(synthetic_program())
     assert len(validation.wrapped) >= len(baseline.wrapped)
+
+
+#: Per app: the wrapped methods, the masked re-detection's wrapped calls
+#: and rollbacks (the same under every strategy), and the methods the
+#: undo-log strategy leaves non-atomic.  ``HashedSet.union_update`` writes
+#: ``self._slots[index]``, a list mutated in place, which the write
+#: barrier cannot see (GUIDE §14).
+STRATEGY_AGREEMENT = {
+    "LinkedList": (
+        ["LinkedList.extend", "LinkedList.insert_at", "LinkedList.insert_last"],
+        1008,
+        73,
+        [],
+    ),
+    "HashedSet": (
+        ["HashedSet._grow", "HashedSet.add", "HashedSet.union_update"],
+        551,
+        76,
+        ["HashedSet.union_update"],
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", tuple(STRATEGIES))
+@pytest.mark.parametrize("app", sorted(STRATEGY_AGREEMENT))
+def test_strategies_wrap_and_roll_back_alike(app, strategy):
+    wrapped, calls, rollbacks, undolog_misses = STRATEGY_AGREEMENT[app]
+    validation = validate_masking(program_by_name(app), strategy=strategy)
+    assert validation.wrapped == wrapped
+    assert validation.masking_stats.wrapped_calls == calls
+    assert validation.masking_stats.rollbacks == rollbacks
+    expected = undolog_misses if strategy == "undolog" else []
+    assert validation.still_nonatomic == expected, validation.summary()
+    assert validation.masking_effective == (not expected)

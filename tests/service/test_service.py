@@ -89,6 +89,12 @@ def test_canonical_config_coerces_and_validates():
         canonical_config({"state_backend": "quantum"})
 
 
+def test_canonical_config_refuses_the_undolog_backend():
+    # undolog is a masking checkpoint strategy, not a detection backend
+    with pytest.raises(SubmissionError, match=r"\(known: fingerprint, graph\)"):
+        canonical_config({"state_backend": "undolog"})
+
+
 def test_digest_is_canonical_and_content_sensitive():
     a = submission_digest(SOURCE, canonical_config({"stride": 2}))
     b = submission_digest(SOURCE, canonical_config({"stride": "2"}))
@@ -557,6 +563,24 @@ def test_http_body_bounds_411_413_400():
                 port, b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n"
             )
             assert status == 200
+        finally:
+            server._server.close()
+            await server._server.wait_closed()
+
+    asyncio.run(scenario())
+
+
+def test_http_undolog_backend_is_400():
+    async def scenario():
+        server = ServiceServer(CampaignService())
+        port = await _listener_only(server)
+        try:
+            status, payload = await _request(
+                port, "POST", "/campaigns",
+                {"source": SOURCE, "config": {"state_backend": "undolog"}},
+            )
+            assert status == 400
+            assert b"known: fingerprint, graph" in payload
         finally:
             server._server.close()
             await server._server.wait_closed()
