@@ -668,7 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(the shard count comes from its fragments)")
     detect.add_argument(
         "--timeout", type=float, default=None,
-        help="per-run wall-clock budget in seconds (with --workers)")
+        help="per-run wall-clock budget in seconds (needs --workers or "
+             "--journal)")
     detect.add_argument(
         "--retries", type=int, default=1,
         help="retries per timed-out point before marking it crashed")

@@ -22,7 +22,7 @@ The atomicity wrappers that use this log are the masking phase's
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .state.introspect import slot_names
 
@@ -131,8 +131,11 @@ class UndoLog:
             _ACTIVE_LOGS[-1].absorb(self)
 
 
-_BARRIER_ATTR = "_repro_original_setattr"
-_BARRIER_DELATTR = "_repro_original_delattr"
+#: Every class that carries a write barrier: its install count, then the
+#: ``__setattr__`` and ``__delattr__`` the class defined itself
+#: (``_MISSING`` where it inherited them), which the last
+#: :func:`remove_write_barrier` puts back exactly.
+_BARRIERS: Dict[type, List[Any]] = {}
 
 
 def install_write_barrier(cls: type) -> None:
@@ -140,9 +143,18 @@ def install_write_barrier(cls: type) -> None:
 
     Both ``__setattr__`` and ``__delattr__`` record the old value before
     mutating — a delete is a write as far as rollback is concerned.
+    Installs are counted: a class keeps its barrier until every install
+    has been matched by a :func:`remove_write_barrier`.
     """
-    if _BARRIER_ATTR in vars(cls):
-        return  # already installed
+    if cls in _BARRIERS:
+        _BARRIERS[cls][0] += 1
+        return
+    own = vars(cls)
+    _BARRIERS[cls] = [
+        1,
+        own.get("__setattr__", _MISSING),
+        own.get("__delattr__", _MISSING),
+    ]
     original_set = cls.__setattr__
     original_del = cls.__delattr__
 
@@ -156,18 +168,22 @@ def install_write_barrier(cls: type) -> None:
             _ACTIVE_LOGS[-1].record(self, name)
         original_del(self, name)
 
-    setattr(cls, _BARRIER_ATTR, original_set)
-    setattr(cls, _BARRIER_DELATTR, original_del)
     cls.__setattr__ = barrier_setattr  # type: ignore[method-assign]
     cls.__delattr__ = barrier_delattr  # type: ignore[method-assign]
 
 
 def remove_write_barrier(cls: type) -> None:
-    """Restore the original ``__setattr__`` / ``__delattr__`` of *cls*."""
-    original_set = vars(cls).get(_BARRIER_ATTR)
-    if original_set is None:
+    """Drop one install of *cls*'s barrier; the last one restores the
+    class's own ``__setattr__`` / ``__delattr__``, or their absence."""
+    entry = _BARRIERS.get(cls)
+    if entry is None:
         return
-    cls.__setattr__ = original_set  # type: ignore[method-assign]
-    cls.__delattr__ = vars(cls)[_BARRIER_DELATTR]  # type: ignore[method-assign]
-    delattr(cls, _BARRIER_ATTR)
-    delattr(cls, _BARRIER_DELATTR)
+    entry[0] -= 1
+    if entry[0]:
+        return
+    del _BARRIERS[cls]
+    for name, own in (("__setattr__", entry[1]), ("__delattr__", entry[2])):
+        if own is _MISSING:
+            delattr(cls, name)
+        else:
+            setattr(cls, name, own)

@@ -83,7 +83,6 @@ def harden(
     policy: Optional[WrapPolicy] = None,
     exclude: Iterable[str] = (),
     stride: int = 1,
-    capture_args: bool = True,
     name: str = "workload",
 ) -> HardeningResult:
     """Detect failure non-atomic methods of *classes* and mask them.
@@ -100,7 +99,6 @@ def harden(
         exclude: method names (or ``"Class.method"`` keys) to leave
             uninstrumented.
         stride: inject at every *stride*-th point (1 = full sweep).
-        capture_args: include mutable arguments in atomicity judgments.
 
     Returns:
         A :class:`HardeningResult`; the classes are already masked when
@@ -109,7 +107,7 @@ def harden(
     """
     classes = list(classes)
     analyzer = Analyzer(exclude=exclude)
-    campaign = InjectionCampaign(capture_args=capture_args)
+    campaign = InjectionCampaign()
     weaver = Weaver(
         lambda spec: make_injection_wrapper(spec, campaign), analyzer
     )
@@ -129,9 +127,7 @@ def harden(
     wrapped = select_methods_to_wrap(classification, effective)
 
     stats = MaskingStats()
-    masker = Masker(
-        wrapped, stats=stats, analyzer=analyzer, checkpoint_args=capture_args
-    )
+    masker = Masker(wrapped, stats=stats, analyzer=analyzer)
     masker.mask_classes(classes)
     for module in modules:
         masker.mask_module_functions(module)

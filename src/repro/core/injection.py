@@ -62,8 +62,6 @@ class InjectionCampaign:
     def __init__(
         self,
         *,
-        capture_args: bool = True,
-        ignore_attrs: Optional[Callable[[str], bool]] = None,
         max_graph_nodes: Optional[int] = None,
         state_backend: Union[str, StateBackend, None] = None,
     ) -> None:
@@ -71,8 +69,6 @@ class InjectionCampaign:
         self.injection_point = 0
         self.log = RunLog()
         self.enabled = False
-        self.capture_args = capture_args
-        self.ignore_attrs = ignore_attrs
         #: Optional node budget for state captures.  A capture that
         #: exceeds it raises CaptureLimitError *instead of* producing a
         #: partial graph, so no truncated-graph verdict can ever be
@@ -240,7 +236,6 @@ class InjectionCampaign:
         with self.suspend():
             return self.backend.capture_frame(
                 self.capture_roots(spec, args, kwargs),
-                ignore_attrs=self.ignore_attrs,
                 max_nodes=self.max_graph_nodes,
                 stats=self.state_stats,
             )
@@ -258,7 +253,6 @@ class InjectionCampaign:
             return self.backend.diff_live(
                 before,
                 self.capture_roots(spec, args, kwargs),
-                ignore_attrs=self.ignore_attrs,
                 max_nodes=self.max_graph_nodes,
                 stats=self.state_stats,
             )
@@ -267,22 +261,21 @@ class InjectionCampaign:
         self, spec: MethodSpec, args: Tuple[Any, ...], kwargs: Dict[str, Any]
     ) -> List[Tuple[Any, Any]]:
         """The labeled roots a state capture of this call starts from:
-        the receiver plus (under ``capture_args``) every non-scalar,
-        non-opaque argument.  Public so the trace pass captures exactly
-        the same frame a dynamic run would."""
+        the receiver plus every non-scalar, non-opaque argument.  Public
+        so the trace pass captures exactly the same frame a dynamic run
+        would."""
         roots: List[Tuple[Any, Any]] = []
         positional = args
         if spec.has_receiver and args:
             roots.append(("self", args[0]))
             positional = args[1:]
-        if self.capture_args:
-            for index, value in enumerate(positional):
-                if not is_scalar(value) and not is_opaque(value):
-                    roots.append((("arg", index), value))
-            for name in sorted(kwargs):
-                value = kwargs[name]
-                if not is_scalar(value) and not is_opaque(value):
-                    roots.append((("kwarg", name), value))
+        for index, value in enumerate(positional):
+            if not is_scalar(value) and not is_opaque(value):
+                roots.append((("arg", index), value))
+        for name in sorted(kwargs):
+            value = kwargs[name]
+            if not is_scalar(value) and not is_opaque(value):
+                roots.append((("kwarg", name), value))
         return roots
 
 

@@ -280,11 +280,7 @@ class TraceDeriver:
             capture is not None
             and self.recorder is not None
             and self.recorder.is_innermost
-            and barrier_covered(
-                roots,
-                self.recorder.barriered,
-                ignore_attrs=self.campaign.ignore_attrs,
-            )
+            and barrier_covered(roots, self.recorder.barriered)
         )
         return _ActiveEntry(
             spec=spec,
@@ -299,10 +295,7 @@ class TraceDeriver:
         """Graph capture under suspension; None when over budget."""
         capture = self._within_budget(
             lambda budget: self._graph.capture_frame(
-                roots,
-                ignore_attrs=self.campaign.ignore_attrs,
-                max_nodes=budget,
-                stats=self.stats,
+                roots, max_nodes=budget, stats=self.stats
             )
         )
         return None if capture is _OVER_BUDGET else capture
@@ -343,11 +336,7 @@ class TraceDeriver:
             return (entry.spec.key, ATOMIC, None)
         difference = self._within_budget(
             lambda budget: self._graph.diff_live(
-                entry.capture,
-                entry.roots,
-                ignore_attrs=self.campaign.ignore_attrs,
-                max_nodes=budget,
-                stats=self.stats,
+                entry.capture, entry.roots, max_nodes=budget, stats=self.stats
             )
         )
         if difference is _OVER_BUDGET:

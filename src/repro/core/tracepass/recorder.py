@@ -72,7 +72,6 @@ class TraceRecorder:
         self.events: List[Tuple[int, str, str]] = []
         #: Classes whose write barrier routes into this recorder.
         self.barriered: Set[type] = set()
-        self._installed: List[type] = []
         self._active = False
 
     # -- UndoLog protocol (fed by the cow write barrier) ----------------
@@ -108,19 +107,15 @@ class TraceRecorder:
     def start(self, classes: Iterable[type]) -> None:
         """Install write barriers and make this the active sink.
 
-        Only classes whose barrier this call installed are removed again
-        by :meth:`stop` — a class that already carries a barrier (e.g.
-        from an enclosing undo-log campaign) is left alone, but still
-        counts as covered since its events reach the active-log stack.
+        A class that already carries a barrier (e.g. from an enclosing
+        undo-log campaign) keeps it after :meth:`stop`: installs are
+        counted, and :meth:`stop` drops only this recorder's.
         """
         if self._active:
             raise RuntimeError("TraceRecorder already started")
-        for cls in classes:
-            freshly_installed = not hasattr(cls, "_repro_original_setattr")
+        self.barriered = set(classes)
+        for cls in self.barriered:
             install_write_barrier(cls)
-            if freshly_installed:
-                self._installed.append(cls)
-            self.barriered.add(cls)
         push_active_log(self)
         self._active = True
 
@@ -128,9 +123,8 @@ class TraceRecorder:
         if not self._active:
             return
         pop_active_log(self)
-        for cls in self._installed:
+        for cls in self.barriered:
             remove_write_barrier(cls)
-        self._installed = []
         self._active = False
 
 

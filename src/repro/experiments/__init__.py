@@ -28,7 +28,7 @@ from .fig5 import (
     measure_undolog_ablation,
 )
 from .linkedlist_fixes import FixComparison, compare_linkedlist_fixes
-from .parallel import JournalError, ProgramRef
+from .parallel import JournalError
 from .programs import (
     ALL_PROGRAMS,
     CPP_PROGRAMS,
@@ -77,7 +77,6 @@ __all__ = [
     "save_outcome",
     "load_outcome",
     "library_wide_classification",
-    "ProgramRef",
     "JournalError",
     "MergedCampaign",
     "ShardError",

@@ -30,7 +30,6 @@ from repro.core import (
     reclassify,
 )
 
-from .parallel import ProgramRef
 from .programs import ALL_PROGRAMS, AppProgram
 
 __all__ = [
@@ -67,7 +66,6 @@ def run_app_campaign(
     *,
     stride: int = 1,
     policy: Optional[WrapPolicy] = None,
-    capture_args: bool = True,
     scale: int = 1,
     workers: Optional[int] = None,
     resume: bool = False,
@@ -77,13 +75,14 @@ def run_app_campaign(
     progress: Optional[Callable[[int, int], None]] = None,
     state_backend: str = "graph",
     trace_derive: bool = False,
-    program_ref=None,
 ) -> CampaignOutcome:
     """Run detection + classification for one application.
 
     Args:
         program: the evaluation application (see
-            :mod:`repro.experiments.programs`).
+            :mod:`repro.experiments.programs`), or any other
+            :class:`AppProgram`: shard processes inherit it through the
+            fork.
         stride: inject at every *stride*-th point (1 = the paper's full
             sweep).
         policy: optional wrap policy; its exception-free set filters runs
@@ -99,7 +98,10 @@ def run_app_campaign(
             (whose fragments also fix the shard count).
         journal: directory of the journal fragments (``shard-NN.jsonl``,
             which ``repro merge`` reads); a temporary one when unset.
-        timeout: per-run wall-clock budget (seconds, shard engine only).
+        timeout: per-run wall-clock budget in seconds.  The budget is
+            a shard process's ``SIGALRM``, so it needs the shard engine:
+            without ``workers``, ``journal`` or ``resume`` it is refused
+            with a ``ValueError``.
         retries: retry attempts per timed-out point before marking it
             crashed (shard engine only).
         progress: optional ``(runs_done, runs_total)`` callback.
@@ -113,18 +115,21 @@ def run_app_campaign(
             reference execution; only trace-undecidable points execute.
             Composes with every ``state_backend``; the classification is
             identical, with derived runs tagged ``provenance="trace"``.
-        program_ref: the :class:`~repro.experiments.parallel.ProgramRef`
-            shard processes rebuild a non-registry *program* from (e.g.
-            the service's ``exec``'d submitted source).
     """
     if scale > 1:
         program = program.scaled(scale * program.rounds)
-    if workers is not None or resume or journal is not None:
+    sharded = workers is not None or resume or journal is not None
+    if timeout is not None and not sharded:
+        raise ValueError(
+            "timeout needs the shard engine (pass workers): the per-run "
+            "budget is SIGALRM in a shard process, and a sequential "
+            "campaign has none"
+        )
+    if sharded:
         from .supervise import ShardSupervisor
 
         if resume and journal is None:
             raise ValueError("resume=True requires a journal directory")
-        ref = program_ref or ProgramRef.for_program(program)
         shards = os.cpu_count() or 1 if workers is None else workers
         # Without a run budget a point may take arbitrarily long, so only
         # a shard process that died, not a slow one, is retried.
@@ -137,14 +142,13 @@ def run_app_campaign(
             else contextlib.nullcontext(journal)
         ) as workdir:
             merged = ShardSupervisor(heartbeat_timeout=heartbeat).run(
-                ref.resolve,
+                lambda: program,
                 shards,
                 workdir,
                 workers=shards,
                 resume=resume,
                 progress=progress,
                 stride=stride,
-                capture_args=capture_args,
                 timeout=timeout,
                 retries=retries,
                 state_backend=state_backend,
@@ -156,9 +160,7 @@ def run_app_campaign(
         detection.telemetry.engine = "parallel"
         classification = merged.classify(policy)
     else:
-        campaign = InjectionCampaign(
-            capture_args=capture_args, state_backend=state_backend
-        )
+        campaign = InjectionCampaign(state_backend=state_backend)
         with Weaver(
             lambda spec: make_injection_wrapper(spec, campaign),
             Analyzer(exclude=program.exclude),
@@ -272,18 +274,10 @@ def run_programs(
     programs: Optional[List[AppProgram]] = None,
     *,
     stride: int = 1,
-    capture_args: bool = True,
     scale: int = 1,
 ) -> List[CampaignOutcome]:
     """Run campaigns for several applications (default: all sixteen)."""
-    outcomes = []
-    for program in programs if programs is not None else ALL_PROGRAMS:
-        outcomes.append(
-            run_app_campaign(
-                program,
-                stride=stride,
-                capture_args=capture_args,
-                scale=scale,
-            )
-        )
-    return outcomes
+    return [
+        run_app_campaign(program, stride=stride, scale=scale)
+        for program in (programs if programs is not None else ALL_PROGRAMS)
+    ]

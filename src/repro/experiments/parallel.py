@@ -6,10 +6,9 @@ child process.  This module holds what those children, the shard runner
 and the service's result cache share: :func:`run_point_with_timeout`
 (one injection point under a ``SIGALRM`` budget, retried, then marked
 ``crashed``), :func:`_run_chunk` (a shard process's entry point, which
-reports a tick per finished point on the pipe the parent watches),
-:class:`ProgramRef` (how a child rebuilds a subject outside the program
-registry) and :func:`scan_jsonl` / :func:`repair_jsonl_tail` (the one
-torn-tail tolerant JSONL reader).
+weaves the subject it inherited from the parent and reports a tick per
+finished point on the pipe the parent watches) and :func:`scan_jsonl` /
+:func:`repair_jsonl_tail` (the one torn-tail tolerant JSONL reader).
 """
 
 from __future__ import annotations
@@ -18,15 +17,13 @@ import contextlib
 import json
 import signal
 import threading
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import InjectionCampaign, run_injection_point
 from repro.core.runlog import RunRecord
 from repro.resilience.chaos import fire as _fault_site
 
 __all__ = [
-    "ProgramRef",
     "JournalError",
     "run_point_with_timeout",
     "scan_jsonl",
@@ -77,49 +74,6 @@ def repair_jsonl_tail(path: str, data: bytes, valid_end: int) -> None:
     elif data and not data.endswith(b"\n"):
         with open(path, "ab") as handle:
             handle.write(b"\n")
-
-
-# ---------------------------------------------------------------------------
-# Program references: how a shard process finds its test program
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProgramRef:
-    """A recipe for rebuilding an :class:`AppProgram` in a shard process,
-    which weaves its own copy rather than rely on the parent's memory:
-    a registry name, or a factory callable (tests, fuzz programs,
-    submitted source).  ``rounds`` re-applies workload scaling."""
-
-    name: Optional[str] = None
-    factory: Optional[Callable[[], Any]] = None
-    rounds: int = 1
-
-    def resolve(self):
-        from .programs import program_by_name
-
-        if self.factory is not None:
-            program = self.factory()
-        elif self.name is not None:
-            program = program_by_name(self.name)
-        else:
-            raise ValueError("ProgramRef needs a name or a factory")
-        if self.rounds != program.rounds:
-            program = program.scaled(self.rounds)
-        return program
-
-    @classmethod
-    def for_program(cls, program) -> "ProgramRef":
-        """Build a ref for a registry program (``repro.experiments.programs``)."""
-        from .programs import is_registered
-
-        if not is_registered(program.name):
-            raise ValueError(
-                f"program {program.name!r} is not in the registry; pass an "
-                "explicit ProgramRef(factory=...) so shard processes can "
-                "rebuild it"
-            )
-        return cls(name=program.name, rounds=program.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +171,7 @@ def run_point_with_timeout(
 
 def _run_chunk(
     conn,
-    program_factory: Callable[[], Any],
+    program,
     shard_index: int,
     shard_count: int,
     fragment_path: str,
@@ -227,15 +181,18 @@ def _run_chunk(
 ) -> None:
     """Run one shard attempt in this (forked) process.
 
-    Sends ``("tick", done)`` on *conn* after every finished point, then
-    ``("done", ShardResult)`` or ``("error", reason)``; a process that
-    dies or is killed sends neither, and the parent reads its exit.
+    *program* is the parent's, inherited through the fork: its classes
+    were unwoven when the parent forked, and this process weaves its own
+    copy-on-write copy of them.  Sends ``("tick", done)`` on *conn*
+    after every finished point, then ``("done", ShardResult)`` or
+    ``("error", reason)``; a process that dies or is killed sends
+    neither, and the parent reads its exit.
     """
     from .shard import run_shard
 
     try:
         result = run_shard(
-            program_factory(),
+            program,
             shard_index,
             shard_count,
             fragment_path,

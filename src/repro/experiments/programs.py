@@ -62,7 +62,6 @@ __all__ = [
     "JAVA_PROGRAMS",
     "ALL_PROGRAMS",
     "program_by_name",
-    "is_registered",
 ]
 
 LANGUAGE_CPP = "C++"
@@ -548,8 +547,3 @@ def program_by_name(name: str) -> AppProgram:
         raise KeyError(
             f"unknown application {name!r}; choose from {sorted(_BY_NAME)}"
         ) from None
-
-
-def is_registered(name: str) -> bool:
-    """True when *name* is one of the sixteen evaluation applications."""
-    return name in _BY_NAME

@@ -85,7 +85,6 @@ CAMPAIGN_KEYS = (
     "rounds",
     "stride",
     "total_points",
-    "capture_args",
     "state_backend",
     "trace_derive",
     "shard_count",
@@ -122,7 +121,6 @@ def shard_header(
     total_points: int,
     *,
     stride: int,
-    capture_args: bool,
     state_backend: str,
     trace_derive: bool,
 ) -> Dict[str, Any]:
@@ -132,7 +130,6 @@ def shard_header(
         "rounds": program.rounds,
         "stride": stride,
         "total_points": total_points,
-        "capture_args": capture_args,
         "state_backend": state_backend,
         "trace_derive": trace_derive,
     }
@@ -310,7 +307,6 @@ class ShardProfile:
 def profile_shards(
     program,
     *,
-    capture_args: bool = True,
     state_backend: str = "graph",
     trace_derive: bool = False,
 ) -> ShardProfile:
@@ -319,9 +315,7 @@ def profile_shards(
     The engine's parent calls this once per campaign and hands the
     result to every shard; a shard run on its own calls it itself.
     """
-    campaign = InjectionCampaign(
-        capture_args=capture_args, state_backend=state_backend
-    )
+    campaign = InjectionCampaign(state_backend=state_backend)
     with Weaver(
         lambda spec: make_injection_wrapper(spec, campaign),
         Analyzer(exclude=program.exclude),
@@ -366,7 +360,6 @@ def run_shard(
     fragment_path: str,
     *,
     stride: int = 1,
-    capture_args: bool = True,
     timeout: Optional[float] = None,
     retries: int = 1,
     resume: bool = False,
@@ -397,10 +390,7 @@ def run_shard(
     started = time.perf_counter()
     if profile is None:
         profile = profile_shards(
-            program,
-            capture_args=capture_args,
-            state_backend=state_backend,
-            trace_derive=trace_derive,
+            program, state_backend=state_backend, trace_derive=trace_derive
         )
     total = profile.profile.total_points
     decided = profile.profile.decided
@@ -413,7 +403,6 @@ def run_shard(
         program,
         total,
         stride=stride,
-        capture_args=capture_args,
         state_backend=state_backend,
         trace_derive=trace_derive,
     )
@@ -428,9 +417,7 @@ def run_shard(
     if not resumed:
         fragment.start(header, profile.payload)
 
-    campaign = InjectionCampaign(
-        capture_args=capture_args, state_backend=state_backend
-    )
+    campaign = InjectionCampaign(state_backend=state_backend)
     # The profiling run's wrapper entries decide which before-captures
     # this shard's runs skip, as they do in the sequential engine.
     campaign.call_entries = profile.profile.call_entries

@@ -1,17 +1,17 @@
 """The campaign engine: shards as supervised, killable child processes.
 
 :meth:`ShardSupervisor.run` — behind ``run_app_campaign(workers=N)``,
-``repro chaos`` and the supervised benchmark alike — weaves and profiles
-the subject **once**, in the parent, then runs each interleaved shard of
-the plan in a forked child process (at most ``workers`` at once) that
-weaves its own copy and appends to its own journal fragment.  Children
-tick once per finished point on a pipe, the parent's heartbeat and
-``progress`` feed.  A child whose tick goes stale gets
-``Process.kill()``, which cannot land in a ``finally`` of the parent or
-leave its classes woven; a shard that died, hung, raised, or journaled
-crashed points is retried from its fragment with capped exponential
-backoff and seeded jitter.  The fragments then merge bit-identical to
-the sequential engine.
+``repro chaos`` and the supervised benchmark alike — builds, weaves and
+profiles the subject **once**, in the parent, then runs each interleaved
+shard of the plan in a forked child process (at most ``workers`` at
+once) that inherits the subject, weaves its own copy and appends to its
+own journal fragment.  Children tick once per finished point on a pipe,
+the parent's heartbeat and ``progress`` feed.  A child whose tick goes
+stale gets ``Process.kill()``, which cannot land in a ``finally`` of the
+parent or leave its classes woven; a shard that died, hung, raised, or
+journaled crashed points is retried from its fragment with capped
+exponential backoff and seeded jitter.  The fragments then merge
+bit-identical to the sequential engine.
 
 :func:`run_chaos_campaign` turns the paper's thesis — recovery code is
 the least-tested code — on our own recovery code: it arms a seeded
@@ -236,7 +236,6 @@ class ShardSupervisor:
         resume: bool = False,
         progress: Optional[Callable[[int, int], None]] = None,
         stride: int = 1,
-        capture_args: bool = True,
         timeout: Optional[float] = None,
         retries: int = 1,
         state_backend: str = "graph",
@@ -246,9 +245,10 @@ class ShardSupervisor:
 
         Fragments land in *workdir* as ``shard-NN.jsonl``.  At most
         *workers* shard processes run at once; the default of one keeps
-        chaos schedules deterministic.  *program_factory* builds the
-        subject in the parent and again in every shard process.  With
-        *resume* only the points missing from *workdir* run.
+        chaos schedules deterministic.  *program_factory* is called once,
+        here in the parent; every shard process inherits the subject it
+        built through the fork.  With *resume* only the points missing
+        from *workdir* run.
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -259,10 +259,7 @@ class ShardSupervisor:
         started = time.perf_counter()
         program = program_factory()
         profile = profile_shards(
-            program,
-            capture_args=capture_args,
-            state_backend=state_backend,
-            trace_derive=trace_derive,
+            program, state_backend=state_backend, trace_derive=trace_derive
         )
         total = profile.profile.total_points
         points = plan_points(total, stride=stride)
@@ -270,7 +267,6 @@ class ShardSupervisor:
             program,
             total,
             stride=stride,
-            capture_args=capture_args,
             state_backend=state_backend,
             trace_derive=trace_derive,
         )
@@ -281,7 +277,6 @@ class ShardSupervisor:
         resumed &= set(points)
         config = {
             "stride": stride,
-            "capture_args": capture_args,
             "timeout": timeout,
             "retries": retries,
             "state_backend": state_backend,
@@ -289,7 +284,7 @@ class ShardSupervisor:
         }
         profiled = time.perf_counter()
         outcomes = self._run_shards(
-            program_factory,
+            program,
             profile,
             config,
             paths,
@@ -343,7 +338,7 @@ class ShardSupervisor:
 
     def _run_shards(
         self,
-        program_factory: Callable[[], AppProgram],
+        program: AppProgram,
         profile: ShardProfile,
         config: Dict[str, Any],
         paths: List[str],
@@ -378,7 +373,7 @@ class ShardSupervisor:
                     outcome.attempts += 1
                     running[index] = _ShardProcess(
                         ctx,
-                        program_factory,
+                        program,
                         index,
                         count,
                         paths[index],
@@ -531,7 +526,6 @@ def run_chaos_campaign(
     plan: Optional[FaultPlan] = None,
     supervisor: Optional[ShardSupervisor] = None,
     stride: int = 1,
-    capture_args: bool = True,
     timeout: Optional[float] = 0.25,
     retries: int = 1,
     state_backend: str = "graph",
@@ -553,7 +547,6 @@ def run_chaos_campaign(
     started = time.perf_counter()
     config: Dict[str, Any] = {
         "stride": stride,
-        "capture_args": capture_args,
         "timeout": timeout,
         "retries": retries,
         "state_backend": state_backend,
@@ -562,7 +555,6 @@ def run_chaos_campaign(
     reference = run_app_campaign(
         program_factory(),
         stride=stride,
-        capture_args=capture_args,
         state_backend=state_backend,
         trace_derive=trace_derive,
     )
@@ -596,7 +588,7 @@ def run_chaos_campaign(
     missing = [kind for kind in required if coverage.get(kind, 0) < 1]
     converged = identical and not missing and error is None
     return ChaosReport(
-        program=program_factory().name,
+        program=reference.name,
         seed=seed,
         shard_count=shard_count,
         converged=converged,

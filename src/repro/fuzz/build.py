@@ -3,15 +3,12 @@
 The spec is rendered to ordinary Python source and ``exec``'d in a fresh
 namespace whose ``__name__`` is the fixed :data:`FUZZ_MODULE_NAME`, so
 type names — which appear inside run-log ``difference`` strings and are
-therefore part of the bit-identical engine comparison — are deterministic
-across processes (the shard engine's processes rebuild the program from
-the same spec via :func:`build_program`, which is picklable together with
-the spec for exactly that purpose).
+therefore part of the bit-identical engine comparison — are the same in
+every build of the spec.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, Dict, List
 
 from repro.core.exceptions import exception_free, throws
@@ -36,11 +33,10 @@ __all__ = [
     "build_namespace",
     "build_program",
     "make_workload",
-    "program_factory",
 ]
 
 #: ``__module__`` of every generated class — fixed so graph type names
-#: ("repro_fuzz_subject.F0") are identical in parent and worker processes.
+#: ("repro_fuzz_subject.F0") are identical in every build of a spec.
 FUZZ_MODULE_NAME = "repro_fuzz_subject"
 
 #: Language tag of generated programs (the registry uses "C++"/"Java").
@@ -154,9 +150,8 @@ def make_workload(spec: ProgramSpec, root_cls: type) -> Callable[[], None]:
 def build_program(spec: ProgramSpec) -> AppProgram:
     """Build a fresh :class:`AppProgram` (fresh classes) from *spec*.
 
-    Module-level and driven purely by the picklable spec, so
-    ``functools.partial(build_program, spec)`` is a valid
-    ``ProgramRef(factory=...)`` for the shard engine's processes.
+    Every engine runs the result as it is: the shard engine's processes
+    inherit it through the fork.
     """
     classes = build_classes(spec)
     return AppProgram(
@@ -165,8 +160,3 @@ def build_program(spec: ProgramSpec) -> AppProgram:
         classes=classes,
         body=make_workload(spec, classes[0]),
     )
-
-
-def program_factory(spec: ProgramSpec) -> "functools.partial[AppProgram]":
-    """The picklable worker-side factory for *spec*."""
-    return functools.partial(build_program, spec)

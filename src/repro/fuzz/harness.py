@@ -51,7 +51,6 @@ from repro.core.masking import STRATEGIES, MaskingStats
 from repro.core.policy import select_methods_to_wrap
 from repro.core.runlog import log_json_without_provenance
 from repro.experiments.campaign import run_app_campaign
-from repro.experiments.parallel import ProgramRef
 from repro.experiments.validation import GraphCheck, mask_and_redetect
 
 from .build import build_program
@@ -167,11 +166,10 @@ def _campaign(
     workers: Optional[int] = None,
 ) -> Tuple[DetectionResult, ClassificationResult]:
     """One campaign: the sequential engine, or with *workers* the shard
-    engine, whose processes rebuild the program from its spec."""
+    engine."""
     outcome = run_app_campaign(
         build_program(spec),
         workers=workers,
-        program_ref=ProgramRef(factory=functools.partial(build_program, spec)),
         state_backend=state_backend,
         trace_derive=trace_derive,
     )
@@ -467,7 +465,7 @@ def _check_variants(
 
 
 def _build_variant_program(spec: ProgramSpec, recipe, tag: int):
-    """Module-level so the factory stays picklable like build_program."""
+    """A fresh build of *spec*'s variant *tag* under *recipe*."""
     from repro.core.variants import build_spec_variant
 
     return build_spec_variant(spec, recipe, tag=tag)[0]

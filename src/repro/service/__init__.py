@@ -33,7 +33,6 @@ from .subjects import (
     build_subject,
     canonical_config,
     estimate_cost,
-    subject_factory,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "build_subject",
     "canonical_config",
     "estimate_cost",
-    "subject_factory",
 ]

@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.campaign import run_app_campaign
-from repro.experiments.parallel import ProgramRef
 from repro.resilience.chaos import fire as _fault_site
 
 from .cache import ResultCache, submission_digest
@@ -70,8 +69,8 @@ from .subjects import (
     SubmissionError,
     build_subject,
     canonical_config,
+    compile_source,
     estimate_cost,
-    subject_factory,
 )
 
 __all__ = ["CampaignRecord", "CampaignService", "ServiceServer", "serve"]
@@ -195,27 +194,31 @@ class CampaignService:
         """Accept one submission; returns ``(response payload, status)``.
 
         * cached result -> ``(payload, 200)`` with ``cached: true`` —
-          the campaign is *not* re-run (even while draining);
+          the campaign is *not* re-run (even while draining), and none
+          of the submitted code is compiled or executed;
         * accepted -> ``(queued summary, 202)``;
         * draining, queue full (``reject``), or over the cost budget
           (``cost-aware``) -> ``(error, 503)`` with a ``retry_after``
           hint; under ``shed-oldest`` a full queue instead drops the
           oldest queued campaign (terminal ``shed`` event) and admits
           the newcomer;
-        * invalid source/config -> :class:`SubmissionError` (the HTTP
-          layer maps it to ``400``).
+        * invalid config, or source that does not compile ->
+          :class:`SubmissionError` (the HTTP layer maps it to ``400``).
+          Source that compiles but fails when executed (at definition
+          time, or with no ``workload()`` or class) is accepted, and its
+          campaign ends ``failed``.
         """
         if not isinstance(source, str) or not source.strip():
             raise SubmissionError("source must be non-empty Python source")
         cfg = canonical_config(config)
-        # Compile eagerly so a broken submission is a 400 at submit
-        # time, not a failed campaign discovered via polling.
-        build_subject(source, name)
         digest = submission_digest(source, cfg)
         cached = self.cache.get(digest)
         if cached is not None:
             persisted = self.cache.is_persisted(digest)
             return self._cached_response(cached, persisted=persisted), 200
+        # Compile, but run nothing: a syntax error is a 400 at submit
+        # time, not a failed campaign discovered by polling.
+        compile_source(source)
         if self.draining:
             return self._unavailable("service is draining for shutdown"), 503
         cost = estimate_cost(source, cfg)
@@ -361,26 +364,19 @@ class CampaignService:
             )
 
         try:
+            # The one build of this subject: shard processes inherit it.
             program = build_subject(record.source, record.name)
             if cfg["rounds"] > 1:
                 program = program.scaled(cfg["rounds"])
-            # With workers, shard processes rebuild the subject from the
-            # (source, name) recipe; rounds re-applies the scaling.
-            program_ref = ProgramRef(
-                factory=subject_factory(record.source, record.name),
-                rounds=cfg["rounds"],
-            )
             outcome = run_app_campaign(
                 program,
                 stride=cfg["stride"],
-                capture_args=cfg["capture_args"],
                 workers=cfg["workers"],
                 timeout=cfg["timeout"],
                 retries=cfg["retries"],
                 state_backend=cfg["state_backend"],
                 trace_derive=cfg["trace_derive"],
                 progress=progress,
-                program_ref=program_ref,
             )
         except Exception as exc:  # the campaign, not the service, failed
             record.status = STATUS_FAILED

@@ -3,14 +3,15 @@
 The service accepts a subject as plain Python source that defines one or
 more classes and a ``workload()`` callable (the deterministic,
 re-runnable workload the detection campaign sweeps — same contract as
-:class:`~repro.experiments.programs.AppProgram`).  The source is
-``exec``'d in a fresh namespace whose ``__name__`` is the fixed
-:data:`SERVICE_MODULE_NAME`, so type names — which appear in run-log
-``difference`` strings and therefore in the bit-identical engine
-comparison — are deterministic across processes; the rendered source is
-registered with :mod:`repro.core.virtualsource` so ``inspect`` (and
-with it the trace pass's transparency certificates) can read method
-bodies.
+:class:`~repro.experiments.programs.AppProgram`).  At submission the
+source is only compiled (:func:`compile_source`); the campaign worker
+``exec``'s it (:func:`build_subject`) in a fresh namespace whose
+``__name__`` is the fixed :data:`SERVICE_MODULE_NAME`, so type names —
+which appear in run-log ``difference`` strings and therefore in the
+bit-identical engine comparison — are the same in every build; the
+rendered source is registered with :mod:`repro.core.virtualsource` so
+``inspect`` (and with it the trace pass's transparency certificates)
+can read method bodies.
 
 Campaign configs are canonicalized before they reach the result cache:
 defaults filled, values coerced, keys sorted, unknown keys rejected.
@@ -22,9 +23,9 @@ config differently.
 from __future__ import annotations
 
 import ast
-import functools
 import hashlib
-from typing import Any, Callable, Dict, Mapping, Optional
+from types import CodeType
+from typing import Any, Dict, Mapping, Optional
 
 from repro.core.exceptions import exception_free, throws
 from repro.core.state import get_backend
@@ -36,13 +37,13 @@ __all__ = [
     "SERVICE_LANGUAGE",
     "SubmissionError",
     "canonical_config",
+    "compile_source",
     "build_subject",
     "estimate_cost",
-    "subject_factory",
 ]
 
 #: ``__module__`` of every submitted class — fixed so graph type names
-#: are identical no matter which process (or shard) rebuilds the subject.
+#: are identical in every build of the subject.
 SERVICE_MODULE_NAME = "repro_service_subject"
 
 #: Language tag of submitted programs (the registry uses "C++"/"Java").
@@ -54,7 +55,6 @@ SERVICE_LANGUAGE = "Service"
 CONFIG_DEFAULTS: Dict[str, Any] = {
     "stride": 1,
     "rounds": 1,
-    "capture_args": True,
     "state_backend": "graph",
     "trace_derive": False,
     "workers": None,
@@ -71,8 +71,9 @@ def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     """Validate and canonicalize a campaign config.
 
     Fills defaults, coerces value types, normalizes the backend name
-    through its registry, and rejects unknown keys — so the config that reaches the cache key is exactly the
-    config the campaign will run with.
+    through its registry, and rejects unknown keys and a ``timeout``
+    without ``workers`` — so the config that reaches the cache key is
+    exactly the config the campaign will run with.
     """
     config = dict(config or {})
     unknown = set(config) - set(CONFIG_DEFAULTS)
@@ -87,7 +88,6 @@ def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         out["stride"] = int(out["stride"])
         out["rounds"] = int(out["rounds"])
         out["retries"] = int(out["retries"])
-        out["capture_args"] = bool(out["capture_args"])
         out["trace_derive"] = bool(out["trace_derive"])
         if out["workers"] is not None:
             out["workers"] = int(out["workers"])
@@ -105,6 +105,11 @@ def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         raise SubmissionError("workers must be >= 1")
     if out["timeout"] is not None and out["timeout"] <= 0:
         raise SubmissionError("timeout must be > 0")
+    if out["timeout"] is not None and out["workers"] is None:
+        raise SubmissionError(
+            "timeout needs workers: the per-run budget is SIGALRM in a "
+            "shard process, and a campaign without workers has none"
+        )
     try:
         out["state_backend"] = get_backend(str(out["state_backend"])).name
     except ValueError as exc:
@@ -126,13 +131,23 @@ def _namespace() -> Dict[str, Any]:
     }
 
 
-def build_subject(source: str, name: str = "subject") -> AppProgram:
-    """Compile submitted source into a fresh :class:`AppProgram`.
+def compile_source(source: str, filename: str = "<submission>") -> CodeType:
+    """Compile submitted source without running any of it.
 
-    Module-level and driven purely by picklable strings, so
-    ``functools.partial(build_subject, source, name)`` is a valid
-    ``ProgramRef(factory=...)`` for the shard engine's processes (see
-    :func:`subject_factory`).
+    Raises :class:`SubmissionError` when the source does not compile.
+    """
+    try:
+        return compile(source, filename, "exec")
+    except (SyntaxError, ValueError) as exc:  # ValueError: a NUL byte
+        raise SubmissionError(f"source does not compile: {exc}") from exc
+
+
+def build_subject(source: str, name: str = "subject") -> AppProgram:
+    """Execute submitted source into a fresh :class:`AppProgram`.
+
+    The one place a submitted subject is built: the service's campaign
+    worker calls it once per campaign it runs, and shard processes
+    inherit the result through the fork.
 
     Raises :class:`SubmissionError` when the source does not compile,
     fails at definition time, defines no ``workload`` callable, or
@@ -143,10 +158,7 @@ def build_subject(source: str, name: str = "subject") -> AppProgram:
     # sources by filename, and a long-running service sees many).
     tag = hashlib.blake2b(source.encode("utf-8"), digest_size=6).hexdigest()
     filename = register_virtual_source(f"<service:{name}:{tag}>", source)
-    try:
-        code = compile(source, filename, "exec")
-    except SyntaxError as exc:
-        raise SubmissionError(f"source does not compile: {exc}") from exc
+    code = compile_source(source, filename)
     try:
         exec(code, namespace)
     except Exception as exc:
@@ -176,13 +188,6 @@ def build_subject(source: str, name: str = "subject") -> AppProgram:
     )
 
 
-def subject_factory(
-    source: str, name: str = "subject"
-) -> "functools.partial[AppProgram]":
-    """The picklable worker-side factory for a submission."""
-    return functools.partial(build_subject, source, name)
-
-
 def estimate_cost(source: str, config: Mapping[str, Any]) -> int:
     """A static proxy for a submission's compiled-plan point count.
 
@@ -195,7 +200,7 @@ def estimate_cost(source: str, config: Mapping[str, Any]) -> int:
     monotone in subject size, which is all an admission policy needs.
 
     *config* should already be canonical; a source that does not parse
-    estimates to 1 (``build_subject`` rejects it with a 400 anyway).
+    estimates to 1 (``compile_source`` rejects it with a 400 anyway).
     """
     try:
         tree = ast.parse(source)

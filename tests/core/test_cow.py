@@ -147,7 +147,8 @@ def test_barrier_install_idempotent():
     install_write_barrier(Counter)
     assert Counter.__setattr__ is first
     remove_write_barrier(Counter)
-    remove_write_barrier(Counter)  # also idempotent
+    remove_write_barrier(Counter)
+    remove_write_barrier(Counter)  # one more than installed: a no-op
 
 
 def test_barrier_removal_restores_plain_setattr():
@@ -158,6 +159,37 @@ def test_barrier_removal_restores_plain_setattr():
     with log:
         counter.value = 9
     assert log.recorded_writes == 0  # barrier gone
+
+
+def test_barrier_removal_restores_the_class_dict_exactly():
+    class Fresh:
+        pass
+
+    class OwnSetattr:
+        def __setattr__(self, name, value):
+            object.__setattr__(self, name, value)
+
+    for cls in (Fresh, OwnSetattr):
+        before = dict(vars(cls))
+        install_write_barrier(cls)
+        assert vars(cls)["__setattr__"] is not before.get("__setattr__")
+        remove_write_barrier(cls)
+        assert dict(vars(cls)) == before
+
+
+def test_barrier_stays_until_every_install_is_removed():
+    install_write_barrier(Counter)
+    install_write_barrier(Counter)
+    remove_write_barrier(Counter)  # the other owner still needs it
+    try:
+        counter = Counter()
+        log = UndoLog()
+        with log:
+            counter.value = 9
+        assert log.recorded_writes == 1
+    finally:
+        remove_write_barrier(Counter)
+    assert "__setattr__" not in vars(Counter)
 
 
 def test_container_mutations_not_covered(barriered):

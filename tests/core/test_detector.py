@@ -272,7 +272,6 @@ def _settler_app():
 def test_shard_engine_replays_like_the_sequential_engine(tmp_path):
     global _SETTLES
     from repro.experiments import run_app_campaign
-    from repro.experiments.parallel import ProgramRef
 
     full = _settler_detection(max_graph_nodes=10**6)
     _SETTLES = 0
@@ -280,7 +279,6 @@ def test_shard_engine_replays_like_the_sequential_engine(tmp_path):
         _settler_app(),
         workers=2,
         journal=str(tmp_path / "journal"),
-        program_ref=ProgramRef(factory=_settler_app),
     ).detection
     assert [run.to_dict() for run in sharded.log.runs] == [
         run.to_dict() for run in full.log.runs

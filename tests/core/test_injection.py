@@ -5,7 +5,7 @@ import pytest
 from repro.core.analyzer import Analyzer
 from repro.core.exceptions import InjectedRuntimeError, is_injected, throws
 from repro.core.injection import InjectionCampaign, make_injection_wrapper
-from repro.core.runlog import ATOMIC, NONATOMIC
+from repro.core.runlog import NONATOMIC
 from repro.core.weaver import Weaver
 
 
@@ -161,23 +161,6 @@ def test_mutable_argument_included_in_snapshot():
         campaign.end_run(completed=False, escaped=False)
     mark = campaign.log.runs[0].marks[0]
     assert mark.verdict == NONATOMIC
-
-
-def test_capture_args_disabled_ignores_argument_mutation():
-    class Sink:
-        def consume(self, items):
-            items.pop()
-            raise RuntimeError("boom")
-
-    campaign = InjectionCampaign(capture_args=False)
-    with weave(campaign, Sink):
-        campaign.begin_run(100)
-        sink = Sink()
-        with pytest.raises(RuntimeError):
-            sink.consume([1, 2, 3])
-        campaign.end_run(completed=False, escaped=False)
-    mark = campaign.log.runs[0].marks[0]
-    assert mark.verdict == ATOMIC  # receiver itself unchanged
 
 
 def test_suspension_makes_wrappers_transparent():

@@ -366,12 +366,13 @@ def test_undolog_strategy_commit_retires_the_log(undolog):
 
 def test_undolog_cover_installs_and_uncover_removes_the_barrier():
     undolog = get_strategy("undolog")
+    before = dict(vars(Point))
     undolog.cover([Point])
     try:
-        assert "_repro_original_setattr" in vars(Point)
+        assert "__setattr__" in vars(Point)
     finally:
         undolog.uncover([Point])
-    assert "_repro_original_setattr" not in vars(Point)
+    assert dict(vars(Point)) == before
 
 
 def test_wrapper_kind_names_the_strategy():
@@ -406,4 +407,5 @@ def test_undolog_masker_covers_every_class_it_is_given():
         assert (account.balance, account.audit.count) == (5, 1)
         assert stats.checkpointed_objects == 2  # the two writes undone
     for cls in (Account, Audit):
-        assert "_repro_original_setattr" not in vars(cls)
+        assert "__setattr__" not in vars(cls)
+        assert "__delattr__" not in vars(cls)

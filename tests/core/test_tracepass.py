@@ -106,10 +106,24 @@ def test_recorder_counts_attribute_writes():
     finally:
         recorder.stop()
     assert active_log_top() is None
-    assert not hasattr(Counter, "_repro_original_setattr")
+    assert "__setattr__" not in vars(Counter)
     # events after stop no longer reach the recorder
     Counter().value = 1
     assert recorder.sequence == 2
+
+
+def test_recorder_stop_removes_a_subclass_barrier_installed_after_its_base():
+    class Base:
+        pass
+
+    class Derived(Base):
+        pass
+
+    recorder = TraceRecorder()
+    recorder.start([Base, Derived])  # Derived inherits Base's barrier first
+    recorder.stop()
+    for cls in (Base, Derived):
+        assert "__setattr__" not in vars(cls), cls.__name__
 
 
 def test_recorder_double_start_raises():

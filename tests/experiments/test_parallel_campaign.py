@@ -35,7 +35,6 @@ from repro.experiments.parallel import run_point_with_timeout
 from repro.experiments import (
     AppProgram,
     JournalError,
-    ProgramRef,
     ShardError,
     ShardFragment,
     load_outcome,
@@ -284,11 +283,7 @@ def test_more_workers_than_injection_points():
     """More shards than points must neither wedge nor duplicate runs —
     the surplus shards simply hold no point."""
     seq = run_app_campaign(_tiny_program())
-    par = run_app_campaign(
-        _tiny_program(),
-        workers=8,
-        program_ref=ProgramRef(factory=_tiny_program),
-    ).detection
+    par = run_app_campaign(_tiny_program(), workers=8).detection
     assert par.total_points < 8
     assert par.runs_executed == seq.detection.runs_executed
     assert par.log.to_json() == seq.detection.log.to_json()
@@ -333,7 +328,6 @@ def test_timeout_marks_points_crashed(tmp_path):
         timeout=0.05,
         retries=1,
         journal=journal,
-        program_ref=ProgramRef(factory=_slow_program),
     ).detection
     assert result.runs_executed == result.total_points + 1
     assert all(run.crashed for run in result.log.runs)
@@ -350,7 +344,6 @@ def test_timeout_marks_points_crashed(tmp_path):
         timeout=30.0,
         journal=journal,
         resume=True,
-        program_ref=ProgramRef(factory=_slow_program),
     ).detection
     assert retry.telemetry.runs_resumed == 0
     assert retry.telemetry.runs_crashed == 0
@@ -471,11 +464,18 @@ def test_crashed_flag_roundtrips_and_defaults():
     assert not legacy.runs[0].crashed
 
 
-def test_program_ref_rejects_unknown_programs():
-    with pytest.raises(ValueError, match="not in the registry"):
-        ProgramRef.for_program(_slow_program())
-    with pytest.raises(ValueError, match="name or a factory"):
-        ProgramRef().resolve()
+def test_unregistered_program_runs_on_the_shard_engine():
+    """Shard processes inherit the parent's subject through the fork, so
+    a program outside the registry needs no recipe to rebuild it."""
+    sequential = run_app_campaign(_tiny_program())
+    sharded = run_app_campaign(_tiny_program(), workers=2).detection
+    assert sharded.log.to_json() == sequential.detection.log.to_json()
+    assert sharded.genuine_failures == sequential.detection.genuine_failures
+
+
+def test_timeout_without_the_shard_engine_is_refused():
+    with pytest.raises(ValueError, match="workers"):
+        run_app_campaign(_tiny_program(), timeout=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +605,7 @@ def _run_slow_point(timeout, retries):
     """Weave the slow subject and execute its first injection point
     under a budget, via the shared single-point kernel."""
     program = _slow_program()
-    campaign = InjectionCampaign(capture_args=True)
+    campaign = InjectionCampaign()
     with Weaver(
         lambda spec: make_injection_wrapper(spec, campaign),
         Analyzer(exclude=program.exclude),
@@ -658,7 +658,6 @@ def test_timed_campaign_from_a_worker_thread():
             workers=2,
             timeout=0.05,
             retries=0,
-            program_ref=ProgramRef(factory=_slow_program),
         ).detection
 
     thread = threading.Thread(target=drive)
@@ -719,11 +718,7 @@ def test_dead_shard_process_is_retried(tmp_path):
     previous = signal.signal(signal.SIGALRM, overdue)
     signal.setitimer(signal.ITIMER_REAL, 30.0)
     try:
-        outcome = run_app_campaign(
-            _mortal_program(),
-            workers=2,
-            program_ref=ProgramRef(factory=_mortal_program),
-        )
+        outcome = run_app_campaign(_mortal_program(), workers=2)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)

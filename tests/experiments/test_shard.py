@@ -251,15 +251,16 @@ def test_fragment_torn_mid_byte_resume_repairs_durably(
 
 def _as_pre_retirement_fragment(path: str, keep_runs: int) -> int:
     """Rewrite a fresh fragment the way the engine wrote it while the
-    static pass and the instrumentor option existed: the header carries
-    ``static_prune``/``instrumentor``, and every record the static pass
+    static pass, the instrumentor option and the ``capture_args`` option
+    existed: the header carries ``static_prune``/``instrumentor``/
+    ``capture_args``, and every record the static pass
     could synthesize (escaped, all marks atomic) is journaled with
     ``attempts: 0`` and ``provenance: "static"``.  Only the first
     *keep_runs* run lines survive, as if the shard died there.  Returns
     how many static records were written."""
     with open(path, encoding="utf-8") as handle:
         header, profile, *runs = [json.loads(line) for line in handle]
-    header.update(static_prune=True, instrumentor="weave")
+    header.update(static_prune=True, instrumentor="weave", capture_args=True)
     static = 0
     for entry in runs[:keep_runs]:
         record = entry["record"]

@@ -57,6 +57,22 @@ def test_supervised_run_without_faults_matches_sequential(
     assert telemetry.faults_injected == 0
 
 
+def test_supervisor_builds_the_subject_once(sequential, tmp_path):
+    """Shard processes inherit the parent's subject through the fork, so
+    the factory runs once per campaign, not once per shard attempt.
+    The calls are counted in a file because every process sees it."""
+    calls = tmp_path / "calls"
+
+    def factory():
+        with open(calls, "a", encoding="utf-8") as handle:
+            handle.write("x")
+        return program_by_name(APP)
+
+    supervised = ShardSupervisor().run(factory, 2, str(tmp_path / "journal"))
+    _assert_identical(supervised.merged, sequential)
+    assert calls.read_text(encoding="utf-8") == "x"
+
+
 def test_supervisor_retries_through_kill_and_torn_faults(
     sequential, tmp_path
 ):

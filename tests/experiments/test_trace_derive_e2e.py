@@ -20,7 +20,6 @@ import pytest
 from repro.core.runlog import log_json_without_provenance
 from repro.experiments import (
     GROUND_TRUTH,
-    ProgramRef,
     load_outcome,
     run_app_campaign,
     save_outcome,
@@ -40,7 +39,6 @@ def _parallel_derived(workers, backend, **kwargs):
     outcome = run_app_campaign(
         synthetic_program(),
         workers=workers,
-        program_ref=ProgramRef(factory=synthetic_program),
         state_backend=backend,
         trace_derive=True,
         **kwargs,
@@ -125,7 +123,6 @@ def test_resume_rejects_trace_derive_mismatch(tmp_path):
         run_app_campaign(
             synthetic_program(),
             workers=2,
-            program_ref=ProgramRef(factory=synthetic_program),
             journal=journal,
             resume=True,
         )

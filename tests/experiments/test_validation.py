@@ -6,6 +6,7 @@ from repro.core.classify import CATEGORY_ATOMIC
 from repro.core.masking import STRATEGIES
 from repro.experiments import (
     program_by_name,
+    run_app_campaign,
     synthetic_program,
     validate_masking,
 )
@@ -93,3 +94,14 @@ def test_strategies_wrap_and_roll_back_alike(app, strategy):
     expected = undolog_misses if strategy == "undolog" else []
     assert validation.still_nonatomic == expected, validation.summary()
     assert validation.masking_effective == (not expected)
+
+
+def test_campaigns_leave_every_class_dict_as_they_found_it():
+    """The trace pass and the undo-log strategy both put write barriers
+    on the subject's classes; both must take them off exactly."""
+    program = program_by_name("LinkedList")
+    before = {cls: dict(vars(cls)) for cls in program.classes}
+    run_app_campaign(program, trace_derive=True)
+    validate_masking(program, strategy="undolog")
+    for cls in program.classes:
+        assert dict(vars(cls)) == before[cls], cls.__name__

@@ -16,7 +16,6 @@ The contract under test (see ``docs/GUIDE.md`` §"Campaign service"):
 
 import asyncio
 import json
-import pickle
 
 import pytest
 
@@ -30,9 +29,9 @@ from repro.service import (
     build_subject,
     canonical_config,
     estimate_cost,
-    subject_factory,
     submission_digest,
 )
+from repro.service import server as server_module
 
 SOURCE = """
 class Box:
@@ -71,7 +70,9 @@ def test_canonical_config_fills_defaults():
 
 
 def test_canonical_config_coerces_and_validates():
-    cfg = canonical_config({"stride": "2", "trace_derive": 1, "timeout": "5"})
+    cfg = canonical_config(
+        {"stride": "2", "trace_derive": 1, "timeout": "5", "workers": 2}
+    )
     assert cfg["stride"] == 2
     assert cfg["trace_derive"] is True
     assert cfg["timeout"] == 5.0
@@ -87,6 +88,13 @@ def test_canonical_config_coerces_and_validates():
         canonical_config({"stride": "many"})
     with pytest.raises(SubmissionError):
         canonical_config({"state_backend": "quantum"})
+
+
+def test_canonical_config_refuses_timeout_without_workers():
+    # the per-run budget is a shard process's SIGALRM: without workers
+    # there is none to enforce it
+    with pytest.raises(SubmissionError, match="workers"):
+        canonical_config({"timeout": 5})
 
 
 def test_canonical_config_refuses_the_undolog_backend():
@@ -142,14 +150,6 @@ def test_build_subject_rejects_bad_submissions():
         build_subject("class A:\n    pass\n", "x")
     with pytest.raises(SubmissionError, match="no classes"):
         build_subject("def workload():\n    pass\n", "x")
-
-
-def test_subject_factory_is_picklable():
-    factory = subject_factory(SOURCE, "box")
-    rebuilt = pickle.loads(pickle.dumps(factory))
-    program = rebuilt()
-    assert program.name == "box"
-    assert [cls.__name__ for cls in program.classes] == ["Box"]
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +219,54 @@ def test_invalid_submissions_raise_before_enqueueing():
         service.submit("", {}, name="empty")
     with pytest.raises(SubmissionError):
         service.submit(SOURCE, {"bogus": True}, name="box")
-    with pytest.raises(SubmissionError):
-        service.submit("class A:\n    pass\n", {}, name="noworkload")
+    with pytest.raises(SubmissionError, match="does not compile"):
+        service.submit("def workload(:\n", {}, name="broken")
     assert service.queue.qsize() == 0
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("class A:\n    pass\n", "workload"),
+        ("raise RuntimeError('boom')\n", "definition time"),
+        ("def workload():\n    pass\n", "no classes"),
+    ],
+    ids=["no-workload", "raises", "no-classes"],
+)
+def test_definition_time_errors_fail_the_campaign_uncached(source, message):
+    """Submission only compiles the source; executing it is the
+    campaign's job, so a subject that breaks there is a failed
+    campaign, not a 400, and the failure is not cached."""
+    service = CampaignService()
+    _, status = service.submit(source, {}, name="broken")
+    assert status == 202
+    record = service.process_one()
+    assert record.status == "failed"
+    assert message in record.error
+    assert record.events[-1] == {
+        "id": record.id, "event": "failed", "error": record.error,
+    }
+    assert service.cache.stats()["entries"] == 0
+    _, status = service.submit(source, {}, name="broken")
+    assert status == 202
+
+
+def test_subject_is_built_once_per_miss_and_never_on_a_hit(monkeypatch):
+    builds = []
+
+    def counting_build(source, name):
+        builds.append(name)
+        return build_subject(source, name)
+
+    monkeypatch.setattr(server_module, "build_subject", counting_build)
+    service = CampaignService()
+    service.submit(SOURCE, {"workers": 2}, name="box")
+    assert builds == []  # submission compiles, it does not execute
+    assert service.process_one().status == "done"
+    assert builds == ["box"]  # shard processes inherit the one build
+    _, status = service.submit(SOURCE, {"workers": 2}, name="box")
+    assert status == 200
+    assert builds == ["box"]
 
 
 def test_failed_campaign_is_reported_not_cached():

@@ -35,6 +35,13 @@ def test_detect_unknown_app(capsys):
     assert "unknown application" in err
 
 
+def test_detect_timeout_without_workers_is_refused(capsys):
+    code, out, err = run_cli(capsys, "detect", "LLMap", "--timeout", "5")
+    assert code == 2
+    assert "timeout needs the shard engine (pass workers)" in err
+    assert out == ""
+
+
 def test_detect_saves_log(capsys, tmp_path):
     log_path = tmp_path / "runlog.json"
     code, out, _ = run_cli(
