@@ -149,10 +149,11 @@ fuzz-variant-smoke:
 
 # Golden verdicts: one pass of each benchmark workload whose run logs
 # are pinned in benchmarks/e2e/golden/table1.json (every difference
-# string included).  run.py exits 1 on any mismatch.  Needs Python
-# >= 3.10 (the harness's yardstick uses bisect's key=).
+# string included; t1-distributed checks the shard engine, pooled and
+# supervised).  run.py exits 1 on any mismatch.  Needs Python >= 3.10
+# (the harness's yardstick uses bisect's key=).
 golden-check:
-	@for w in t1-dynamic t1-derived mask-harden; do \
+	@for w in t1-dynamic t1-derived t1-distributed mask-harden; do \
 		$(PYTHON) benchmarks/e2e/run.py --workload $$w --seed 1 \
 			--seconds 0 > /dev/null || exit 1; \
 		echo "golden-check: $$w OK"; \

@@ -75,9 +75,7 @@ from .tracepass import (
 )
 from .state import (
     BACKENDS,
-    CaptureLimitError,
     Checkpoint,
-    CheckpointError,
     FingerprintBackend,
     GraphBackend,
     GraphDifference,
@@ -130,14 +128,12 @@ __all__ = [
     "graph_diff",
     "graph_diff_all",
     "graph_diff_live",
-    "CaptureLimitError",
     # state layer: fingerprints
     "StateFingerprint",
     "fingerprint",
     "fingerprint_frame",
     # state layer: checkpointing
     "Checkpoint",
-    "CheckpointError",
     "RestoreError",
     "checkpoint",
     "restore",

@@ -87,29 +87,20 @@ class DetectionResult:
         return self.log.total_injections()
 
 
-def plan_points(
-    total: int,
-    *,
-    stride: int = 1,
-    injection_points: Optional[Iterable[int]] = None,
-    baseline_run: bool = True,
-) -> List[int]:
+def plan_points(total: int, *, stride: int = 1) -> List[int]:
     """The ordered list of thresholds a campaign will sweep.
 
     Shared by the sequential and shard engines so both execute the
-    *same* plan: points ``1..total`` thinned by ``stride`` (or an explicit
-    point list), plus the trailing baseline run at ``total + 1`` that
-    observes genuine (non-injected) failures without injecting anything.
+    *same* plan: points ``1..total`` thinned by ``stride``, plus the
+    trailing baseline run at ``total + 1``.  Nothing is injected in the
+    baseline run, but the wrappers still capture and compare state, so
+    methods that raise *genuine* exceptions are marked too (Listing 1
+    intercepts all exceptions, not only injected ones): runs that abort
+    at an early injection never reach later genuine failures.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if injection_points is None:
-        points = list(range(1, total + 1, stride))
-    else:
-        points = list(injection_points)
-    if baseline_run:
-        points.append(total + 1)
-    return points
+    return list(range(1, total + 1, stride)) + [total + 1]
 
 
 def run_injection_point(
@@ -239,7 +230,6 @@ class Profile:
     trace_seconds: float = 0.0
     trace_writes: int = 0
     trace_captures: int = 0
-    trace_capture_retries: int = 0
 
 
 def profile_program(
@@ -290,7 +280,6 @@ def profile_program(
         trace_seconds=deriver.seconds,
         trace_writes=recorder.recorded_writes,
         trace_captures=deriver.stats.captures,
-        trace_capture_retries=deriver.capture_retries,
         **calls,
     )
 
@@ -339,30 +328,9 @@ class Detector:
         self.trace_derive = trace_derive
         self.woven_specs = woven_specs
 
-    def profile(self) -> int:
-        """Count injection points and record call counts (no injection)."""
-        return profile_program(self.program, self.campaign).total_points
-
-    def detect(
-        self,
-        *,
-        injection_points: Optional[Iterable[int]] = None,
-        baseline_run: bool = True,
-    ) -> DetectionResult:
-        """Run the full campaign and return its result.
-
-        Args:
-            injection_points: explicit points to inject at; defaults to
-                every point discovered by the profiling run (optionally
-                thinned by ``stride``).
-            baseline_run: additionally execute the program once with the
-                threshold beyond the last point.  Nothing is injected, but
-                the wrappers still capture and compare state, so methods
-                that raise *genuine* exceptions are marked too (Listing 1
-                intercepts all exceptions, not only injected ones).  Runs
-                that abort at an early injection never reach later genuine
-                failures; the baseline run observes them.
-        """
+    def detect(self) -> DetectionResult:
+        """Run the full campaign (the :func:`plan_points` plan) and
+        return its result."""
         started = time.perf_counter()
         profile = profile_program(
             self.program,
@@ -373,12 +341,7 @@ class Detector:
         total = profile.total_points
         decided = profile.decided
         profiled = time.perf_counter()
-        points = plan_points(
-            total,
-            stride=self.stride,
-            injection_points=injection_points,
-            baseline_run=baseline_run,
-        )
+        points = plan_points(total, stride=self.stride)
         genuine_failures: List[str] = []
         executed = 0
         derived = 0
@@ -423,7 +386,6 @@ class Detector:
             trace_seconds=profile.trace_seconds,
             trace_writes=profile.trace_writes,
             trace_captures=profile.trace_captures,
-            trace_capture_retries=profile.trace_capture_retries,
         )
         return DetectionResult(
             program=self.program.name,

@@ -8,8 +8,7 @@ method, and — if an exception propagates out — compares that copy with
 the receiver's state as it is now and marks the method atomic or
 non-atomic for this call before re-throwing.  Only the copy is
 materialized: the graph backend reads the after-state straight from the
-live objects (:meth:`InjectionCampaign.diff_state`), and captures it only
-under a node budget.
+live objects (:meth:`InjectionCampaign.diff_state`).
 
 The copy is only ever compared when an exception leaves the call, so a
 run skips it for every call the profiling run saw return normally before
@@ -60,20 +59,12 @@ class InjectionCampaign:
     """
 
     def __init__(
-        self,
-        *,
-        max_graph_nodes: Optional[int] = None,
-        state_backend: Union[str, StateBackend, None] = None,
+        self, *, state_backend: Union[str, StateBackend, None] = None
     ) -> None:
         self.point = 0
         self.injection_point = 0
         self.log = RunLog()
         self.enabled = False
-        #: Optional node budget for state captures.  A capture that
-        #: exceeds it raises CaptureLimitError *instead of* producing a
-        #: partial graph, so no truncated-graph verdict can ever be
-        #: recorded in the run log; the run surfaces as a genuine failure.
-        self.max_graph_nodes = max_graph_nodes
         #: The state backend deciding how before/after summaries are
         #: materialized and compared.  Defaults to the graph backend (the
         #: reference semantics); the fingerprint backend answers the same
@@ -191,10 +182,9 @@ class InjectionCampaign:
         this run's threshold: the run has executed exactly like the
         profiling run so far, so the call returns before the injection
         fires, no exception leaves it, and its before-state is never
-        compared.  Never under a capture budget, whose oversized
-        before-capture must still raise ``CaptureLimitError``.
+        compared.
         """
-        if self.max_graph_nodes is not None or ordinal >= len(self.call_exits):
+        if ordinal >= len(self.call_exits):
             return False
         finished = self.call_exits[ordinal]
         return (
@@ -235,9 +225,7 @@ class InjectionCampaign:
         """
         with self.suspend():
             return self.backend.capture_frame(
-                self.capture_roots(spec, args, kwargs),
-                max_nodes=self.max_graph_nodes,
-                stats=self.state_stats,
+                self.capture_roots(spec, args, kwargs), stats=self.state_stats
             )
 
     def diff_state(
@@ -253,7 +241,6 @@ class InjectionCampaign:
             return self.backend.diff_live(
                 before,
                 self.capture_roots(spec, args, kwargs),
-                max_nodes=self.max_graph_nodes,
                 stats=self.state_stats,
             )
 

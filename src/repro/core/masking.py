@@ -67,15 +67,8 @@ class CheckpointStrategy:
     def uncover(self, classes: Iterable[type]) -> None:
         """Undo :meth:`cover`."""
 
-    def checkpoint(
-        self,
-        roots: List[Any],
-        ignore_attrs: Optional[Callable[[str], bool]],
-        max_objects: Optional[int],
-    ) -> Any:
-        return checkpoint(
-            *roots, ignore_attrs=ignore_attrs, max_objects=max_objects
-        )
+    def checkpoint(self, roots: List[Any]) -> Any:
+        return checkpoint(*roots)
 
     def restore(self, saved: Checkpoint) -> None:
         saved.restore()
@@ -113,7 +106,7 @@ class UndoLogStrategy(CheckpointStrategy):
         for cls in classes:
             remove_write_barrier(cls)
 
-    def checkpoint(self, roots, ignore_attrs, max_objects) -> UndoLog:
+    def checkpoint(self, roots) -> UndoLog:
         return UndoLog().__enter__()
 
     def restore(self, saved: UndoLog) -> None:
@@ -201,18 +194,11 @@ def make_atomicity_wrapper(
     *,
     stats: Optional[MaskingStats] = None,
     checkpoint_args: bool = True,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
-    max_objects: Optional[int] = None,
     strategy: str = "snapshot",
 ) -> Callable:
     """Build the atomicity wrapper of Listing 2 for one method.
 
     Args:
-        max_objects: optional checkpoint budget; a receiver whose
-            reachable state exceeds it fails the call with
-            :class:`~repro.core.state.CheckpointError` *before* the
-            method runs (an explicit bound on the paper's "no upper bound
-            on the size of objects", §6.2).
         strategy: the name of a :data:`STRATEGIES` entry.  Under
             ``undolog`` the classes the method writes to must be covered
             (:meth:`CheckpointStrategy.cover`).
@@ -224,7 +210,7 @@ def make_atomicity_wrapper(
     @functools.wraps(original)
     def atomic_m(*args: Any, **kwargs: Any) -> Any:
         roots = _mutable_roots(has_receiver, args, kwargs, checkpoint_args)
-        saved = state.checkpoint(roots, ignore_attrs, max_objects)
+        saved = state.checkpoint(roots)
         if stats is not None:
             stats.note_call(spec.key, state.checkpoint_size(saved))
         try:
@@ -266,13 +252,11 @@ class Masker:
         stats: Optional[MaskingStats] = None,
         analyzer: Optional[Analyzer] = None,
         checkpoint_args: bool = True,
-        ignore_attrs: Optional[Callable[[str], bool]] = None,
         strategy: str = "snapshot",
     ) -> None:
         self.methods = set(methods)
         self.stats = stats if stats is not None else MaskingStats()
         self._checkpoint_args = checkpoint_args
-        self._ignore_attrs = ignore_attrs
         self._strategy = get_strategy(strategy)
         self._weaver = Weaver(self._factory, analyzer)
         self._covered: List[type] = []
@@ -294,7 +278,6 @@ class Masker:
             spec,
             stats=self.stats,
             checkpoint_args=self._checkpoint_args,
-            ignore_attrs=self._ignore_attrs,
             strategy=self._strategy.name,
         )
 
@@ -367,26 +350,15 @@ class atomic_block:
     wrappers use.
     """
 
-    def __init__(
-        self,
-        *objects: Any,
-        ignore_attrs: Optional[Callable[[str], bool]] = None,
-        max_objects: Optional[int] = None,
-    ) -> None:
+    def __init__(self, *objects: Any) -> None:
         if not objects:
             raise ValueError("atomic_block needs at least one object")
         self._objects = objects
-        self._ignore_attrs = ignore_attrs
-        self._max_objects = max_objects
         self._saved: Optional[Any] = None
         self.rolled_back = False
 
     def __enter__(self) -> "atomic_block":
-        self._saved = checkpoint(
-            *self._objects,
-            ignore_attrs=self._ignore_attrs,
-            max_objects=self._max_objects,
-        )
+        self._saved = checkpoint(*self._objects)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -401,7 +373,6 @@ def failure_atomic(
     func: Optional[Callable] = None,
     *,
     checkpoint_args: bool = True,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
     stats: Optional[MaskingStats] = None,
     strategy: str = "snapshot",
 ) -> Callable:
@@ -433,7 +404,6 @@ def failure_atomic(
             spec,
             stats=stats,
             checkpoint_args=checkpoint_args,
-            ignore_attrs=ignore_attrs,
             strategy=strategy,
         )
 

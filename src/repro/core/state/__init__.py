@@ -36,7 +36,6 @@ from .backend import (
 )
 from .checkpoint import (
     Checkpoint,
-    CheckpointError,
     RestoreError,
     checkpoint,
     restore,
@@ -48,7 +47,6 @@ from .fingerprint import (
     fingerprint_frame,
 )
 from .graph import (
-    CaptureLimitError,
     GraphDifference,
     GraphNode,
     ObjectGraph,
@@ -80,7 +78,6 @@ __all__ = [
     # graph
     "GraphNode",
     "ObjectGraph",
-    "CaptureLimitError",
     "capture",
     "capture_frame",
     "graphs_equal",
@@ -95,7 +92,6 @@ __all__ = [
     "DIGEST_BITS",
     # checkpoint
     "Checkpoint",
-    "CheckpointError",
     "RestoreError",
     "checkpoint",
     "restore",

@@ -10,8 +10,7 @@ they are now (by default it captures them and diffs the two summaries).
     Full materialized :class:`ObjectGraph` snapshots compared by rooted
     isomorphism.  The reference implementation every other backend must
     agree with.  Its *diff_live* walks the live objects against the
-    before-graph, so the after-state is never materialized (except under
-    a node budget).
+    before-graph, so the after-state is never materialized.
 
 ``FingerprintBackend``
     The fast path: state summaries are 128-bit structural digests
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from . import fingerprint as _fingerprint
 from . import graph as _graph
@@ -63,20 +62,6 @@ class StateStats:
     compares: int = 0  #: state comparisons (graph diff or digest equality)
     seconds: float = 0.0  #: cumulative wall time inside the state layer
 
-    def merge(self, other: "StateStats") -> None:
-        self.captures += other.captures
-        self.fingerprints += other.fingerprints
-        self.compares += other.compares
-        self.seconds += other.seconds
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "captures": self.captures,
-            "fingerprints": self.fingerprints,
-            "compares": self.compares,
-            "seconds": self.seconds,
-        }
-
 
 class StateBackend:
     """One way to summarize state and compare summaries.
@@ -95,8 +80,6 @@ class StateBackend:
         self,
         label_values: Iterable[Tuple[Any, Any]],
         *,
-        ignore_attrs: Optional[Callable[[str], bool]] = None,
-        max_nodes: Optional[int] = None,
         stats: Optional[StateStats] = None,
     ) -> Any:
         """Summarize several labeled roots under one synthetic frame."""
@@ -113,8 +96,6 @@ class StateBackend:
         before: Any,
         label_values: Iterable[Tuple[Any, Any]],
         *,
-        ignore_attrs: Optional[Callable[[str], bool]] = None,
-        max_nodes: Optional[int] = None,
         stats: Optional[StateStats] = None,
     ) -> Optional[_graph.GraphDifference]:
         """First difference between the frame summary *before* and the
@@ -122,12 +103,7 @@ class StateBackend:
 
         The default captures the after-state and diffs the two summaries.
         """
-        after = self.capture_frame(
-            label_values,
-            ignore_attrs=ignore_attrs,
-            max_nodes=max_nodes,
-            stats=stats,
-        )
+        after = self.capture_frame(label_values, stats=stats)
         return self.diff(before, after, stats=stats)
 
     def __repr__(self) -> str:
@@ -139,14 +115,10 @@ class GraphBackend(StateBackend):
 
     name = "graph"
 
-    def capture_frame(
-        self, label_values, *, ignore_attrs=None, max_nodes=None, stats=None
-    ):
+    def capture_frame(self, label_values, *, stats=None):
         started = time.perf_counter()
         try:
-            return _graph.capture_frame(
-                label_values, ignore_attrs=ignore_attrs, max_nodes=max_nodes
-            )
+            return _graph.capture_frame(label_values)
         finally:
             if stats is not None:
                 stats.captures += 1
@@ -161,24 +133,10 @@ class GraphBackend(StateBackend):
                 stats.compares += 1
                 stats.seconds += time.perf_counter() - started
 
-    def diff_live(
-        self, before, label_values, *, ignore_attrs=None, max_nodes=None, stats=None
-    ):
-        if max_nodes is not None:
-            # An over-budget after-state must still raise
-            # CaptureLimitError, which only a capture can tell.
-            return super().diff_live(
-                before,
-                label_values,
-                ignore_attrs=ignore_attrs,
-                max_nodes=max_nodes,
-                stats=stats,
-            )
+    def diff_live(self, before, label_values, *, stats=None):
         started = time.perf_counter()
         try:
-            return _graph.graph_diff_live(
-                before, label_values, ignore_attrs=ignore_attrs
-            )
+            return _graph.graph_diff_live(before, label_values)
         finally:
             if stats is not None:
                 stats.compares += 1
@@ -191,14 +149,10 @@ class FingerprintBackend(StateBackend):
     name = "fingerprint"
     lossy_diff = True
 
-    def capture_frame(
-        self, label_values, *, ignore_attrs=None, max_nodes=None, stats=None
-    ):
+    def capture_frame(self, label_values, *, stats=None):
         started = time.perf_counter()
         try:
-            return _fingerprint.fingerprint_frame(
-                label_values, ignore_attrs=ignore_attrs, max_nodes=max_nodes
-            )
+            return _fingerprint.fingerprint_frame(label_values)
         finally:
             if stats is not None:
                 stats.fingerprints += 1

@@ -41,7 +41,7 @@ attributes of tuple and frozenset subclasses included.
 from __future__ import annotations
 
 import collections as _collections
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .introspect import (
     SCALAR_TYPES,
@@ -53,15 +53,10 @@ from .introspect import (
 
 __all__ = [
     "Checkpoint",
-    "CheckpointError",
     "RestoreError",
     "checkpoint",
     "restore",
 ]
-
-
-class CheckpointError(RuntimeError):
-    """Raised when an object's state cannot be checkpointed."""
 
 
 class RestoreError(RuntimeError):
@@ -109,16 +104,9 @@ class Checkpoint:
     restored any number of times (each restore rewinds to the same state).
     """
 
-    def __init__(
-        self,
-        roots: Iterable[Any],
-        ignore_attrs: Callable[[str], bool],
-        max_objects: Optional[int] = None,
-    ) -> None:
+    def __init__(self, roots: Iterable[Any]) -> None:
         self._records: List[_ObjectRecord] = []
         self._seen: Dict[int, Optional[_ObjectRecord]] = {}
-        self._ignore_attrs = ignore_attrs
-        self._max_objects = max_objects
         self._roots = list(roots)
         # Pin originals so ids stay unique while the checkpoint lives.
         self._pins: List[Any] = []
@@ -136,13 +124,6 @@ class Checkpoint:
             oid = id(current)
             if oid in self._seen:
                 continue
-            if (
-                self._max_objects is not None
-                and len(self._seen) >= self._max_objects
-            ):
-                raise CheckpointError(
-                    f"reachable state exceeds {self._max_objects} objects"
-                )
             record, groups = self._visit(current)
             self._seen[oid] = record
             self._pins.append(current)
@@ -210,11 +191,11 @@ class Checkpoint:
         dict_copy = None
         if isinstance(obj_dict, dict):
             dict_copy = {
-                k: v for k, v in obj_dict.items() if not self._ignore_attrs(k)
+                k: v for k, v in obj_dict.items() if not default_ignore(k)
             }
         slot_values: List[Tuple[str, Any]] = []
         for name in slot_names(type(obj)):
-            if self._ignore_attrs(name):
+            if default_ignore(name):
                 continue
             slot_values.append((name, getattr(obj, name, _UNSET)))
         if isinstance(obj, _collections.defaultdict):
@@ -264,9 +245,7 @@ class Checkpoint:
         dict_copy, slot_values = state
         obj_dict = getattr(obj, "__dict__", None)
         if dict_copy is not None and isinstance(obj_dict, dict):
-            preserved = {
-                k: v for k, v in obj_dict.items() if self._ignore_attrs(k)
-            }
+            preserved = {k: v for k, v in obj_dict.items() if default_ignore(k)}
             obj_dict.clear()
             obj_dict.update(dict_copy)
             obj_dict.update(preserved)
@@ -294,20 +273,14 @@ class Checkpoint:
         return list(self._roots)
 
 
-def checkpoint(
-    *roots: Any,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
-    max_objects: Optional[int] = None,
-) -> Checkpoint:
+def checkpoint(*roots: Any) -> Checkpoint:
     """Checkpoint the state reachable from *roots* (paper's ``deep_copy``).
 
-    Args:
-        max_objects: optional budget on the number of mutable objects to
-            record; exceeding it raises :class:`CheckpointError` ("there
-            is no upper bound on the size of objects", paper §6.2 — this
-            makes the bound explicit when one is required).
+    Everything reachable is recorded ("there is no upper bound on the
+    size of objects", paper §6.2), except the instrumentation's own
+    ``_repro_*`` attributes, which a restore leaves as they are.
     """
-    return Checkpoint(roots, ignore_attrs or default_ignore, max_objects)
+    return Checkpoint(roots)
 
 
 def restore(saved: Checkpoint) -> None:

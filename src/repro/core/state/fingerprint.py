@@ -47,7 +47,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from .introspect import (
     KIND_BYTEARRAY,
     KIND_OBJECT,
-    CaptureLimitError,
     default_ignore,
     is_opaque,
     is_scalar,
@@ -267,17 +266,10 @@ _FLUSH_BYTES = 1 << 16
 class _Fingerprinter:
     """One-pass canonical-serialization hasher (iterative, cycle-safe)."""
 
-    def __init__(
-        self,
-        ignore_attrs: Callable[[str], bool],
-        max_nodes: Optional[int] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._hasher = hashlib.blake2b(digest_size=DIGEST_BITS // 8)
         self._hasher.update(_FORMAT_TAG)
         self._seen: Dict[int, int] = {}  # id(obj) -> canonical node number
-        self._ignore_attrs = ignore_attrs
-        self._max_nodes = max_nodes
-        self._count = 0  # nodes serialized, mirrors ObjectGraph node count
         # Pin visited objects so id() values stay unique mid-traversal.
         self._pins: List[Any] = []
         # Serialization accumulates here and drains to the hasher in
@@ -298,8 +290,6 @@ class _Fingerprinter:
 
     def add_frame(self, label_values: Iterable[Tuple[Any, Any]]) -> None:
         """Serialize a synthetic frame node over several labeled roots."""
-        self._budget_check()
-        self._count += 1
         self._buffer += b"F<frame>"
         for key, value in label_values:
             self._buffer += _encode_label(("slot", key))
@@ -312,154 +302,105 @@ class _Fingerprinter:
         hasher_update = self._hasher.update
         seen = self._seen
         pin = self._pins.append
-        ignore_attrs = self._ignore_attrs
-        max_nodes = self._max_nodes
-        count = self._count
         stack: List[Tuple[bool, Any]] = [(False, value)]
         pop = stack.pop
         push = stack.append
         scalar_fast = _SCALAR_FAST
-        try:
-            while stack:
-                if len(buffer) >= _FLUSH_BYTES:
-                    with memoryview(buffer) as view:
-                        hasher_update(view)
-                    del buffer[:]
-                is_token, item = pop()
-                if is_token:
-                    feed(item)
-                    continue
-                # Budget semantics mirror the graph capturer: the check
-                # runs once per visited edge target, scalars and
-                # back-references included, against the running count.
-                if max_nodes is not None and count >= max_nodes:
-                    raise CaptureLimitError(
-                        f"object graph exceeds {max_nodes} nodes"
-                    )
-                tp = type(item)
-                encoder = scalar_fast.get(tp)
-                if encoder is not None:
-                    count += 1
-                    feed(encoder(item))
-                    continue
-                category, header, kind = _type_info(tp, item)
-                if category == _CAT_SCALAR:  # scalar subclass (enums, ...)
-                    count += 1
-                    feed(header)
-                    feed(_encode_scalar_value(item))
-                    continue
-                oid = id(item)
-                canonical = seen.get(oid)
-                if canonical is not None:
-                    feed(b"R%d" % canonical)
-                    continue
-                count += 1
-                seen[oid] = len(seen)
-                pin(item)
+        while stack:
+            if len(buffer) >= _FLUSH_BYTES:
+                with memoryview(buffer) as view:
+                    hasher_update(view)
+                del buffer[:]
+            is_token, item = pop()
+            if is_token:
+                feed(item)
+                continue
+            tp = type(item)
+            encoder = scalar_fast.get(tp)
+            if encoder is not None:
+                feed(encoder(item))
+                continue
+            category, header, kind = _type_info(tp, item)
+            if category == _CAT_SCALAR:  # scalar subclass (enums, ...)
                 feed(header)
-                if category == _CAT_OPAQUE:
-                    feed(_encode_str(opaque_token(item)))
-                    continue
-                if tp is list or tp is tuple:
-                    # Exact builtin sequences: index-labeled items, no
-                    # instance attributes — the generic path would yield
-                    # exactly these children.  Leading runs of exact
-                    # scalars are emitted inline (no stack round-trip).
-                    size = len(item)
-                    feed(b"E%d" % size)
+                feed(_encode_scalar_value(item))
+                continue
+            oid = id(item)
+            canonical = seen.get(oid)
+            if canonical is not None:
+                feed(b"R%d" % canonical)
+                continue
+            seen[oid] = len(seen)
+            pin(item)
+            feed(header)
+            if category == _CAT_OPAQUE:
+                feed(_encode_str(opaque_token(item)))
+                continue
+            if tp is list or tp is tuple:
+                # Exact builtin sequences: index-labeled items, no
+                # instance attributes — the generic path would yield
+                # exactly these children.  Leading runs of exact
+                # scalars are emitted inline (no stack round-trip).
+                size = len(item)
+                feed(b"E%d" % size)
+                position = 0
+                while position < size:
+                    child = item[position]
+                    encoder = scalar_fast.get(type(child))
+                    if encoder is None:
+                        break
+                    feed(_index_label(position))
+                    feed(encoder(child))
+                    position += 1
+                for rest in range(size - 1, position - 1, -1):
+                    push((False, item[rest]))
+                    push((True, _index_label(rest)))
+                continue
+            if kind == KIND_OBJECT:
+                obj_dict = getattr(item, "__dict__", None)
+                if type(obj_dict) is dict and not slot_names(tp):
+                    # Plain-__dict__ instances: attr-labeled values in
+                    # sorted name order, same as the generic path.
+                    names = [
+                        name for name in obj_dict if not default_ignore(name)
+                    ]
+                    names.sort()
+                    total = len(names)
+                    feed(b"E%d" % total)
                     position = 0
-                    while position < size:
-                        child = item[position]
+                    while position < total:
+                        child = obj_dict[names[position]]
                         encoder = scalar_fast.get(type(child))
                         if encoder is None:
                             break
-                        if max_nodes is not None and count >= max_nodes:
-                            raise CaptureLimitError(
-                                f"object graph exceeds {max_nodes} nodes"
-                            )
-                        count += 1
-                        feed(_index_label(position))
+                        feed(_attr_label(names[position]))
                         feed(encoder(child))
                         position += 1
-                    for rest in range(size - 1, position - 1, -1):
-                        push((False, item[rest]))
-                        push((True, _index_label(rest)))
+                    for rest in range(total - 1, position - 1, -1):
+                        push((False, obj_dict[names[rest]]))
+                        push((True, _attr_label(names[rest])))
                     continue
-                if kind == KIND_OBJECT:
-                    obj_dict = getattr(item, "__dict__", None)
-                    if type(obj_dict) is dict and not slot_names(tp):
-                        # Plain-__dict__ instances: attr-labeled values
-                        # in sorted name order, same as the generic path.
-                        names = [
-                            name
-                            for name in obj_dict
-                            if not ignore_attrs(name)
-                        ]
-                        names.sort()
-                        total = len(names)
-                        feed(b"E%d" % total)
-                        position = 0
-                        while position < total:
-                            child = obj_dict[names[position]]
-                            encoder = scalar_fast.get(type(child))
-                            if encoder is None:
-                                break
-                            if max_nodes is not None and count >= max_nodes:
-                                raise CaptureLimitError(
-                                    f"object graph exceeds {max_nodes} nodes"
-                                )
-                            count += 1
-                            feed(_attr_label(names[position]))
-                            feed(encoder(child))
-                            position += 1
-                        for rest in range(total - 1, position - 1, -1):
-                            push((False, obj_dict[names[rest]]))
-                            push((True, _attr_label(names[rest])))
-                        continue
-                elif kind == KIND_BYTEARRAY:
-                    feed(_encode_bytes(bytes(item)))
-                    continue
-                children = list(iter_children(item, kind, ignore_attrs))
-                feed(b"E%d" % len(children))
-                for label, child in reversed(children):
-                    push((False, child))
-                    push((True, _encode_label(label)))
-        finally:
-            self._count = count
-
-    def _budget_check(self) -> None:
-        if self._max_nodes is not None and self._count >= self._max_nodes:
-            raise CaptureLimitError(
-                f"object graph exceeds {self._max_nodes} nodes"
-            )
+            elif kind == KIND_BYTEARRAY:
+                feed(_encode_bytes(bytes(item)))
+                continue
+            children = list(iter_children(item, kind))
+            feed(b"E%d" % len(children))
+            for label, child in reversed(children):
+                push((False, child))
+                push((True, _encode_label(label)))
 
 
-def fingerprint(
-    value: Any,
-    *,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
-    max_nodes: Optional[int] = None,
-) -> StateFingerprint:
+def fingerprint(value: Any) -> StateFingerprint:
     """Digest the object graph rooted at *value* in one traversal.
 
-    Args:
-        ignore_attrs: attribute filter, identical semantics to
-            :func:`repro.core.state.graph.capture`.
-        max_nodes: optional node budget; exceeding it raises
-            :class:`~repro.core.state.introspect.CaptureLimitError`, never
-            returns a digest of partial state.
+    Reaches exactly what :func:`repro.core.state.graph.capture` reaches.
     """
-    hasher = _Fingerprinter(ignore_attrs or default_ignore, max_nodes)
+    hasher = _Fingerprinter()
     hasher.add_value(value)
     return hasher.digest()
 
 
-def fingerprint_frame(
-    label_values: Iterable[Tuple[Any, Any]],
-    *,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
-    max_nodes: Optional[int] = None,
-) -> StateFingerprint:
+def fingerprint_frame(label_values: Iterable[Tuple[Any, Any]]) -> StateFingerprint:
     """Digest several labeled roots under one synthetic frame node.
 
     The frame-node shape matches
@@ -467,7 +408,6 @@ def fingerprint_frame(
     equals another frame fingerprint iff the corresponding frame captures
     are :func:`~repro.core.state.graph.graphs_equal`.
     """
-    hasher = _Fingerprinter(ignore_attrs or default_ignore, max_nodes)
+    hasher = _Fingerprinter()
     hasher.add_frame(label_values)
     return hasher.digest()
-

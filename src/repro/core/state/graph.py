@@ -25,7 +25,7 @@ is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .introspect import (
     KIND_BYTEARRAY,
@@ -40,8 +40,6 @@ from .introspect import (
     KIND_SET,
     KIND_TUPLE,
     SCALAR_TYPES,
-    CaptureLimitError,
-    default_ignore,
     is_opaque,
     is_scalar,
     iter_children,
@@ -54,7 +52,6 @@ from .introspect import (
 __all__ = [
     "GraphNode",
     "ObjectGraph",
-    "CaptureLimitError",
     "capture",
     "capture_frame",
     "graphs_equal",
@@ -163,15 +160,9 @@ class _Capturer:
     long linked lists do not exhaust the interpreter recursion limit.
     """
 
-    def __init__(
-        self,
-        ignore_attrs: Callable[[str], bool],
-        max_nodes: Optional[int] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._graph = ObjectGraph()
         self._seen: Dict[int, int] = {}  # id(obj) -> node id
-        self._ignore_attrs = ignore_attrs
-        self._max_nodes = max_nodes
         # Keep captured objects alive for the duration of the capture so
         # id() values stay unique.
         self._pins: List[Any] = []
@@ -208,10 +199,6 @@ class _Capturer:
 
     def _enter(self, value: Any, pending: List[Tuple[Any, int]]) -> int:
         """Create (or reuse) a node for *value*; queue expansion if needed."""
-        if self._max_nodes is not None and len(self._graph) >= self._max_nodes:
-            raise CaptureLimitError(
-                f"object graph exceeds {self._max_nodes} nodes"
-            )
         if is_scalar(value):
             # Scalars are compared by value; interning makes identity
             # meaningless, so each occurrence gets its own leaf node.
@@ -245,47 +232,31 @@ class _Capturer:
         if node.kind == KIND_BYTEARRAY:
             node.value = bytes(obj)
             return
-        for label, child_value in iter_children(
-            obj, node.kind, self._ignore_attrs
-        ):
+        for label, child_value in iter_children(obj, node.kind):
             child = self._enter(child_value, pending)
             node.edges.append((label, child))
 
 
-def capture(
-    value: Any,
-    *,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
-    max_nodes: Optional[int] = None,
-) -> ObjectGraph:
+def capture(value: Any) -> ObjectGraph:
     """Capture the object graph rooted at *value* (paper Definition 1).
 
     The returned graph is a fully materialized snapshot: mutating *value*
     afterwards does not affect it, which is what lets the injection wrapper
-    use it as the ``deep_copy`` of Listing 1.
-
-    Args:
-        max_nodes: optional node budget; exceeding it raises
-            :class:`CaptureLimitError` instead of stalling on a huge graph.
+    use it as the ``deep_copy`` of Listing 1.  Everything reachable is
+    captured ("there is no upper bound on the size of objects", §6.2),
+    except the instrumentation's own ``_repro_*`` attributes.
     """
-    return _Capturer(ignore_attrs or default_ignore, max_nodes).capture(value)
+    return _Capturer().capture(value)
 
 
-def capture_frame(
-    label_values: Iterable[Tuple[Any, Any]],
-    *,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
-    max_nodes: Optional[int] = None,
-) -> ObjectGraph:
+def capture_frame(label_values: Iterable[Tuple[Any, Any]]) -> ObjectGraph:
     """Capture several labeled roots under one synthetic frame node.
 
     Used to snapshot a receiver together with its mutable arguments (the
     paper includes "arguments passed in as non-constant references" in the
     injection wrapper's copy).
     """
-    return _Capturer(ignore_attrs or default_ignore, max_nodes).capture_many(
-        label_values
-    )
+    return _Capturer().capture_many(label_values)
 
 
 @dataclass
@@ -317,10 +288,7 @@ def graph_diff(a: ObjectGraph, b: ObjectGraph) -> Optional[GraphDifference]:
 
 
 def graph_diff_live(
-    before: ObjectGraph,
-    label_values: Iterable[Tuple[Any, Any]],
-    *,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
+    before: ObjectGraph, label_values: Iterable[Tuple[Any, Any]]
 ) -> Optional[GraphDifference]:
     """First difference between *before* and the live state of several
     labeled roots, or None if equal.
@@ -330,7 +298,7 @@ def graph_diff_live(
     no after-graph is ever built (Definition 2 needs only the graph
     *before* the call).  The walk stops at the first difference.
     """
-    view = _LiveView(label_values, ignore_attrs or default_ignore)
+    view = _LiveView(label_values)
     differences = _diff_walk(before, view, 1)
     return differences[0] if differences else None
 
@@ -383,16 +351,11 @@ class _LiveView:
     it maps alive until it ends.
     """
 
-    __slots__ = ("root", "_frame_edges", "_ignore_attrs")
+    __slots__ = ("root", "_frame_edges")
 
-    def __init__(
-        self,
-        label_values: Iterable[Tuple[Any, Any]],
-        ignore_attrs: Callable[[str], bool],
-    ) -> None:
+    def __init__(self, label_values: Iterable[Tuple[Any, Any]]) -> None:
         self.root: Any = object()
         self._frame_edges = [(("slot", key), value) for key, value in label_values]
-        self._ignore_attrs = ignore_attrs
 
     def key(self, obj: Any) -> Optional[int]:
         return None if isinstance(obj, SCALAR_TYPES) else id(obj)
@@ -414,7 +377,7 @@ class _LiveView:
             return self._frame_edges
         if kind in (KIND_OPAQUE, KIND_BYTEARRAY):
             return []
-        return list(iter_children(obj, kind, self._ignore_attrs))
+        return list(iter_children(obj, kind))
 
 
 #: A walk position's path: ``None`` at the root, else ``(parent, label)``.

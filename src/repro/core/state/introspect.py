@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import collections as _collections
 import types as _types
-from typing import Any, Callable, Iterator, List, Tuple
+from typing import Any, Iterator, List, Tuple
 
 __all__ = [
     "SCALAR_TYPES",
@@ -48,7 +48,6 @@ __all__ = [
     "KIND_DEQUE",
     "KIND_OPAQUE",
     "KIND_FRAME",
-    "CaptureLimitError",
     "is_scalar",
     "is_opaque",
     "slot_names",
@@ -60,18 +59,6 @@ __all__ = [
     "kind_of",
     "iter_children",
 ]
-
-
-class CaptureLimitError(RuntimeError):
-    """The reachable state exceeded the configured node budget.
-
-    Capturing an unexpectedly huge reachable state (the paper notes
-    "there is no upper bound on the size of objects", Section 6.2) is
-    usually a sign the wrong class was instrumented; the optional
-    ``max_nodes`` budget turns a silent multi-second stall into an
-    explicit error.  Raised by graph captures and fingerprints alike, so
-    the campaign's no-partial-state guarantee holds under every backend.
-    """
 
 
 #: Types treated as *basic data types* (leaf nodes compared by value).
@@ -223,7 +210,8 @@ def scalar_sort_key(value: Any) -> Tuple[str, str]:
 
 
 def default_ignore(name: str) -> bool:
-    """Default attribute filter: skip instrumentation-internal attributes."""
+    """The attribute filter of every traversal: skip the
+    instrumentation's own ``_repro_*`` attributes."""
     return name.startswith("_repro_")
 
 
@@ -237,9 +225,7 @@ def kind_of(value: Any) -> str:
     return KIND_OBJECT
 
 
-def _iter_object_attrs(
-    obj: Any, ignore_attrs: Callable[[str], bool]
-) -> Iterator[Tuple[Tuple[str, Any], Any]]:
+def _iter_object_attrs(obj: Any) -> Iterator[Tuple[Tuple[str, Any], Any]]:
     attrs = {}
     obj_dict = getattr(obj, "__dict__", None)
     if isinstance(obj_dict, dict):
@@ -250,7 +236,7 @@ def _iter_object_attrs(
         except AttributeError:
             continue  # unset slot
     for name in sorted(attrs):
-        if ignore_attrs(name):
+        if default_ignore(name):
             continue
         yield ("attr", name), attrs[name]
 
@@ -293,9 +279,7 @@ def _iter_set_members(obj: Any) -> Iterator[Tuple[Tuple[str, Any], Any]]:
         yield ("objmember", index), item
 
 
-def iter_children(
-    obj: Any, kind: str, ignore_attrs: Callable[[str], bool]
-) -> Iterator[Tuple[Tuple[str, Any], Any]]:
+def iter_children(obj: Any, kind: str) -> Iterator[Tuple[Tuple[str, Any], Any]]:
     """Yield ``(label, child)`` pairs of *obj* in canonical order.
 
     This is the one ordering every backend shares: labeled edges exactly
@@ -316,12 +300,12 @@ def iter_children(
         for label, child in _iter_set_members(obj):
             yield label, child
     else:
-        for label, child in _iter_object_attrs(obj, ignore_attrs):
+        for label, child in _iter_object_attrs(obj):
             yield label, child
         return
     # container *subclasses* may carry instance attributes too
     if type(obj).__module__ != "builtins" or hasattr(obj, "__dict__"):
-        for label, child in _iter_object_attrs(obj, ignore_attrs):
+        for label, child in _iter_object_attrs(obj):
             yield label, child
     if isinstance(obj, _collections.defaultdict):
         yield ("attr", "default_factory"), obj.default_factory

@@ -52,9 +52,6 @@ class CampaignTelemetry:
             write barrier observed during the reference execution.
         trace_captures: state captures the trace pass performed (on its
             own meter — not included in ``state_captures``).
-        trace_capture_retries: entry captures the trace pass retried at
-            a doubled node budget after the first attempt blew the
-            limit (the adaptive capture-budget lift).
         result_cache_hits: whole-campaign results the service layer
             (:mod:`repro.service`) served from its digest-keyed result
             cache instead of re-running the campaign.
@@ -100,7 +97,6 @@ class CampaignTelemetry:
     trace_seconds: float = 0.0
     trace_writes: int = 0
     trace_captures: int = 0
-    trace_capture_retries: int = 0
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     cache_persist_hits: int = 0
@@ -167,8 +163,7 @@ class CampaignTelemetry:
             lines.append(
                 f"trace derive: {self.runs_derived} point(s) derived, "
                 f"{self.trace_writes} write(s) traced, "
-                f"{self.trace_captures} capture(s) "
-                f"({self.trace_capture_retries} budget retries), "
+                f"{self.trace_captures} capture(s), "
                 f"pass time {self.trace_seconds:.3f}s"
             )
         if self.result_cache_hits or self.result_cache_misses:

@@ -37,8 +37,8 @@ reconstruction is certain:
   exception-transparent at its suspended line (rule R2) — the injected
   exception provably propagates through untouched, so the enclosing
   wrappers are exactly the marks;
-* every enclosing wrapper's entry-time capture succeeded and the active
-  stack reconciled by frame identity (rule R3);
+* the active stack reconciled with the walk by frame identity, so every
+  enclosing wrapper's entry-time capture is the right one (rule R3);
 * the exception type passes the injectability probe (rule R4); and
 * every ambient mark before *E* was itself derivable (rule R5).
 
@@ -69,13 +69,13 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..analyzer import MethodSpec
 from ..exceptions import is_injected, make_injected
 from ..injection import INJ_WRAPPER_CODE, InjectionCampaign
 from ..runlog import ATOMIC, NONATOMIC, RunRecord
-from ..state import CaptureLimitError, StateStats, get_backend
+from ..state import StateStats, get_backend
 from .recorder import TraceRecorder, barrier_covered
 from .transparency import (
     PROFILE_BOUNDARY_CODE,
@@ -90,10 +90,6 @@ PROVENANCE_TRACE = "trace"
 #: A derived mark: (method key, verdict, difference-or-None).
 _MarkTuple = Tuple[Any, str, Optional[str]]
 
-#: What :meth:`TraceDeriver._within_budget` returns when even the doubled
-#: budget is exceeded.
-_OVER_BUDGET = object()
-
 
 @dataclass
 class _ActiveEntry:
@@ -105,8 +101,7 @@ class _ActiveEntry:
     #: (the same method re-entered at the same depth is a new entry).
     frame: Any
     roots: List[Tuple[Any, Any]]
-    #: Graph capture of the roots at entry; None if the capture failed
-    #: (every verdict against this entry is then undecidable).
+    #: Graph capture of the roots at entry.
     capture: Any
     #: Recorder sequence at entry — unchanged later means no
     #: barrier-visible write happened in the window.
@@ -160,9 +155,6 @@ class TraceDeriver:
         #: observed after it is undecidable (rule R5).
         self._ambient: List[Optional[_MarkTuple]] = []
         self._probe: Dict[type, bool] = {}
-        #: How often the adaptive budget lift retried after a
-        #: CaptureLimitError (telemetry ``trace_capture_retries``).
-        self.capture_retries = 0
         self.seconds = time.perf_counter() - started
 
     # -- campaign hooks -------------------------------------------------
@@ -275,10 +267,10 @@ class TraceDeriver:
         args = wrapper_frame.f_locals.get("args", ())
         kwargs = wrapper_frame.f_locals.get("kwargs", {})
         roots = self.campaign.capture_roots(spec, args, kwargs)
-        capture = self._capture(roots)
+        with self.campaign.suspend():
+            capture = self._graph.capture_frame(roots, stats=self.stats)
         covered = (
-            capture is not None
-            and self.recorder is not None
+            self.recorder is not None
             and self.recorder.is_innermost
             and barrier_covered(roots, self.recorder.barriered)
         )
@@ -291,42 +283,9 @@ class TraceDeriver:
             covered=covered,
         )
 
-    def _capture(self, roots) -> Any:
-        """Graph capture under suspension; None when over budget."""
-        capture = self._within_budget(
-            lambda budget: self._graph.capture_frame(
-                roots, max_nodes=budget, stats=self.stats
-            )
-        )
-        return None if capture is _OVER_BUDGET else capture
-
-    def _within_budget(self, verb: Callable[[Optional[int]], Any]) -> Any:
-        """``verb(budget)`` under suspension; ``_OVER_BUDGET`` when the
-        state exceeds the budget.
-
-        Budget overruns retry once with a doubled budget (the adaptive
-        lift of ROADMAP item 1): the deriver's captures exist only to
-        compare against each other, so a wider budget costs nothing in
-        soundness — a span the budget still defeats falls back to
-        execution with reason ``capture`` exactly as before, and
-        ``capture_retries`` records how often the lift was attempted.
-        """
-        budget = self.campaign.max_graph_nodes
-        with self.campaign.suspend():
-            try:
-                return verb(budget)
-            except CaptureLimitError:
-                self.capture_retries += 1
-                try:
-                    return verb(budget * 2)
-                except CaptureLimitError:
-                    return _OVER_BUDGET
-
-    def _verdict(self, entry: _ActiveEntry) -> Optional[_MarkTuple]:
+    def _verdict(self, entry: _ActiveEntry) -> _MarkTuple:
         """The mark *entry*'s wrapper would record if an exception
-        crossed it right now; None when underivable."""
-        if entry.capture is None:
-            return None
+        crossed it right now."""
         if (
             entry.covered
             and self.recorder is not None
@@ -334,13 +293,10 @@ class TraceDeriver:
             and self.recorder.sequence == entry.write_seq
         ):
             return (entry.spec.key, ATOMIC, None)
-        difference = self._within_budget(
-            lambda budget: self._graph.diff_live(
-                entry.capture, entry.roots, max_nodes=budget, stats=self.stats
+        with self.campaign.suspend():
+            difference = self._graph.diff_live(
+                entry.capture, entry.roots, stats=self.stats
             )
-        )
-        if difference is _OVER_BUDGET:
-            return None
         if difference is None:
             return (entry.spec.key, ATOMIC, None)
         return (entry.spec.key, NONATOMIC, str(difference))
@@ -372,11 +328,7 @@ class TraceDeriver:
                 marks.append(ambient)
         if reason is None:
             for entry in reversed(self._stack):  # innermost first
-                mark = self._verdict(entry)
-                if mark is None:
-                    reason = "capture"  # R3: a capture went over budget
-                    break
-                marks.append(mark)
+                marks.append(self._verdict(entry))
         self.spans.append(
             _TraceSpan(
                 base_point=base_point,

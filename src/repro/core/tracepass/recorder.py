@@ -27,7 +27,7 @@ state comparison, which is sound unconditionally.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Iterable, List, Set, Tuple
 
 from ..cow import (
     active_log_top,
@@ -40,7 +40,6 @@ from ..state.introspect import (
     KIND_FROZENSET,
     KIND_OBJECT,
     KIND_TUPLE,
-    default_ignore,
     is_opaque,
     is_scalar,
     iter_children,
@@ -132,7 +131,6 @@ def barrier_covered(
     roots: Iterable[Tuple[Any, Any]],
     barriered: Set[type],
     *,
-    ignore_attrs: Optional[Callable[[str], bool]] = None,
     max_objects: int = 10_000,
 ) -> bool:
     """True when every mutation of the roots' reachable state is
@@ -150,7 +148,6 @@ def barrier_covered(
     event, so coverage at entry plus an unchanged event counter is a
     sound unchanged-state proof for the whole window.
     """
-    ignore = ignore_attrs or default_ignore
     stack = [value for _, value in roots]
     seen: Set[int] = set()
     while stack:
@@ -168,6 +165,6 @@ def barrier_covered(
                 return False
         elif kind not in (KIND_TUPLE, KIND_FROZENSET):
             return False  # mutable container: bypasses the barrier
-        for _, child in iter_children(value, kind, ignore):
+        for _, child in iter_children(value, kind):
             stack.append(child)
     return True

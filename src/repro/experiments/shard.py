@@ -473,7 +473,6 @@ def run_shard(
         trace_seconds=profile.profile.trace_seconds,
         trace_writes=profile.profile.trace_writes,
         trace_captures=profile.profile.trace_captures,
-        trace_capture_retries=profile.profile.trace_capture_retries,
         wall_seconds=wall,
         runs_per_second=(executed / wall) if wall > 0 else 0.0,
         phase_seconds={

@@ -72,7 +72,6 @@ _TRACE_COUNTERS = (
     "trace_seconds",
     "trace_writes",
     "trace_captures",
-    "trace_capture_retries",
 )
 
 #: Counters each shard process keeps; the campaign reports their sum.

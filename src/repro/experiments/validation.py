@@ -22,6 +22,7 @@ the second campaign.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -196,11 +197,6 @@ def mask_and_redetect(
         )
     campaign = InjectionCampaign(state_backend=state_backend)
     atomic_weaver = Weaver(atomic_factory, analyzer)
-    checker_weaver = (
-        Weaver(lambda spec: _make_graph_checker(spec, graph_checks), analyzer)
-        if graph_checks is not None
-        else None
-    )
     injection_weaver = Weaver(
         lambda spec: make_injection_wrapper(spec, campaign), analyzer
     )
@@ -217,22 +213,17 @@ def mask_and_redetect(
 
     try:
         checkpoints.cover(program.classes)
-        with atomic_weaver:
-            weave_selected(atomic_weaver)
-            if checker_weaver is not None:
-                with checker_weaver:
-                    weave_selected(checker_weaver)
-                    with injection_weaver:
-                        specs = injection_weaver.weave_classes(program.classes)
-                        detection = Detector(
-                            program, campaign, stride=stride
-                        ).detect()
-            else:
-                with injection_weaver:
-                    specs = injection_weaver.weave_classes(program.classes)
-                    detection = Detector(
-                        program, campaign, stride=stride
-                    ).detect()
+        with contextlib.ExitStack() as layers:
+            weave_selected(layers.enter_context(atomic_weaver))
+            if graph_checks is not None:
+                checker = Weaver(
+                    lambda spec: _make_graph_checker(spec, graph_checks),
+                    analyzer,
+                )
+                weave_selected(layers.enter_context(checker))
+            layers.enter_context(injection_weaver)
+            specs = injection_weaver.weave_classes(program.classes)
+            detection = Detector(program, campaign, stride=stride).detect()
         effective = WrapPolicy.from_specs(specs)
         if policy is not None:
             effective = effective.merged_with(policy)

@@ -61,6 +61,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.virtualsource import unregister_virtual_source
 from repro.experiments.campaign import run_app_campaign
 from repro.resilience.chaos import fire as _fault_site
 
@@ -71,6 +72,7 @@ from .subjects import (
     canonical_config,
     compile_source,
     estimate_cost,
+    subject_filename,
 )
 
 __all__ = ["CampaignRecord", "CampaignService", "ServiceServer", "serve"]
@@ -383,6 +385,11 @@ class CampaignService:
             record.error = f"{type(exc).__name__}: {exc}"
             self._emit(record, {"event": "failed", "error": record.error})
             return
+        finally:
+            # The campaign is over: keep no submitted source behind.
+            unregister_virtual_source(
+                subject_filename(record.source, record.name)
+            )
 
         detection = outcome.detection
         telemetry = detection.telemetry

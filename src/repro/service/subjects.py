@@ -9,9 +9,11 @@ source is only compiled (:func:`compile_source`); the campaign worker
 ``__name__`` is the fixed :data:`SERVICE_MODULE_NAME`, so type names —
 which appear in run-log ``difference`` strings and therefore in the
 bit-identical engine comparison — are the same in every build; the
-rendered source is registered with :mod:`repro.core.virtualsource` so
-``inspect`` (and with it the trace pass's transparency certificates)
-can read method bodies.
+rendered source is registered with :mod:`repro.core.virtualsource`
+under :func:`subject_filename` so ``inspect`` (and with it the trace
+pass's transparency certificates) can read method bodies.  The worker
+unregisters it when the campaign ends, so a long-running server keeps
+no submitted source.
 
 Campaign configs are canonicalized before they reach the result cache:
 defaults filled, values coerced, keys sorted, unknown keys rejected.
@@ -29,7 +31,10 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.core.exceptions import exception_free, throws
 from repro.core.state import get_backend
-from repro.core.virtualsource import register_virtual_source
+from repro.core.virtualsource import (
+    register_virtual_source,
+    unregister_virtual_source,
+)
 from repro.experiments.programs import AppProgram
 
 __all__ = [
@@ -38,6 +43,7 @@ __all__ = [
     "SubmissionError",
     "canonical_config",
     "compile_source",
+    "subject_filename",
     "build_subject",
     "estimate_cost",
 ]
@@ -142,23 +148,41 @@ def compile_source(source: str, filename: str = "<submission>") -> CodeType:
         raise SubmissionError(f"source does not compile: {exc}") from exc
 
 
+def subject_filename(source: str, name: str = "subject") -> str:
+    """The virtual filename :func:`build_subject` registers *source* under.
+
+    Distinct sources get distinct names (inspect reads sources by
+    filename, and a long-running service sees many).
+    """
+    tag = hashlib.blake2b(source.encode("utf-8"), digest_size=6).hexdigest()
+    return f"<service:{name}:{tag}>"
+
+
 def build_subject(source: str, name: str = "subject") -> AppProgram:
     """Execute submitted source into a fresh :class:`AppProgram`.
 
     The one place a submitted subject is built: the service's campaign
     worker calls it once per campaign it runs, and shard processes
-    inherit the result through the fork.
+    inherit the result through the fork.  The source stays registered
+    under :func:`subject_filename` until the caller unregisters it
+    (:func:`~repro.core.virtualsource.unregister_virtual_source`); a
+    build that raises unregisters it itself.
 
     Raises :class:`SubmissionError` when the source does not compile,
     fails at definition time, defines no ``workload`` callable, or
     defines no classes to instrument.
     """
+    filename = register_virtual_source(subject_filename(source, name), source)
+    try:
+        return _define(compile_source(source, filename), name)
+    except BaseException:
+        unregister_virtual_source(filename)
+        raise
+
+
+def _define(code: CodeType, name: str) -> AppProgram:
+    """Run compiled subject code; the :class:`AppProgram` it defines."""
     namespace = _namespace()
-    # Distinct sources get distinct virtual filenames (inspect reads
-    # sources by filename, and a long-running service sees many).
-    tag = hashlib.blake2b(source.encode("utf-8"), digest_size=6).hexdigest()
-    filename = register_virtual_source(f"<service:{name}:{tag}>", source)
-    code = compile_source(source, filename)
     try:
         exec(code, namespace)
     except Exception as exc:

@@ -1,25 +1,49 @@
 """Checks every tier-1 test module must pass on its way out.
 
-Each test module leaves the process's write-barrier state as it found
-it: no undo log or trace recorder is still the active barrier sink, and
-the same classes (normally none) carry a write barrier.  A leaked
-barrier changes how every later write to that class is recorded.
+Each test module leaves the process as it found it:
+
+* no undo log or trace recorder is still the active barrier sink, and
+  the same classes (normally none) carry a write barrier — a leaked
+  barrier changes how every later write to that class is recorded;
+* the ``SIGALRM`` handler is the one it found, and ``ITIMER_REAL`` is
+  disarmed — a shard process's per-run budget must not outlive it;
+* no chaos fault injector is armed, and no child process is alive;
+* no submitted service subject's source is left in ``linecache``.
 """
+
+import linecache
+import multiprocessing
+import signal
 
 import pytest
 
 from repro.core import cow
+from repro.resilience import chaos
+
+
+def _service_sources():
+    return {name for name in linecache.cache if name.startswith("<service:")}
 
 
 @pytest.fixture(autouse=True, scope="module")
-def write_barriers_left_as_found():
-    before = set(cow._BARRIERS)
+def process_left_as_found():
+    barriers = set(cow._BARRIERS)
+    alarm_handler = signal.getsignal(signal.SIGALRM)
+    sources = _service_sources()
     yield
     assert not cow._ACTIVE_LOGS, f"barrier sinks left active: {cow._ACTIVE_LOGS}"
     after = set(cow._BARRIERS)
-    assert after == before, "write barriers changed: " + ", ".join(
+    assert after == barriers, "write barriers changed: " + ", ".join(
         sorted(
             f"{'+' if cls in after else '-'}{cls.__qualname__}"
-            for cls in after ^ before
+            for cls in after ^ barriers
         )
+    )
+    assert signal.getsignal(signal.SIGALRM) == alarm_handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert chaos.active_injector() is None
+    assert multiprocessing.active_children() == []
+    assert _service_sources() <= sources, (
+        "service sources left registered: "
+        + ", ".join(sorted(_service_sources() - sources))
     )

@@ -49,8 +49,9 @@ SCALARS = (
     None, 0, 1, True, False, 1.0, -0.0, _NAN, "a", "", Tag("a"), b"x", 2**70, 1j
 )
 
-#: Attribute names; ``_hidden`` and ``b`` are what the ignore filters drop.
-NAMES = ("a", "b", "c", "_hidden")
+#: Attribute names; every traversal skips ``_repro_hidden``, the
+#: instrumentation's own kind of attribute.
+NAMES = ("a", "b", "c", "_repro_hidden")
 
 KINDS = (
     "plain",
@@ -81,8 +82,6 @@ _SHELLS = {
     "defaultdict": lambda: collections.defaultdict(list),
 }
 _OPAQUE = {"function": opaque_function, "class": Plain}
-
-IGNORES = (None, lambda name: name.startswith("_"), lambda name: name == "b")
 
 #: A reference: ``(True, i)`` is node ``i`` (mod pool size), ``(False, j)``
 #: a scalar.

@@ -122,7 +122,7 @@ def test_eager_checkpoint_roundtrip(name):
     snapshot = get_strategy("snapshot")
     obj = Point(1, [2, 3])
     before = _summary(backend, obj)
-    cp = snapshot.checkpoint([obj], None, None)
+    cp = snapshot.checkpoint([obj])
     assert snapshot.checkpoint_size(cp) > 0
     assert snapshot.rollback_size(cp) == 0
     obj.x = 99
@@ -155,18 +155,6 @@ def test_stats_counted_per_operation():
     assert fp_stats.fingerprints == 2
     assert fp_stats.captures == 0
     assert fp_stats.compares == 1
-
-
-def test_stats_merge_and_to_dict():
-    one = StateStats(captures=1, fingerprints=2, compares=3, seconds=0.5)
-    two = StateStats(captures=10, fingerprints=20, compares=30, seconds=1.5)
-    one.merge(two)
-    assert one.to_dict() == {
-        "captures": 11,
-        "fingerprints": 22,
-        "compares": 33,
-        "seconds": 2.0,
-    }
 
 
 def test_backend_repr_names_backend():

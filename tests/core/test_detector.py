@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.detector import CallableProgram, DetectionError, Detector
+from repro.core.detector import (
+    CallableProgram,
+    DetectionError,
+    Detector,
+    profile_program,
+)
 from repro.core.exceptions import InjectedRuntimeError
 from repro.core.injection import InjectionCampaign, make_injection_wrapper
 from repro.core.weaver import Weaver
@@ -51,7 +56,9 @@ def make_detector(campaign, **kwargs):
 
 
 def test_profile_counts_points(woven_campaign):
-    total = make_detector(woven_campaign).profile()
+    total = profile_program(
+        CallableProgram("stack", stack_program), woven_campaign
+    ).total_points
     # 5 wrapped calls (init, push, push, pop, broken_pop_two), 1 point each
     assert total == 5
 
@@ -63,12 +70,6 @@ def test_detect_runs_once_per_point_plus_baseline(woven_campaign):
     assert result.total_injections == 5
 
 
-def test_detect_without_baseline(woven_campaign):
-    result = make_detector(woven_campaign).detect(baseline_run=False)
-    assert result.runs_executed == 5
-    assert result.total_injections == 5
-
-
 def test_baseline_run_observes_genuine_failures(woven_campaign):
     result = make_detector(woven_campaign).detect()
     baseline = result.log.runs[-1]
@@ -77,24 +78,17 @@ def test_baseline_run_observes_genuine_failures(woven_campaign):
     assert "Stack.broken_pop_two" in nonatomic
 
 
-def test_explicit_injection_points(woven_campaign):
-    result = make_detector(woven_campaign).detect(
-        injection_points=[2, 4], baseline_run=False
-    )
-    assert result.runs_executed == 2
-    assert [run.injection_point for run in result.log.runs] == [2, 4]
-
-
 def test_stride_thins_points(woven_campaign):
-    result = make_detector(woven_campaign).detect(baseline_run=False)
+    result = make_detector(woven_campaign).detect()
     campaign2 = InjectionCampaign()
     weaver = Weaver(lambda spec: make_injection_wrapper(spec, campaign2))
     # Stack is currently unwoven? No: fixture still active. Use the same
     # campaign object with a strided detector instead.
     del weaver
     strided = make_detector(woven_campaign, stride=2)
-    strided_result = strided.detect(baseline_run=False)
-    assert strided_result.runs_executed < result.runs_executed
+    strided_result = strided.detect()
+    # points 1, 3, 5 and the baseline run, against 1-5 and the baseline
+    assert (strided_result.runs_executed, result.runs_executed) == (4, 6)
 
 
 def test_stride_must_be_positive(woven_campaign):
@@ -108,9 +102,8 @@ def test_failing_program_raises_detection_error():
     def bad_program():
         raise RuntimeError("program itself is broken")
 
-    detector = Detector(CallableProgram("bad", bad_program), campaign)
     with pytest.raises(DetectionError):
-        detector.profile()
+        profile_program(CallableProgram("bad", bad_program), campaign)
 
 
 def test_campaign_disabled_after_detect(woven_campaign):
@@ -122,7 +115,7 @@ def test_campaign_disabled_after_detect(woven_campaign):
 
 
 def test_escaped_flag_set_for_escaping_injections(woven_campaign):
-    result = make_detector(woven_campaign).detect(baseline_run=False)
+    result = make_detector(woven_campaign).detect()
     # The stack program has no try/except around push/pop/init, so all
     # injections except those inside the caught broken_pop_two escape.
     escaped = [run.escaped for run in result.log.runs]
@@ -145,9 +138,9 @@ def test_injection_caught_by_program_marks_completed():
     weaver = Weaver(lambda spec: make_injection_wrapper(spec, campaign))
     with weaver:
         weaver.weave_class(Safe)
-        result = Detector(CallableProgram("safe", program), campaign).detect(
-            baseline_run=False
-        )
+        result = Detector(CallableProgram("safe", program), campaign).detect()
+    # the baseline run injects nothing and completes as well
+    assert len(result.log.runs) == 2
     assert all(run.completed for run in result.log.runs)
 
 
@@ -227,10 +220,17 @@ def settler_program():
     settler.step()
 
 
-def _settler_detection(**campaign_kwargs):
+class _CaptureEveryCall(InjectionCampaign):
+    """A campaign that skips no before-capture: the reference."""
+
+    def elides(self, ordinal, entry):
+        return False
+
+
+def _settler_detection(campaign_type=InjectionCampaign):
     global _SETTLES
     _SETTLES = 0
-    campaign = InjectionCampaign(**campaign_kwargs)
+    campaign = campaign_type()
     weaver = Weaver(lambda spec: make_injection_wrapper(spec, campaign))
     with weaver:
         weaver.weave_class(Settler)
@@ -252,8 +252,7 @@ def test_skipped_call_that_raises_is_replayed_with_full_captures():
     skip its before-capture; each run in which it raises anyway is
     replayed and carries the mark of a run that captures every call."""
     elided = _settler_detection()
-    # A capture budget keeps every before-capture: the reference.
-    full = _settler_detection(max_graph_nodes=10**6)
+    full = _settler_detection(_CaptureEveryCall)
     assert elided.log.to_json() == full.log.to_json()
     assert elided.genuine_failures == full.genuine_failures
     assert _settle_marked_runs(full) == [4, 5]
@@ -273,7 +272,7 @@ def test_shard_engine_replays_like_the_sequential_engine(tmp_path):
     global _SETTLES
     from repro.experiments import run_app_campaign
 
-    full = _settler_detection(max_graph_nodes=10**6)
+    full = _settler_detection(_CaptureEveryCall)
     _SETTLES = 0
     sharded = run_app_campaign(
         _settler_app(),

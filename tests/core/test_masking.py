@@ -274,19 +274,6 @@ def test_atomic_block_never_swallows_exception():
             raise KeyError("must propagate")
 
 
-def test_atomic_block_respects_max_objects():
-    from repro.core.masking import atomic_block
-    from repro.core.state import CheckpointError
-
-    deep = Ledger()
-    deep.entries.extend(range(100))
-    wide = [[i] for i in range(100)]
-    deep.wide = wide
-    with pytest.raises(CheckpointError):
-        with atomic_block(deep, max_objects=5):
-            pass
-
-
 def test_atomic_block_nested():
     from repro.core.masking import atomic_block
 
@@ -333,7 +320,7 @@ def test_strategy_registry():
 def test_snapshot_strategy_roundtrip():
     snapshot = get_strategy("snapshot")
     obj = Point(1, [2, 3])
-    saved = snapshot.checkpoint([obj], None, None)
+    saved = snapshot.checkpoint([obj])
     assert snapshot.checkpoint_size(saved) > 0
     assert snapshot.rollback_size(saved) == 0
     obj.x = 99
@@ -345,7 +332,7 @@ def test_snapshot_strategy_roundtrip():
 
 def test_undolog_strategy_rollback(undolog):
     obj = Point(1, 2)
-    saved = undolog.checkpoint([obj], None, None)
+    saved = undolog.checkpoint([obj])
     assert undolog.checkpoint_size(saved) == 0  # nothing copied up front
     obj.x = 99
     assert undolog.rollback_size(saved) == 1
@@ -356,7 +343,7 @@ def test_undolog_strategy_rollback(undolog):
 
 def test_undolog_strategy_commit_retires_the_log(undolog):
     obj = Point(1, 2)
-    saved = undolog.checkpoint([obj], None, None)
+    saved = undolog.checkpoint([obj])
     obj.x = 5
     undolog.commit(saved)
     assert active_log_top() is None

@@ -259,13 +259,6 @@ def test_ignored_attrs_not_captured():
     assert graphs_equal(before, capture(p))
 
 
-def test_custom_ignore_predicate():
-    p = Point(1, 2)
-    before = capture(p, ignore_attrs=lambda name: name == "y")
-    p.y = 99
-    assert graphs_equal(before, capture(p, ignore_attrs=lambda name: name == "y"))
-
-
 def test_opaque_function_attribute_compared_by_name():
     a = Point(len, 0)
     b = Point(len, 0)

@@ -1,7 +1,7 @@
 """Every trace-deriver fallback reason, from a minimal variant subject.
 
-The deriver refuses to decide a span for five distinct reasons (rules
-R1–R5 in repro.core.tracepass.deriver).  Each test here builds the
+The deriver refuses to decide a span for four distinct reasons (rules
+R1–R3 and R5 in repro.core.tracepass.deriver).  Each test here builds the
 smallest subject that trips exactly one of them — and builds it through
 the variant engine (transform_source + a registered virtual source), so
 the reasons are demonstrably reachable from generated variant code, not
@@ -18,10 +18,9 @@ Reason map:
 * ``transparency`` — the variant source was never registered, so no
                      frame between point and boundary is certifiably
                      exception-transparent (R2).
-* ``capture``      — an enclosing entry's graph capture blew the node
-                     budget (R3, capture half).
 * ``ambient``      — a genuine escape whose verdict was underivable
-                     poisons every later span (R5).
+                     (it escaped inside a nested boundary, so its walk
+                     was unusable) poisons every later span (R5).
 """
 
 import pytest
@@ -170,35 +169,6 @@ def test_transparency_reason(variant_class_factory):
     assert reasons[f"{cls.__name__}.inner"] == ["transparency"]
 
 
-def test_capture_reason(variant_class_factory):
-    cls = variant_class_factory("<trace-reason-capture>", NESTED, "Nested")
-    campaign = InjectionCampaign(max_graph_nodes=1)
-    deriver = _run(campaign, cls, lambda: cls().outer())
-    reasons = reasons_by_method(deriver)
-    # inner's span must derive a verdict against the enclosing outer
-    # entry, whose graph capture blew the one-node budget
-    assert reasons[f"{cls.__name__}.inner"] == ["capture"]
-
-
-def test_capture_budget_retry_lifts_fallback(variant_class_factory):
-    # One notch up from the capture-reason budget: the entry capture
-    # still blows a 3-node budget, but the single doubled retry (6
-    # nodes) fits the whole instance graph, so the span derives instead
-    # of falling back — and the retry is counted for telemetry.
-    cls = variant_class_factory("<trace-reason-retry>", NESTED, "Nested")
-    campaign = InjectionCampaign(max_graph_nodes=3)
-    deriver = _run(campaign, cls, lambda: cls().outer())
-    reasons = reasons_by_method(deriver)
-    assert deriver.capture_retries >= 1
-    assert reasons[f"{cls.__name__}.inner"] == [None]
-
-
-def test_generous_budget_never_retries(variant_class_factory):
-    cls = variant_class_factory("<trace-reason-noretry>", NESTED, "Nested")
-    deriver = _run(InjectionCampaign(), cls, lambda: cls().outer())
-    assert deriver.capture_retries == 0
-
-
 VOLATILE = """
 class Volatile:
     def __init__(self):
@@ -220,16 +190,16 @@ def test_ambient_reason(variant_class_factory):
     def body():
         subject = cls()
         try:
-            subject.boom()
+            call_through_boundary(subject.boom)
         except ValueError:
             pass
         subject.calm()
 
-    campaign = InjectionCampaign(max_graph_nodes=1)
-    deriver = _run(campaign, cls, body)
+    deriver = _run(InjectionCampaign(), cls, body)
     reasons = reasons_by_method(deriver)
-    # the genuine escape's verdict was underivable (capture over budget),
-    # so every span observed after it is poisoned: rule R5
+    # the genuine escape crossed boom's wrapper inside a nested boundary,
+    # so its verdict was underivable, and every span observed after it
+    # is poisoned: rule R5
     assert reasons[f"{cls.__name__}.calm"] == ["ambient"]
 
 

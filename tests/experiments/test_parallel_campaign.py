@@ -105,9 +105,7 @@ def test_parallel_telemetry_populated(sequential):
 
 def test_plan_points_shared_helper():
     assert plan_points(5) == [1, 2, 3, 4, 5, 6]
-    assert plan_points(5, baseline_run=False) == [1, 2, 3, 4, 5]
     assert plan_points(6, stride=2) == [1, 3, 5, 7]
-    assert plan_points(4, injection_points=[2, 4]) == [2, 4, 5]
     with pytest.raises(ValueError):
         plan_points(5, stride=0)
 

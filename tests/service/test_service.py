@@ -16,9 +16,11 @@ The contract under test (see ``docs/GUIDE.md`` §"Campaign service"):
 
 import asyncio
 import json
+import linecache
 
 import pytest
 
+from repro.core.virtualsource import unregister_virtual_source
 from repro.experiments import run_app_campaign
 from repro.resilience import FaultPlan, FaultSpec, arm
 from repro.service import (
@@ -32,6 +34,7 @@ from repro.service import (
     submission_digest,
 )
 from repro.service import server as server_module
+from repro.service.subjects import subject_filename
 
 SOURCE = """
 class Box:
@@ -133,15 +136,29 @@ def test_result_cache_lru_and_counters():
 # ---------------------------------------------------------------------------
 
 
-def test_build_subject_compiles_classes_and_workload():
-    program = build_subject(SOURCE, "box")
+@pytest.fixture
+def build_box():
+    """Builds ``SOURCE`` as "box" when called; its source is unregistered
+    after the test, as the service's worker does once a campaign ends."""
+    yield lambda: build_subject(SOURCE, "box")
+    unregister_virtual_source(subject_filename(SOURCE, "box"))
+
+
+def _service_sources():
+    return {name for name in linecache.cache if name.startswith("<service:")}
+
+
+def test_build_subject_compiles_classes_and_workload(build_box):
+    program = build_box()
     assert program.name == "box"
     assert [cls.__name__ for cls in program.classes] == ["Box"]
     assert program.classes[0].__module__ == "repro_service_subject"
+    assert subject_filename(SOURCE, "box") in _service_sources()
     program()  # the workload runs
 
 
 def test_build_subject_rejects_bad_submissions():
+    before = _service_sources()
     with pytest.raises(SubmissionError, match="does not compile"):
         build_subject("def workload(:\n", "x")
     with pytest.raises(SubmissionError, match="definition time"):
@@ -150,6 +167,7 @@ def test_build_subject_rejects_bad_submissions():
         build_subject("class A:\n    pass\n", "x")
     with pytest.raises(SubmissionError, match="no classes"):
         build_subject("def workload():\n    pass\n", "x")
+    assert _service_sources() == before  # a failed build registers nothing
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +205,11 @@ def test_submit_run_and_cache_hit_with_zero_executions():
     assert status == 202
 
 
-def test_service_result_matches_direct_campaign():
+def test_service_result_matches_direct_campaign(build_box):
     service = CampaignService()
     service.submit(SOURCE, {"state_backend": "fingerprint"}, name="box")
     record = service.process_one()
-    direct = run_app_campaign(
-        build_subject(SOURCE, "box"), state_backend="fingerprint"
-    )
+    direct = run_app_campaign(build_box(), state_backend="fingerprint")
     assert record.result["log"] == json.loads(direct.detection.log.to_json())
     assert record.result["classification"] == json.loads(
         direct.classification.to_json()
@@ -267,6 +283,28 @@ def test_subject_is_built_once_per_miss_and_never_on_a_hit(monkeypatch):
     _, status = service.submit(SOURCE, {"workers": 2}, name="box")
     assert status == 200
     assert builds == ["box"]
+
+
+def test_campaigns_leave_no_subject_source_behind():
+    """The worker builds each missed subject in the server process; its
+    registered source goes when the campaign ends, done or failed, so a
+    long-running server keeps none of the sources it has run."""
+    before = _service_sources()
+    service = CampaignService(queue_size=8)
+    submissions = [
+        (SOURCE, {}, "box"),
+        (SOURCE.replace("range(3)", "range(2)"), {}, "box"),
+        (SOURCE, {"workers": 2}, "pooled"),
+        ("raise RuntimeError('boom')\n", {}, "broken"),
+    ]
+    for source, config, name in submissions:
+        _, status = service.submit(source, config, name=name)
+        assert status == 202
+    records = [service.process_one() for _ in submissions]
+    assert [record.status for record in records] == [
+        "done", "done", "done", "failed",
+    ]
+    assert _service_sources() == before
 
 
 def test_failed_campaign_is_reported_not_cached():
