@@ -80,7 +80,10 @@ bench-shard:
 # sequential engine's classification lines, and the resume must execute
 # nothing (runs=0/N, resumed=N).  The 2-shard campaign must also take
 # the sequential engine's number of state captures: a shard process that
-# never installed its parent's profile captures before every call.
+# never installed its parent's profile captures before every call.  Last,
+# shard 0's fragment loses its final 1,500 bytes, as a machine crash
+# loses the unsynced tail of a group commit, and a second resume must
+# re-run those points (runs=N/M, N >= 1) to the same classification.
 engine-smoke:
 	@J=$$(mktemp -d) && \
 	$(PYTHON) -m repro detect LLMap > $$J/plain && \
@@ -97,6 +100,11 @@ engine-smoke:
 		--resume > $$J/resumed && \
 	grep 'calls=' $$J/resumed | diff $$J/expected - && \
 	grep -E 'runs=0/([0-9]+) \(resumed=\1,' $$J/resumed && \
+	truncate -s -1500 $$J/journal/shard-00.jsonl && \
+	$(PYTHON) -m repro detect LLMap --workers 3 --journal $$J/journal \
+		--resume > $$J/lost-tail && \
+	grep 'calls=' $$J/lost-tail | diff $$J/expected - && \
+	grep -E 'runs=[1-9][0-9]*/[0-9]+ \(resumed=' $$J/lost-tail && \
 	rm -rf $$J && echo "engine-smoke: OK"
 
 # Chaos resilience: seeded fault plans (worker kills, torn journal

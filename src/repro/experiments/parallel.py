@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import signal
 import threading
 from typing import Any, Dict, List, Optional, Tuple
@@ -67,13 +68,17 @@ def scan_jsonl(data: bytes) -> Tuple[List[Dict[str, Any]], int]:
 
 def repair_jsonl_tail(path: str, data: bytes, valid_end: int) -> None:
     """Durably drop a torn JSONL tail so subsequent appends stay clean:
-    truncate *path* to *valid_end*, or restore a missing final newline."""
+    truncate *path* to *valid_end*, or restore a missing final newline,
+    and fsync the repair.  A clean file is left untouched."""
     if valid_end < len(data):
         with open(path, "rb+") as handle:
             handle.truncate(valid_end)
+            os.fsync(handle.fileno())
     elif data and not data.endswith(b"\n"):
         with open(path, "ab") as handle:
             handle.write(b"\n")
+            handle.flush()
+            os.fsync(handle.fileno())
 
 
 # ---------------------------------------------------------------------------

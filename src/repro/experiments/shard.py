@@ -18,6 +18,11 @@ coordination beyond agreeing on ``(program, config, shard_count)``:
   at merge time rather than mixed;
 * each fragment embeds the profiling log, and the merge asserts all of
   them are byte-identical (a nondeterministic subject is detected);
+* a shard keeps its fragment open and group-commits it: every line
+  reaches the operating system before the next point starts, and an
+  fsync follows at most every :data:`SYNC_INTERVAL_S` and at shard end,
+  so a killed shard process loses no line it wrote and a machine crash
+  loses at most that interval of points;
 * a shard killed mid-write leaves a torn tail, which
   :func:`~repro.experiments.parallel.scan_jsonl` drops on resume, and
   the merge names every missing point and its shard.
@@ -35,7 +40,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
 
 from repro.core import (
     Analyzer,
@@ -76,6 +81,11 @@ __all__ = [
 #: slices of the plan; version-1 fragments (contiguous ranges) are
 #: rejected on resume and merge instead of being mixed in.
 FRAGMENT_VERSION = 2
+
+#: Longest a written fragment line waits for its fsync.  Every line is
+#: flushed to the operating system at once, so only a machine crash can
+#: lose the unsynced tail, and a resume re-runs its points.
+SYNC_INTERVAL_S = 1.0
 
 #: Header keys that identify the campaign a fragment belongs to.  Two
 #: fragments may only be merged when they agree on every one of these.
@@ -147,16 +157,26 @@ class ShardFragment:
     without re-executing the subject; every run line records one point's
     :class:`RunRecord`, its genuine failure, and its attempts (``0`` for
     a record derived without running the subject).
+
+    The fragment stays open for the life of the shard and is committed
+    in groups: every write is flushed, so the line is in the operating
+    system before :meth:`append_run` returns, and fsync'd only when the
+    last fsync is :data:`SYNC_INTERVAL_S` old.  :meth:`close` flushes,
+    fsyncs and closes it.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
+        self._handle: Optional[TextIO] = None
+        # Never synced yet, so the first write (the header) is fsync'd.
+        self._synced_at = float("-inf")
 
     def start(self, header: Dict[str, Any], profile: Dict[str, Any]) -> None:
         """Truncate and write a fresh header + profile line."""
         os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
         header = dict(header, kind="header", version=FRAGMENT_VERSION)
-        self._write("w", header, dict(profile, kind="profile"))
+        self._handle = open(self.path, "w", encoding="utf-8")
+        self._write(header, dict(profile, kind="profile"))
 
     def append_run(
         self,
@@ -176,15 +196,31 @@ class ShardFragment:
         # ioerror fires before the write, a kill/torn fault after it —
         # the on-disk states a real ENOSPC or mid-write SIGKILL leaves.
         _fault_site("journal.append", self.path)
-        self._write("a", line)
+        if self._handle is None:  # a resumed shard appends to its fragment
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._write(line)
         _fault_site("journal.appended", self.path)
 
-    def _write(self, mode: str, *lines: Dict[str, Any]) -> None:
-        with open(self.path, mode, encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(json.dumps(line, sort_keys=True) + "\n")
+    def _write(self, *lines: Dict[str, Any]) -> None:
+        handle = self._handle
+        for line in lines:
+            handle.write(json.dumps(line, sort_keys=True) + "\n")
+        handle.flush()
+        now = time.monotonic()
+        if now - self._synced_at >= SYNC_INTERVAL_S:
+            os.fsync(handle.fileno())
+            self._synced_at = now
+
+    def close(self) -> None:
+        """Flush, fsync and close the fragment (a no-op if not open)."""
+        handle, self._handle = self._handle, None
+        if handle is None:
+            return
+        try:
             handle.flush()
             os.fsync(handle.fileno())
+        finally:
+            handle.close()
 
     def check_header(
         self, found: Dict[str, Any], expected: Dict[str, Any]
@@ -414,8 +450,6 @@ def run_shard(
         resumed = {
             p: e for p, e in fragment.load_done(header).items() if p in assigned
         }
-    if not resumed:
-        fragment.start(header, profile.payload)
 
     campaign = InjectionCampaign(state_backend=state_backend)
     # The profiling run's wrapper entries decide which before-captures
@@ -426,36 +460,45 @@ def run_shard(
     done = len(resumed)
     if progress is not None and done:
         progress(done, len(mine))
-    with Weaver(
-        lambda spec: make_injection_wrapper(spec, campaign),
-        Analyzer(exclude=program.exclude),
-    ) as weaver:
-        weaver.weave_classes(program.classes)
-        for point in mine:
-            if point in resumed:
-                continue
-            if point in decided:
-                # Decided without execution: journal the derived record
-                # so the merge step needs no re-derivation.  attempts=0
-                # marks it as never having run the subject.
-                fragment.append_run(point, decided[point], None, 0)
-                derived += 1
-            else:
-                record, failure, attempts, did_crash = run_point_with_timeout(
-                    program,
-                    campaign,
-                    point,
-                    timeout=timeout,
-                    retries=retries,
-                )
-                fragment.append_run(point, record, failure, attempts)
-                executed += 1
-                retry_count += attempts - 1
-                if did_crash:
-                    crashed += 1
-            done += 1
-            if progress is not None:
-                progress(done, len(mine))
+    try:
+        if not resumed:
+            fragment.start(header, profile.payload)
+        with Weaver(
+            lambda spec: make_injection_wrapper(spec, campaign),
+            Analyzer(exclude=program.exclude),
+        ) as weaver:
+            weaver.weave_classes(program.classes)
+            for point in mine:
+                if point in resumed:
+                    continue
+                if point in decided:
+                    # Decided without execution: journal the derived
+                    # record so the merge step needs no re-derivation.
+                    # attempts=0 marks it as never having run the subject.
+                    fragment.append_run(point, decided[point], None, 0)
+                    derived += 1
+                else:
+                    record, failure, attempts, did_crash = (
+                        run_point_with_timeout(
+                            program,
+                            campaign,
+                            point,
+                            timeout=timeout,
+                            retries=retries,
+                        )
+                    )
+                    fragment.append_run(point, record, failure, attempts)
+                    executed += 1
+                    retry_count += attempts - 1
+                    if did_crash:
+                        crashed += 1
+                done += 1
+                if progress is not None:
+                    progress(done, len(mine))
+    finally:
+        # A clean end, WorkerKilled and an OSError alike: every line
+        # written so far is fsync'd before the shard reports.
+        fragment.close()
     finished = time.perf_counter()
 
     wall = finished - started

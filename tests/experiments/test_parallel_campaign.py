@@ -176,6 +176,7 @@ def test_journal_tolerates_old_headers_and_corrupt_tail(tmp_path):
     fragment.start({"program": "X"}, {"total_points": 7, "log": {}})
     record = RunRecord(injection_point=1, completed=False, escaped=True)
     fragment.append_run(1, record, None, 1)
+    fragment.close()
     with open(fragment.path, "a", encoding="utf-8") as handle:
         handle.write('{"kind": "run", "point": 2, "rec')  # torn write
     done = fragment.load_done(

@@ -13,23 +13,34 @@ The contract under test:
   instrumentor options were retired;
 * the coordinator merge validates before it trusts: mismatched
   headers name the differing keys, incomplete coverage names the shard
-  to resume, diverged profiles are rejected outright.
+  to resume, diverged profiles are rejected outright;
+* fragments are group-committed: a line is in the file when
+  ``append_run`` returns, fsyncs come at most once per
+  ``SYNC_INTERVAL_S`` and at shard end, the fragment is closed however
+  the shard ends, and a fragment cut anywhere in its unsynced tail
+  resumes to the sequential log.
 """
 
+import gc
 import json
+import os
+import warnings
 
 import pytest
 
 from repro.core import plan_points
-from repro.core.runlog import log_json_without_provenance
+from repro.core.runlog import RunRecord, log_json_without_provenance
 from repro.experiments import (
     ShardError,
+    ShardFragment,
     merge_fragments,
     program_by_name,
     run_app_campaign,
     run_shard,
     shard_points,
 )
+from repro.experiments.parallel import repair_jsonl_tail, scan_jsonl
+from repro.resilience import FaultPlan, FaultSpec, arm
 
 APP = "LLMap"  # small, fast campaign with real marks and an error path
 
@@ -342,6 +353,125 @@ def test_shard_timeout_marks_crashed_and_resume_rescues(tmp_path):
     assert rescued.crashed == 0
     merged = merge_fragments([path])
     assert not any(run.crashed for run in merged.detection.log.runs)
+
+
+# ---------------------------------------------------------------------------
+# group commit: what reaches the disk, and when
+# ---------------------------------------------------------------------------
+
+
+def _count_fsyncs(monkeypatch) -> list:
+    """Record the file descriptor of every ``os.fsync`` call from now on."""
+    calls = []
+    real_fsync = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+def test_lost_unsynced_tail_resumes_to_the_sequential_log(
+    sequential, tmp_path
+):
+    """A machine crash keeps some prefix of the lines written since the
+    last fsync, cut at a line boundary or inside a line.  From every such
+    prefix a resume re-runs exactly the points it lost, and the merge is
+    the sequential engine's log."""
+    paths = _run_all_shards(tmp_path, 2)
+    with open(paths[0], "rb") as handle:
+        data = handle.read()
+    ends = [0]
+    for line in data.splitlines(keepends=True):
+        ends.append(ends[-1] + len(line))
+    run_ends = ends[3:]  # the header and profile lines come first
+    for cut in ends[::6] + [ends[3] + 5, ends[-1] - 9]:
+        with open(paths[0], "wb") as handle:
+            handle.write(data[:cut])
+        result = run_shard(program_by_name(APP), 0, 2, paths[0], resume=True)
+        kept = sum(1 for end in run_ends if end <= cut)
+        assert result.resumed == kept, f"cut at byte {cut}"
+        assert result.executed == len(result.points) - kept
+        _same_as_sequential(merge_fragments(paths), sequential)
+
+
+def test_appended_line_is_readable_before_close(tmp_path):
+    """Group commit defers the fsync, never the write: the run line is in
+    the file when ``append_run`` returns, so a killed process keeps it."""
+    path = str(tmp_path / "open.jsonl")
+    record = RunRecord(injection_point=1)
+    fragment = ShardFragment(path)
+    try:
+        fragment.start({"program": APP}, {"total_points": 1})
+        fragment.append_run(1, record, None, 1)
+        with open(path, "rb") as handle:
+            entries, _ = scan_jsonl(handle.read())
+    finally:
+        fragment.close()
+    assert [entry["kind"] for entry in entries] == ["header", "profile", "run"]
+    assert entries[-1]["record"] == record.to_dict()
+
+
+def test_fragment_fsyncs_once_per_interval_and_at_shard_end(
+    tmp_path, monkeypatch
+):
+    """A shard shorter than ``SYNC_INTERVAL_S`` fsyncs its header and its
+    end, not each of its points; with no interval every write fsyncs."""
+    fsyncs = _count_fsyncs(monkeypatch)
+    path = str(tmp_path / "f.jsonl")
+    monkeypatch.setattr("repro.experiments.shard.SYNC_INTERVAL_S", 3600.0)
+    result = run_shard(program_by_name(APP), 0, 2, path)
+    assert len(result.points) == 34
+    assert len(fsyncs) <= 2  # the header's and the shard end's
+
+    fsyncs.clear()
+    monkeypatch.setattr("repro.experiments.shard.SYNC_INTERVAL_S", 0.0)
+    run_shard(program_by_name(APP), 0, 2, path)
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    assert len(fsyncs) >= len(lines)
+
+
+def test_run_shard_closes_its_fragment(tmp_path):
+    """A clean shard and one whose append raises both close the
+    fragment: no ``ResourceWarning`` names it, even after a collection."""
+    clean = str(tmp_path / "clean.jsonl")
+    failing = str(tmp_path / "failing.jsonl")
+    plan = FaultPlan(faults=[FaultSpec("journal.append", "ioerror")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_shard(program_by_name(APP), 0, 2, clean)
+        with arm(plan), pytest.raises(OSError, match="injected fault"):
+            run_shard(program_by_name(APP), 0, 2, failing)
+        gc.collect()
+    leaked = [
+        str(warning.message)
+        for warning in caught
+        if issubclass(warning.category, ResourceWarning)
+        and (clean in str(warning.message) or failing in str(warning.message))
+    ]
+    assert leaked == []
+
+
+def test_torn_tail_repair_is_fsynced(tmp_path, monkeypatch):
+    """The repair a resume (or a result-cache replay) makes is durable: a
+    torn tail or a missing final newline takes one fsync, a clean file
+    none."""
+    fsyncs = _count_fsyncs(monkeypatch)
+    path = tmp_path / "j.jsonl"
+    for data, repaired, expected in [
+        (b'{"a": 1}\n{"b": ', b'{"a": 1}\n', 1),
+        (b'{"a": 1}', b'{"a": 1}\n', 1),
+        (b'{"a": 1}\n', b'{"a": 1}\n', 0),
+        (b"", b"", 0),
+    ]:
+        path.write_bytes(data)
+        fsyncs.clear()
+        repair_jsonl_tail(str(path), data, scan_jsonl(data)[1])
+        assert path.read_bytes() == repaired
+        assert len(fsyncs) == expected, data
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ The contract under test:
   journal tails, injected IO errors, hung runs) the supervisor retries
   with resume until every fragment is complete — and the merged result
   is **still** bit-identical to the fault-free engine;
-* a worker whose heartbeat goes stale is killed (async exception) and
-  the retry converges;
+* a worker whose heartbeat goes stale is killed (``Process.kill()``,
+  a SIGKILL) without losing a line it wrote, and the retry converges;
 * the attempt budget is enforced (:class:`SupervisorError` carries
   every attempt's failure reason), and backoff is capped exponential
   with seeded, reproducible jitter.
@@ -133,6 +133,11 @@ def test_stale_heartbeat_kills_worker_and_retry_converges(
     assert any(
         "hung" in f for o in supervised.outcomes for f in o.failures
     )
+    # The hang came after the shard's third line was written, and the
+    # kill is a SIGKILL: group commit had handed all three lines to the
+    # operating system, so the retry resumes them.
+    killed = [o for o in supervised.outcomes if o.retries]
+    assert [o.result.resumed for o in killed] == [3]
 
 
 def test_attempt_budget_enforced_with_reasons(tmp_path):
