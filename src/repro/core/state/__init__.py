@@ -62,9 +62,10 @@ from .introspect import (
     default_ignore,
     is_opaque,
     is_scalar,
-    iter_children,
     kind_of,
+    list_children,
     slot_names,
+    type_info,
 )
 
 __all__ = [
@@ -100,7 +101,8 @@ __all__ = [
     "is_scalar",
     "is_opaque",
     "slot_names",
-    "iter_children",
+    "list_children",
+    "type_info",
     "kind_of",
     "default_ignore",
 ]

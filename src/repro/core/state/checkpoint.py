@@ -33,7 +33,7 @@ in one C-level pass instead of being pushed and popped one by one.
 
 The scalar, opaque and slot answers are shared with the other state
 backends via :mod:`repro.core.state.introspect`; the children are not
-read through ``iter_children``, but the traversal must reach the objects
+read through ``list_children``, but the traversal must reach the objects
 a graph capture reaches, ``defaultdict.default_factory`` and the
 attributes of tuple and frozenset subclasses included.
 """

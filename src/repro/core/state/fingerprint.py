@@ -13,7 +13,7 @@ structure.  The equivalence holds because the digest is a hash of a
 inspects:
 
 * the traversal visits children in the canonical order of
-  :func:`repro.core.state.introspect.iter_children` — the same code the
+  :func:`repro.core.state.introspect.list_children` — the same code the
   graph capturer uses, so both sides agree on edge order byte for byte;
 * aliasing is captured by canonical node numbering: every non-scalar
   object gets an id in first-visit order, and later references serialize
@@ -50,8 +50,8 @@ from .introspect import (
     default_ignore,
     is_opaque,
     is_scalar,
-    iter_children,
     kind_of,
+    list_children,
     opaque_token,
     slot_names,
     type_name,
@@ -383,7 +383,7 @@ class _Fingerprinter:
             elif kind == KIND_BYTEARRAY:
                 feed(_encode_bytes(bytes(item)))
                 continue
-            children = list(iter_children(item, kind))
+            children = list_children(item)
             feed(b"E%d" % len(children))
             for label, child in reversed(children):
                 push((False, child))

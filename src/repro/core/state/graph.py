@@ -24,29 +24,25 @@ is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .introspect import (
+    _SCALAR_EXACT,
+    _TYPE_TABLE,
+    CAT_OPAQUE,
+    CAT_SCALAR,
     KIND_BYTEARRAY,
-    KIND_DEQUE,
-    KIND_DICT,
     KIND_FRAME,
-    KIND_FROZENSET,
-    KIND_LIST,
-    KIND_OBJECT,
     KIND_OPAQUE,
     KIND_SCALAR,
-    KIND_SET,
-    KIND_TUPLE,
     SCALAR_TYPES,
     is_opaque,
     is_scalar,
-    iter_children,
-    kind_of,
+    list_children,
     opaque_token,
     safe_repr,
-    type_name,
+    type_info,
 )
 
 __all__ = [
@@ -65,7 +61,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class GraphNode:
     """A single node of an :class:`ObjectGraph`.
 
@@ -76,12 +71,41 @@ class GraphNode:
             ``opaque`` nodes, and ``None`` otherwise.
         edges: labeled edges to child node ids.  Labels are small tuples
             such as ``("attr", name)``, ``("index", i)``, ``("key", k)``.
+            A captured leaf shares one empty tuple.
     """
 
-    kind: str
-    type_name: str
-    value: Any = None
-    edges: List[Tuple[Tuple[str, Any], int]] = field(default_factory=list)
+    __slots__ = ("kind", "type_name", "value", "edges")
+
+    def __init__(
+        self,
+        kind: str,
+        type_name: str,
+        value: Any = None,
+        edges: Optional[Sequence[Tuple[Tuple[str, Any], int]]] = None,
+    ) -> None:
+        self.kind = kind
+        self.type_name = type_name
+        self.value = value
+        self.edges = [] if edges is None else edges
+
+    def _fields(self) -> Tuple[str, str, Any, List[Tuple[Tuple[str, Any], int]]]:
+        return self.kind, self.type_name, self.value, list(self.edges)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GraphNode):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "GraphNode(kind={!r}, type_name={!r}, value={!r}, edges={!r})".format(
+            *self._fields()
+        )
+
+
+#: The edges of every captured leaf.
+_NO_EDGES: Tuple[Tuple[Tuple[str, Any], int], ...] = ()
 
 
 class ObjectGraph:
@@ -189,52 +213,53 @@ class _Capturer:
     # -- traversal ---------------------------------------------------
 
     def _visit(self, value: Any) -> int:
-        """Capture *value*, returning its node id (two-phase, iterative)."""
-        pending: List[Tuple[Any, int]] = []
-        node_id = self._enter(value, pending)
-        while pending:
-            obj, nid = pending.pop()
-            self._expand(obj, nid, pending)
-        return node_id
+        """Capture *value*, returning its node id.
 
-    def _enter(self, value: Any, pending: List[Tuple[Any, int]]) -> int:
-        """Create (or reuse) a node for *value*; queue expansion if needed."""
-        if is_scalar(value):
-            # Scalars are compared by value; interning makes identity
-            # meaningless, so each occurrence gets its own leaf node.
-            node = GraphNode(
-                kind=KIND_SCALAR, type_name=type(value).__name__, value=value
-            )
-            return self._graph.add_node(node)
-        oid = id(value)
-        if oid in self._seen:
-            return self._seen[oid]
-        if is_opaque(value):
-            node = GraphNode(
-                kind=KIND_OPAQUE,
-                type_name=type(value).__name__,
-                value=opaque_token(value),
-            )
-            nid = self._graph.add_node(node)
-            self._seen[oid] = nid
-            self._pins.append(value)
-            return nid
-        kind = kind_of(value)
-        node = GraphNode(kind=kind, type_name=type_name(value))
-        nid = self._graph.add_node(node)
-        self._seen[oid] = nid
-        self._pins.append(value)
-        pending.append((value, nid))
-        return nid
-
-    def _expand(self, obj: Any, nid: int, pending: List[Tuple[Any, int]]) -> None:
-        node = self._graph.nodes[nid]
-        if node.kind == KIND_BYTEARRAY:
-            node.value = bytes(obj)
-            return
-        for label, child_value in iter_children(obj, node.kind):
-            child = self._enter(child_value, pending)
-            node.edges.append((label, child))
+        One loop numbers each value where its parent's children list
+        finds it: a scalar becomes a fresh leaf at once (interning makes
+        identity meaningless, so each occurrence gets its own node), a
+        seen object reuses its node, and a new non-leaf node is queued
+        for expansion.
+        """
+        nodes = self._graph.nodes
+        seen = self._seen
+        pin = self._pins.append
+        table_get = _TYPE_TABLE.get
+        pending: List[Tuple[Any, GraphNode, Tuple]] = []
+        push = pending.append
+        root_edge: List[Tuple[Any, int]] = []
+        edges: List[Tuple[Any, int]] = root_edge
+        children: List[Tuple[Any, Any]] = [(None, value)]
+        while True:
+            for label, child in children:
+                info = table_get(type(child)) or type_info(child)
+                category = info[0]
+                if category == CAT_SCALAR:
+                    edges.append((label, len(nodes)))
+                    nodes.append(GraphNode(KIND_SCALAR, info[2], child, _NO_EDGES))
+                    continue
+                oid = id(child)
+                nid = seen.get(oid)
+                if nid is None:
+                    nid = seen[oid] = len(nodes)
+                    pin(child)
+                    if category == CAT_OPAQUE:
+                        leaf = GraphNode(
+                            KIND_OPAQUE, info[2], opaque_token(child), _NO_EDGES
+                        )
+                        nodes.append(leaf)
+                    else:
+                        node = GraphNode(info[1], info[2], None, [])
+                        nodes.append(node)
+                        push((child, node, info))
+                edges.append((label, nid))
+            if not pending:
+                return root_edge[0][1]
+            obj, parent, parent_info = pending.pop()
+            if parent_info[1] == KIND_BYTEARRAY:
+                parent.value = bytes(obj)
+            edges = parent.edges
+            children = list_children(obj, parent_info)
 
 
 def capture(value: Any) -> ObjectGraph:
@@ -337,8 +362,21 @@ class _GraphView:
         node = self._nodes[node_id]
         return node.kind, node.type_name, node.value
 
-    def edges(self, node_id: int, kind: str) -> List[Tuple[Tuple[str, Any], Any]]:
+    def edges(self, node_id: int, kind: str) -> Sequence[Tuple[Tuple[str, Any], Any]]:
         return self._nodes[node_id].edges
+
+    def same_leaf(self, na: GraphNode, node_id: int) -> bool:
+        """Whether node *node_id* is an exact-scalar leaf equal to the
+        scalar leaf *na*."""
+        nb = self._nodes[node_id]
+        value = nb.value
+        return (
+            nb.kind == KIND_SCALAR
+            and type(value) in _SCALAR_EXACT
+            and type(na.value) is type(value)
+            and na.type_name == nb.type_name
+            and na.value == value
+        )
 
 
 class _LiveView:
@@ -358,26 +396,37 @@ class _LiveView:
         self._frame_edges = [(("slot", key), value) for key, value in label_values]
 
     def key(self, obj: Any) -> Optional[int]:
-        return None if isinstance(obj, SCALAR_TYPES) else id(obj)
+        info = _TYPE_TABLE.get(type(obj)) or type_info(obj)
+        return None if info[0] == CAT_SCALAR else id(obj)
 
     def describe(self, obj: Any) -> Tuple[str, str, Any]:
-        if isinstance(obj, SCALAR_TYPES):  # is_scalar, inlined: the hot case
-            return KIND_SCALAR, type(obj).__name__, obj
+        info = _TYPE_TABLE.get(type(obj)) or type_info(obj)
+        category = info[0]
+        if category == CAT_SCALAR:
+            return KIND_SCALAR, info[2], obj
         if obj is self.root:
             return KIND_FRAME, "<frame>", None
-        if is_opaque(obj):
-            return KIND_OPAQUE, type(obj).__name__, opaque_token(obj)
-        kind = kind_of(obj)
+        if category == CAT_OPAQUE:
+            return KIND_OPAQUE, info[2], opaque_token(obj)
+        kind = info[1]
         if kind == KIND_BYTEARRAY:
-            return kind, type_name(obj), bytes(obj)
-        return kind, type_name(obj), None
+            return kind, info[2], bytes(obj)
+        return kind, info[2], None
 
-    def edges(self, obj: Any, kind: str) -> List[Tuple[Tuple[str, Any], Any]]:
+    def edges(self, obj: Any, kind: str) -> Sequence[Tuple[Tuple[str, Any], Any]]:
         if obj is self.root:
             return self._frame_edges
-        if kind in (KIND_OPAQUE, KIND_BYTEARRAY):
-            return []
-        return list(iter_children(obj, kind))
+        return list_children(obj)  # a leaf or a bytearray has none
+
+    def same_leaf(self, na: GraphNode, obj: Any) -> bool:
+        """Whether *obj* is an exact scalar equal to the scalar leaf *na*."""
+        tp = type(obj)
+        return (
+            tp in _SCALAR_EXACT
+            and type(na.value) is tp
+            and na.type_name == tp.__name__
+            and na.value == obj
+        )
 
 
 #: A walk position's path: ``None`` at the root, else ``(parent, label)``.
@@ -391,10 +440,13 @@ def _diff_walk(a: ObjectGraph, view: Any, limit: int) -> List[GraphDifference]:
     and the view's sharing keys.  A mismatching pair is not descended
     into; the walk stops once *limit* differences are collected.  Paths
     are rendered from the parent trail only when a difference is noted.
+    A child pair the view calls an equal exact-scalar leaf is dropped
+    before it is pushed: popped, it would note nothing and map nothing.
     """
     differences: List[GraphDifference] = []
     a_nodes = a.nodes
     key_of, describe, edges_of = view.key, view.describe, view.edges
+    same_leaf = view.same_leaf
     a_to_b: Dict[int, Any] = {}
     # The view's mapped sharing keys, each with its handle: holding the
     # handle keeps a live object, and so its id(), alive for the walk.
@@ -456,6 +508,9 @@ def _diff_walk(a: ObjectGraph, view: Any, limit: int) -> List[GraphDifference]:
                 ):
                     return differences
                 break
+            leaf = a_nodes[child_a]
+            if leaf.kind == KIND_SCALAR and same_leaf(leaf, child_b):
+                continue
             children.append((child_a, child_b, (trail, label_a)))
         else:
             stack.extend(children)

@@ -15,12 +15,20 @@ agree *exactly* on the questions answered here:
 Before this module existed those answers were private helpers inside
 ``objgraph.py`` that ``snapshot.py`` reached into (``_slot_names``); they
 are now public API so no backend needs an underscore import.  The child
-iteration order in :func:`iter_children` is the single source of truth:
-the fingerprint of a value equals the fingerprint of another value if and
+order of :func:`list_children` is the single source of truth: the
+fingerprint of a value equals the fingerprint of another value if and
 only if their captured object graphs are equal, *because* both traversals
 share this code.
 
-The checkpoint does not use :func:`iter_children`: it reads each
+Every per-type answer is a function of the exact runtime type, so
+:func:`type_info` computes them once per type, with the ``isinstance``
+tests below, and memoizes them in a bounded table.  :func:`list_children`
+builds a value's children as one list, taking a fast path for the shapes
+that dominate real state (exact sequences, plain and slots-only
+instances, dicts keyed by exact scalars) and the general code for every
+other shape; both give the same list.
+
+The checkpoint does not use :func:`list_children`: it reads each
 object's children from the shallow copies it saves, in one pass per
 object, and needs no canonical order.  It must still reach the same
 objects (``default_factory`` and the attributes of container subclasses
@@ -32,8 +40,9 @@ returns random graphs to the state a capture recorded.
 from __future__ import annotations
 
 import collections as _collections
+import operator as _operator
 import types as _types
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "SCALAR_TYPES",
@@ -57,7 +66,11 @@ __all__ = [
     "scalar_sort_key",
     "default_ignore",
     "kind_of",
-    "iter_children",
+    "CAT_SCALAR",
+    "CAT_OPAQUE",
+    "CAT_NODE",
+    "type_info",
+    "list_children",
 ]
 
 
@@ -225,9 +238,120 @@ def kind_of(value: Any) -> str:
     return KIND_OBJECT
 
 
-def _iter_object_attrs(obj: Any) -> Iterator[Tuple[Tuple[str, Any], Any]]:
+#: Categories of :func:`type_info`: a scalar leaf (compared by value), an
+#: opaque leaf (compared by identity token), or a node with children.
+CAT_SCALAR, CAT_OPAQUE, CAT_NODE = 0, 1, 2
+
+#: ``(category, kind, name, container_attrs, slots)``; see :func:`type_info`.
+TypeInfo = Tuple[int, str, str, bool, Tuple[str, ...]]
+
+#: ``type -> TypeInfo`` for every type seen so far.  Bounded because fuzz
+#: campaigns synthesize classes freely; a type past the bound is answered
+#: by the same tests, just not memoized.
+_TYPE_TABLE: Dict[type, TypeInfo] = {}
+_TYPE_TABLE_MAX = 4096
+
+
+def type_info(value: Any) -> TypeInfo:
+    """Every per-type answer the traversals need, for ``type(value)``.
+
+    Returns ``(category, kind, name, container_attrs, slots)``:
+
+    * *category* — :data:`CAT_SCALAR`, :data:`CAT_OPAQUE` or
+      :data:`CAT_NODE` (:func:`is_scalar`, then :func:`is_opaque`);
+    * *kind* — the ``KIND_*`` tag: ``KIND_SCALAR``, ``KIND_OPAQUE`` or
+      :func:`kind_of`;
+    * *name* — the display name a graph node carries: the type's
+      ``__name__`` for a leaf, :func:`type_name` for a node;
+    * *container_attrs* — whether a container kind also yields instance
+      attributes (a container subclass, say);
+    * *slots* — the sorted distinct :func:`slot_names`, minus the
+      attributes :func:`default_ignore` hides.
+
+    The answers are computed on the first value of each type and
+    memoized, so a traversal asks its ``isinstance`` questions once per
+    type instead of once per value.
+    """
+    tp = type(value)
+    info = _TYPE_TABLE.get(tp)
+    if info is not None:
+        return info
+    if is_scalar(value):
+        info = (CAT_SCALAR, KIND_SCALAR, tp.__name__, False, ())
+    elif is_opaque(value):
+        info = (CAT_OPAQUE, KIND_OPAQUE, tp.__name__, False, ())
+    else:
+        kind = kind_of(value)
+        container_attrs = kind not in (KIND_OBJECT, KIND_BYTEARRAY) and (
+            tp.__module__ != "builtins" or hasattr(value, "__dict__")
+        )
+        slots = sorted({name for name in slot_names(tp) if not default_ignore(name)})
+        info = (CAT_NODE, kind, type_name(value), container_attrs, tuple(slots))
+    if len(_TYPE_TABLE) < _TYPE_TABLE_MAX:
+        _TYPE_TABLE[tp] = info
+    return info
+
+
+#: ``("index", i)`` labels, grown on demand up to ``_INDEX_LABELS_MAX``;
+#: a longer sequence builds all its labels afresh.
+_INDEX_LABELS: List[Tuple[str, int]] = []
+_INDEX_LABELS_MAX = 4096
+
+#: ``name -> ("attr", name)`` for exact-``str`` attribute names.
+_ATTR_LABELS: Dict[str, Tuple[str, str]] = {}
+_ATTR_LABELS_MAX = 8192
+
+#: Exact scalar types, whose ``repr`` is :func:`scalar_sort_key`'s.
+_SCALAR_EXACT = frozenset(SCALAR_TYPES)
+_TYPE_NAME_OF = _operator.attrgetter("__class__.__name__")
+_deque = _collections.deque
+
+
+def _attr_label(name: Any) -> Tuple[str, Any]:
+    if type(name) is not str:  # a cached label would carry an equal str
+        return ("attr", name)
+    label = _ATTR_LABELS.get(name)
+    if label is None:
+        label = ("attr", name)
+        if len(_ATTR_LABELS) < _ATTR_LABELS_MAX:
+            _ATTR_LABELS[name] = label
+    return label
+
+
+def _indexed(sequence: Any) -> List[Tuple[Tuple[str, int], Any]]:
+    size = len(sequence)
+    if size > len(_INDEX_LABELS):
+        if size > _INDEX_LABELS_MAX:
+            return [(("index", index), item) for index, item in enumerate(sequence)]
+        _INDEX_LABELS.extend(("index", index) for index in range(len(_INDEX_LABELS), size))
+    return list(zip(_INDEX_LABELS, sequence))
+
+
+def _plain_attrs(obj_dict: dict) -> List[Tuple[Tuple[str, Any], Any]]:
+    children = []
+    for name in sorted(obj_dict):
+        label = _ATTR_LABELS.get(name) if type(name) is str else None
+        if label is None:
+            if default_ignore(name):
+                continue
+            label = _attr_label(name)
+        children.append((label, obj_dict[name]))
+    return children
+
+
+def _slot_attrs(obj: Any, slots: Tuple[str, ...]) -> List[Tuple[Tuple[str, Any], Any]]:
+    children = []
+    for name in slots:
+        try:
+            value = getattr(obj, name)
+        except AttributeError:
+            continue  # unset slot
+        children.append((_attr_label(name), value))
+    return children
+
+
+def _object_attrs(obj: Any, obj_dict: Any) -> List[Tuple[Tuple[str, Any], Any]]:
     attrs = {}
-    obj_dict = getattr(obj, "__dict__", None)
     if isinstance(obj_dict, dict):
         attrs.update(obj_dict)
     for name in slot_names(type(obj)):
@@ -235,13 +359,12 @@ def _iter_object_attrs(obj: Any) -> Iterator[Tuple[Tuple[str, Any], Any]]:
             attrs[name] = getattr(obj, name)
         except AttributeError:
             continue  # unset slot
-    for name in sorted(attrs):
-        if default_ignore(name):
-            continue
-        yield ("attr", name), attrs[name]
+    return [
+        (("attr", name), attrs[name]) for name in sorted(attrs) if not default_ignore(name)
+    ]
 
 
-def _iter_dict_items(obj: dict) -> Iterator[Tuple[Tuple[str, Any], Any]]:
+def _dict_items(obj: dict) -> List[Tuple[Tuple[str, Any], Any]]:
     scalar_items = []
     other_items = []
     for key, val in obj.items():
@@ -253,14 +376,23 @@ def _iter_dict_items(obj: dict) -> Iterator[Tuple[Tuple[str, Any], Any]]:
     # insertion order does not affect state equality: the *mapping* is
     # the state, not the ordering bookkeeping.
     scalar_items.sort(key=lambda kv: scalar_sort_key(kv[0]))
-    for key, val in scalar_items:
-        yield ("key", (type(key).__name__, key)), val
+    children = [(("key", (type(key).__name__, key)), val) for key, val in scalar_items]
     for position, (key, val) in enumerate(other_items):
-        yield ("objkey", position), key
-        yield ("objval", position), val
+        children.append((("objkey", position), key))
+        children.append((("objval", position), val))
+    return children
 
 
-def _iter_set_members(obj: Any) -> Iterator[Tuple[Tuple[str, Any], Any]]:
+def _exact_scalar_items(obj: dict, key_types: set) -> List[Tuple[Tuple[str, Any], Any]]:
+    # For an exact scalar type, (type name, repr) *is* scalar_sort_key;
+    # two stable C-keyed sorts order by it, ties in insertion order.
+    keys = sorted(obj, key=repr)
+    if len(key_types) > 1:
+        keys.sort(key=_TYPE_NAME_OF)
+    return [(("key", (type(key).__name__, key)), obj[key]) for key in keys]
+
+
+def _set_members(obj: Any) -> List[Tuple[Tuple[str, Any], Any]]:
     scalars = []
     others = []
     for item in obj:
@@ -269,43 +401,60 @@ def _iter_set_members(obj: Any) -> Iterator[Tuple[Tuple[str, Any], Any]]:
         else:
             others.append(item)
     scalars.sort(key=scalar_sort_key)
-    for index, item in enumerate(scalars):
-        yield ("member", index), item
+    children = [(("member", index), item) for index, item in enumerate(scalars)]
     # Non-scalar set members are canonicalized by repr: set elements must
     # be hashable, which in practice means they expose a stable textual
     # identity.  This is a documented approximation.
     others.sort(key=lambda item: (type(item).__name__, safe_repr(item)))
-    for index, item in enumerate(others):
-        yield ("objmember", index), item
+    children.extend((("objmember", index), item) for index, item in enumerate(others))
+    return children
 
 
-def iter_children(obj: Any, kind: str) -> Iterator[Tuple[Tuple[str, Any], Any]]:
-    """Yield ``(label, child)`` pairs of *obj* in canonical order.
+def list_children(
+    obj: Any, info: Optional[TypeInfo] = None
+) -> List[Tuple[Tuple[str, Any], Any]]:
+    """The ``(label, child)`` pairs of *obj*, in canonical order.
 
     This is the one ordering every backend shares: labeled edges exactly
     as an :class:`~repro.core.state.graph.ObjectGraph` node would carry
-    them.  ``KIND_BYTEARRAY`` values have no children (their payload is
-    ``bytes(obj)``); container *subclasses* additionally yield their
-    instance attributes; ``defaultdict`` yields its ``default_factory``.
+    them.  *info* is ``type_info(obj)``, looked up when not given.  An
+    instance yields its ``__dict__`` and slot attributes in name order;
+    a sequence its items; a dict its scalar keys' values in
+    :func:`scalar_sort_key` order, then each other key and its value; a
+    set its scalar members, then the others.  Container *subclasses*
+    additionally yield their instance attributes, and ``defaultdict``
+    its ``default_factory``.  Leaves and ``KIND_BYTEARRAY`` values (whose
+    payload is ``bytes(obj)``) have no children.
     """
-    if kind in (KIND_LIST, KIND_TUPLE, KIND_DEQUE):
-        for index, item in enumerate(obj):
-            yield ("index", index), item
-    elif kind == KIND_BYTEARRAY:
-        return
-    elif kind == KIND_DICT:
-        for label, child in _iter_dict_items(obj):
-            yield label, child
+    tp = type(obj)
+    if tp is list or tp is tuple or tp is _deque:
+        return _indexed(obj)
+    if info is None:
+        info = type_info(obj)
+    kind = info[1]
+    if kind == KIND_OBJECT:
+        obj_dict = getattr(obj, "__dict__", None)
+        slots = info[4]
+        if not slots:
+            if type(obj_dict) is dict:
+                return _plain_attrs(obj_dict)
+        elif obj_dict is None:
+            return _slot_attrs(obj, slots)
+        return _object_attrs(obj, obj_dict)
+    if kind == KIND_DICT:
+        if tp is dict:
+            key_types = set(map(type, obj))
+            if key_types <= _SCALAR_EXACT:
+                return _exact_scalar_items(obj, key_types)
+        children = _dict_items(obj)
+    elif kind in (KIND_LIST, KIND_TUPLE, KIND_DEQUE):
+        children = [(("index", index), item) for index, item in enumerate(obj)]
     elif kind in (KIND_SET, KIND_FROZENSET):
-        for label, child in _iter_set_members(obj):
-            yield label, child
+        children = _set_members(obj)
     else:
-        for label, child in _iter_object_attrs(obj):
-            yield label, child
-        return
-    # container *subclasses* may carry instance attributes too
-    if type(obj).__module__ != "builtins" or hasattr(obj, "__dict__"):
-        for label, child in _iter_object_attrs(obj):
-            yield label, child
+        return []
+    if info[3]:
+        children.extend(_object_attrs(obj, getattr(obj, "__dict__", None)))
     if isinstance(obj, _collections.defaultdict):
-        yield ("attr", "default_factory"), obj.default_factory
+        children.append((("attr", "default_factory"), obj.default_factory))
+    return children

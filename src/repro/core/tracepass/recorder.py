@@ -37,13 +37,12 @@ from ..cow import (
     remove_write_barrier,
 )
 from ..state.introspect import (
+    CAT_NODE,
     KIND_FROZENSET,
     KIND_OBJECT,
     KIND_TUPLE,
-    is_opaque,
-    is_scalar,
-    iter_children,
-    kind_of,
+    list_children,
+    type_info,
 )
 
 __all__ = ["TraceRecorder", "barrier_covered"]
@@ -152,19 +151,19 @@ def barrier_covered(
     seen: Set[int] = set()
     while stack:
         value = stack.pop()
-        if is_scalar(value) or is_opaque(value):
-            continue
+        info = type_info(value)
+        if info[0] != CAT_NODE:
+            continue  # scalar or opaque leaf
         if id(value) in seen:
             continue
         seen.add(id(value))
         if len(seen) > max_objects:
             return False
-        kind = kind_of(value)
+        kind = info[1]
         if kind == KIND_OBJECT:
             if type(value) not in barriered:
                 return False
         elif kind not in (KIND_TUPLE, KIND_FROZENSET):
             return False  # mutable container: bypasses the barrier
-        for _, child in iter_children(value, kind):
-            stack.append(child)
+        stack.extend(child for _, child in list_children(value, info))
     return True

@@ -8,9 +8,11 @@ Each test module leaves the process as it found it:
 * the ``SIGALRM`` handler is the one it found, and ``ITIMER_REAL`` is
   disarmed — a shard process's per-run budget must not outlive it;
 * no chaos fault injector is armed, and no child process is alive;
-* no submitted service subject's source is left in ``linecache``.
+* no submitted service subject's source is left in ``linecache``;
+* the state layer's module caches are within their bounds.
 """
 
+import importlib
 import linecache
 import multiprocessing
 import signal
@@ -18,7 +20,21 @@ import signal
 import pytest
 
 from repro.core import cow
+from repro.core.state import introspect
 from repro.resilience import chaos
+
+_fingerprint = importlib.import_module("repro.core.state.fingerprint")
+
+#: Each bounded module cache of the state layer, with its bound.
+_BOUNDED_CACHES = (
+    ("introspect._TYPE_TABLE", introspect._TYPE_TABLE, introspect._TYPE_TABLE_MAX),
+    ("introspect._INDEX_LABELS", introspect._INDEX_LABELS, introspect._INDEX_LABELS_MAX),
+    ("introspect._ATTR_LABELS", introspect._ATTR_LABELS, introspect._ATTR_LABELS_MAX),
+    ("introspect._SLOT_CACHE", introspect._SLOT_CACHE, introspect._SLOT_CACHE_MAX),
+    ("fingerprint._TYPE_INFO", _fingerprint._TYPE_INFO, _fingerprint._TYPE_INFO_MAX),
+    ("fingerprint._LABEL_CACHE", _fingerprint._LABEL_CACHE, _fingerprint._LABEL_CACHE_MAX),
+    ("fingerprint._ATTR_LABELS", _fingerprint._ATTR_LABELS, _fingerprint._LABEL_CACHE_MAX),
+)
 
 
 def _service_sources():
@@ -47,3 +63,9 @@ def process_left_as_found():
         "service sources left registered: "
         + ", ".join(sorted(_service_sources() - sources))
     )
+    oversized = [
+        f"{name} holds {len(cache)} > {bound}"
+        for name, cache, bound in _BOUNDED_CACHES
+        if len(cache) > bound
+    ]
+    assert not oversized, "module caches past their bounds: " + ", ".join(oversized)

@@ -25,12 +25,22 @@ class SlotAndDict:
     __slots__ = ("a", "__dict__")
 
 
+class SlottedHidden:
+    """Slots only, declared out of order, one of them instrumentation's."""
+
+    __slots__ = ("c", "_repro_hidden", "a")
+
+
 class TaggedList(list):
     """A container subclass carrying instance attributes."""
 
 
 class TaggedTuple(tuple):
     """An immutable container whose instance attributes are mutable."""
+
+
+class TaggedDeque(collections.deque):
+    """A ``deque`` subclass with a ``__dict__``."""
 
 
 class Tag(str):
@@ -44,9 +54,10 @@ def opaque_function():
 _NAN = float("nan")
 
 #: ``True`` beside ``1`` and ``1.0``, one shared NaN (and fresh ones, see
-#: :func:`_scalar`), ``-0.0`` beside ``0``, and a ``str`` subclass.
+#: :func:`_scalar`), ``-0.0`` beside ``0``, a ``str`` subclass, and ``9``,
+#: whose repr sorts after ``2**70``'s though its value sorts before.
 SCALARS = (
-    None, 0, 1, True, False, 1.0, -0.0, _NAN, "a", "", Tag("a"), b"x", 2**70, 1j
+    None, 0, 1, True, False, 1.0, -0.0, _NAN, "a", "", Tag("a"), b"x", 2**70, 1j, 9
 )
 
 #: Attribute names; every traversal skips ``_repro_hidden``, the
@@ -57,6 +68,7 @@ KINDS = (
     "plain",
     "slotted",
     "slotdict",
+    "slothidden",
     "list",
     "tuple",
     "dict",
@@ -65,6 +77,7 @@ KINDS = (
     "deque",
     "bytearray",
     "tagged",
+    "taggeddeque",
     "taggedtuple",
     "defaultdict",
     "function",
@@ -74,11 +87,13 @@ _SHELLS = {
     "plain": Plain,
     "slotted": Slotted,
     "slotdict": SlotAndDict,
+    "slothidden": SlottedHidden,
     "list": list,
     "dict": dict,
     "set": set,
     "deque": collections.deque,
     "tagged": TaggedList,
+    "taggeddeque": TaggedDeque,
     "defaultdict": lambda: collections.defaultdict(list),
 }
 _OPAQUE = {"function": opaque_function, "class": Plain}
@@ -152,7 +167,7 @@ class Pool:
 
     def add(self, node, k, value):
         name = NAMES[k % len(NAMES)]
-        if isinstance(node, (Plain, Slotted, SlotAndDict)):
+        if isinstance(node, (Plain, Slotted, SlotAndDict, SlottedHidden)):
             try:
                 setattr(node, name, value)
             except AttributeError:
@@ -161,7 +176,7 @@ class Pool:
             node.label = value
         elif isinstance(node, (list, collections.deque)):
             node.append(value)
-            if isinstance(node, TaggedList):
+            if isinstance(node, (TaggedList, TaggedDeque)):
                 node.label = value
         elif isinstance(node, dict):
             node[value if _hashable(value) else name] = k

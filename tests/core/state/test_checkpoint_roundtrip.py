@@ -1,7 +1,7 @@
 """Checkpoint and restore round-trip every graph the live diff is tested on.
 
 The checkpoint walks the reachable state with its own traversal, not with
-``iter_children``, so nothing but this test ties the two together: after
+``list_children``, so nothing but this test ties the two together: after
 ``restore()``, the live objects must equal a graph captured before the
 checkpoint, under random mutations of the random graphs of
 :mod:`object_pools` (a ``defaultdict``'s factory and a tuple subclass's

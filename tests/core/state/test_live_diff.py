@@ -84,6 +84,37 @@ def test_reason_value():
     )
 
 
+def test_reason_scalar_value():
+    holder = _holder(items=[1, "a", 2.5])
+    assert _diff_after(holder, lambda: holder.items.__setitem__(1, "b")) == (
+        "at /slot='self'/attr='items'/index=1: value 'a' != 'b'"
+    )
+
+
+def test_equal_scalars_and_nan_compare_equal():
+    holder = _holder(items=[1, float("nan"), -0.0, True, "a", None])
+
+    def change():
+        holder.items[1] = float("nan")  # a different NaN: the state is the same
+        holder.items[2] = 0.0
+
+    assert _diff_after(holder, change) == "None"
+
+
+def test_label_mismatch_is_reported_before_the_node_children():
+    holder = _holder(a=1, b=[1], c=1)
+
+    def change():
+        holder.a = 2
+        holder.b[0] = 2
+        del holder.c
+        holder.d = 1
+
+    assert _diff_after(holder, change) == (
+        "at /slot='self': edge label ('attr', 'c') != ('attr', 'd')"
+    )
+
+
 def test_reason_child_count():
     holder = _holder(payload=[1])
     assert _diff_after(holder, lambda: holder.payload.append(2)) == (

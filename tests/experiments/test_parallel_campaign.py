@@ -16,6 +16,7 @@ import dataclasses
 import glob
 import json
 import os
+import pathlib
 import signal
 import threading
 import time
@@ -123,7 +124,7 @@ def test_resume_after_interrupt_is_equivalent(sequential, tmp_path):
     # simulate an interrupt: every fragment keeps its header, its profile
     # line and its first 5 run lines
     for path in _fragments(journal):
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
         assert len(lines) > 7
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines[:7]) + "\n")
@@ -210,7 +211,7 @@ def test_pre_interleaving_journals_are_rejected(tmp_path):
     run_app_campaign(program_by_name(APP), workers=2, journal=str(journal))
     paths = _fragments(journal)
     for path in paths:
-        header, *rest = open(path, encoding="utf-8").read().splitlines()
+        header, *rest = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
         old = dict(json.loads(header), version=1)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join([json.dumps(old)] + rest) + "\n")
@@ -237,7 +238,7 @@ def test_resume_reattempts_crashed_tail_record(sequential, tmp_path):
     run_app_campaign(program_by_name(APP), workers=2, journal=journal)
 
     path = _fragments(journal)[-1]
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
     tail = json.loads(lines[-1])
     assert tail["kind"] == "run"
     tail["record"]["crashed"] = True
@@ -560,7 +561,7 @@ def test_parallel_resume_after_torn_tail_write(sequential, tmp_path):
     journal = str(tmp_path / "campaign")
     run_app_campaign(program_by_name(APP), workers=2, journal=journal)
     path = _fragments(journal)[-1]
-    data = open(path, "rb").read()
+    data = pathlib.Path(path).read_bytes()
     with open(path, "wb") as handle:
         handle.write(data[:-7])  # tear the final record mid-line
 

@@ -24,6 +24,7 @@ The contract under test:
 import gc
 import json
 import os
+import pathlib
 import warnings
 
 import pytest
@@ -216,7 +217,7 @@ def test_fragment_resume_tolerates_truncation_at_every_byte(tmp_path):
 
     source = str(tmp_path / "full.jsonl")
     run_shard(program_by_name(APP), 0, 2, source, stride=4)
-    data = open(source, "rb").read()
+    data = pathlib.Path(source).read_bytes()
     # a run line is durably recorded once its closing brace is on disk
     # (the trailing newline is not needed to parse it)
     complete_at = {}
@@ -247,14 +248,14 @@ def test_fragment_torn_mid_byte_resume_repairs_durably(
     and appends onto the repaired tail, leaving a fully replayable
     fragment that merges bit-identical to the sequential engine."""
     paths = _run_all_shards(tmp_path, 2)
-    data = open(paths[1], "rb").read()
+    data = pathlib.Path(paths[1]).read_bytes()
     with open(paths[1], "wb") as handle:
         handle.write(data[:-9])  # mid-record, mid-line
     result = run_shard(
         program_by_name(APP), 1, 2, paths[1], resume=True
     )
     assert result.executed == 1  # exactly the torn record re-ran
-    for line in open(paths[1], "rb").read().splitlines():
+    for line in pathlib.Path(paths[1]).read_bytes().splitlines():
         json.loads(line)  # no concatenation corruption anywhere
     merged = merge_fragments(paths)
     _same_as_sequential(merged, sequential)
@@ -520,7 +521,7 @@ def test_merge_requires_full_shard_coverage(tmp_path):
 
 def test_merge_rejects_point_outside_assigned_range(tmp_path):
     paths = _run_all_shards(tmp_path, 2)
-    lines = open(paths[1], encoding="utf-8").read().splitlines()
+    lines = pathlib.Path(paths[1]).read_text(encoding="utf-8").splitlines()
     stolen = json.loads(lines[-1])
     stolen["point"] = 1  # belongs to shard 0
     with open(paths[1], "a", encoding="utf-8") as handle:
@@ -531,7 +532,7 @@ def test_merge_rejects_point_outside_assigned_range(tmp_path):
 
 def test_merge_rejects_diverged_profiles(tmp_path):
     paths = _run_all_shards(tmp_path, 2)
-    lines = open(paths[1], encoding="utf-8").read().splitlines()
+    lines = pathlib.Path(paths[1]).read_text(encoding="utf-8").splitlines()
     profile = json.loads(lines[1])
     assert profile["kind"] == "profile"
     first_method = profile["log"]["methods_seen"][0]
@@ -545,7 +546,7 @@ def test_merge_rejects_diverged_profiles(tmp_path):
 
 def test_merge_rejects_fragment_without_profile(tmp_path):
     paths = _run_all_shards(tmp_path, 2)
-    lines = open(paths[1], encoding="utf-8").read().splitlines()
+    lines = pathlib.Path(paths[1]).read_text(encoding="utf-8").splitlines()
     without = [l for l in lines if '"kind": "profile"' not in l]
     assert len(without) == len(lines) - 1
     with open(paths[1], "w", encoding="utf-8") as handle:

@@ -11,6 +11,7 @@ recorded difference strings match too.
 import glob
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -175,7 +176,8 @@ def test_resume_rejects_backend_mismatch(tmp_path):
         state_backend="fingerprint",
     )
     for path in _fragments(journal):
-        header = json.loads(open(path, encoding="utf-8").readline())
+        with open(path, encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
         assert header["state_backend"] == "fingerprint"
     with pytest.raises(JournalError, match="state_backend"):
         run_app_campaign(
@@ -195,7 +197,7 @@ def test_resume_accepts_pre_backend_journal(tmp_path):
         program_by_name(APP), workers=2, journal=str(journal)
     )
     for path in _fragments(journal):
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         del header["state_backend"]
         with open(path, "w", encoding="utf-8") as handle:

@@ -14,6 +14,7 @@ derivation happened.
 import glob
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -97,7 +98,7 @@ def test_resume_rederives_decided_points(reference, tmp_path):
     first_detection, _ = _parallel_derived(2, "graph", journal=journal)
     kept = kept_derived = 0
     for path in sorted(glob.glob(os.path.join(journal, "shard-*.jsonl"))):
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
         runs = lines[2:3]  # header + profile + at most one run
         kept += len(runs)
         kept_derived += sum(json.loads(l)["attempts"] == 0 for l in runs)
