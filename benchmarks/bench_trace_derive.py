@@ -2,9 +2,9 @@
 
 The trace pass (:mod:`repro.core.tracepass`) instruments the single
 profiling execution and derives the run record of every trace-decidable
-injection point from it — entry captures, escape-time recaptures, and
-the write-barrier sequence substitute for re-running the subject once
-per point.  Only trace-undecidable points fall back to real execution.
+injection point from it — entry captures compared with the live state
+at each later point substitute for re-running the subject once per
+point.  Only trace-undecidable points fall back to real execution.
 
 This benchmark runs the Table-1 Java campaign (the Doug Lea collections
 plus Jakarta Regexp) twice — fully dynamic and with ``trace_derive=True``
@@ -112,7 +112,6 @@ def bench_trace_derive(benchmark):
                 "dynamic_seconds": dynamic_seconds,
                 "derived_seconds": derived_seconds,
                 "trace_seconds": telemetry.trace_seconds,
-                "trace_writes": telemetry.trace_writes,
                 "trace_captures": telemetry.trace_captures,
                 "speedup": dynamic_seconds / derived_seconds,
             }

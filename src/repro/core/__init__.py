@@ -68,11 +68,7 @@ from .report import (
     render_bars,
 )
 from .runlog import ATOMIC, NONATOMIC, Mark, RunLog, RunRecord, merge_logs
-from .tracepass import (
-    PROVENANCE_TRACE,
-    TraceDeriver,
-    TraceRecorder,
-)
+from .tracepass import PROVENANCE_TRACE, TraceDeriver
 from .state import (
     BACKENDS,
     Checkpoint,
@@ -152,7 +148,6 @@ __all__ = [
     # trace-derived verdicts
     "PROVENANCE_TRACE",
     "TraceDeriver",
-    "TraceRecorder",
     # telemetry
     "CampaignTelemetry",
     # run logs

@@ -26,43 +26,13 @@ from typing import Any, Dict, List, Tuple
 
 from .state.introspect import slot_names
 
-__all__ = [
-    "UndoLog",
-    "active_log_top",
-    "install_write_barrier",
-    "pop_active_log",
-    "push_active_log",
-    "remove_write_barrier",
-]
+__all__ = ["UndoLog", "install_write_barrier", "remove_write_barrier"]
 
 _MISSING = object()
 
 #: Stack of active undo logs (innermost last).  Single-threaded by
 #: design, like the paper's infrastructure (Section 4.4).
 _ACTIVE_LOGS: List["UndoLog"] = []
-
-
-def push_active_log(log: Any) -> None:
-    """Make *log* the innermost write-barrier sink.
-
-    Public entry point for non-``UndoLog`` sinks (any object with the
-    ``record``/``absorb`` protocol) — the trace pass registers its
-    :class:`~repro.core.tracepass.TraceRecorder` here so the same class
-    barrier that feeds rollback logs feeds the write trace.
-    """
-    _ACTIVE_LOGS.append(log)
-
-
-def pop_active_log(log: Any) -> None:
-    """Unregister *log*; it must be the innermost sink."""
-    if not _ACTIVE_LOGS or _ACTIVE_LOGS[-1] is not log:
-        raise RuntimeError("pop_active_log: log is not the innermost sink")
-    _ACTIVE_LOGS.pop()
-
-
-def active_log_top() -> Any:
-    """The innermost barrier sink, or None when the stack is empty."""
-    return _ACTIVE_LOGS[-1] if _ACTIVE_LOGS else None
 
 
 class UndoLog:

@@ -16,7 +16,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Protocol,
@@ -25,13 +24,12 @@ from typing import (
     runtime_checkable,
 )
 
-from .analyzer import MethodSpec
 from .exceptions import InjectionAbort, is_injected
 from .injection import InjectionCampaign
 from .runlog import RunLog, RunRecord
 from .state import get_backend
 from .telemetry import CampaignTelemetry
-from .tracepass import TraceDeriver, TraceRecorder, call_through_boundary
+from .tracepass import TraceDeriver, call_through_boundary
 
 __all__ = [
     "Program",
@@ -228,14 +226,12 @@ class Profile:
     call_exits: List[Optional[int]] = field(default_factory=list)
     decided: Dict[int, RunRecord] = field(default_factory=dict)
     trace_seconds: float = 0.0
-    trace_writes: int = 0
     trace_captures: int = 0
 
 
 def profile_program(
     program: Program,
     campaign: InjectionCampaign,
-    woven_specs: Iterable[MethodSpec] = (),
     *,
     trace_derive: bool = False,
 ) -> Profile:
@@ -243,16 +239,13 @@ def profile_program(
 
     Counts the injection points and records the per-method call counts
     in ``campaign.log``.  With ``trace_derive`` the trace pass
-    (:mod:`repro.core.tracepass`) observes the run, with write barriers
-    on the classes of *woven_specs*, and derives the record of every
-    trace-decidable point.  Every engine profiles through here.
+    (:mod:`repro.core.tracepass`) observes the run and derives the
+    record of every trace-decidable point.  Every engine profiles
+    through here.
     """
     deriver: Optional[TraceDeriver] = None
-    recorder: Optional[TraceRecorder] = None
     if trace_derive:
-        recorder = TraceRecorder()
-        recorder.start({spec.owner for spec in woven_specs if spec.owner})
-        deriver = TraceDeriver(campaign, recorder=recorder)
+        deriver = TraceDeriver(campaign)
         deriver.attach(campaign)
     campaign.begin_profile()
     try:
@@ -266,7 +259,6 @@ def profile_program(
         total = campaign.end_profile()
         if deriver is not None:
             deriver.detach(campaign)
-            recorder.stop()
     calls = {
         "call_entries": campaign.call_entries,
         "call_exits": campaign.call_exits,
@@ -278,7 +270,6 @@ def profile_program(
         total,
         decided=decided,
         trace_seconds=deriver.seconds,
-        trace_writes=recorder.recorded_writes,
         trace_captures=deriver.stats.captures,
         **calls,
     )
@@ -298,9 +289,6 @@ class Detector:
             and derive the records of every trace-decidable point from
             that one execution; only trace-undecidable points run for
             real.
-        woven_specs: the campaign's woven method specs — the classes the
-            trace pass puts write barriers on.  Optional; without it the
-            trace pass always compares state.
     """
 
     def __init__(
@@ -311,7 +299,6 @@ class Detector:
         stride: int = 1,
         progress: Optional[Callable[[int, int], None]] = None,
         trace_derive: bool = False,
-        woven_specs: Optional[List[MethodSpec]] = None,
     ) -> None:
         """
         Args:
@@ -326,17 +313,13 @@ class Detector:
         self.stride = stride
         self.progress = progress
         self.trace_derive = trace_derive
-        self.woven_specs = woven_specs
 
     def detect(self) -> DetectionResult:
         """Run the full campaign (the :func:`plan_points` plan) and
         return its result."""
         started = time.perf_counter()
         profile = profile_program(
-            self.program,
-            self.campaign,
-            self.woven_specs or (),
-            trace_derive=self.trace_derive,
+            self.program, self.campaign, trace_derive=self.trace_derive
         )
         total = profile.total_points
         decided = profile.decided
@@ -384,7 +367,6 @@ class Detector:
             state_compares=state_stats.compares,
             state_seconds=state_stats.seconds,
             trace_seconds=profile.trace_seconds,
-            trace_writes=profile.trace_writes,
             trace_captures=profile.trace_captures,
         )
         return DetectionResult(

@@ -33,7 +33,7 @@ from .analyzer import MethodSpec
 from .exceptions import InjectionAbort, make_injected
 from .runlog import ATOMIC, NONATOMIC, MethodKey, RunLog, RunRecord
 from .state import GraphDifference, StateBackend, StateStats, get_backend
-from .state.introspect import is_opaque, is_scalar
+from .state.introspect import call_roots
 
 __all__ = ["INJ_WRAPPER_CODE", "InjectionCampaign", "make_injection_wrapper"]
 
@@ -247,23 +247,10 @@ class InjectionCampaign:
     def capture_roots(
         self, spec: MethodSpec, args: Tuple[Any, ...], kwargs: Dict[str, Any]
     ) -> List[Tuple[Any, Any]]:
-        """The labeled roots a state capture of this call starts from:
-        the receiver plus every non-scalar, non-opaque argument.  Public
-        so the trace pass captures exactly the same frame a dynamic run
-        would."""
-        roots: List[Tuple[Any, Any]] = []
-        positional = args
-        if spec.has_receiver and args:
-            roots.append(("self", args[0]))
-            positional = args[1:]
-        for index, value in enumerate(positional):
-            if not is_scalar(value) and not is_opaque(value):
-                roots.append((("arg", index), value))
-        for name in sorted(kwargs):
-            value = kwargs[name]
-            if not is_scalar(value) and not is_opaque(value):
-                roots.append((("kwarg", name), value))
-        return roots
+        """The labeled roots a state capture of this call starts from
+        (:func:`~repro.core.state.introspect.call_roots`).  Public so the
+        trace pass captures exactly the same frame a dynamic run would."""
+        return call_roots(spec.has_receiver, args, kwargs)
 
 
 class _Suspension:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from .analyzer import Analyzer, MethodSpec
 from .classify import ClassificationResult
@@ -33,7 +33,7 @@ from .cow import UndoLog, install_write_barrier, remove_write_barrier
 from .policy import WrapPolicy, select_methods_to_wrap
 from .runlog import MethodKey
 from .state import Checkpoint, checkpoint
-from .state.introspect import is_opaque, is_scalar
+from .state.introspect import call_roots
 from .weaver import Weaver
 
 __all__ = [
@@ -167,28 +167,6 @@ class MaskingStats:
         )
 
 
-def _mutable_roots(
-    has_receiver: bool,
-    args: Tuple[Any, ...],
-    kwargs: Dict[str, Any],
-    checkpoint_args: bool,
-) -> List[Any]:
-    roots: List[Any] = []
-    positional = args
-    if has_receiver and args:
-        roots.append(args[0])
-        positional = args[1:]
-    if checkpoint_args:
-        for value in positional:
-            if not is_scalar(value) and not is_opaque(value):
-                roots.append(value)
-        for name in sorted(kwargs):
-            value = kwargs[name]
-            if not is_scalar(value) and not is_opaque(value):
-                roots.append(value)
-    return roots
-
-
 def make_atomicity_wrapper(
     spec: MethodSpec,
     *,
@@ -209,8 +187,10 @@ def make_atomicity_wrapper(
 
     @functools.wraps(original)
     def atomic_m(*args: Any, **kwargs: Any) -> Any:
-        roots = _mutable_roots(has_receiver, args, kwargs, checkpoint_args)
-        saved = state.checkpoint(roots)
+        roots = call_roots(
+            has_receiver, args, kwargs, with_args=checkpoint_args
+        )
+        saved = state.checkpoint([value for _, value in roots])
         if stats is not None:
             stats.note_call(spec.key, state.checkpoint_size(saved))
         try:

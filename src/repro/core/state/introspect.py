@@ -59,6 +59,7 @@ __all__ = [
     "KIND_FRAME",
     "is_scalar",
     "is_opaque",
+    "call_roots",
     "slot_names",
     "type_name",
     "opaque_token",
@@ -140,6 +141,39 @@ def is_opaque(value: Any) -> bool:
     return isinstance(value, (type, _FunctionTypes)) or isinstance(
         value, _types.ModuleType
     )
+
+
+def call_roots(
+    has_receiver: bool,
+    args: Tuple[Any, ...],
+    kwargs: Dict[str, Any],
+    *,
+    with_args: bool = True,
+) -> List[Tuple[Any, Any]]:
+    """The labeled roots of one call's state, in order: the receiver
+    (``"self"``), then — with *with_args* — every non-scalar, non-opaque
+    positional argument (``("arg", index)``) and keyword argument
+    (``("kwarg", name)``, by sorted name).
+
+    Listing 1's deep copy covers ``this`` plus every argument passed by
+    non-constant reference, and Listing 2 checkpoints the same objects;
+    detection captures these roots and masking checkpoints their values,
+    so both always see the same state of a call.
+    """
+    roots: List[Tuple[Any, Any]] = []
+    positional = args
+    if has_receiver and args:
+        roots.append(("self", args[0]))
+        positional = args[1:]
+    if with_args:
+        for index, value in enumerate(positional):
+            if not is_scalar(value) and not is_opaque(value):
+                roots.append((("arg", index), value))
+        for name in sorted(kwargs):
+            value = kwargs[name]
+            if not is_scalar(value) and not is_opaque(value):
+                roots.append((("kwarg", name), value))
+    return roots
 
 
 #: ``__slots__`` are fixed at class creation, so the MRO walk caches per

@@ -48,8 +48,6 @@ class CampaignTelemetry:
             deterministic program).
         trace_seconds: wall time spent in the trace pass (stack
             reconciliation, entry captures, verdict derivation).
-        trace_writes: attribute writes/deletes the trace recorder's
-            write barrier observed during the reference execution.
         trace_captures: state captures the trace pass performed (on its
             own meter — not included in ``state_captures``).
         result_cache_hits: whole-campaign results the service layer
@@ -95,7 +93,6 @@ class CampaignTelemetry:
     runs_crashed: int = 0
     retries: int = 0
     trace_seconds: float = 0.0
-    trace_writes: int = 0
     trace_captures: int = 0
     result_cache_hits: int = 0
     result_cache_misses: int = 0
@@ -162,7 +159,6 @@ class CampaignTelemetry:
         if self.runs_derived or self.trace_captures:
             lines.append(
                 f"trace derive: {self.runs_derived} point(s) derived, "
-                f"{self.trace_writes} write(s) traced, "
                 f"{self.trace_captures} capture(s), "
                 f"pass time {self.trace_seconds:.3f}s"
             )

@@ -1,13 +1,11 @@
 """One-trace-many-points detection (trace-derived verdicts).
 
-See :mod:`repro.core.tracepass.deriver` for the derivation rules,
-:mod:`repro.core.tracepass.recorder` for the write-trace instrumentation
-and :mod:`repro.core.tracepass.transparency` for the frame certificates
+See :mod:`repro.core.tracepass.deriver` for the derivation rules and
+:mod:`repro.core.tracepass.transparency` for the frame certificates
 and the profile boundary the stack walk stops at.
 """
 
 from .deriver import PROVENANCE_TRACE, TraceDeriver
-from .recorder import TraceRecorder, barrier_covered
 from .transparency import (
     PROFILE_BOUNDARY_CODE,
     TransparencyIndex,
@@ -19,9 +17,7 @@ __all__ = [
     "PROFILE_BOUNDARY_CODE",
     "PROVENANCE_TRACE",
     "TraceDeriver",
-    "TraceRecorder",
     "TransparencyIndex",
-    "barrier_covered",
     "call_through_boundary",
     "nested_boundary",
 ]

@@ -43,12 +43,9 @@ reconstruction is certain:
 * every ambient mark before *E* was itself derivable (rule R5).
 
 Everything else falls back to real execution — derivation is sound by
-construction, never by luck.  Verdicts come in three flavors:
+construction, never by luck.  Every mark is decided by the one
+comparison above, and comes in two flavors:
 
-* **zero-writes fast path** — the receiver's reachable state was
-  barrier-covered at *W*'s entry (:func:`~.recorder.barrier_covered`)
-  and the :class:`~.recorder.TraceRecorder` sequence is unchanged:
-  atomic without a comparison;
 * **live-equal** — the live roots at *E*'s entry equal *W*'s entry
   capture: atomic (this is how handler-compensated writes — state
   restored by a finally/except block before the exception crossed *W* —
@@ -76,7 +73,6 @@ from ..exceptions import is_injected, make_injected
 from ..injection import INJ_WRAPPER_CODE, InjectionCampaign
 from ..runlog import ATOMIC, NONATOMIC, RunRecord
 from ..state import StateStats, get_backend
-from .recorder import TraceRecorder, barrier_covered
 from .transparency import (
     PROFILE_BOUNDARY_CODE,
     TransparencyIndex,
@@ -103,12 +99,6 @@ class _ActiveEntry:
     roots: List[Tuple[Any, Any]]
     #: Graph capture of the roots at entry.
     capture: Any
-    #: Recorder sequence at entry — unchanged later means no
-    #: barrier-visible write happened in the window.
-    write_seq: int
-    #: True when the roots were fully barrier-covered at entry (the
-    #: precondition of the zero-writes fast path).
-    covered: bool
 
 
 @dataclass(frozen=True)
@@ -133,15 +123,9 @@ class TraceDeriver:
     state needs to be retained beyond the active stack.
     """
 
-    def __init__(
-        self,
-        campaign: InjectionCampaign,
-        *,
-        recorder: Optional[TraceRecorder] = None,
-    ) -> None:
+    def __init__(self, campaign: InjectionCampaign) -> None:
         started = time.perf_counter()
         self.campaign = campaign
-        self.recorder = recorder
         self.transparency = TransparencyIndex()
         #: The pass's own capture/compare accounting; deliberately not
         #: the campaign's StateStats, so the dynamic-run telemetry
@@ -269,30 +253,13 @@ class TraceDeriver:
         roots = self.campaign.capture_roots(spec, args, kwargs)
         with self.campaign.suspend():
             capture = self._graph.capture_frame(roots, stats=self.stats)
-        covered = (
-            self.recorder is not None
-            and self.recorder.is_innermost
-            and barrier_covered(roots, self.recorder.barriered)
-        )
         return _ActiveEntry(
-            spec=spec,
-            frame=wrapper_frame,
-            roots=roots,
-            capture=capture,
-            write_seq=self.recorder.sequence if self.recorder else -1,
-            covered=covered,
+            spec=spec, frame=wrapper_frame, roots=roots, capture=capture
         )
 
     def _verdict(self, entry: _ActiveEntry) -> _MarkTuple:
         """The mark *entry*'s wrapper would record if an exception
         crossed it right now."""
-        if (
-            entry.covered
-            and self.recorder is not None
-            and self.recorder.is_innermost
-            and self.recorder.sequence == entry.write_seq
-        ):
-            return (entry.spec.key, ATOMIC, None)
         with self.campaign.suspend():
             difference = self._graph.diff_live(
                 entry.capture, entry.roots, stats=self.stats

@@ -174,7 +174,6 @@ def run_app_campaign(
                 stride=stride,
                 progress=progress,
                 trace_derive=trace_derive,
-                woven_specs=specs,
             ).detect()
         # the programmer-declared exception-free annotations always apply
         # (§4.3 third case); a caller-supplied policy is merged on top

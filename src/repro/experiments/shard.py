@@ -357,9 +357,7 @@ def profile_shards(
         Analyzer(exclude=program.exclude),
     ) as weaver:
         specs = weaver.weave_classes(program.classes)
-        profile = profile_program(
-            program, campaign, specs, trace_derive=trace_derive
-        )
+        profile = profile_program(program, campaign, trace_derive=trace_derive)
     # No injection run yet: the log holds call counts only.
     payload = {
         "total_points": profile.total_points,
@@ -514,7 +512,6 @@ def run_shard(
         runs_crashed=crashed,
         retries=retry_count,
         trace_seconds=profile.profile.trace_seconds,
-        trace_writes=profile.profile.trace_writes,
         trace_captures=profile.profile.trace_captures,
         wall_seconds=wall,
         runs_per_second=(executed / wall) if wall > 0 else 0.0,

@@ -68,11 +68,7 @@ __all__ = [
 ]
 
 #: Trace-pass counters of the parent's profiling run.
-_TRACE_COUNTERS = (
-    "trace_seconds",
-    "trace_writes",
-    "trace_captures",
-)
+_TRACE_COUNTERS = ("trace_seconds", "trace_captures")
 
 #: Counters each shard process keeps; the campaign reports their sum.
 _SHARD_COUNTERS = (

@@ -117,7 +117,8 @@ class CampaignRecord:
     error: Optional[str] = None
     result: Optional[Dict[str, Any]] = None
     events: List[Dict[str, Any]] = field(default_factory=list)
-    cost: int = 1
+    #: Estimated cost reserved in the pending budget (``cost-aware`` only).
+    cost: int = 0
 
     def summary(self) -> Dict[str, Any]:
         out = {
@@ -223,8 +224,9 @@ class CampaignService:
         compile_source(source)
         if self.draining:
             return self._unavailable("service is draining for shutdown"), 503
-        cost = estimate_cost(source, cfg)
+        cost = 0
         if self.policy == "cost-aware":
+            cost = estimate_cost(source, cfg)
             with self._state_lock:
                 pending = self._pending_cost
             # An idle service admits any single campaign, however big —
@@ -254,8 +256,9 @@ class CampaignService:
                     503,
                 )
             self.queue.put_nowait(record)
-        with self._state_lock:
-            self._pending_cost += cost
+        if cost:
+            with self._state_lock:
+                self._pending_cost += cost
         self.campaigns[record.id] = record
         self._emit(record, {"event": "queued", "digest": digest})
         return record.summary(), 202
@@ -427,8 +430,6 @@ class CampaignService:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        with self._state_lock:
-            pending_cost = self._pending_cost
         out = {
             "queue_depth": self.queue.qsize(),
             "queue_capacity": self.queue.maxsize,
@@ -438,8 +439,10 @@ class CampaignService:
             "policy": self.policy,
             "draining": self.draining,
             "shed_total": self.shed_total,
-            "pending_cost": pending_cost,
         }
+        if self.policy == "cost-aware":
+            with self._state_lock:
+                out["pending_cost"] = self._pending_cost
         if self.max_pending_cost is not None:
             out["max_pending_cost"] = self.max_pending_cost
         return out

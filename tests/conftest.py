@@ -2,9 +2,9 @@
 
 Each test module leaves the process as it found it:
 
-* no undo log or trace recorder is still the active barrier sink, and
-  the same classes (normally none) carry a write barrier — a leaked
-  barrier changes how every later write to that class is recorded;
+* no undo log is still active, and the same classes (normally none)
+  carry a write barrier — a leaked barrier changes how every later
+  write to that class is recorded;
 * the ``SIGALRM`` handler is the one it found, and ``ITIMER_REAL`` is
   disarmed — a shard process's per-run budget must not outlive it;
 * no chaos fault injector is armed, and no child process is alive;

@@ -177,6 +177,24 @@ def test_barrier_removal_restores_the_class_dict_exactly():
         assert dict(vars(cls)) == before
 
 
+def test_barrier_removal_restores_a_subclass_barriered_after_its_base():
+    for base_first in (True, False):
+
+        class Base:
+            pass
+
+        class Derived(Base):
+            pass
+
+        install_write_barrier(Base)
+        install_write_barrier(Derived)  # inherits Base's barrier at install
+        for cls in [Base, Derived] if base_first else [Derived, Base]:
+            remove_write_barrier(cls)
+        for cls in (Base, Derived):
+            assert "__setattr__" not in vars(cls), (cls.__name__, base_first)
+            assert "__delattr__" not in vars(cls), (cls.__name__, base_first)
+
+
 def test_barrier_stays_until_every_install_is_removed():
     install_write_barrier(Counter)
     install_write_barrier(Counter)

@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.core import cow
 from repro.core.analyzer import Analyzer
-from repro.core.cow import active_log_top
+from repro.core.injection import InjectionCampaign, make_injection_wrapper
 from repro.core.masking import (
     STRATEGIES,
+    CheckpointStrategy,
     Masker,
     MaskingStats,
     failure_atomic,
     get_strategy,
     make_atomicity_wrapper,
 )
-from repro.core.state import capture, graphs_equal
+from repro.core.state import GraphBackend, capture, graphs_equal
 
 
 class Ledger:
@@ -73,6 +75,67 @@ def test_wrapper_rolls_back_mutable_arguments():
         wrapper(a, b)
     assert b.entries == [7]
     assert a.entries == []
+
+
+class Router:
+    def route(self, hops, callback, path, **options):
+        return callback(path) + hops
+
+
+class _RecordingCheckpoints(CheckpointStrategy):
+    """The snapshot strategy, keeping every root list it checkpoints."""
+
+    name = "recording"
+
+    def __init__(self):
+        super().__init__()
+        self.roots = []
+
+    def checkpoint(self, roots):
+        self.roots.append(roots)
+        return super().checkpoint(roots)
+
+
+class _RecordingCaptures(GraphBackend):
+    """The graph backend, keeping every labeled root list it captures."""
+
+    def __init__(self):
+        super().__init__()
+        self.frames = []
+
+    def capture_frame(self, label_values, *, stats=None):
+        self.frames.append(label_values)
+        return super().capture_frame(label_values, stats=stats)
+
+
+def test_atomicity_wrapper_checkpoints_the_roots_detection_captures(
+    monkeypatch,
+):
+    spec = Analyzer().analyze_class(Router)[0]
+    router, path, retry, sink = Router(), [1, 2], [0], {"k": 1}
+    args = (router, 3, len, path)
+    kwargs = {"sink": sink, "label": "x", "retry": retry}
+
+    captures = _RecordingCaptures()
+    campaign = InjectionCampaign(state_backend=captures)
+    campaign.begin_run(10_000)  # a threshold no call reaches
+    make_injection_wrapper(spec, campaign)(*args, **kwargs)
+    campaign.end_run(completed=True, escaped=False)
+    [frame] = captures.frames
+    assert [label for label, _ in frame] == [
+        "self", ("arg", 2), ("kwarg", "retry"), ("kwarg", "sink")
+    ]
+
+    strategy = _RecordingCheckpoints()
+    monkeypatch.setitem(STRATEGIES, strategy.name, strategy)
+    for checkpoint_args in (True, False):
+        make_atomicity_wrapper(
+            spec, checkpoint_args=checkpoint_args, strategy=strategy.name
+        )(*args, **kwargs)
+    full, receiver_only = strategy.roots
+    assert len(full) == len(frame)
+    assert all(value is root for value, (_, root) in zip(full, frame))
+    assert len(receiver_only) == 1 and receiver_only[0] is router
 
 
 def test_wrapper_checkpoint_args_disabled():
@@ -338,7 +401,7 @@ def test_undolog_strategy_rollback(undolog):
     assert undolog.rollback_size(saved) == 1
     undolog.restore(saved)
     assert obj.x == 1
-    assert active_log_top() is None
+    assert not cow._ACTIVE_LOGS
 
 
 def test_undolog_strategy_commit_retires_the_log(undolog):
@@ -346,7 +409,7 @@ def test_undolog_strategy_commit_retires_the_log(undolog):
     saved = undolog.checkpoint([obj])
     obj.x = 5
     undolog.commit(saved)
-    assert active_log_top() is None
+    assert not cow._ACTIVE_LOGS
     obj.x = 7  # writes after commit land nowhere
     assert obj.x == 7
 

@@ -9,18 +9,16 @@ an injection point and the profile boundary, so subjects defined via
 
 from repro.core import InjectionCampaign, make_injection_wrapper
 from repro.core.analyzer import Analyzer
-from repro.core.cow import UndoLog, active_log_top
 from repro.core.detector import CallableProgram, Detector
-from repro.core.runlog import ATOMIC, NONATOMIC, log_json_without_provenance
+from repro.core.runlog import NONATOMIC, log_json_without_provenance
 from repro.core.tracepass import (
     PROVENANCE_TRACE,
     TraceDeriver,
-    TraceRecorder,
     TransparencyIndex,
-    barrier_covered,
     call_through_boundary,
 )
 from repro.core.weaver import Weaver
+from repro.experiments import AppProgram, run_app_campaign
 
 
 # -- subject classes ------------------------------------------------------
@@ -48,17 +46,25 @@ class Ledger:
         return self.read_balance()
 
 
-class Counter:
-    """Scalar-only state: fully barrier-coverable."""
+#: One ``("__setattr__" in its class dict, "__delattr__" in it)`` pair
+#: per :class:`ClassDictWitness` method call.
+_CLASS_DICT_SEEN = []
+
+
+class ClassDictWitness:
+    """Records, at every call, whether its class still looks as woven:
+    a write barrier would add ``__setattr__`` and ``__delattr__``."""
 
     def __init__(self):
         self.value = 0
 
-    def get(self):
-        return self.value
+    def witness(self):
+        own = vars(type(self))
+        _CLASS_DICT_SEEN.append(("__setattr__" in own, "__delattr__" in own))
 
-    def outer(self):
-        return self.get()
+    def bump(self):
+        self.witness()
+        self.value += 1
 
 
 # -- campaign helper ------------------------------------------------------
@@ -71,14 +77,8 @@ def _campaign(classes, body, *, trace_derive=False):
     )
     program = CallableProgram(name="trace-mini", body=body)
     with weaver:
-        specs = weaver.weave_classes(classes)
-        detector = Detector(
-            program,
-            campaign,
-            trace_derive=trace_derive,
-            woven_specs=specs,
-        )
-        return detector.detect()
+        weaver.weave_classes(classes)
+        return Detector(program, campaign, trace_derive=trace_derive).detect()
 
 
 def _ledger_body():
@@ -86,125 +86,6 @@ def _ledger_body():
     ledger.read_balance()
     ledger.describe()
     ledger.mutate_then_call(5)
-
-
-# -- recorder lifecycle ---------------------------------------------------
-
-
-def test_recorder_counts_attribute_writes():
-    recorder = TraceRecorder()
-    recorder.start([Counter])
-    try:
-        assert active_log_top() is recorder
-        assert recorder.is_innermost
-        counter = Counter()  # __init__ writes .value
-        counter.value = 7
-        assert recorder.sequence == 2
-        assert ("Counter", "value") in {
-            (tname, attr) for _, tname, attr in recorder.events
-        }
-    finally:
-        recorder.stop()
-    assert active_log_top() is None
-    assert "__setattr__" not in vars(Counter)
-    # events after stop no longer reach the recorder
-    Counter().value = 1
-    assert recorder.sequence == 2
-
-
-def test_recorder_stop_removes_a_subclass_barrier_installed_after_its_base():
-    class Base:
-        pass
-
-    class Derived(Base):
-        pass
-
-    recorder = TraceRecorder()
-    recorder.start([Base, Derived])  # Derived inherits Base's barrier first
-    recorder.stop()
-    for cls in (Base, Derived):
-        assert "__setattr__" not in vars(cls), cls.__name__
-
-
-def test_recorder_double_start_raises():
-    recorder = TraceRecorder()
-    recorder.start([])
-    try:
-        try:
-            recorder.start([])
-            raised = False
-        except RuntimeError:
-            raised = True
-        assert raised
-    finally:
-        recorder.stop()
-    recorder.stop()  # idempotent
-
-
-def test_recorder_not_innermost_under_subject_undolog():
-    recorder = TraceRecorder()
-    recorder.start([Counter])
-    try:
-        with UndoLog() as log:
-            assert not recorder.is_innermost
-            before = recorder.sequence
-            counter = Counter()
-            counter.value = 3
-            # events went to the subject's undo log, not the recorder
-            assert recorder.sequence == before
-            assert log.recorded_writes > 0
-        # the closed region's writes were absorbed into the sequence
-        assert recorder.sequence > before
-        assert recorder.is_innermost
-    finally:
-        recorder.stop()
-
-
-def test_absorb_overcounts_conservatively():
-    recorder = TraceRecorder()
-
-    class Child:
-        recorded_writes = 0
-
-    recorder.absorb(Child())
-    assert recorder.sequence == 1  # at least one, even for an empty child
-
-
-# -- barrier coverage -----------------------------------------------------
-
-
-def test_scalar_only_instance_is_covered():
-    counter = Counter()
-    assert barrier_covered([("self", counter)], {Counter})
-
-
-def test_non_barriered_instance_is_uncoverable():
-    counter = Counter()
-    assert not barrier_covered([("self", counter)], set())
-
-
-def test_mutable_container_is_uncoverable():
-    ledger = Ledger()  # .history is a plain list
-    assert not barrier_covered([("self", ledger)], {Ledger})
-
-
-def test_immutable_shells_are_walked_not_rejected():
-    counter = Counter()
-    counter.pair = (1, frozenset({2}))
-    assert barrier_covered([("self", counter)], {Counter})
-    counter.pair = (1, [2])  # list behind a tuple: uncoverable
-    assert not barrier_covered([("self", counter)], {Counter})
-
-
-def test_coverage_walk_respects_object_budget():
-    counter = Counter()
-    chain = counter
-    for _ in range(5):
-        nxt = Counter()
-        chain.child = nxt
-        chain = nxt
-    assert barrier_covered([("self", counter)], {Counter})
-    assert not barrier_covered([("self", counter)], {Counter}, max_objects=2)
 
 
 # -- trace-derived campaigns ---------------------------------------------
@@ -281,51 +162,28 @@ def test_baseline_run_is_never_derived():
     assert baseline.provenance == "dynamic"
 
 
-def test_recorder_fast_path_skips_recaptures():
-    # Counter's reachable state is scalar-only, so with the recorder the
-    # enclosing wrapper's verdict needs no state comparison: entry
-    # coverage + unchanged sequence proves atomicity.  Without a recorder
-    # the same verdict costs a comparison against the live state.
-    def body():
-        Counter().outer()
+def _witness_body():
+    witness = ClassDictWitness()
+    witness.witness()
+    witness.bump()
 
-    def run(recorder):
-        campaign = InjectionCampaign()
-        weaver = Weaver(
-            lambda spec: make_injection_wrapper(spec, campaign), Analyzer()
-        )
-        with weaver:
-            weaver.weave_classes([Counter])
-            deriver = TraceDeriver(campaign, recorder=recorder)
-            deriver.attach(campaign)
-            if recorder is not None:
-                recorder.start([Counter])
-            campaign.begin_profile()
-            try:
-                call_through_boundary(body)
-            finally:
-                total = campaign.end_profile()
-                if recorder is not None:
-                    recorder.stop()
-                deriver.detach(campaign)
-        derive_map = deriver.derive_map()
-        assert total > 0 and derive_map
-        return deriver, derive_map
 
-    fast, fast_map = run(TraceRecorder())
-    slow, slow_map = run(None)
-    marks = {
-        point: [(m.method, m.verdict) for m in record.marks]
-        for point, record in fast_map.items()
-    }
-    assert marks == {
-        point: [(m.method, m.verdict) for m in record.marks]
-        for point, record in slow_map.items()
-    }
-    assert any(
-        (mark[1] == ATOMIC) for record in marks.values() for mark in record
+def test_trace_derived_profiling_leaves_subject_classes_as_woven():
+    # The profiling run that the trace pass observes puts nothing on the
+    # subject's classes: every call, profiling run included, sees the
+    # class dict the weaver left.  Both engines profile in this process.
+    program = AppProgram(
+        name="witness",
+        language="Java",
+        classes=[ClassDictWitness],
+        body=_witness_body,
     )
-    assert fast.stats.compares < slow.stats.compares
+    for workers in (None, 2):
+        _CLASS_DICT_SEEN.clear()
+        outcome = run_app_campaign(program, trace_derive=True, workers=workers)
+        assert outcome.detection.telemetry.runs_derived > 0
+        assert _CLASS_DICT_SEEN, "the workload never ran"
+        assert set(_CLASS_DICT_SEEN) == {(False, False)}, workers
 
 
 def test_sourceless_workload_is_undecidable_with_reason():

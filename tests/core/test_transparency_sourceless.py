@@ -120,12 +120,11 @@ def _campaign_through_glue(glue_factory, trace_derive):
         call(box)
 
     with weaver:
-        specs = weaver.weave_classes([Box])
+        weaver.weave_classes([Box])
         result = Detector(
             CallableProgram("glue-subject", body),
             campaign,
             trace_derive=trace_derive,
-            woven_specs=specs,
         ).detect()
     return result
 

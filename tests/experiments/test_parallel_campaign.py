@@ -418,9 +418,9 @@ def test_telemetry_roundtrips_every_field():
 
 
 def test_telemetry_loads_legacy_dict_with_retired_keys(tmp_path):
-    """meta.json written when telemetry still carried the static-pass
-    and instrumentor fields loads: retired keys are ignored, the rest
-    are coerced to their field types."""
+    """meta.json written when telemetry still carried the static-pass,
+    instrumentor and write-trace fields loads: retired keys are ignored,
+    the rest are coerced to their field types."""
     legacy = {
         "engine": "sequential",
         "workers": "1",
@@ -431,6 +431,7 @@ def test_telemetry_loads_legacy_dict_with_retired_keys(tmp_path):
         "static_pure_methods": 2,
         "static_seconds": 0.01,
         "instrumentor": "weave",
+        "trace_writes": 8260,
         "wall_seconds": 1,
         "phase_seconds": {"profile": "0.5", "execute": 1},
     }
@@ -441,6 +442,7 @@ def test_telemetry_loads_legacy_dict_with_retired_keys(tmp_path):
     assert isinstance(telemetry.wall_seconds, float)
     assert telemetry.phase_seconds == {"profile": 0.5, "execute": 1.0}
     assert "runs_pruned" not in telemetry.to_dict()
+    assert "trace_writes" not in telemetry.to_dict()
     outcome = run_app_campaign(program_by_name("Dynarray"), stride=4)
     directory = str(tmp_path / "campaign")
     save_outcome(outcome, directory)

@@ -483,6 +483,19 @@ def test_cost_aware_policy_bounds_pending_work():
     assert status == 202
 
 
+@pytest.mark.parametrize("policy", ["reject", "shed-oldest"])
+def test_only_cost_aware_admission_estimates_cost(policy, monkeypatch):
+    def no_estimate(source, config):
+        raise AssertionError("estimate_cost ran under " + policy)
+
+    monkeypatch.setattr(server_module, "estimate_cost", no_estimate)
+    service = CampaignService(policy=policy)
+    _, status = service.submit(SOURCE, {}, name="box")
+    assert status == 202
+    assert "pending_cost" not in service.stats()
+    assert service.process_one().status == "done"
+
+
 def test_drain_stops_admission_but_serves_cache_hits():
     service = CampaignService()
     service.submit(SOURCE, {}, name="box")

@@ -8,12 +8,14 @@ Checked, for every ``docs/*.md`` plus ``README.md``:
   that exists (anchors and query strings are stripped first);
 * **repository paths** — every backtick-quoted path starting with
   ``src/``, ``tests/``, ``benchmarks/``, ``tools/``, ``examples/`` or
-  ``docs/`` must exist;
+  ``docs/`` must exist, and so must every one starting with ``repro/``
+  under ``src/``;
 * **dotted module references** — every backtick-quoted dotted name
   starting with ``repro.`` must resolve under ``src/``: each name is
   resolved to the longest importable prefix (package directory or
-  ``.py`` file), and at most one trailing component (a class/function
-  attribute) may remain unresolved.
+  ``.py`` file), and at most one trailing component may remain, which
+  must be a top-level ``def``, ``class``, assignment or import of that
+  module (read from its syntax tree; nothing is imported).
 
 Exit status 0 when everything resolves; 1 with a per-offence listing
 otherwise.  Run via ``make docs-check`` (CI runs it on every push).
@@ -21,6 +23,7 @@ otherwise.  Run via ``make docs-check`` (CI runs it on every push).
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -33,10 +36,15 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PATH_RE = re.compile(
     r"`((?:src|tests|benchmarks|tools|examples|docs)/[A-Za-z0-9_./\-]+)`"
 )
+#: Backtick-quoted package paths, relative to ``src/``.
+PACKAGE_PATH_RE = re.compile(r"`(repro/[A-Za-z0-9_./\-]+)`")
 #: Backtick-quoted dotted module (or module.attribute) references.
 MODULE_RE = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
+
+#: Statements that bind the name they define.
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _doc_files():
@@ -57,27 +65,59 @@ def _check_link(doc: Path, target: str):
     return None
 
 
-def _check_path(path: str):
-    if not (REPO_ROOT / path).exists():
+def _check_path(path: str, root: str = ""):
+    if not (REPO_ROOT / root / path).exists():
         return f"missing path: `{path}`"
     return None
+
+
+def _bound_names(statements) -> set:
+    """Names bound by *statements* outside any def or class body."""
+    names = set()
+    for node in statements:
+        if isinstance(node, DEFINITIONS):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                (alias.asname or alias.name).split(".")[0]
+                for alias in node.names
+            )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names.update(
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            )
+        else:  # if / try / with / for blocks at module level
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                names |= _bound_names(getattr(node, field, []))
+    return names
 
 
 def _check_module(dotted: str):
     parts = dotted.split(".")
     base = REPO_ROOT / "src"
     resolved = 0
+    module = None
     for part in parts:
         if (base / part).is_dir():
             base = base / part
+            module = base / "__init__.py"
             resolved += 1
         elif (base / f"{part}.py").is_file():
+            module = base / f"{part}.py"
             resolved += 1
             break
         else:
             break
-    if resolved >= len(parts) - 1 and resolved >= 1:
+    if resolved == len(parts):
         return None
+    if resolved == len(parts) - 1 and module is not None and module.is_file():
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        if parts[-1] in _bound_names(tree.body):
+            return None
     return f"unresolvable module: `{dotted}`"
 
 
@@ -90,6 +130,10 @@ def check() -> list:
             checks = (
                 [(m, _check_link(doc, m)) for m in LINK_RE.findall(line)]
                 + [(m, _check_path(m)) for m in PATH_RE.findall(line)]
+                + [
+                    (m, _check_path(m, "src"))
+                    for m in PACKAGE_PATH_RE.findall(line)
+                ]
                 + [(m, _check_module(m)) for m in MODULE_RE.findall(line)]
             )
             offences.extend(
