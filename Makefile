@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow bench bench-smoke bench-fig5 bench-state bench-trace bench-trace-full bench-variants bench-shard bench-resilience engine-smoke chaos-smoke fuzz-smoke fuzz-trace-smoke fuzz-variant-smoke golden-check docs-check reproduce examples clean
+.PHONY: install test test-slow bench bench-smoke bench-primitives bench-fig5 bench-state bench-trace bench-trace-full bench-variants bench-shard bench-resilience engine-smoke chaos-smoke fuzz-smoke fuzz-trace-smoke fuzz-variant-smoke golden-check docs-check reproduce examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -24,6 +24,13 @@ bench:
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_parallel_campaign.py --benchmark-only -s
+
+# Per-call costs of the core primitives: capture, compare, checkpoint,
+# restore, the injection wrapper (off, capturing, elided) and Figure 5's
+# atomicity wrapper under each checkpoint strategy.  Prints the timing
+# table; asserts only that each primitive works.  Used by CI.
+bench-primitives:
+	$(PYTHON) -m pytest benchmarks/bench_core_primitives.py --benchmark-only -s
 
 # Figure 5's shape on the full grid (overhead grows with the wrapped-call
 # ratio and with the checkpointed object's size, and is negligible when

@@ -156,15 +156,6 @@ class InjectionCampaign:
 
     # -- wrapper services ------------------------------------------------
 
-    @property
-    def detecting(self) -> bool:
-        """True while a real injection run (not profiling) is active."""
-        return self.enabled and self.injection_point > 0
-
-    @property
-    def suspended(self) -> bool:
-        return self._suspended > 0
-
     def suspend(self) -> "_Suspension":
         """Temporarily make wrappers transparent.
 
@@ -192,13 +183,6 @@ class InjectionCampaign:
             and finished < self.injection_point
             and self.call_entries[ordinal] == entry
         )
-
-    def note_call(self, method: MethodKey) -> None:
-        # Call counts feed the call-weighted statistics (Figures 2b/3b);
-        # they are taken from the profiling run only so that the repeated
-        # detection executions do not inflate them.
-        if self.injection_point == 0:
-            self.log.record_call(method)
 
     def note_injection(self, method: MethodKey, exc: BaseException) -> None:
         if self.current_run is not None:
@@ -269,36 +253,43 @@ def make_injection_wrapper(
 ) -> Callable:
     """Build the injection wrapper of Listing 1 for one method.
 
-    The wrapper (a) walks the method's injection repertoire, incrementing
-    the campaign counter once per potential injection point and raising
-    when the threshold is hit; (b) snapshots the object graph, unless the
-    campaign proves the snapshot unused; (c) calls the original method;
-    and (d) on exception, compares the snapshot with the state now, marks
-    the method, and re-throws.
+    The wrapper (a) advances the campaign counter by the size of the
+    method's injection repertoire, one point per exception, and raises
+    the exception whose point equals the threshold, if one does (Listing
+    1's ``if ++Point == InjectionPoint`` per exception, done as one
+    comparison); (b) snapshots the object graph, unless the campaign
+    proves the snapshot unused; (c) calls the original method; and (d)
+    on exception, compares the snapshot with the state now, marks the
+    method, and re-throws.  It reads the campaign's mode once per call:
+    off or suspended, profiling, or detecting.
+
+    The trace pass finds a wrapper frame by its code object
+    (:data:`INJ_WRAPPER_CODE`) from inside the campaign's observers and
+    reads ``spec``, ``args`` and ``kwargs`` from its locals.
     """
     original = spec.func
+    key = spec.key
     exceptions = spec.exceptions
+    repertoire = len(exceptions)
 
     @functools.wraps(original)
     def inj_wrapper(*args: Any, **kwargs: Any) -> Any:
-        if not campaign.enabled or campaign.suspended:
+        if not campaign.enabled or campaign._suspended:
             return original(*args, **kwargs)
-        campaign.note_call(spec.key)
+        threshold = campaign.injection_point
+        entry = campaign.point
         ordinal = campaign.calls_entered
         campaign.calls_entered = ordinal + 1
-        entry = campaign.point
-        observer = campaign.point_observer
-        if observer is not None and campaign.injection_point == 0:
-            observer(spec, entry)
-        for exc_type in exceptions:
-            campaign.point += 1
-            if campaign.point == campaign.injection_point:
-                exc = make_injected(
-                    exc_type, method=spec.key, injection_point=campaign.point
-                )
-                campaign.note_injection(spec.key, exc)
-                raise exc
-        if not campaign.detecting:
+        if not threshold:
+            # Profiling: count the call and its points, never inject.
+            # Call counts feed the call-weighted statistics (Figures
+            # 2b/3b); only the profiling run takes them, so repeated
+            # detection runs do not inflate them.
+            campaign.log.record_call(key)
+            observer = campaign.point_observer
+            if observer is not None:
+                observer(spec, entry)
+            campaign.point = entry + repertoire
             campaign.call_entries.append(entry)
             exits = campaign.call_exits
             exits.append(None)
@@ -311,6 +302,18 @@ def make_injection_wrapper(
                 raise
             exits[ordinal] = campaign.point
             return result
+        # This entry owns points entry+1 .. entry+repertoire, one per
+        # exception in order; the one equal to the threshold fires.
+        if entry < threshold <= entry + repertoire:
+            campaign.point = threshold
+            exc = make_injected(
+                exceptions[threshold - entry - 1],
+                method=key,
+                injection_point=threshold,
+            )
+            campaign.note_injection(key, exc)
+            raise exc
+        campaign.point = entry + repertoire
         if campaign.elides(ordinal, entry):
             try:
                 return original(*args, **kwargs)
@@ -327,9 +330,9 @@ def make_injection_wrapper(
         except BaseException:
             difference = campaign.diff_state(before, spec, args, kwargs)
             if difference is None:
-                campaign.mark(spec.key, ATOMIC)
+                campaign.mark(key, ATOMIC)
             else:
-                campaign.mark(spec.key, NONATOMIC, str(difference))
+                campaign.mark(key, NONATOMIC, str(difference))
             raise
 
     inj_wrapper._repro_wrapped = original  # type: ignore[attr-defined]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from .analyzer import Analyzer, MethodSpec
 from .classify import ClassificationResult
@@ -33,7 +33,7 @@ from .cow import UndoLog, install_write_barrier, remove_write_barrier
 from .policy import WrapPolicy, select_methods_to_wrap
 from .runlog import MethodKey
 from .state import Checkpoint, checkpoint
-from .state.introspect import call_roots
+from .state.introspect import root_values
 from .weaver import Weaver
 
 __all__ = [
@@ -60,6 +60,9 @@ class CheckpointStrategy:
     name = "snapshot"
     #: ``_repro_kind`` tag stamped on the wrappers using this strategy.
     kind = "atomicity"
+    #: Whether :meth:`checkpoint` reads its roots; a wrapper selects
+    #: none for a strategy that does not.
+    reads_roots = True
 
     def cover(self, classes: Iterable[type]) -> None:
         """Make writes to instances of *classes* restorable."""
@@ -67,7 +70,7 @@ class CheckpointStrategy:
     def uncover(self, classes: Iterable[type]) -> None:
         """Undo :meth:`cover`."""
 
-    def checkpoint(self, roots: List[Any]) -> Any:
+    def checkpoint(self, roots: Sequence[Any]) -> Any:
         return checkpoint(*roots)
 
     def restore(self, saved: Checkpoint) -> None:
@@ -97,6 +100,7 @@ class UndoLogStrategy(CheckpointStrategy):
 
     name = "undolog"
     kind = "atomicity-undolog"
+    reads_roots = False
 
     def cover(self, classes: Iterable[type]) -> None:
         for cls in classes:
@@ -106,7 +110,7 @@ class UndoLogStrategy(CheckpointStrategy):
         for cls in classes:
             remove_write_barrier(cls)
 
-    def checkpoint(self, roots) -> UndoLog:
+    def checkpoint(self, roots: Sequence[Any]) -> UndoLog:
         return UndoLog().__enter__()
 
     def restore(self, saved: UndoLog) -> None:
@@ -184,13 +188,16 @@ def make_atomicity_wrapper(
     original = spec.func
     has_receiver = spec.has_receiver
     state = get_strategy(strategy)
+    reads_roots = state.reads_roots
 
     @functools.wraps(original)
     def atomic_m(*args: Any, **kwargs: Any) -> Any:
-        roots = call_roots(
-            has_receiver, args, kwargs, with_args=checkpoint_args
+        roots = (
+            root_values(has_receiver, args, kwargs, with_args=checkpoint_args)
+            if reads_roots
+            else ()
         )
-        saved = state.checkpoint([value for _, value in roots])
+        saved = state.checkpoint(roots)
         if stats is not None:
             stats.note_call(spec.key, state.checkpoint_size(saved))
         try:

@@ -26,16 +26,22 @@ are reclaimed by Python's garbage collector; this subsumes the reference
 counting / GC discussion in Section 5.1 of the paper.
 
 Every atomicity wrapper pays for a checkpoint on every call, so the
-traversal visits each reachable object once: one step saves its record
-and returns its children, read from the copies it has just saved.  A run
-of children that are all exact scalars (a list of ints, say) is skipped
-in one C-level pass instead of being pushed and popped one by one.
+traversal visits each reachable object once and classifies each value
+with one lookup in the type table the graph kernel uses
+(:func:`~repro.core.state.introspect.type_info`): scalars and opaque
+values are skipped, and an object's record is saved from shallow copies
+whose children are then pushed.  The three shapes that dominate real
+state, an exact ``list``, an exact ``dict`` and a plain instance (an
+exact ``dict`` as ``__dict__``, no slots but hidden ones), take one
+C-level copy and one C-level scan that skips a group of exact scalars (a
+list of ints, say) without pushing it.  An instance's names go through
+the ``_repro_*`` filter only when one could be hidden.  Every other
+shape takes the general ``_visit``.
 
-The scalar, opaque and slot answers are shared with the other state
-backends via :mod:`repro.core.state.introspect`; the children are not
-read through ``list_children``, but the traversal must reach the objects
-a graph capture reaches, ``defaultdict.default_factory`` and the
-attributes of tuple and frozenset subclasses included.
+The children are not read through ``list_children``, but the traversal
+must reach the objects a graph capture reaches,
+``defaultdict.default_factory`` and the attributes of tuple and frozenset
+subclasses included.
 """
 
 from __future__ import annotations
@@ -44,11 +50,13 @@ import collections as _collections
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .introspect import (
-    SCALAR_TYPES,
+    _SCALAR_EXACT,
+    _TYPE_TABLE,
+    CAT_NODE,
+    KIND_OBJECT,
     default_ignore,
-    is_opaque,
-    is_scalar,
     slot_names,
+    type_info,
 )
 
 __all__ = [
@@ -85,12 +93,6 @@ _KIND_BYTEARRAY = "bytearray"
 _KIND_OBJECT = "object"
 _KIND_IMMUTABLE = "immutable"  # tuple/frozenset subclasses: attributes only
 
-#: Exact scalar types.  A group of children made only of these is skipped
-#: by one C-level pass (``issuperset(map(type, group))``) instead of being
-#: pushed and popped one by one; a subclass of a scalar type is not in the
-#: set, so it still reaches :func:`is_scalar`.
-_SCALAR_EXACT = frozenset(SCALAR_TYPES)
-
 #: Exact builtin containers: they carry no attribute state, so neither
 #: ``__dict__`` nor ``__slots__`` is read.
 _BARE_CONTAINERS = frozenset((list, dict, set, _collections.deque))
@@ -116,22 +118,75 @@ class Checkpoint:
     # -- capture -----------------------------------------------------
 
     def _record(self, value: Any) -> None:
+        """Record everything reachable from *value* not recorded yet.
+
+        Each popped value is classified by one type-table lookup.  An
+        exact ``list``, an exact ``dict`` and a plain instance (an exact
+        ``dict`` as ``__dict__``, no slots but hidden ones) are recorded
+        here, with one C-level copy and one C-level scan per group of
+        children that skips a group of exact scalars; every other shape
+        goes through :meth:`_visit`.  The records and the push order are
+        the ones :meth:`_visit` would give.
+        """
+        seen = self._seen
+        records = self._records
+        pin = self._pins.append
+        table_get = _TYPE_TABLE.get
+        all_scalar = _SCALAR_EXACT.issuperset
         stack = [value]
+        push = stack.extend
         while stack:
             current = stack.pop()
-            if is_scalar(current) or is_opaque(current):
+            cls = type(current)
+            info = table_get(cls) or type_info(current)
+            if info[0] != CAT_NODE:
                 continue
             oid = id(current)
-            if oid in self._seen:
+            if oid in seen:
                 continue
+            pin(current)
+            if cls is list:
+                items = list(current)
+                seen[oid] = record = _ObjectRecord(current, _KIND_LIST, (items, None))
+                records.append(record)
+                if not all_scalar(map(type, items)):
+                    push(items)
+                continue
+            if cls is dict:
+                items = dict(current)
+                seen[oid] = record = _ObjectRecord(current, _KIND_DICT, (items, None))
+                records.append(record)
+                if not all_scalar(map(type, items.keys())):
+                    push(items.keys())
+                if not all_scalar(map(type, items.values())):
+                    push(items.values())
+                continue
+            if info[1] == KIND_OBJECT and not info[4]:
+                obj_dict = getattr(current, "__dict__", None)
+                if type(obj_dict) is dict:
+                    attrs = dict(obj_dict)
+                    try:
+                        hidden = "_repro_" in "".join(attrs)
+                    except TypeError:  # a non-str name: the filter below raises
+                        hidden = True
+                    if hidden:
+                        attrs = {
+                            k: v for k, v in obj_dict.items() if not default_ignore(k)
+                        }
+                    seen[oid] = record = _ObjectRecord(
+                        current, _KIND_OBJECT, (attrs, [])
+                    )
+                    records.append(record)
+                    if not all_scalar(map(type, attrs.values())):
+                        push(attrs.values())
+                    continue
             record, groups = self._visit(current)
-            self._seen[oid] = record
-            self._pins.append(current)
+            seen[oid] = record
             if record is not None:
-                self._records.append(record)
+                records.append(record)
             for group in groups:
-                if not _SCALAR_EXACT.issuperset(map(type, group)):
-                    stack.extend(group)
+                if not all_scalar(map(type, group)):
+                    push(group)
 
     def _visit(
         self, obj: Any

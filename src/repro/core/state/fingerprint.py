@@ -236,7 +236,8 @@ _CAT_SCALAR, _CAT_OPAQUE, _CAT_NODE = 0, 1, 2
 #: Scalar-ness, opaqueness, kind, and type name are all functions of the
 #: exact runtime type, so the isinstance chains and string encodings run
 #: once per distinct type instead of once per node.  Bounded because fuzz
-#: runs synthesize classes without limit.
+#: runs synthesize classes without limit; a full memo starts over, as
+#: ``introspect._TYPE_TABLE`` does.
 _TYPE_INFO: Dict[type, Tuple[int, bytes, Optional[str]]] = {}
 _TYPE_INFO_MAX = 4096
 
@@ -252,8 +253,9 @@ def _type_info(tp: type, sample: Any) -> Tuple[int, bytes, Optional[str]]:
             kind = kind_of(sample)
             header = b"N" + _encode_str(kind) + _encode_str(type_name(sample))
             info = (_CAT_NODE, header, kind)
-        if len(_TYPE_INFO) < _TYPE_INFO_MAX:
-            _TYPE_INFO[tp] = info
+        if len(_TYPE_INFO) >= _TYPE_INFO_MAX:
+            _TYPE_INFO.clear()
+        _TYPE_INFO[tp] = info
     return info
 
 

@@ -22,7 +22,9 @@ share this code.
 
 Every per-type answer is a function of the exact runtime type, so
 :func:`type_info` computes them once per type, with the ``isinstance``
-tests below, and memoizes them in a bounded table.  :func:`list_children`
+tests below, and memoizes them in a bounded table that starts over when
+it fills.  The graph capturer, the live diff and the checkpoint classify
+every value with one lookup in that table.  :func:`list_children`
 builds a value's children as one list, taking a fast path for the shapes
 that dominate real state (exact sequences, plain and slots-only
 instances, dicts keyed by exact scalars) and the general code for every
@@ -34,7 +36,9 @@ object, and needs no canonical order.  It must still reach the same
 objects (``default_factory`` and the attributes of container subclasses
 included), or a restore would leave captured state changed;
 ``tests/core/state/test_checkpoint_roundtrip.py`` checks that a restore
-returns random graphs to the state a capture recorded.
+returns random graphs to the state a capture recorded.  Detection and
+masking select a call's roots with :func:`call_roots` and
+:func:`root_values`.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ __all__ = [
     "is_scalar",
     "is_opaque",
     "call_roots",
+    "root_values",
     "slot_names",
     "type_name",
     "opaque_token",
@@ -144,40 +149,57 @@ def is_opaque(value: Any) -> bool:
 
 
 def call_roots(
-    has_receiver: bool,
-    args: Tuple[Any, ...],
-    kwargs: Dict[str, Any],
-    *,
-    with_args: bool = True,
+    has_receiver: bool, args: Tuple[Any, ...], kwargs: Dict[str, Any]
 ) -> List[Tuple[Any, Any]]:
     """The labeled roots of one call's state, in order: the receiver
-    (``"self"``), then — with *with_args* — every non-scalar, non-opaque
-    positional argument (``("arg", index)``) and keyword argument
-    (``("kwarg", name)``, by sorted name).
+    (``"self"``), then every non-scalar, non-opaque positional argument
+    (``("arg", index)``) and keyword argument (``("kwarg", name)``, by
+    sorted name).
 
     Listing 1's deep copy covers ``this`` plus every argument passed by
     non-constant reference, and Listing 2 checkpoints the same objects;
-    detection captures these roots and masking checkpoints their values,
-    so both always see the same state of a call.
+    detection captures these roots and masking checkpoints their
+    :func:`root_values`, so both always see the same state of a call.
     """
     roots: List[Tuple[Any, Any]] = []
     positional = args
     if has_receiver and args:
         roots.append(("self", args[0]))
         positional = args[1:]
-    if with_args:
-        for index, value in enumerate(positional):
-            if not is_scalar(value) and not is_opaque(value):
-                roots.append((("arg", index), value))
-        for name in sorted(kwargs):
-            value = kwargs[name]
-            if not is_scalar(value) and not is_opaque(value):
-                roots.append((("kwarg", name), value))
+    for index, value in enumerate(positional):
+        if not is_scalar(value) and not is_opaque(value):
+            roots.append((("arg", index), value))
+    for name in sorted(kwargs):
+        value = kwargs[name]
+        if not is_scalar(value) and not is_opaque(value):
+            roots.append((("kwarg", name), value))
     return roots
 
 
+def root_values(
+    has_receiver: bool,
+    args: Tuple[Any, ...],
+    kwargs: Dict[str, Any],
+    *,
+    with_args: bool = True,
+) -> List[Any]:
+    """The values of :func:`call_roots`, in its order, built without
+    labels; without *with_args*, only the receiver."""
+    values = list(args[:1]) if has_receiver else []
+    if with_args:
+        for value in args[1:] if has_receiver else args:
+            if not is_scalar(value) and not is_opaque(value):
+                values.append(value)
+        for name in sorted(kwargs):
+            value = kwargs[name]
+            if not is_scalar(value) and not is_opaque(value):
+                values.append(value)
+    return values
+
+
 #: ``__slots__`` are fixed at class creation, so the MRO walk caches per
-#: class.  Bounded because fuzz campaigns synthesize classes freely.
+#: class.  Bounded because fuzz campaigns synthesize classes freely; a
+#: full cache starts over, like :data:`_TYPE_TABLE`.
 _SLOT_CACHE: dict = {}
 _SLOT_CACHE_MAX = 2048
 
@@ -199,8 +221,9 @@ def slot_names(cls: type) -> Tuple[str, ...]:
                 continue
             names.append(name)
     result = tuple(names)
-    if len(_SLOT_CACHE) < _SLOT_CACHE_MAX:
-        _SLOT_CACHE[cls] = result
+    if len(_SLOT_CACHE) >= _SLOT_CACHE_MAX:
+        _SLOT_CACHE.clear()
+    _SLOT_CACHE[cls] = result
     return result
 
 
@@ -279,9 +302,11 @@ CAT_SCALAR, CAT_OPAQUE, CAT_NODE = 0, 1, 2
 #: ``(category, kind, name, container_attrs, slots)``; see :func:`type_info`.
 TypeInfo = Tuple[int, str, str, bool, Tuple[str, ...]]
 
-#: ``type -> TypeInfo`` for every type seen so far.  Bounded because fuzz
-#: campaigns synthesize classes freely; a type past the bound is answered
-#: by the same tests, just not memoized.
+#: ``type -> TypeInfo`` for the types seen lately.  Bounded because fuzz
+#: campaigns and a long-running service synthesize classes freely: a full
+#: table starts over, so the types of new subjects are memoized again and
+#: the table keeps no retired class alive.  It is cleared in place, since
+#: the graph kernel and the checkpoint bind it at import.
 _TYPE_TABLE: Dict[type, TypeInfo] = {}
 _TYPE_TABLE_MAX = 4096
 
@@ -321,8 +346,9 @@ def type_info(value: Any) -> TypeInfo:
         )
         slots = sorted({name for name in slot_names(tp) if not default_ignore(name)})
         info = (CAT_NODE, kind, type_name(value), container_attrs, tuple(slots))
-    if len(_TYPE_TABLE) < _TYPE_TABLE_MAX:
-        _TYPE_TABLE[tp] = info
+    if len(_TYPE_TABLE) >= _TYPE_TABLE_MAX:
+        _TYPE_TABLE.clear()
+    _TYPE_TABLE[tp] = info
     return info
 
 

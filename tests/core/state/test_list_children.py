@@ -9,14 +9,27 @@ reprs, the same child objects, and the same graph node for node.
 """
 
 import collections
+import gc
+import importlib
+import weakref
 
 import pytest
 from hypothesis import given, settings
 
-from repro.core.state import capture, capture_frame, introspect, list_children, type_info
+from repro.core.state import (
+    capture,
+    capture_frame,
+    fingerprint,
+    introspect,
+    list_children,
+    type_info,
+)
 
 from . import children_oracle as oracle
 from .object_pools import Pool, TaggedDeque, mutate, mutations, recipes, root_picks
+
+
+fingerprint_module = importlib.import_module("repro.core.state.fingerprint")
 
 
 def _pairs(pairs):
@@ -171,7 +184,12 @@ def test_defaultdict_and_container_subclass_attributes():
 def restored_tables():
     """Put the module caches back as they were, so the classes this test
     defines neither outlive it nor crowd out the rest of the session."""
-    caches = (introspect._TYPE_TABLE, introspect._SLOT_CACHE, introspect._ATTR_LABELS)
+    caches = (
+        introspect._TYPE_TABLE,
+        introspect._SLOT_CACHE,
+        introspect._ATTR_LABELS,
+        fingerprint_module._TYPE_INFO,
+    )
     saved = [dict(cache) for cache in caches]
     yield
     for cache, before in zip(caches, saved):
@@ -188,9 +206,44 @@ def test_type_table_stays_within_its_bound(restored_tables):
         obj.peer = classes[i - 1]() if i else None
         assert_graphs_match(capture(obj), oracle.capture(obj))
     assert len(introspect._TYPE_TABLE) <= bound
-    # a type past the bound is answered, uncached, with the same tests
+    # the table started over when it filled, so a type seen since is kept
     late = classes[-1]()
     late.value = [1]
-    assert type(late) not in introspect._TYPE_TABLE
+    assert type(late) in introspect._TYPE_TABLE
     assert type_info(late)[1] == "object"
     assert_graphs_match(capture(late), oracle.capture(late))
+
+
+def test_full_type_tables_start_over(restored_tables, monkeypatch):
+    """A full per-type table is cleared, not frozen: a long-running
+    service keeps memoizing the types of new subjects, and a retired
+    class held only by a table is collected."""
+    for module, bound in (
+        (introspect, "_TYPE_TABLE_MAX"),
+        (introspect, "_SLOT_CACHE_MAX"),
+        (fingerprint_module, "_TYPE_INFO_MAX"),
+    ):
+        monkeypatch.setattr(module, bound, 8)
+    tables = (
+        introspect._TYPE_TABLE,
+        introspect._SLOT_CACHE,
+        fingerprint_module._TYPE_INFO,
+    )
+
+    def use(cls):
+        obj = cls()
+        obj.value = 1
+        capture(obj)
+        fingerprint(obj)
+
+    first = type("Retired", (), {})
+    use(first)
+    assert all(first in table for table in tables)
+    retired = weakref.ref(first)
+    del first
+    for i in range(20):
+        cls = type(f"Fresh{i}", (), {})
+        use(cls)
+        assert all(cls in table and len(table) <= 8 for table in tables)
+    gc.collect()
+    assert retired() is None

@@ -1,10 +1,16 @@
 """Tests for injection wrappers and campaign counter semantics (Listing 1)."""
 
+import sys
+
 import pytest
 
 from repro.core.analyzer import Analyzer
 from repro.core.exceptions import InjectedRuntimeError, is_injected, throws
-from repro.core.injection import InjectionCampaign, make_injection_wrapper
+from repro.core.injection import (
+    INJ_WRAPPER_CODE,
+    InjectionCampaign,
+    make_injection_wrapper,
+)
 from repro.core.runlog import NONATOMIC
 from repro.core.weaver import Weaver
 
@@ -26,6 +32,10 @@ class Counter:
     @throws(KeyError)
     def declared(self):
         return self.value
+
+    @throws(KeyError, ValueError)
+    def guarded(self, *items, **options):
+        return len(items) + len(options)
 
 
 def weave(campaign, cls):
@@ -52,11 +62,16 @@ def test_profiling_counts_points_and_calls():
         c.bump_safely()
         c.bump_safely()
         c.declared()
+        c.guarded()
         total = campaign.end_profile()
     # __init__(1) + 2 * bump_safely(1) + declared(2: KeyError + runtime)
-    assert total == 5
+    # + guarded(3: KeyError, ValueError + runtime)
+    assert total == 8
+    assert campaign.call_entries == [0, 1, 2, 3, 5]
+    assert campaign.call_exits == [1, 2, 3, 5, 8]
     assert campaign.log.call_counts["Counter.bump_safely"] == 2
     assert campaign.log.call_counts["Counter.declared"] == 1
+    assert campaign.log.call_counts["Counter.guarded"] == 1
 
 
 def test_injection_fires_at_exact_threshold():
@@ -88,6 +103,61 @@ def test_declared_exception_injected_first():
         with pytest.raises(InjectedRuntimeError):
             c.declared()
         campaign.end_run(completed=False, escaped=True)
+
+
+@pytest.mark.parametrize(
+    "threshold, fired",
+    [(4, KeyError), (5, ValueError), (6, InjectedRuntimeError), (7, None)],
+)
+def test_each_repertoire_point_fires_its_own_exception(threshold, fired):
+    campaign = InjectionCampaign()
+    with weave(campaign, Counter):
+        c = Counter()  # the campaign is off: no points
+        campaign.begin_run(threshold)
+        c.guarded()  # points 1-3
+        if fired is None:  # past the second call's points 4-6
+            c.guarded()
+            assert campaign.point == 3 + 3
+        else:
+            with pytest.raises(fired):
+                c.guarded()
+            assert campaign.point == threshold
+            run = campaign.log.runs[0]
+            assert run.injected_method == "Counter.guarded"
+            assert run.injected_exception == fired.__name__
+        campaign.end_run(completed=fired is None, escaped=fired is not None)
+
+
+def test_observers_see_the_wrapper_frame_and_its_call():
+    """The trace pass reads a wrapper's call through the frame its
+    observers are called from: the wrapper's code, with ``spec``,
+    ``args`` and ``kwargs`` among its locals, at the entry's counter."""
+    campaign = InjectionCampaign()
+    seen = []
+
+    def observe(spec, entry=None):
+        frame = sys._getframe(1)
+        assert frame.f_code is INJ_WRAPPER_CODE
+        local = frame.f_locals
+        seen.append((local["spec"] is spec, local["args"][1:], local["kwargs"]))
+        if entry is not None:
+            assert campaign.point == entry
+
+    campaign.point_observer = observe
+    campaign.escape_observer = observe
+    with weave(campaign, Counter):
+        campaign.begin_profile()
+        c = Counter()
+        c.guarded(1, 2, flag=True)
+        with pytest.raises(ValueError):
+            c.bump_then_fail()
+        campaign.end_profile()
+    assert seen == [
+        (True, (), {}),  # __init__
+        (True, (1, 2), {"flag": True}),
+        (True, (), {}),  # bump_then_fail's entry,
+        (True, (), {}),  # and its escape
+    ]
 
 
 def test_counter_does_not_refire_after_threshold():

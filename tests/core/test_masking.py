@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import cow
-from repro.core.analyzer import Analyzer
+from repro.core import cow, masking
+from repro.core.analyzer import Analyzer, MethodSpec
 from repro.core.injection import InjectionCampaign, make_injection_wrapper
 from repro.core.masking import (
     STRATEGIES,
@@ -429,6 +429,31 @@ def test_wrapper_kind_names_the_strategy():
     assert make_atomicity_wrapper(spec_for("add"))._repro_kind == "atomicity"
     wrapped = make_atomicity_wrapper(spec_for("add"), strategy="undolog")
     assert wrapped._repro_kind == "atomicity-undolog"
+
+
+def test_undolog_wrapper_selects_no_roots(undolog, monkeypatch):
+    """The undo log finds what to roll back through the barrier, so its
+    wrappers never select the call's roots."""
+
+    def no_roots(*args, **kwargs):
+        raise AssertionError("an undo-log wrapper selected roots")
+
+    monkeypatch.setattr(masking, "root_values", no_roots)
+
+    def move(point, dx, history):
+        point.x += dx
+        history.append(dx)
+        raise RuntimeError("moved too far")
+
+    spec = MethodSpec(
+        owner=None, name="move", func=move, key="move", kind="method", exceptions=()
+    )
+    point = Point(1, 2)
+    wrapped = make_atomicity_wrapper(spec, strategy="undolog")
+    with pytest.raises(RuntimeError, match="too far"):
+        wrapped(point, 5, [])
+    assert (point.x, point.y) == (1, 2)
+    assert not cow._ACTIVE_LOGS
 
 
 def test_undolog_masker_covers_every_class_it_is_given():
