@@ -74,9 +74,11 @@ bench-variants:
 		benchmarks/bench_variants.py --benchmark-only -s
 
 # Shard-able campaign service: a 2-shard (and wider) fragment merge
-# must be bit-identical to the sequential engine, and a repeat service
-# submission must be served from the result cache with zero subject
-# executions.  Emits BENCH_shard.json.
+# must be bit-identical to the sequential engine, and so must the
+# supervised engine with its defaults (both shard processes at once,
+# ticking per window, not per point); a repeat service submission must
+# be served from the result cache with zero subject executions.  Emits
+# BENCH_shard.json.
 bench-shard:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_shard.py --benchmark-only -s

@@ -13,12 +13,17 @@ benchmark enforces the acceptance contract:
 * shard work is balanced: executed runs split across shards to within
   one point (the near-linear-scaling precondition — a coordinator-free
   partition cannot speed anything up if one shard holds the sweep);
+* the supervised engine with its defaults,
+  ``ShardSupervisor().run(factory, 2, dir)``, merges bit-identical too,
+  runs ``min(2, os.cpu_count())`` shard processes at once, and each
+  shard ticks at most ``wall / tick_window + 2`` times, not once per
+  point;
 * the service result cache answers a repeat submission of the same
   program + config with **zero** additional subject executions
   (``runs_executed_total`` telemetry-verified).
 
-Measurements (per-shard wall/runs, merge time, cache counters) go to
-``BENCH_shard.json``.
+Measurements (per-shard wall/runs, merge time, the supervised leg's
+per-shard tick counts, cache counters) go to ``BENCH_shard.json``.
 
 Modes:
 
@@ -35,6 +40,7 @@ import os
 import time
 
 from repro.experiments import (
+    ShardSupervisor,
     merge_fragments,
     program_by_name,
     run_app_campaign,
@@ -146,6 +152,46 @@ def bench_shard(benchmark, tmp_path_factory):
             }
         )
 
+    # -- the supervised engine with its defaults: shards run at once ----
+    supervisor = ShardSupervisor()
+    supervised = supervisor.run(
+        lambda: program_by_name(program_name),
+        2,
+        os.path.join(directory, "supervised"),
+        stride=stride,
+    )
+    assert (
+        supervised.merged.detection.log.to_json()
+        == sequential.detection.log.to_json()
+    ), "supervised merge diverged from the sequential sweep"
+    assert (
+        supervised.merged.classify().to_json()
+        == sequential.classification.to_json()
+    ), "supervised classification diverged"
+    telemetry = supervised.merged.detection.telemetry
+    assert telemetry.workers == min(2, os.cpu_count()), telemetry.workers
+    supervised_rows = []
+    for outcome in supervised.outcomes:
+        result = outcome.result
+        assert outcome.ticks <= (
+            result.wall_seconds / supervisor.tick_window + 2
+        ), f"shard {outcome.shard_index} ticked {outcome.ticks} times"
+        supervised_rows.append(
+            {
+                "shard": outcome.shard_index,
+                "points": len(result.points),
+                "ticks": outcome.ticks,
+                "wall_seconds": result.wall_seconds,
+            }
+        )
+    report["supervised"] = {
+        "shards": 2,
+        "workers": telemetry.workers,
+        "tick_window_seconds": supervisor.tick_window,
+        "wall_seconds": telemetry.wall_seconds,
+        "per_shard": supervised_rows,
+    }
+
     # -- result cache: repeat submission costs zero executions ----------
     service = CampaignService()
     service.submit(SERVICE_SOURCE, {"stride": 1}, name="ledger")
@@ -178,6 +224,9 @@ def bench_shard(benchmark, tmp_path_factory):
         f"{sequential.detection.total_points} injection points, "
         f"sequential {sequential_seconds:.2f}s\n"
         f"merges bit-identical at {splits}\n"
+        f"supervised, 2 shards at {telemetry.workers} at once: ticks "
+        + ", ".join(f"{row['ticks']}/{row['points']}" for row in supervised_rows)
+        + " (ticks/points per shard)\n"
         f"result cache: repeat submission served with 0 extra "
         f"executions ({service.cache.stats()})",
     )

@@ -16,7 +16,7 @@ caller and each wrapper marks its method before re-throwing.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -104,7 +104,9 @@ class RunRecord:
     # -- (de)serialization -------------------------------------------
 
     def to_dict(self) -> Dict:
-        """JSON-ready dict (one ``runs`` entry of the log format)."""
+        """JSON-ready dict (one ``runs`` entry of the log format).  Each
+        mark is the dict ``dataclasses.asdict`` makes of it, built
+        directly: same keys, same order, a fraction of the cost."""
         return {
             "injection_point": self.injection_point,
             "injected_method": self.injected_method,
@@ -113,7 +115,15 @@ class RunRecord:
             "escaped": self.escaped,
             "crashed": self.crashed,
             "provenance": self.provenance,
-            "marks": [asdict(mark) for mark in self.marks],
+            "marks": [
+                {
+                    "method": mark.method,
+                    "verdict": mark.verdict,
+                    "sequence": mark.sequence,
+                    "difference": mark.difference,
+                }
+                for mark in self.marks
+            ],
         }
 
     @classmethod

@@ -6,8 +6,8 @@ child process.  This module holds what those children, the shard runner
 and the service's result cache share: :func:`run_point_with_timeout`
 (one injection point under a ``SIGALRM`` budget, retried, then marked
 ``crashed``), :func:`_run_chunk` (a shard process's entry point, which
-weaves the subject it inherited from the parent and reports a tick per
-finished point on the pipe the parent watches) and :func:`scan_jsonl` /
+weaves the subject it inherited from the parent and ticks its progress
+on the pipe the parent watches) and :func:`scan_jsonl` /
 :func:`repair_jsonl_tail` (the one torn-tail tolerant JSONL reader).
 """
 
@@ -18,6 +18,7 @@ import json
 import os
 import signal
 import threading
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import InjectionCampaign, run_injection_point
@@ -183,17 +184,28 @@ def _run_chunk(
     profile,
     resume: bool,
     config: Dict[str, Any],
+    tick_window: float,
 ) -> None:
     """Run one shard attempt in this (forked) process.
 
     *program* is the parent's, inherited through the fork: its classes
     were unwoven when the parent forked, and this process weaves its own
-    copy-on-write copy of them.  Sends ``("tick", done)`` on *conn*
-    after every finished point, then ``("done", ShardResult)`` or
-    ``("error", reason)``; a process that dies or is killed sends
-    neither, and the parent reads its exit.
+    copy-on-write copy of them.  Sends ``("tick", done)`` on *conn* for
+    its first and last finished point, and in between for a finished
+    point at least *tick_window* seconds after the last tick; then
+    ``("done", ShardResult)`` or ``("error", reason)``.  A process that
+    dies or is killed sends neither, and the parent reads its exit.
     """
     from .shard import run_shard
+
+    ticked = float("-inf")
+
+    def tick(done: int, total: int) -> None:
+        nonlocal ticked
+        now = time.monotonic()
+        if done == total or now - ticked >= tick_window:
+            conn.send(("tick", done))
+            ticked = now
 
     try:
         result = run_shard(
@@ -203,7 +215,7 @@ def _run_chunk(
             fragment_path,
             profile=profile,
             resume=resume,
-            progress=lambda done, total: conn.send(("tick", done)),
+            progress=tick,
             **config,
         )
     except BaseException as exc:  # WorkerKilled included: report, then exit

@@ -4,10 +4,12 @@
 ``repro chaos`` and the supervised benchmark alike — builds, weaves and
 profiles the subject **once**, in the parent, then runs each interleaved
 shard of the plan in a forked child process (at most ``workers`` at
-once) that inherits the subject, weaves its own copy and appends to its
-own journal fragment.  Children tick once per finished point on a pipe,
-the parent's heartbeat and ``progress`` feed.  A child whose tick goes
-stale gets ``Process.kill()``, which cannot land in a ``finally`` of the
+once, by default as many as the machine has CPUs) that inherits the
+subject, weaves its own copy and appends to its own journal fragment.
+Children tick on a pipe, the parent's heartbeat and ``progress`` feed:
+at their first and last point, and otherwise at most once per tick
+window, the supervisor's poll interval.  A child whose tick goes stale
+gets ``Process.kill()``, which cannot land in a ``finally`` of the
 parent or leave its classes woven; a shard that died, hung, raised, or
 journaled crashed points is retried from its fragment with capped
 exponential backoff and seeded jitter.  The fragments then merge
@@ -92,6 +94,8 @@ class ShardOutcome:
     attempts: int = 0
     failures: List[str] = field(default_factory=list)
     result: Optional[ShardResult] = None
+    #: heartbeat ticks the parent read from this shard, over all attempts
+    ticks: int = 0
 
     @property
     def retries(self) -> int:
@@ -121,6 +125,7 @@ class _ShardProcess:
         writer.close()
         self.last_tick = time.monotonic()
         self.done = 0
+        self.ticks = 0
         self.result: Optional[ShardResult] = None
         self.error: Optional[str] = None
 
@@ -131,6 +136,7 @@ class _ShardProcess:
                 kind, payload = self.conn.recv()
                 if kind == "tick":
                     self.done, self.last_tick = payload, time.monotonic()
+                    self.ticks += 1
                 elif kind == "done":
                     self.result = payload
                 else:
@@ -186,8 +192,11 @@ class ShardSupervisor:
             crashed points survive it is merged with them reported.
         backoff_base: first retry delay (seconds); doubles per attempt.
         backoff_cap: upper bound on any single delay.
-        heartbeat_timeout: seconds without a finished point before a
-            shard process is declared hung and killed.
+        heartbeat_timeout: seconds without a heartbeat tick before a
+            shard process is declared hung and killed.  A shard ticks at
+            most once per tick window (:attr:`tick_window`, under half
+            of this), so a hung shard is killed within this plus one
+            window of its last finished point.
         kill_grace: seconds to wait for a killed process to be reaped.
         seed: seeds the backoff jitter (reproducible supervised runs).
     """
@@ -215,6 +224,13 @@ class ShardSupervisor:
         self.kill_grace = kill_grace
         self._rng = random.Random(seed)
 
+    @property
+    def tick_window(self) -> float:
+        """Shortest gap between two heartbeat ticks of a shard process
+        between its first and last point: the parent's poll interval,
+        capped at a quarter of ``heartbeat_timeout``."""
+        return min(0.05, self.heartbeat_timeout / 4.0)
+
     def backoff(self, attempt: int) -> float:
         """Delay before retry *attempt*: capped exponential, seeded
         jitter in [0.5x, 1.5x) so co-scheduled supervisors desynchronize."""
@@ -227,7 +243,7 @@ class ShardSupervisor:
         shard_count: int,
         workdir: str,
         *,
-        workers: int = 1,
+        workers: Optional[int] = None,
         resume: bool = False,
         progress: Optional[Callable[[int, int], None]] = None,
         stride: int = 1,
@@ -239,16 +255,20 @@ class ShardSupervisor:
         """Run every shard of one campaign under supervision, then merge.
 
         Fragments land in *workdir* as ``shard-NN.jsonl``.  At most
-        *workers* shard processes run at once; the default of one keeps
-        chaos schedules deterministic.  *program_factory* is called once,
-        here in the parent; every shard process inherits the subject it
-        built through the fork.  With *resume* only the points missing
-        from *workdir* run.
+        *workers* shard processes run at once, by default
+        ``min(shard_count, os.cpu_count())``; ``workers=1`` runs them one
+        at a time, which a fault schedule that must fire at the same
+        invocations on every run needs.  *program_factory* is called
+        once, here in the parent; every shard process inherits the
+        subject it built through the fork.  With *resume* only the
+        points missing from *workdir* run.
         """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
+        if workers is None:
+            workers = min(shard_count, os.cpu_count() or 1)
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         check_shard_args(stride, retries)
         state_backend = get_backend(state_backend).name
         started = time.perf_counter()
@@ -354,7 +374,8 @@ class ShardSupervisor:
         waiting: List[Tuple[float, int]] = [(0.0, i) for i in range(count)]
         running: Dict[int, _ShardProcess] = {}
         done = [0] * count
-        poll = max(0.01, min(0.05, self.heartbeat_timeout / 4.0))
+        window = self.tick_window
+        poll = max(0.01, window)
         try:
             while waiting or running:
                 waiting.sort()
@@ -375,6 +396,7 @@ class ShardSupervisor:
                         profile,
                         resume or outcome.attempts > 1,
                         config,
+                        window,
                     )
                 if not running:
                     time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
@@ -395,6 +417,7 @@ class ShardSupervisor:
                         continue
                     del running[index]
                     outcome = outcomes[index]
+                    outcome.ticks += child.ticks
                     if failure is not None:
                         outcome.failures.append(
                             f"attempt {outcome.attempts}: {failure}"
@@ -534,7 +557,10 @@ def run_chaos_campaign(
     :func:`standard_plan`: a worker kill, a torn append, an IO error,
     and ``retries + 1`` consecutive hung runs, so the hung point is
     journaled *crashed* before the supervisor rescues it), runs the
-    supervised campaign under fire, and reports ``converged`` — what
+    supervised campaign under fire, one shard process at a time so the
+    plan's faults fire at the same invocations on every run (the
+    ``run.exec`` hangs land on one point, not on two concurrent
+    shards), and reports ``converged`` — what
     ``make chaos-smoke`` gates on — only when the merged log and
     classification equal the reference's and every scheduled fault
     kind fired.
@@ -565,7 +591,7 @@ def run_chaos_campaign(
     with arm(plan) as injector:
         try:
             supervised = supervisor.run(
-                program_factory, shard_count, workdir, **config
+                program_factory, shard_count, workdir, workers=1, **config
             )
         except (SupervisorError, ShardError) as exc:
             error = f"{type(exc).__name__}: {exc}"

@@ -2,8 +2,9 @@
 
 A *recipe* lists nodes by kind, each with references to other nodes or to
 scalars; :class:`Pool` builds the live objects (aliasing, cycles, slots,
-container subclasses, opaque leaves, awkward scalars) and :func:`mutate`
-changes them at random.  The live-diff and checkpoint round-trip tests
+container subclasses, opaque leaves, awkward scalars, dicts keyed by
+objects that nothing else references) and :func:`mutate` changes them at
+random.  The live-diff and checkpoint round-trip tests
 draw from the same strategies, so both cover every graph shape here.
 """
 
@@ -72,6 +73,7 @@ KINDS = (
     "list",
     "tuple",
     "dict",
+    "keydict",
     "set",
     "frozenset",
     "deque",
@@ -90,6 +92,7 @@ _SHELLS = {
     "slothidden": SlottedHidden,
     "list": list,
     "dict": dict,
+    "keydict": dict,
     "set": set,
     "deque": collections.deque,
     "tagged": TaggedList,
@@ -124,6 +127,15 @@ def _scalar(index):
     return SCALARS[index]
 
 
+def _fresh_key(k, value):
+    """A dict key that nothing else references, holding *value*: reachable
+    only through the dict's keys (a pool node used as a key is usually
+    reachable from elsewhere too)."""
+    key = Plain()
+    setattr(key, NAMES[k % len(NAMES)], value)
+    return key
+
+
 def _hashable(value):
     try:
         hash(value)
@@ -155,7 +167,10 @@ class Pool:
                 self.nodes[i] = bytearray(b"abc"[: len(values)])
         for i, (kind, children) in enumerate(recipe):
             for k, ref in enumerate(children):
-                self.add(self.nodes[i], k, self.resolve(ref))
+                if kind == "keydict":
+                    self.nodes[i][_fresh_key(k, self.resolve(ref))] = k
+                else:
+                    self.add(self.nodes[i], k, self.resolve(ref))
 
     def resolve(self, ref):
         is_node, index = ref

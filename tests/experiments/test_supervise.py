@@ -11,10 +11,17 @@ The contract under test:
   is **still** bit-identical to the fault-free engine;
 * a worker whose heartbeat goes stale is killed (``Process.kill()``,
   a SIGKILL) without losing a line it wrote, and the retry converges;
+* shards run at once by default, and each ticks at its first and last
+  point and at most once per tick window in between: a hung shard is
+  still killed within ``heartbeat_timeout`` plus one window, and the
+  last ``progress`` call still reads ``(total, total)``;
 * the attempt budget is enforced (:class:`SupervisorError` carries
   every attempt's failure reason), and backoff is capped exponential
   with seeded, reproducible jitter.
 """
+
+import os
+import time
 
 import pytest
 
@@ -23,6 +30,8 @@ from repro.experiments import (
     run_app_campaign,
     run_chaos_campaign,
 )
+from repro.experiments import shard as shard_module
+from repro.experiments import supervise
 from repro.experiments.supervise import ShardSupervisor, SupervisorError
 from repro.resilience import FaultPlan, FaultSpec, arm
 
@@ -53,8 +62,63 @@ def test_supervised_run_without_faults_matches_sequential(
     assert [o.attempts for o in supervised.outcomes] == [1, 1, 1]
     telemetry = supervised.merged.detection.telemetry
     assert telemetry.engine == "supervised"
+    assert telemetry.workers == min(3, os.cpu_count())
     assert telemetry.shard_retries == 0
     assert telemetry.faults_injected == 0
+    # Between its first and last point a shard ticks at most once per
+    # window, so the parent reads at most wall / window + 2 ticks from
+    # it: far fewer than its points.
+    for outcome in supervised.outcomes:
+        result = outcome.result
+        bound = result.wall_seconds / supervisor.tick_window + 2
+        assert 2 <= outcome.ticks <= bound
+        assert outcome.ticks < len(result.points)
+
+
+def test_a_slow_healthy_shard_is_never_declared_hung(sequential, tmp_path):
+    """Every point sleeps ~20 ms, so each shard runs for several
+    heartbeat timeouts; its ticks, at most one window apart while
+    points finish, must keep every shard alive."""
+    plan = FaultPlan(
+        faults=[FaultSpec("run.exec", "hang", count=200, seconds=0.02)]
+    )
+    supervisor = ShardSupervisor(heartbeat_timeout=0.3)
+    with arm(plan):
+        supervised = supervisor.run(_factory, 2, str(tmp_path))
+    _assert_identical(supervised.merged, sequential)
+    assert supervised.shard_retries == 0
+    for outcome in supervised.outcomes:
+        result = outcome.result
+        assert result.wall_seconds > 2 * supervisor.heartbeat_timeout
+        assert outcome.ticks <= result.wall_seconds / supervisor.tick_window + 2
+
+
+def test_last_progress_call_reads_total_also_after_a_resume(
+    sequential, tmp_path
+):
+    """Each shard ticks at its last point, so the parent's last
+    ``progress`` call reads ``(total, total)`` on a fresh campaign, on a
+    resume with nothing left to run and on one that re-runs a lost tail."""
+    journal = tmp_path / "journal"
+    total = len(sequential.detection.log.runs)
+
+    def last_progress(**kwargs):
+        calls = []
+        run_app_campaign(
+            program_by_name(APP),
+            workers=2,
+            journal=str(journal),
+            progress=lambda done, of: calls.append((done, of)),
+            **kwargs,
+        )
+        return calls[-1]
+
+    assert last_progress() == (total, total)
+    assert last_progress(resume=True) == (total, total)
+    fragment = journal / "shard-00.jsonl"
+    lines = fragment.read_text(encoding="utf-8").splitlines(keepends=True)
+    fragment.write_text("".join(lines[:-3]), encoding="utf-8")
+    assert last_progress(resume=True) == (total, total)
 
 
 def test_supervisor_builds_the_subject_once(sequential, tmp_path):
@@ -97,14 +161,16 @@ def test_supervisor_retries_through_kill_and_torn_faults(
 
 def test_hung_run_is_crashed_then_rescued_on_resume(sequential, tmp_path):
     # Two consecutive hangs + one per-point retry => the point is
-    # journaled crashed; the supervisor must notice and re-run it.
+    # journaled crashed; the supervisor must notice and re-run it.  One
+    # shard at a time: concurrent shards could split the two hangs
+    # between two points, and each would pass on its retry.
     plan = FaultPlan(
         faults=[FaultSpec("run.exec", "hang", after=1, count=2, seconds=5.0)]
     )
     supervisor = ShardSupervisor(seed=3, backoff_base=0.01)
     with arm(plan):
         supervised = supervisor.run(
-            _factory, 2, str(tmp_path), timeout=0.2, retries=1
+            _factory, 2, str(tmp_path), workers=1, timeout=0.2, retries=1
         )
     _assert_identical(supervised.merged, sequential)
     assert supervised.shard_retries == 1
@@ -116,10 +182,30 @@ def test_hung_run_is_crashed_then_rescued_on_resume(sequential, tmp_path):
 
 
 def test_stale_heartbeat_kills_worker_and_retry_converges(
-    sequential, tmp_path
+    sequential, tmp_path, monkeypatch
 ):
     # The hang fires *outside* the per-run watchdog (at the journal
-    # seam), so only the supervisor's heartbeat can catch it.
+    # seam), so only the supervisor's heartbeat can catch it.  One shard
+    # at a time, so the hang lands on shard 0's third line.
+    stamps = tmp_path / "appended"
+    fire = shard_module._fault_site
+
+    def stamped(site, path=None):
+        # CLOCK_MONOTONIC is one clock for every process of the machine
+        if site == "journal.appended":
+            with open(stamps, "a", encoding="utf-8") as handle:
+                handle.write(f"{time.monotonic()}\n")
+        fire(site, path)
+
+    kills = []
+    stop = supervise._ShardProcess.stop
+
+    def timed_stop(self, grace):
+        kills.append(time.monotonic())
+        stop(self, grace)
+
+    monkeypatch.setattr(shard_module, "_fault_site", stamped)
+    monkeypatch.setattr(supervise._ShardProcess, "stop", timed_stop)
     plan = FaultPlan(
         faults=[FaultSpec("journal.appended", "hang", after=2, seconds=30.0)]
     )
@@ -127,8 +213,17 @@ def test_stale_heartbeat_kills_worker_and_retry_converges(
         seed=4, backoff_base=0.01, heartbeat_timeout=0.3, kill_grace=5.0
     )
     with arm(plan):
-        supervised = supervisor.run(_factory, 2, str(tmp_path))
+        supervised = supervisor.run(
+            _factory, 2, str(tmp_path / "journal"), workers=1
+        )
     _assert_identical(supervised.merged, sequential)
+    # The shard ticked within one window of its last finished point, so
+    # the kill comes within heartbeat_timeout minus and plus one window
+    # of the hang (the upper bound allows the parent's wake-up).
+    hung_at = float(stamps.read_text(encoding="utf-8").split()[2])
+    waited = kills[0] - hung_at
+    window = supervisor.tick_window
+    assert 0.3 - window <= waited <= 0.3 + window + 0.1
     assert supervised.shard_retries == 1
     assert any(
         "hung" in f for o in supervised.outcomes for f in o.failures
