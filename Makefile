@@ -76,7 +76,7 @@ bench-variants:
 # Shard-able campaign service: a 2-shard (and wider) fragment merge
 # must be bit-identical to the sequential engine, and so must the
 # supervised engine with its defaults (both shard processes at once,
-# ticking per window, not per point); a repeat service submission must
+# one pipe message each); a repeat service submission must
 # be served from the result cache with zero subject executions.  Emits
 # BENCH_shard.json.
 bench-shard:
@@ -127,16 +127,25 @@ bench-resilience:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_resilience.py --benchmark-only -s
 
-# Fast seeded chaos gate: two supervised campaigns under the standard
-# fault plan (plain and trace+fingerprint) must converge bit-identical
-# to the fault-free engine.  Leaves chaos-report.json behind as the
-# reproducer; CI uploads it on failure.
+# Fast seeded chaos gate: supervised campaigns under the standard fault
+# plan (plain, then trace+fingerprint twice) must converge bit-identical
+# to the fault-free engine, and the two trace+fingerprint runs must
+# print the same attempts per shard: retries start in a fixed order, so
+# the plan's faults fire the same way on every run.  Leaves
+# chaos-report.json behind as the reproducer; CI uploads it on failure.
 chaos-smoke:
 	$(PYTHON) -m repro chaos LLMap --seed 20260808 --shards 3 \
 		--report-out chaos-report.json
-	$(PYTHON) -m repro chaos LLMap --seed 20260808 --shards 3 \
-		--state-backend fingerprint --trace-derive \
-		--report-out chaos-report.json
+	@J=$$(mktemp -d) && \
+	for run in 1 2; do \
+		$(PYTHON) -m repro chaos LLMap --seed 20260808 --shards 3 \
+			--state-backend fingerprint --trace-derive \
+			--report-out chaos-report.json > $$J/run$$run; \
+		code=$$?; cat $$J/run$$run; test $$code -eq 0 || exit $$code; \
+	done && \
+	grep -o 'attempts per shard: [0-9, ]*' $$J/run1 > $$J/attempts && \
+	grep -o 'attempts per shard: [0-9, ]*' $$J/run2 | diff $$J/attempts - && \
+	rm -rf $$J && echo "chaos-smoke: same attempts per shard on repeat"
 
 # Fixed-seed differential fuzzing sweep plus the classifier-mutation
 # self-check (< 60 s).  A failure shrinks the first failing program and

@@ -16,14 +16,14 @@ benchmark enforces the acceptance contract:
 * the supervised engine with its defaults,
   ``ShardSupervisor().run(factory, 2, dir)``, merges bit-identical too,
   runs ``min(2, os.cpu_count())`` shard processes at once, and each
-  shard ticks at most ``wall / tick_window + 2`` times, not once per
-  point;
+  shard process sends exactly one pipe message, its result: progress
+  goes through its shared-memory slot, not the pipe;
 * the service result cache answers a repeat submission of the same
   program + config with **zero** additional subject executions
   (``runs_executed_total`` telemetry-verified).
 
 Measurements (per-shard wall/runs, merge time, the supervised leg's
-per-shard tick counts, cache counters) go to ``BENCH_shard.json``.
+per-shard pipe messages, cache counters) go to ``BENCH_shard.json``.
 
 Modes:
 
@@ -35,6 +35,7 @@ Modes:
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import time
@@ -46,6 +47,7 @@ from repro.experiments import (
     run_app_campaign,
     run_shard,
 )
+from repro.experiments import parallel
 from repro.service import CampaignService
 
 from conftest import emit
@@ -99,7 +101,26 @@ def _run_shards(program_name, count, directory, **config):
     return paths, shard_rows
 
 
-def bench_shard(benchmark, tmp_path_factory):
+def _log_messages(monkeypatch, path):
+    """Make every shard process append ``pid kind`` to *path* for each
+    pipe message it sends."""
+    chunk = parallel._run_chunk
+
+    def logged_chunk(conn, *args):
+        send = conn.send
+
+        def logged(message):
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {message[0]}\n")
+            send(message)
+
+        conn.send = logged
+        chunk(conn, *args)
+
+    monkeypatch.setattr(parallel, "_run_chunk", logged_chunk)
+
+
+def bench_shard(benchmark, tmp_path_factory, monkeypatch):
     if SMOKE:
         program_name, stride, wide = "Dynarray", 4, 3
     else:
@@ -153,6 +174,8 @@ def bench_shard(benchmark, tmp_path_factory):
         )
 
     # -- the supervised engine with its defaults: shards run at once ----
+    messages = os.path.join(directory, "messages")
+    _log_messages(monkeypatch, messages)
     supervisor = ShardSupervisor()
     supervised = supervisor.run(
         lambda: program_by_name(program_name),
@@ -170,24 +193,25 @@ def bench_shard(benchmark, tmp_path_factory):
     ), "supervised classification diverged"
     telemetry = supervised.merged.detection.telemetry
     assert telemetry.workers == min(2, os.cpu_count()), telemetry.workers
-    supervised_rows = []
-    for outcome in supervised.outcomes:
-        result = outcome.result
-        assert outcome.ticks <= (
-            result.wall_seconds / supervisor.tick_window + 2
-        ), f"shard {outcome.shard_index} ticked {outcome.ticks} times"
-        supervised_rows.append(
-            {
-                "shard": outcome.shard_index,
-                "points": len(result.points),
-                "ticks": outcome.ticks,
-                "wall_seconds": result.wall_seconds,
-            }
-        )
+    monkeypatch.undo()
+    with open(messages, encoding="utf-8") as handle:
+        sent = collections.Counter(line.split()[0] for line in handle)
+    assert sorted(sent.values()) == [1, 1], (
+        f"pipe messages per shard process: {sorted(sent.values())}"
+    )
+    supervised_rows = [
+        {
+            "shard": outcome.shard_index,
+            "points": len(outcome.result.points),
+            "wall_seconds": outcome.result.wall_seconds,
+        }
+        for outcome in supervised.outcomes
+    ]
     report["supervised"] = {
         "shards": 2,
         "workers": telemetry.workers,
-        "tick_window_seconds": supervisor.tick_window,
+        "poll_interval_seconds": supervisor.poll_interval(),
+        "pipe_messages_per_process": 1,
         "wall_seconds": telemetry.wall_seconds,
         "per_shard": supervised_rows,
     }
@@ -224,9 +248,10 @@ def bench_shard(benchmark, tmp_path_factory):
         f"{sequential.detection.total_points} injection points, "
         f"sequential {sequential_seconds:.2f}s\n"
         f"merges bit-identical at {splits}\n"
-        f"supervised, 2 shards at {telemetry.workers} at once: ticks "
-        + ", ".join(f"{row['ticks']}/{row['points']}" for row in supervised_rows)
-        + " (ticks/points per shard)\n"
+        f"supervised, 2 shards at {telemetry.workers} at once: one pipe "
+        f"message per shard process, points "
+        + ", ".join(str(row["points"]) for row in supervised_rows)
+        + "\n"
         f"result cache: repeat submission served with 0 extra "
         f"executions ({service.cache.stats()})",
     )

@@ -20,7 +20,6 @@ from typing import (
     Optional,
     Protocol,
     Tuple,
-    Type,
     runtime_checkable,
 )
 
@@ -105,8 +104,6 @@ def run_injection_point(
     program: Program,
     campaign: InjectionCampaign,
     injection_point: int,
-    *,
-    reraise: Tuple[Type[BaseException], ...] = (),
 ) -> Tuple[RunRecord, Optional[str]]:
     """Execute one injection run; return ``(record, genuine_failure)``.
 
@@ -114,11 +111,6 @@ def run_injection_point(
     given threshold, execute the program, swallow the injected abort, and
     classify anything else that escapes as a *genuine* failure (returned
     as the formatted string the campaign accumulates).
-
-    Args:
-        reraise: exception types to re-raise instead of recording — the
-            shard engine passes its timeout exception here so a timed
-            out run is retried rather than logged as a genuine failure.
 
     Two kinds of run are transparently executed again, the second
     record replacing the first:
@@ -149,8 +141,6 @@ def run_injection_point(
     except InjectionAbort:
         pass
     except BaseException as exc:
-        if reraise and isinstance(exc, reraise):
-            raise
         escaped = is_injected(exc)
         if not escaped:
             # A genuine (non-injected) failure escaping the program is a
@@ -160,11 +150,9 @@ def run_injection_point(
         campaign.end_run(completed=completed, escaped=escaped)
     if campaign.elision_missed:
         campaign.runs_replayed += 1
-        return _rerun(
-            program, campaign, injection_point, record, reraise, call_exits=[]
-        )
+        return _rerun(program, campaign, injection_point, record, call_exits=[])
     if campaign.backend.lossy_diff and record.first_nonatomic() is not None:
-        return _refine_run(program, campaign, injection_point, record, reraise)
+        return _refine_run(program, campaign, injection_point, record)
     return record, failure
 
 
@@ -173,7 +161,6 @@ def _rerun(
     campaign: InjectionCampaign,
     injection_point: int,
     record: RunRecord,
-    reraise: Tuple[Type[BaseException], ...],
     **settings: Any,
 ) -> Tuple[RunRecord, Optional[str]]:
     """Drop *record*, the run just logged, and execute its point again
@@ -184,9 +171,7 @@ def _rerun(
     for name, value in settings.items():
         setattr(campaign, name, value)
     try:
-        return run_injection_point(
-            program, campaign, injection_point, reraise=reraise
-        )
+        return run_injection_point(program, campaign, injection_point)
     finally:
         for name, value in saved.items():
             setattr(campaign, name, value)
@@ -197,7 +182,6 @@ def _refine_run(
     campaign: InjectionCampaign,
     injection_point: int,
     lossy_record: RunRecord,
-    reraise: Tuple[Type[BaseException], ...],
 ) -> Tuple[RunRecord, Optional[str]]:
     """Re-execute one run under the graph backend for full diagnostics."""
     return _rerun(
@@ -205,7 +189,6 @@ def _refine_run(
         campaign,
         injection_point,
         lossy_record,
-        reraise,
         backend=get_backend("graph"),
     )
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -89,8 +88,8 @@ def run_app_campaign(
             before classification (Section 4.3).
         scale: workload repetitions per execution; larger values approach
             the paper's injection counts at quadratically growing cost.
-        workers: when set (or with ``resume``/``journal``), run the
-            campaign on the shard engine
+        workers: when set (or with ``resume``/``journal``/``timeout``),
+            run the campaign on the shard engine
             (:class:`~repro.experiments.supervise.ShardSupervisor`) as
             this many shard processes at once (default: the machine's
             CPUs).  The result is identical to the sequential engine's.
@@ -98,12 +97,10 @@ def run_app_campaign(
             (whose fragments also fix the shard count).
         journal: directory of the journal fragments (``shard-NN.jsonl``,
             which ``repro merge`` reads); a temporary one when unset.
-        timeout: per-run wall-clock budget in seconds.  The budget is
-            a shard process's ``SIGALRM``, so it needs the shard engine:
-            without ``workers``, ``journal`` or ``resume`` it is refused
-            with a ``ValueError``.
+        timeout: per-run wall-clock budget in seconds, which the shard
+            engine's supervisor enforces by killing the shard process.
         retries: retry attempts per timed-out point before marking it
-            crashed (shard engine only).
+            crashed.
         progress: optional ``(runs_done, runs_total)`` callback.
         state_backend: how the campaign compares before/after state —
             ``graph`` (full object-graph isomorphism, the reference) or
@@ -118,30 +115,18 @@ def run_app_campaign(
     """
     if scale > 1:
         program = program.scaled(scale * program.rounds)
-    sharded = workers is not None or resume or journal is not None
-    if timeout is not None and not sharded:
-        raise ValueError(
-            "timeout needs the shard engine (pass workers): the per-run "
-            "budget is SIGALRM in a shard process, and a sequential "
-            "campaign has none"
-        )
-    if sharded:
+    if resume or any(x is not None for x in (workers, journal, timeout)):
         from .supervise import ShardSupervisor
 
         if resume and journal is None:
             raise ValueError("resume=True requires a journal directory")
         shards = os.cpu_count() or 1 if workers is None else workers
-        # Without a run budget a point may take arbitrarily long, so only
-        # a shard process that died, not a slow one, is retried.
-        heartbeat = (
-            math.inf if timeout is None else (retries + 1) * timeout + 5.0
-        )
         with (
             tempfile.TemporaryDirectory(prefix="repro-campaign-")
             if journal is None
             else contextlib.nullcontext(journal)
         ) as workdir:
-            merged = ShardSupervisor(heartbeat_timeout=heartbeat).run(
+            merged = ShardSupervisor().run(
                 lambda: program,
                 shards,
                 workdir,

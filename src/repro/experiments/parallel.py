@@ -3,21 +3,19 @@
 The campaign engine (:class:`repro.experiments.supervise.ShardSupervisor`)
 profiles once in the parent and runs every shard of the plan in a forked
 child process.  This module holds what those children, the shard runner
-and the service's result cache share: :func:`run_point_with_timeout`
-(one injection point under a ``SIGALRM`` budget, retried, then marked
-``crashed``), :func:`_run_chunk` (a shard process's entry point, which
-weaves the subject it inherited from the parent and ticks its progress
-on the pipe the parent watches) and :func:`scan_jsonl` /
-:func:`repair_jsonl_tail` (the one torn-tail tolerant JSONL reader).
+and the service's result cache share: the progress slot a shard process
+writes and the supervisor reads (:func:`enter_step`), one injection run
+of a shard (:func:`run_point`), :func:`_run_chunk` (a shard process's
+entry point, which weaves the subject it inherited from the parent) and
+:func:`scan_jsonl` / :func:`repair_jsonl_tail` (the one torn-tail
+tolerant JSONL reader).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
+import math
 import os
-import signal
-import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -27,7 +25,8 @@ from repro.resilience.chaos import fire as _fault_site
 
 __all__ = [
     "JournalError",
-    "run_point_with_timeout",
+    "enter_step",
+    "run_point",
     "scan_jsonl",
     "repair_jsonl_tail",
 ]
@@ -83,91 +82,45 @@ def repair_jsonl_tail(path: str, data: bytes, valid_end: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# One injection point under a per-run budget
+# The progress slot a shard process writes and its parent reads
 # ---------------------------------------------------------------------------
 
+#: Indices of a shard process's progress slot: three doubles in shared
+#: memory that the child writes with plain stores and the supervisor
+#: reads at every poll.
+SLOT_DONE, SLOT_STEP, SLOT_STARTED = range(3)
 
-class _RunTimeout(BaseException):
-    """Raised by the SIGALRM handler when a run exceeds its budget.
+#: Step ids of the slot: setup (weave, resume), the run of point P (P
+#: itself, so every run step is > 0), journaling point P (-P), close.
+STEP_SETUP = 0.0
+STEP_CLOSE = -math.inf
 
-    Derives from ``BaseException`` so application-level ``except
-    Exception`` blocks inside the workload cannot swallow it.
+
+def enter_step(slot, step: float) -> None:
+    """Record in *slot* that the process starts *step* now.
+
+    The start time is stored before the step id.  The parent reads the
+    id, then the time, then the id again, and trusts the pair only when
+    both ids agree: the time is then this step's start or a later one,
+    so a read that crosses a step change delays a kill by one poll and
+    never causes one.  ``time.monotonic()`` is one clock for every
+    process of the machine.
     """
+    slot[SLOT_STARTED] = time.monotonic()
+    slot[SLOT_STEP] = step
 
 
-def _alarm_handler(signum, frame):
-    raise _RunTimeout()
+def run_point(
+    program, campaign: InjectionCampaign, point: int
+) -> Tuple[RunRecord, Optional[str]]:
+    """One injection run of a shard: ``(record, genuine_failure)``.
 
-
-@contextlib.contextmanager
-def _run_budget(seconds: Optional[float]):
-    """Arm ``SIGALRM`` to fire after *seconds* for the ``with`` block."""
-    if seconds is None:
-        yield
-        return
-    previous = signal.signal(signal.SIGALRM, _alarm_handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def run_point_with_timeout(
-    program,
-    campaign: InjectionCampaign,
-    point: int,
-    *,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-) -> Tuple[RunRecord, Optional[str], int, bool]:
-    """Execute one injection point under an optional wall-clock budget.
-
-    Retries a timed-out run up to *retries* times, then marks the point
-    crashed; returns ``(record, genuine_failure, attempts, crashed)``.
-    The budget is ``SIGALRM``, which only the main thread of a process
-    receives, so a timed call from another thread raises ``ValueError``.
-    A shard process is its own main thread, whichever thread forked it.
+    The chaos seam ``run.exec`` comes first, so an armed hang is a run
+    that never returns.  ``run_injection_point`` is looked up here at
+    every call, so a wrapper on this module's name sees every shard run.
     """
-    if timeout is not None and (
-        threading.current_thread() is not threading.main_thread()
-    ):
-        raise ValueError(
-            "run_point_with_timeout(timeout=...) must run on the main "
-            "thread of its process: the per-run budget is SIGALRM, which "
-            "no other thread receives; run timed campaigns through the "
-            "shard engine, whose shard processes run on their own main "
-            "thread"
-        )
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            with _run_budget(timeout):
-                # Chaos seam: an armed hang fault sleeps here, inside
-                # the run's budget, so "a run that stopped making
-                # progress" exercises the timeout/retry path.
-                _fault_site("run.exec")
-                record, failure = run_injection_point(
-                    program,
-                    campaign,
-                    point,
-                    reraise=(_RunTimeout,),
-                )
-            return record, failure, attempts, False
-        except _RunTimeout:
-            # Drop the partial record the aborted run left in the log.
-            runs = campaign.log.runs
-            if runs and runs[-1].injection_point == point:
-                runs.pop()
-            if attempts > retries:
-                return (
-                    RunRecord(injection_point=point, crashed=True),
-                    None,
-                    attempts,
-                    True,
-                )
+    _fault_site("run.exec")
+    return run_injection_point(program, campaign, point)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +130,7 @@ def run_point_with_timeout(
 
 def _run_chunk(
     conn,
+    slot,
     program,
     shard_index: int,
     shard_count: int,
@@ -184,28 +138,17 @@ def _run_chunk(
     profile,
     resume: bool,
     config: Dict[str, Any],
-    tick_window: float,
 ) -> None:
-    """Run one shard attempt in this (forked) process.
+    """Run one shard process in this (forked) process.
 
     *program* is the parent's, inherited through the fork: its classes
     were unwoven when the parent forked, and this process weaves its own
-    copy-on-write copy of them.  Sends ``("tick", done)`` on *conn* for
-    its first and last finished point, and in between for a finished
-    point at least *tick_window* seconds after the last tick; then
-    ``("done", ShardResult)`` or ``("error", reason)``.  A process that
-    dies or is killed sends neither, and the parent reads its exit.
+    copy-on-write copy of them.  Writes its progress to *slot*, and
+    sends one message on *conn*: ``("done", ShardResult)`` or
+    ``("error", reason)``.  A process that dies or is killed sends
+    neither, and the parent reads its exit.
     """
     from .shard import run_shard
-
-    ticked = float("-inf")
-
-    def tick(done: int, total: int) -> None:
-        nonlocal ticked
-        now = time.monotonic()
-        if done == total or now - ticked >= tick_window:
-            conn.send(("tick", done))
-            ticked = now
 
     try:
         result = run_shard(
@@ -215,7 +158,7 @@ def _run_chunk(
             fragment_path,
             profile=profile,
             resume=resume,
-            progress=tick,
+            slot=slot,
             **config,
         )
     except BaseException as exc:  # WorkerKilled included: report, then exit

@@ -40,7 +40,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, TextIO
 
 from repro.core import (
     Analyzer,
@@ -59,9 +59,12 @@ from repro.core.weaver import Weaver
 from repro.resilience.chaos import fire as _fault_site
 
 from .parallel import (
+    SLOT_DONE,
+    STEP_CLOSE,
     JournalError,
+    enter_step,
     repair_jsonl_tail,
-    run_point_with_timeout,
+    run_point,
     scan_jsonl,
 )
 
@@ -116,14 +119,6 @@ def shard_points(points: Sequence[int], shard_count: int) -> List[List[int]]:
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
     return [list(points[index::shard_count]) for index in range(shard_count)]
-
-
-def check_shard_args(stride: int, retries: int) -> None:
-    """Reject a stride or per-point retry budget no campaign can use."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
 
 
 def shard_header(
@@ -249,12 +244,15 @@ class ShardFragment:
                 "pass a different --journal path"
             )
 
-    def load_done(self, header: Dict[str, Any]) -> Dict[int, Dict[str, Any]]:
+    def load_done(
+        self, header: Dict[str, Any], finished_below: int = 0
+    ) -> Dict[int, Dict[str, Any]]:
         """Replay the fragment for a resume: ``{point: run line}`` of
-        every point done (crashed ones are re-attempted).  Strict about
-        the header; a torn tail is dropped and truncated from the file,
-        so the next :meth:`append_run` starts on a fresh line, and a
-        fragment torn inside its header loads as empty."""
+        every point done (crashed ones are re-attempted, except below
+        *finished_below*).  Strict about the header; a torn tail is
+        dropped and truncated from the file, so the next
+        :meth:`append_run` starts on a fresh line, and a fragment torn
+        inside its header loads as empty."""
         try:
             with open(self.path, "rb") as handle:
                 data = handle.read()
@@ -267,7 +265,8 @@ class ShardFragment:
         return {
             point: entry
             for point, entry in _run_lines(entries[1:]).items()
-            if not entry["record"].get("crashed", False)
+            if point < finished_below
+            or not entry["record"].get("crashed", False)
         }
 
 
@@ -371,7 +370,11 @@ def profile_shards(
 
 @dataclass
 class ShardResult:
-    """What one shard worker produced (plus the fragment on disk)."""
+    """What one shard worker produced (plus the fragment on disk).
+
+    ``crashed`` counts the points journaled crashed in this attempt,
+    also those an earlier process of it wrote and this one resumed.
+    """
 
     shard_index: int
     shard_count: int
@@ -394,13 +397,13 @@ def run_shard(
     fragment_path: str,
     *,
     stride: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 1,
     resume: bool = False,
     state_backend: str = "graph",
     trace_derive: bool = False,
-    progress: Optional[Callable[[int, int], None]] = None,
     profile: Optional[ShardProfile] = None,
+    slot=None,
+    tries: Optional[Dict[int, int]] = None,
+    crashed: FrozenSet[int] = frozenset(),
 ) -> ShardResult:
     """Run one shard of a campaign and write its journal fragment.
 
@@ -409,8 +412,17 @@ def run_shard(
     no re-profiling.  The *profile* comes from the engine's parent;
     without one the shard profiles for itself.  With ``resume=True`` a
     fragment left by a killed worker is replayed and only unfinished
-    points run.  A *timeout* is a per-run ``SIGALRM`` budget, so a timed
-    shard runs on the main thread of its process.
+    points run.  A run has no time limit here, as in the sequential
+    engine: the per-run budget is the supervisor's, which kills a shard
+    process whose run overruns it and starts another.
+
+    The rest is how the supervisor drives a shard process.  *slot*
+    (see :func:`~repro.experiments.parallel.enter_step`) gets every step
+    and the count of points done.  *tries* maps a point to its runs the
+    supervisor killed in this attempt: the point runs again as attempt
+    ``tries + 1``, or, once the supervisor gave up on it (*crashed*), is
+    journaled crashed.  Points below the last one killed were finished
+    in this attempt, so their crashed lines count as done.
     """
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
@@ -418,8 +430,11 @@ def run_shard(
         raise ValueError(
             f"shard_index must be in [0, {shard_count}), got {shard_index}"
         )
-    check_shard_args(stride, retries)
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     state_backend = get_backend(state_backend).name
+    slot = [0.0] * 3 if slot is None else slot
+    tries = tries or {}
 
     started = time.perf_counter()
     if profile is None:
@@ -446,7 +461,11 @@ def run_shard(
     if resume:
         assigned = set(mine)
         resumed = {
-            p: e for p, e in fragment.load_done(header).items() if p in assigned
+            p: e
+            for p, e in fragment.load_done(
+                header, finished_below=max(tries, default=0)
+            ).items()
+            if p in assigned
         }
 
     campaign = InjectionCampaign(state_backend=state_backend)
@@ -454,10 +473,13 @@ def run_shard(
     # this shard's runs skip, as they do in the sequential engine.
     campaign.call_entries = profile.profile.call_entries
     campaign.call_exits = profile.profile.call_exits
-    executed = derived = crashed = retry_count = 0
-    done = len(resumed)
-    if progress is not None and done:
-        progress(done, len(mine))
+    executed = derived = retry_count = 0
+    # A crashed line resumed is one an earlier process of this attempt
+    # wrote (see load_done's finished_below).
+    crashed_count = sum(
+        entry["record"].get("crashed", False) for entry in resumed.values()
+    )
+    done = slot[SLOT_DONE] = len(resumed)
     try:
         if not resumed:
             fragment.start(header, profile.payload)
@@ -473,26 +495,26 @@ def run_shard(
                     # Decided without execution: journal the derived
                     # record so the merge step needs no re-derivation.
                     # attempts=0 marks it as never having run the subject.
+                    enter_step(slot, -point)
                     fragment.append_run(point, decided[point], None, 0)
                     derived += 1
                 else:
-                    record, failure, attempts, did_crash = (
-                        run_point_with_timeout(
-                            program,
-                            campaign,
-                            point,
-                            timeout=timeout,
-                            retries=retries,
-                        )
-                    )
+                    attempts = tries.get(point, 0)
+                    if point in crashed:
+                        record = RunRecord(injection_point=point, crashed=True)
+                        failure = None
+                        crashed_count += 1
+                    else:
+                        enter_step(slot, point)
+                        record, failure = run_point(program, campaign, point)
+                        attempts += 1
+                    enter_step(slot, -point)
                     fragment.append_run(point, record, failure, attempts)
                     executed += 1
                     retry_count += attempts - 1
-                    if did_crash:
-                        crashed += 1
                 done += 1
-                if progress is not None:
-                    progress(done, len(mine))
+                slot[SLOT_DONE] = done
+            enter_step(slot, STEP_CLOSE)
     finally:
         # A clean end, WorkerKilled and an OSError alike: every line
         # written so far is fsync'd before the shard reports.
@@ -509,7 +531,7 @@ def run_shard(
         runs_resumed=len(resumed),
         runs_derived=derived,
         runs_replayed=campaign.runs_replayed,
-        runs_crashed=crashed,
+        runs_crashed=crashed_count,
         retries=retry_count,
         trace_seconds=profile.profile.trace_seconds,
         trace_captures=profile.profile.trace_captures,
@@ -534,7 +556,7 @@ def run_shard(
         executed=executed,
         resumed=len(resumed),
         derived=derived,
-        crashed=crashed,
+        crashed=crashed_count,
         retries=retry_count,
         wall_seconds=wall,
         telemetry=telemetry,

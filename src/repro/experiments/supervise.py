@@ -6,13 +6,15 @@ profiles the subject **once**, in the parent, then runs each interleaved
 shard of the plan in a forked child process (at most ``workers`` at
 once, by default as many as the machine has CPUs) that inherits the
 subject, weaves its own copy and appends to its own journal fragment.
-Children tick on a pipe, the parent's heartbeat and ``progress`` feed:
-at their first and last point, and otherwise at most once per tick
-window, the supervisor's poll interval.  A child whose tick goes stale
-gets ``Process.kill()``, which cannot land in a ``finally`` of the
-parent or leave its classes woven; a shard that died, hung, raised, or
-journaled crashed points is retried from its fragment with capped
-exponential backoff and seeded jitter.  The fragments then merge
+Each child writes its current step and the time it started into a
+shared-memory slot, which the parent reads at every poll, the engine's
+one clock.  A run older than the per-run budget, or any other step
+older than the heartbeat timeout, gets ``Process.kill()``, which cannot
+land in a ``finally`` of the parent or leave its classes woven.  A
+killed run is retried at once by a fresh process, then journaled
+crashed; a shard that died, hung, raised, or journaled crashed points
+is retried from its fragment with capped exponential backoff and
+seeded jitter, in a fixed order.  The fragments then merge
 bit-identical to the sequential engine.
 
 :func:`run_chaos_campaign` turns the paper's thesis — recovery code is
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import glob
+import math
 import os
 import random
 import time
@@ -46,7 +49,14 @@ from repro.resilience.chaos import (
 
 from . import parallel as _kernel
 from .campaign import run_app_campaign
-from .parallel import JournalError
+from .parallel import (
+    SLOT_DONE,
+    SLOT_STARTED,
+    SLOT_STEP,
+    STEP_CLOSE,
+    STEP_SETUP,
+    JournalError,
+)
 from .programs import AppProgram
 from .shard import (
     MergedCampaign,
@@ -54,7 +64,6 @@ from .shard import (
     ShardFragment,
     ShardProfile,
     ShardResult,
-    check_shard_args,
     merge_fragments,
     profile_shards,
     shard_header,
@@ -94,8 +103,6 @@ class ShardOutcome:
     attempts: int = 0
     failures: List[str] = field(default_factory=list)
     result: Optional[ShardResult] = None
-    #: heartbeat ticks the parent read from this shard, over all attempts
-    ticks: int = 0
 
     @property
     def retries(self) -> int:
@@ -112,32 +119,49 @@ class SupervisedCampaign:
 
 
 class _ShardProcess:
-    """One attempt of one shard, running in a forked child process."""
+    """One process of one shard attempt, forked as a child."""
 
     def __init__(self, ctx, *args: Any) -> None:
+        # The setup step starts now, as the parent forks.
+        self.slot = ctx.RawArray("d", 3)
+        _kernel.enter_step(self.slot, STEP_SETUP)
         self.conn, writer = ctx.Pipe(duplex=False)
         # Looked up now, not at import, so an instrumented _run_chunk
         # (the benchmark's span probes) is what the child enters.
         self.process = ctx.Process(
-            target=_kernel._run_chunk, args=(writer,) + args, daemon=True
+            target=_kernel._run_chunk,
+            args=(writer, self.slot) + args,
+            daemon=True,
         )
         self.process.start()
         writer.close()
-        self.last_tick = time.monotonic()
-        self.done = 0
-        self.ticks = 0
         self.result: Optional[ShardResult] = None
         self.error: Optional[str] = None
 
+    @property
+    def done(self) -> int:
+        """Points of the shard done, as the child last wrote it."""
+        return int(self.slot[SLOT_DONE])
+
+    def overrun(
+        self, timeout: Optional[float], heartbeat: float
+    ) -> Optional[float]:
+        """The child's current step if it has outlived its limit — the
+        run budget *timeout* for a run step, *heartbeat* for any other —
+        else ``None``.  A run without a *timeout* has no limit."""
+        step = self.slot[SLOT_STEP]
+        age = time.monotonic() - self.slot[SLOT_STARTED]
+        limit = timeout if step > 0 else heartbeat
+        if limit is None or age <= limit or self.slot[SLOT_STEP] != step:
+            return None  # in time, or read across a step change
+        return step
+
     def drain(self) -> None:
-        """Read every message the child has sent so far."""
+        """Read the message the child sent, if it has."""
         try:
             while self.conn.poll():
                 kind, payload = self.conn.recv()
-                if kind == "tick":
-                    self.done, self.last_tick = payload, time.monotonic()
-                    self.ticks += 1
-                elif kind == "done":
+                if kind == "done":
                     self.result = payload
                 else:
                     self.error = payload
@@ -148,6 +172,13 @@ class _ShardProcess:
         self.process.kill()
         self.process.join(grace)
         self.conn.close()
+
+
+def _describe(step: float) -> str:
+    """A progress-slot step id other than a run, in words."""
+    if step == STEP_SETUP:
+        return "setup"
+    return "close" if step == STEP_CLOSE else f"journaling point {int(-step)}"
 
 
 def _fragment_paths(
@@ -192,11 +223,10 @@ class ShardSupervisor:
             crashed points survive it is merged with them reported.
         backoff_base: first retry delay (seconds); doubles per attempt.
         backoff_cap: upper bound on any single delay.
-        heartbeat_timeout: seconds without a heartbeat tick before a
-            shard process is declared hung and killed.  A shard ticks at
-            most once per tick window (:attr:`tick_window`, under half
-            of this), so a hung shard is killed within this plus one
-            window of its last finished point.
+        heartbeat_timeout: longest a shard process may spend in a step
+            other than a run (setup, journaling a point, close) before
+            it is killed as hung; a run's limit is ``timeout`` of
+            :meth:`run`.  A kill comes within one :meth:`poll_interval`.
         kill_grace: seconds to wait for a killed process to be reaped.
         seed: seeds the backoff jitter (reproducible supervised runs).
     """
@@ -224,12 +254,11 @@ class ShardSupervisor:
         self.kill_grace = kill_grace
         self._rng = random.Random(seed)
 
-    @property
-    def tick_window(self) -> float:
-        """Shortest gap between two heartbeat ticks of a shard process
-        between its first and last point: the parent's poll interval,
-        capped at a quarter of ``heartbeat_timeout``."""
-        return min(0.05, self.heartbeat_timeout / 4.0)
+    def poll_interval(self, timeout: Optional[float] = None) -> float:
+        """How often the parent reads the progress slots: 50 ms, or a
+        quarter of a step's shortest limit, but at least 10 ms."""
+        shortest = min(self.heartbeat_timeout, timeout or math.inf)
+        return max(0.01, min(0.05, shortest / 4.0))
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry *attempt*: capped exponential, seeded
@@ -261,7 +290,10 @@ class ShardSupervisor:
         invocations on every run needs.  *program_factory* is called
         once, here in the parent; every shard process inherits the
         subject it built through the fork.  With *resume* only the
-        points missing from *workdir* run.
+        points missing from *workdir* run.  A run that outlives
+        *timeout* seconds is killed and run again by a fresh process, up
+        to *retries* times, then journaled crashed; without a *timeout*
+        a run has no limit.
         """
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
@@ -269,7 +301,12 @@ class ShardSupervisor:
             workers = min(shard_count, os.cpu_count() or 1)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        check_shard_args(stride, retries)
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be > 0")
         state_backend = get_backend(state_backend).name
         started = time.perf_counter()
         program = program_factory()
@@ -292,8 +329,6 @@ class ShardSupervisor:
         resumed &= set(points)
         config = {
             "stride": stride,
-            "timeout": timeout,
-            "retries": retries,
             "state_backend": state_backend,
             "trace_derive": trace_derive,
         }
@@ -307,6 +342,8 @@ class ShardSupervisor:
             resume=resume,
             progress=progress,
             runs_total=len(points),
+            timeout=timeout,
+            retries=retries,
         )
         executed_at = time.perf_counter()
         merged = merge_fragments(paths)
@@ -362,6 +399,8 @@ class ShardSupervisor:
         resume: bool,
         progress: Optional[Callable[[int, int], None]],
         runs_total: int,
+        timeout: Optional[float],
+        retries: int,
     ) -> List[ShardOutcome]:
         """Start, watch, kill and retry shard processes until every
         fragment is complete."""
@@ -371,53 +410,66 @@ class ShardSupervisor:
         ctx = multiprocessing.get_context("fork")
         count = len(paths)
         outcomes = [ShardOutcome(shard_index=i) for i in range(count)]
-        waiting: List[Tuple[float, int]] = [(0.0, i) for i in range(count)]
+        ready_at = {index: 0.0 for index in range(count)}  # waiting shards
         running: Dict[int, _ShardProcess] = {}
         done = [0] * count
-        window = self.tick_window
-        poll = max(0.01, window)
+        # Each point's runs killed for the run budget in this attempt.
+        tries: List[Dict[int, int]] = [{} for _ in range(count)]
+        poll = self.poll_interval(timeout)
+
+        def start(index: int, resumed: bool) -> None:
+            given_up = (p for p, n in tries[index].items() if n > retries)
+            running[index] = _ShardProcess(
+                ctx, program, index, count, paths[index], profile, resumed,
+                dict(config, tries=tries[index], crashed=frozenset(given_up)),
+            )
+
         try:
-            while waiting or running:
-                waiting.sort()
-                while (
-                    waiting
-                    and len(running) < workers
-                    and waiting[0][0] <= time.monotonic()
-                ):
-                    index = waiting.pop(0)[1]
-                    outcome = outcomes[index]
-                    outcome.attempts += 1
-                    running[index] = _ShardProcess(
-                        ctx,
-                        program,
-                        index,
-                        count,
-                        paths[index],
-                        profile,
-                        resume or outcome.attempts > 1,
-                        config,
-                        window,
+            while ready_at or running:
+                delay = poll
+                if ready_at and len(running) < workers:
+                    # The next attempt belongs to the waiting shard with
+                    # the fewest attempts, lowest index first, whatever
+                    # the backoffs: a fixed order, so a fault plan
+                    # counted across processes fires the same way on
+                    # every run.
+                    index = min(
+                        ready_at, key=lambda i: (outcomes[i].attempts, i)
                     )
+                    delay = ready_at[index] - time.monotonic()
+                    if delay <= 0:
+                        del ready_at[index]
+                        outcomes[index].attempts += 1
+                        tries[index] = {}
+                        start(index, resume or outcomes[index].attempts > 1)
+                        continue
                 if not running:
-                    time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
+                    time.sleep(delay)
                     continue
                 wait(
                     [c.conn for c in running.values()]
                     + [c.process.sentinel for c in running.values()],
-                    poll,
+                    min(poll, delay),
                 )
                 for index, child in list(running.items()):
-                    child.drain()
+                    finished, failure, overrun = self._check(child, timeout)
                     if child.done > done[index]:
                         done[index] = child.done
                         if progress is not None:
                             progress(sum(done), runs_total)
-                    finished, failure = self._check(child)
                     if not finished:
+                        continue
+                    if overrun is not None:
+                        # A run over its budget is a retry of its point,
+                        # not a new attempt: a fresh process resumes the
+                        # fragment at once and runs the point again, or
+                        # journals it crashed once its tries are used up.
+                        killed = tries[index]
+                        killed[overrun] = killed.get(overrun, 0) + 1
+                        start(index, True)
                         continue
                     del running[index]
                     outcome = outcomes[index]
-                    outcome.ticks += child.ticks
                     if failure is not None:
                         outcome.failures.append(
                             f"attempt {outcome.attempts}: {failure}"
@@ -431,7 +483,7 @@ class ShardSupervisor:
                         outcome.result = child.result
                     elif outcome.attempts < self.max_attempts:
                         delay = self.backoff(outcome.attempts)
-                        waiting.append((time.monotonic() + delay, index))
+                        ready_at[index] = time.monotonic() + delay
                     else:
                         raise SupervisorError(
                             f"shard {index}/{count} did not complete after "
@@ -443,31 +495,40 @@ class ShardSupervisor:
                 child.stop(self.kill_grace)
         return outcomes
 
-    def _check(self, child: _ShardProcess) -> Tuple[bool, Optional[str]]:
-        """``(finished, failure)`` of *child*'s attempt; ``failure`` is
-        ``None`` for a clean finish, else the reason it failed."""
+    def _check(
+        self, child: _ShardProcess, timeout: Optional[float]
+    ) -> Tuple[bool, Optional[str], Optional[int]]:
+        """``(finished, failure, overrun)`` of *child*: ``failure`` is
+        ``None`` for a clean finish, else the reason it failed, and
+        ``overrun`` the point whose run outlived *timeout* (the child is
+        then killed, and its attempt goes on)."""
         if child.process.is_alive():
-            if time.monotonic() - child.last_tick <= self.heartbeat_timeout:
-                return False, None
+            child.drain()  # a result larger than the pipe holds comes now
+            step = child.overrun(timeout, self.heartbeat_timeout)
+            if step is None:
+                return False, None, None
             child.stop(self.kill_grace)
+            if step > 0:
+                return True, None, int(step)
             return True, (
-                f"hung: no heartbeat for {self.heartbeat_timeout:g}s, "
-                "worker killed"
-            )
+                f"hung: {_describe(step)} took over "
+                f"{self.heartbeat_timeout:g}s, worker killed"
+            ), None
         child.process.join()
-        child.drain()  # whatever it sent before exiting
+        child.drain()  # what it sent before exiting
         child.conn.close()
         if child.result is not None:
             # Resume excludes crashed points from "done", so a retry
             # re-runs exactly them.
             crashed = child.result.crashed
-            return True, f"{crashed} crashed point(s) journaled" if crashed else None
+            failure = f"{crashed} crashed point(s) journaled" if crashed else None
+            return True, failure, None
         code = child.process.exitcode
         return True, child.error or (
             f"worker killed by signal {-code}"
             if code < 0
             else f"worker exited with code {code}"
-        )
+        ), None
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ kill       ``journal.appended``  raise :class:`WorkerKilled` after a
 torn       ``journal.appended``  truncate the file mid-line, then raise
                                  :class:`WorkerKilled` — worker died
                                  inside ``write(2)``
-hang       ``run.exec``,         sleep past the run's SIGALRM budget
-           ``journal.appended``  (or, outside a run, past the shard
-                                 heartbeat, which kills the process)
+hang       ``run.exec``,         sleep past the run's budget (or,
+           ``journal.appended``  outside a run, past the heartbeat):
+                                 the supervisor kills the process
 disconnect ``stream.write``      raise ``ConnectionResetError`` — the
                                  subscriber vanished mid-stream
 ========== ===================== =======================================
@@ -258,8 +258,8 @@ class FaultInjector:
             raise WorkerKilled(f"injected worker kill at {site}")
         if spec.kind == "hang":
             # Short slices, not one long sleep, so an exception raised
-            # by a signal handler (the per-run SIGALRM budget) or posted
-            # to the thread ends the hang at the next bytecode boundary.
+            # by a signal handler or posted to the thread ends the hang
+            # at the next bytecode boundary.
             deadline = time.monotonic() + spec.seconds
             while time.monotonic() < deadline:
                 time.sleep(0.02)

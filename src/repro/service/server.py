@@ -10,9 +10,11 @@ protocol surface is four routes), designed around three properties:
   users" failure mode is a full queue, not a dead server);
 * **one campaign at a time** — weaving rewrites classes
   process-globally, so a single worker coroutine drains the queue and
-  runs each campaign in an executor thread (per-run timeouts still hold:
-  they apply to campaigns with ``workers``, whose shard processes are
-  their own main thread and take SIGALRM);
+  runs each campaign in an executor thread (a campaign with a
+  ``timeout`` runs its shards as child processes, which the supervisor
+  kills when a run overruns the budget, so a subject that spins in its
+  ``except`` handler cannot wedge the worker; the profiling run still
+  has no budget);
 * **content-addressed results** — a finished campaign is cached under
   :func:`~repro.service.cache.submission_digest`; a repeat submission
   of the same source + canonical config is answered from the cache

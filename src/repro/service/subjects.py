@@ -77,9 +77,9 @@ def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     """Validate and canonicalize a campaign config.
 
     Fills defaults, coerces value types, normalizes the backend name
-    through its registry, and rejects unknown keys and a ``timeout``
-    without ``workers`` — so the config that reaches the cache key is
-    exactly the config the campaign will run with.
+    through its registry, and rejects unknown keys — so the config that
+    reaches the cache key is exactly the config the campaign will run
+    with.
     """
     config = dict(config or {})
     unknown = set(config) - set(CONFIG_DEFAULTS)
@@ -111,11 +111,6 @@ def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         raise SubmissionError("workers must be >= 1")
     if out["timeout"] is not None and out["timeout"] <= 0:
         raise SubmissionError("timeout must be > 0")
-    if out["timeout"] is not None and out["workers"] is None:
-        raise SubmissionError(
-            "timeout needs workers: the per-run budget is SIGALRM in a "
-            "shard process, and a campaign without workers has none"
-        )
     try:
         out["state_backend"] = get_backend(str(out["state_backend"])).name
     except ValueError as exc:

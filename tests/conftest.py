@@ -6,7 +6,7 @@ Each test module leaves the process as it found it:
   carry a write barrier — a leaked barrier changes how every later
   write to that class is recorded;
 * the ``SIGALRM`` handler is the one it found, and ``ITIMER_REAL`` is
-  disarmed — a shard process's per-run budget must not outlive it;
+  disarmed — a test's alarm watchdog must not outlive it;
 * no chaos fault injector is armed, and no child process is alive;
 * no submitted service subject's source is left in ``linecache``;
 * the state layer's module caches are within their bounds.

@@ -23,16 +23,8 @@ import time
 
 import pytest
 
-from repro.core import (
-    Analyzer,
-    CampaignTelemetry,
-    InjectionCampaign,
-    Weaver,
-    make_injection_wrapper,
-    plan_points,
-)
+from repro.core import CampaignTelemetry, plan_points
 from repro.core.runlog import RunLog, RunRecord
-from repro.experiments.parallel import run_point_with_timeout
 from repro.experiments import (
     AppProgram,
     JournalError,
@@ -475,9 +467,15 @@ def test_unregistered_program_runs_on_the_shard_engine():
     assert sharded.genuine_failures == sequential.detection.genuine_failures
 
 
-def test_timeout_without_the_shard_engine_is_refused():
-    with pytest.raises(ValueError, match="workers"):
-        run_app_campaign(_tiny_program(), timeout=1.0)
+def test_timeout_alone_runs_on_the_shard_engine():
+    """A run budget needs no ``workers``: the supervisor enforces it, so
+    a campaign with only a ``timeout`` runs on the shard engine, with
+    the sequential engine's result."""
+    sequential = run_app_campaign(_tiny_program())
+    timed = run_app_campaign(_tiny_program(), timeout=1.0)
+    assert timed.detection.telemetry.engine == "parallel"
+    assert timed.detection.log.to_json() == sequential.detection.log.to_json()
+    assert timed.detection.telemetry.runs_crashed == 0
 
 
 # ---------------------------------------------------------------------------
@@ -599,59 +597,14 @@ def test_journal_header_mismatch_reports_differing_keys(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# timeout enforcement on and off the main thread
+# timeout enforcement off the main thread
 # ---------------------------------------------------------------------------
-
-
-def _run_slow_point(timeout, retries):
-    """Weave the slow subject and execute its first injection point
-    under a budget, via the shared single-point kernel."""
-    program = _slow_program()
-    campaign = InjectionCampaign()
-    with Weaver(
-        lambda spec: make_injection_wrapper(spec, campaign),
-        Analyzer(exclude=program.exclude),
-    ) as weaver:
-        weaver.weave_classes(program.classes)
-        campaign.begin_profile()
-        program()
-        campaign.end_profile()
-        return run_point_with_timeout(
-            program, campaign, 1, timeout=timeout, retries=retries
-        )
-
-
-def test_timeout_on_main_thread_uses_sigalrm_path():
-    assert threading.current_thread() is threading.main_thread()
-    record, failure, attempts, crashed = _run_slow_point(0.05, retries=1)
-    assert crashed and record.crashed
-    assert failure is None
-    assert attempts == 2  # one attempt + one retry
-
-
-def test_timeout_off_the_main_thread_is_refused():
-    """The per-run budget is SIGALRM, which only a process's main thread
-    receives; a timed run from any other thread is refused, saying why."""
-    errors = {}
-
-    def drive():
-        try:
-            _run_slow_point(0.05, retries=1)
-        except ValueError as exc:
-            errors["message"] = str(exc)
-
-    thread = threading.Thread(target=drive)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert "main thread" in errors["message"]
-    assert "SIGALRM" in errors["message"]
 
 
 def test_timed_campaign_from_a_worker_thread():
     """Driven from a thread — as under ``repro serve`` — the engine still
-    enforces the budget: a shard process forked from any thread is its
-    own main thread, where SIGALRM interrupts the run."""
+    enforces the budget: the parent's poll kills a shard process whose
+    run overruns it, whichever thread runs the supervisor."""
     results = {}
 
     def drive():

@@ -316,9 +316,12 @@ def test_resume_with_complete_fragment_executes_nothing(tmp_path):
 
 
 def test_shard_timeout_marks_crashed_and_resume_rescues(tmp_path):
-    """A shard whose runs blow their budget journals crashed records;
-    merging reports them (like the parallel engine), and a resume with
-    a generous budget re-attempts exactly those points."""
+    """A supervised shard whose runs blow their budget journals crashed
+    records: the supervisor kills each overrunning run's process, and
+    once a point has used up its retries a fresh process journals it
+    crashed.  Merging reports them, and a resume, here a standalone
+    shard without a budget, re-attempts exactly those points."""
+    from repro.experiments import ShardSupervisor
     from repro.experiments.programs import AppProgram
     import time as _time
 
@@ -339,17 +342,21 @@ def test_shard_timeout_marks_crashed_and_resume_rescues(tmp_path):
             body=_slow_body,
         )
 
-    path = str(tmp_path / "slow.jsonl")
-    result = run_shard(
-        make_program(), 0, 1, path, timeout=0.05, retries=1
+    workdir = str(tmp_path / "slow")
+    supervised = ShardSupervisor(max_attempts=1).run(
+        make_program, 1, workdir, timeout=0.05, retries=1
     )
-    assert result.crashed == len(result.points)
-    assert result.retries == len(result.points)
+    (outcome,) = supervised.outcomes
+    points = outcome.result.points
+    assert outcome.result.crashed == len(points)
+    assert outcome.failures == [
+        f"attempt 1: {len(points)} crashed point(s) journaled"
+    ]
+    path = os.path.join(workdir, "shard-00.jsonl")
     merged = merge_fragments([path])
-    assert merged.detection.telemetry.runs_crashed == result.crashed
-    rescued = run_shard(
-        make_program(), 0, 1, path, timeout=30.0, resume=True
-    )
+    assert merged.detection.telemetry.runs_crashed == len(points)
+    assert merged.detection.telemetry.retries == len(points)
+    rescued = run_shard(make_program(), 0, 1, path, resume=True)
     assert rescued.resumed == 0  # crashed records are not "done"
     assert rescued.crashed == 0
     merged = merge_fragments([path])

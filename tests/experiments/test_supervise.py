@@ -9,17 +9,21 @@ The contract under test:
   journal tails, injected IO errors, hung runs) the supervisor retries
   with resume until every fragment is complete — and the merged result
   is **still** bit-identical to the fault-free engine;
-* a worker whose heartbeat goes stale is killed (``Process.kill()``,
-  a SIGKILL) without losing a line it wrote, and the retry converges;
-* shards run at once by default, and each ticks at its first and last
-  point and at most once per tick window in between: a hung shard is
-  still killed within ``heartbeat_timeout`` plus one window, and the
-  last ``progress`` call still reads ``(total, total)``;
+* a worker stuck in a step that is not a run is killed
+  (``Process.kill()``, a SIGKILL) within one poll of outliving
+  ``heartbeat_timeout``, measured from the step's own start in its
+  progress slot, without losing a line it wrote, and the retry
+  converges;
+* shards run at once by default, each process sends exactly one pipe
+  message (its result or its error), and the last ``progress`` call,
+  read from the progress slots, still reads ``(total, total)``;
 * the attempt budget is enforced (:class:`SupervisorError` carries
-  every attempt's failure reason), and backoff is capped exponential
-  with seeded, reproducible jitter.
+  every attempt's failure reason), backoff is capped exponential with
+  seeded, reproducible jitter, and retries start in a fixed order,
+  whatever their backoffs.
 """
 
+import collections
 import os
 import time
 
@@ -30,7 +34,7 @@ from repro.experiments import (
     run_app_campaign,
     run_chaos_campaign,
 )
-from repro.experiments import shard as shard_module
+from repro.experiments import parallel
 from repro.experiments import supervise
 from repro.experiments.supervise import ShardSupervisor, SupervisorError
 from repro.resilience import FaultPlan, FaultSpec, arm
@@ -52,8 +56,44 @@ def sequential():
     return run_app_campaign(program_by_name(APP))
 
 
+@pytest.fixture
+def messages(tmp_path, monkeypatch):
+    """The pipe messages of every shard process, as a list of
+    ``(pid, kind)``: each child appends one line per message it sends
+    to a file, since the parent cannot see what a child sent but never
+    delivered."""
+    log = tmp_path / "messages"
+    chunk = parallel._run_chunk
+
+    def logged_chunk(conn, *args):
+        send = conn.send
+
+        def logged(message):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {message[0]}\n")
+            send(message)
+
+        conn.send = logged
+        chunk(conn, *args)
+
+    monkeypatch.setattr(parallel, "_run_chunk", logged_chunk)
+
+    def read():
+        if not log.exists():
+            return []
+        lines = log.read_text(encoding="utf-8").splitlines()
+        return [tuple(line.split()) for line in lines]
+
+    return read
+
+
+def _one_message_per_process(sent):
+    per_process = collections.Counter(pid for pid, _ in sent)
+    return set(per_process.values()) == {1}
+
+
 def test_supervised_run_without_faults_matches_sequential(
-    sequential, tmp_path
+    sequential, tmp_path, messages
 ):
     supervisor = ShardSupervisor(seed=1)
     supervised = supervisor.run(_factory, 3, str(tmp_path))
@@ -65,20 +105,20 @@ def test_supervised_run_without_faults_matches_sequential(
     assert telemetry.workers == min(3, os.cpu_count())
     assert telemetry.shard_retries == 0
     assert telemetry.faults_injected == 0
-    # Between its first and last point a shard ticks at most once per
-    # window, so the parent reads at most wall / window + 2 ticks from
-    # it: far fewer than its points.
-    for outcome in supervised.outcomes:
-        result = outcome.result
-        bound = result.wall_seconds / supervisor.tick_window + 2
-        assert 2 <= outcome.ticks <= bound
-        assert outcome.ticks < len(result.points)
+    # Progress travels through the slots: each shard process sends one
+    # message, its result, however many points it ran.
+    sent = messages()
+    assert len(sent) == 3 and {kind for _, kind in sent} == {"done"}
+    assert _one_message_per_process(sent)
 
 
-def test_a_slow_healthy_shard_is_never_declared_hung(sequential, tmp_path):
+def test_a_slow_healthy_shard_is_never_declared_hung(
+    sequential, tmp_path, messages
+):
     """Every point sleeps ~20 ms, so each shard runs for several
-    heartbeat timeouts; its ticks, at most one window apart while
-    points finish, must keep every shard alive."""
+    heartbeat timeouts; each of its steps is far shorter than that, and
+    a run has no limit without a run budget, so every shard stays
+    alive."""
     plan = FaultPlan(
         faults=[FaultSpec("run.exec", "hang", count=200, seconds=0.02)]
     )
@@ -88,17 +128,17 @@ def test_a_slow_healthy_shard_is_never_declared_hung(sequential, tmp_path):
     _assert_identical(supervised.merged, sequential)
     assert supervised.shard_retries == 0
     for outcome in supervised.outcomes:
-        result = outcome.result
-        assert result.wall_seconds > 2 * supervisor.heartbeat_timeout
-        assert outcome.ticks <= result.wall_seconds / supervisor.tick_window + 2
+        assert outcome.result.wall_seconds > 2 * supervisor.heartbeat_timeout
+    assert _one_message_per_process(messages())
 
 
 def test_last_progress_call_reads_total_also_after_a_resume(
     sequential, tmp_path
 ):
-    """Each shard ticks at its last point, so the parent's last
-    ``progress`` call reads ``(total, total)`` on a fresh campaign, on a
-    resume with nothing left to run and on one that re-runs a lost tail."""
+    """The parent reads a shard's progress slot once more after the
+    process ends, so its last ``progress`` call reads ``(total, total)``
+    on a fresh campaign, on a resume with nothing left to run and on one
+    that re-runs a lost tail."""
     journal = tmp_path / "journal"
     total = len(sequential.detection.log.runs)
 
@@ -184,27 +224,18 @@ def test_hung_run_is_crashed_then_rescued_on_resume(sequential, tmp_path):
 def test_stale_heartbeat_kills_worker_and_retry_converges(
     sequential, tmp_path, monkeypatch
 ):
-    # The hang fires *outside* the per-run watchdog (at the journal
-    # seam), so only the supervisor's heartbeat can catch it.  One shard
+    # The hang fires *outside* a run (at the journal seam), so only the
+    # heartbeat, which covers every other step, can catch it.  One shard
     # at a time, so the hang lands on shard 0's third line.
-    stamps = tmp_path / "appended"
-    fire = shard_module._fault_site
-
-    def stamped(site, path=None):
-        # CLOCK_MONOTONIC is one clock for every process of the machine
-        if site == "journal.appended":
-            with open(stamps, "a", encoding="utf-8") as handle:
-                handle.write(f"{time.monotonic()}\n")
-        fire(site, path)
-
     kills = []
     stop = supervise._ShardProcess.stop
 
     def timed_stop(self, grace):
-        kills.append(time.monotonic())
+        # CLOCK_MONOTONIC is one clock for every process of the machine:
+        # the kill and the start of the step the child was in compare.
+        kills.append((time.monotonic(), self.slot[parallel.SLOT_STARTED]))
         stop(self, grace)
 
-    monkeypatch.setattr(shard_module, "_fault_site", stamped)
     monkeypatch.setattr(supervise._ShardProcess, "stop", timed_stop)
     plan = FaultPlan(
         faults=[FaultSpec("journal.appended", "hang", after=2, seconds=30.0)]
@@ -217,13 +248,13 @@ def test_stale_heartbeat_kills_worker_and_retry_converges(
             _factory, 2, str(tmp_path / "journal"), workers=1
         )
     _assert_identical(supervised.merged, sequential)
-    # The shard ticked within one window of its last finished point, so
-    # the kill comes within heartbeat_timeout minus and plus one window
-    # of the hang (the upper bound allows the parent's wake-up).
-    hung_at = float(stamps.read_text(encoding="utf-8").split()[2])
-    waited = kills[0] - hung_at
-    window = supervisor.tick_window
-    assert 0.3 - window <= waited <= 0.3 + window + 0.1
+    # The step outlived the heartbeat timeout and the parent looks once
+    # per poll interval, so the kill comes within one interval after
+    # (the upper bound allows the parent's wake-up).
+    killed_at, step_started = kills[0]
+    waited = killed_at - step_started
+    poll = supervisor.poll_interval()
+    assert 0.3 < waited <= 0.3 + poll + 0.1
     assert supervised.shard_retries == 1
     assert any(
         "hung" in f for o in supervised.outcomes for f in o.failures
@@ -233,6 +264,39 @@ def test_stale_heartbeat_kills_worker_and_retry_converges(
     # operating system, so the retry resumes them.
     killed = [o for o in supervised.outcomes if o.retries]
     assert [o.result.resumed for o in killed] == [3]
+
+
+def test_retries_start_in_a_fixed_order_whatever_their_backoffs(
+    sequential, tmp_path, monkeypatch
+):
+    """Both shards die at their first line; shard 0's retry then waits
+    longer than shard 1's.  The next attempt still belongs to the
+    waiting shard with the fewest attempts, lowest index first, so the
+    order attempts start in does not depend on the backoffs (or on how
+    long each attempt took), and a fault plan counted across processes
+    fires the same way on every run."""
+    started = []
+
+    class Recorded(supervise._ShardProcess):
+        def __init__(self, ctx, program, index, *args):
+            started.append(index)
+            super().__init__(ctx, program, index, *args)
+
+    monkeypatch.setattr(supervise, "_ShardProcess", Recorded)
+    plan = FaultPlan(
+        faults=[
+            FaultSpec("journal.appended", "kill", after=0),
+            FaultSpec("journal.appended", "kill", after=1),
+        ]
+    )
+    supervisor = ShardSupervisor(seed=6)
+    delays = iter([0.6, 0.05])  # shard 0's retry is due well after 1's
+    monkeypatch.setattr(supervisor, "backoff", lambda attempt: next(delays))
+    with arm(plan):
+        supervised = supervisor.run(_factory, 2, str(tmp_path), workers=1)
+    _assert_identical(supervised.merged, sequential)
+    assert [o.attempts for o in supervised.outcomes] == [2, 2]
+    assert started == [0, 1, 0, 1]
 
 
 def test_attempt_budget_enforced_with_reasons(tmp_path):

@@ -17,6 +17,7 @@ The contract under test (see ``docs/GUIDE.md`` §"Campaign service"):
 import asyncio
 import json
 import linecache
+import time
 
 import pytest
 
@@ -93,11 +94,38 @@ def test_canonical_config_coerces_and_validates():
         canonical_config({"state_backend": "quantum"})
 
 
-def test_canonical_config_refuses_timeout_without_workers():
-    # the per-run budget is a shard process's SIGALRM: without workers
-    # there is none to enforce it
-    with pytest.raises(SubmissionError, match="workers"):
-        canonical_config({"timeout": 5})
+def test_canonical_config_accepts_timeout_without_workers():
+    # the supervisor enforces the per-run budget, so a timeout alone
+    # runs the campaign on the shard engine
+    cfg = canonical_config({"timeout": 5})
+    assert cfg["timeout"] == 5.0
+    assert cfg["workers"] is None
+
+
+#: Canonical configs and cache keys of submissions the service accepted
+#: before the run budget moved to the supervisor: a persisted result
+#: cache keyed by them must stay valid.
+PINNED_CONFIGS = [
+    (
+        None,
+        '{"retries":1,"rounds":1,"state_backend":"graph","stride":1,'
+        '"timeout":null,"trace_derive":false,"workers":null}',
+        "c0ab50f2d325971b6f3a8794b4a4293b",
+    ),
+    (
+        {"stride": "2", "trace_derive": 1, "timeout": "5", "workers": 2},
+        '{"retries":1,"rounds":1,"state_backend":"graph","stride":2,'
+        '"timeout":5.0,"trace_derive":true,"workers":2}',
+        "25e871f7bee2d57ec18f477b1acb1d0f",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, canonical, digest", PINNED_CONFIGS)
+def test_canonical_config_and_digest_are_pinned(config, canonical, digest):
+    cfg = canonical_config(config)
+    assert json.dumps(cfg, sort_keys=True, separators=(",", ":")) == canonical
+    assert submission_digest(SOURCE, cfg) == digest
 
 
 def test_canonical_config_refuses_the_undolog_backend():
@@ -326,6 +354,46 @@ def test_failed_campaign_is_reported_not_cached():
     # a failure is not cached: resubmission queues a fresh attempt
     _, status = service.submit(source, {}, name="flaky")
     assert status == 202
+
+
+#: A subject whose fault-free run returns, but whose ``except`` handler
+#: spins forever once an injected exception reaches it.
+SPINNER = """
+class Spinner:
+    def __init__(self):
+        self.turns = 0
+
+    def turn(self):
+        self.turns = self.turns + 1
+
+
+def workload():
+    spinner = Spinner()
+    try:
+        spinner.turn()
+    except Exception:
+        while True:
+            pass
+"""
+
+
+def test_run_budget_without_workers_ends_a_spinning_campaign():
+    """With only a ``timeout``, the campaign runs on the shard engine,
+    whose supervisor kills every run that spins: the campaign ends
+    ``done`` with those runs crashed, and the service takes the next
+    submission."""
+    service = CampaignService()
+    _, status = service.submit(SPINNER, {"timeout": 0.2}, name="spinner")
+    assert status == 202
+    started = time.monotonic()
+    record = service.process_one()
+    assert time.monotonic() - started < 30.0
+    assert record.status == "done", record.error
+    crashed = [run["crashed"] for run in record.result["log"]["runs"]]
+    assert any(crashed) and not all(crashed)
+    assert record.result["telemetry"]["runs_crashed"] == sum(crashed)
+    service.submit(SOURCE, {}, name="box")
+    assert service.process_one().status == "done"
 
 
 def test_events_trace_the_campaign_lifecycle():

@@ -35,11 +35,28 @@ def test_detect_unknown_app(capsys):
     assert "unknown application" in err
 
 
-def test_detect_timeout_without_workers_is_refused(capsys):
-    code, out, err = run_cli(capsys, "detect", "LLMap", "--timeout", "5")
-    assert code == 2
-    assert "timeout needs the shard engine (pass workers)" in err
-    assert out == ""
+def _calls(out):
+    return [line for line in out.splitlines() if "calls=" in line]
+
+
+def test_detect_timeout_without_workers_runs_on_the_shard_engine(
+    capsys, tmp_path
+):
+    """A run budget needs no --workers: the shard engine's supervisor
+    enforces it, its fragments merge, and the classification is the
+    sequential engine's."""
+    _, plain, _ = run_cli(capsys, "detect", "LLMap")
+    journal = tmp_path / "journal"
+    code, out, err = run_cli(
+        capsys, "detect", "LLMap", "--timeout", "5", "--journal", str(journal)
+    )
+    assert code == 0 and err == ""
+    assert "engine=parallel" in out
+    assert _calls(out) == _calls(plain)
+    fragments = sorted(str(path) for path in journal.glob("shard-*.jsonl"))
+    code, merged, _ = run_cli(capsys, "merge", *fragments)
+    assert code == 0
+    assert _calls(merged) == _calls(plain)
 
 
 def test_detect_saves_log(capsys, tmp_path):
