@@ -93,6 +93,10 @@ bench-shard:
 # shard 0's fragment loses its final 1,500 bytes, as a machine crash
 # loses the unsynced tail of a group commit, and a second resume must
 # re-run those points (runs=N/M, N >= 1) to the same classification.
+# CircularList catches injected exceptions and then calls methods that
+# raise, so its runs take those calls' captures on demand: both engines
+# must print the same classification, captures and recaptured= count
+# (at least 1), which a shard process that skipped differently breaks.
 engine-smoke:
 	@J=$$(mktemp -d) && \
 	$(PYTHON) -m repro detect LLMap > $$J/plain && \
@@ -114,6 +118,18 @@ engine-smoke:
 		--resume > $$J/lost-tail && \
 	grep 'calls=' $$J/lost-tail | diff $$J/expected - && \
 	grep -E 'runs=[1-9][0-9]*/[0-9]+ \(resumed=' $$J/lost-tail && \
+	$(PYTHON) -m repro detect CircularList > $$J/ring-plain && \
+	$(PYTHON) -m repro detect CircularList --workers 2 \
+		--journal $$J/ring-journal > $$J/ring-sharded && \
+	for run in plain sharded; do \
+		grep 'calls=' $$J/ring-$$run > $$J/ring-$$run.key && \
+		grep '^state:' $$J/ring-$$run | grep -o 'captures=[0-9]*' \
+			>> $$J/ring-$$run.key && \
+		grep -o 'recaptured=[0-9]*' $$J/ring-$$run >> $$J/ring-$$run.key \
+			|| exit 1; \
+	done && \
+	diff $$J/ring-plain.key $$J/ring-sharded.key && \
+	grep 'recaptured=[1-9]' $$J/ring-plain.key && \
 	rm -rf $$J && echo "engine-smoke: OK"
 
 # Chaos resilience: seeded fault plans (worker kills, torn journal

@@ -16,7 +16,7 @@ is the knob the paper turns in Figure 5, and it is exactly the knob that
 decides how much a one-pass digest saves over a full graph capture.
 Every call of this subject returns before the injection of its run
 fires, so runs skip its before-captures (see
-:meth:`repro.core.injection.InjectionCampaign.elides`): what the sweep
+:meth:`repro.core.injection.InjectionCampaign.skips`): what the sweep
 still measures per backend is the capture of the calls an injected
 exception does leave.
 

@@ -206,6 +206,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    import contextlib
     import json as _json
     import tempfile
 
@@ -218,20 +219,24 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
         seed=args.seed,
     )
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
-    report = run_chaos_campaign(
-        lambda: program_by_name(args.app),
-        workdir,
-        seed=args.seed,
-        shard_count=args.shards,
-        supervisor=supervisor,
-        stride=args.stride,
-        timeout=args.timeout,
-        retries=args.retries,
-        state_backend=args.state_backend,
-        trace_derive=args.trace_derive,
-        hang_seconds=args.hang_seconds,
-    )
+    with (
+        tempfile.TemporaryDirectory(prefix="repro-chaos-")
+        if not args.workdir
+        else contextlib.nullcontext(args.workdir)
+    ) as workdir:
+        report = run_chaos_campaign(
+            lambda: program_by_name(args.app),
+            workdir,
+            seed=args.seed,
+            shard_count=args.shards,
+            supervisor=supervisor,
+            stride=args.stride,
+            timeout=args.timeout,
+            retries=args.retries,
+            state_backend=args.state_backend,
+            trace_derive=args.trace_derive,
+            hang_seconds=args.hang_seconds,
+        )
     print(report.summary())
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as handle:

@@ -112,21 +112,28 @@ def run_injection_point(
     classify anything else that escapes as a *genuine* failure (returned
     as the formatted string the campaign accumulates).
 
-    Two kinds of run are transparently executed again, the second
+    Three kinds of run are transparently executed again, the second
     record replacing the first:
 
-    * a run in which a call whose before-capture was skipped
-      (:meth:`InjectionCampaign.elides`) raised after all is *replayed*
-      with every before-capture taken (``campaign.runs_replayed``
-      counts them), since that call's mark may be missing.  A
-      deterministic :class:`Program` is never replayed; the replay makes
-      the log independent of that contract;
+    * a run in which an exception left calls entered after the
+      injection fired, whose before-captures are taken on demand
+      (:meth:`InjectionCampaign.skips`), is *recaptured*: executed
+      again taking exactly those captures (``campaign.runs_recaptured``
+      counts them);
+    * a run in which any other call whose before-capture was skipped
+      raised after all (one entered before the injection fired, or one
+      a recapture did not take) is *replayed* with every
+      before-capture taken (``campaign.runs_replayed`` counts them),
+      since that call's mark may be missing.  A deterministic
+      :class:`Program` is never replayed; the replay makes the log
+      independent of that contract;
     * when the campaign uses a lossy-diff backend (fingerprints) and the
       run produced non-atomic marks, it is *refined* under the graph
       backend: digests can witness *that* state changed but not
       *where*, and the run log's ``difference`` strings are part of the
       deliverable.  Atomic-only runs (the vast majority in a sweep,
-      Figure 5) never pay for a second execution.
+      Figure 5) never pay for a second execution.  The refinement
+      takes the same captures as the run it refines.
 
     Either way the emitted log is bit-identical to an all-graph campaign
     that captures every call.
@@ -148,9 +155,26 @@ def run_injection_point(
             failure = f"point={injection_point}: {type(exc).__name__}: {exc}"
     finally:
         campaign.end_run(completed=completed, escaped=escaped)
-    if campaign.elision_missed:
+    missed = campaign.captures_missed
+    if campaign.elision_missed or (missed and campaign.captured_after_fire):
         campaign.runs_replayed += 1
-        return _rerun(program, campaign, injection_point, record, call_exits=[])
+        return _rerun(
+            program,
+            campaign,
+            injection_point,
+            record,
+            call_exits=[],
+            captured_after_fire=None,
+        )
+    if missed:
+        campaign.runs_recaptured += 1
+        return _rerun(
+            program,
+            campaign,
+            injection_point,
+            record,
+            captured_after_fire=frozenset(missed),
+        )
     if campaign.backend.lossy_diff and record.first_nonatomic() is not None:
         return _refine_run(program, campaign, injection_point, record)
     return record, failure
@@ -337,6 +361,7 @@ class Detector:
             runs_total=len(points),
             runs_executed=executed,
             runs_derived=derived,
+            runs_recaptured=self.campaign.runs_recaptured,
             runs_replayed=self.campaign.runs_replayed,
             wall_seconds=wall,
             runs_per_second=(executed / wall) if wall > 0 else 0.0,

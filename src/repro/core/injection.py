@@ -11,11 +11,14 @@ materialized: the graph backend reads the after-state straight from the
 live objects (:meth:`InjectionCampaign.diff_state`).
 
 The copy is only ever compared when an exception leaves the call, so a
-run skips it for every call the profiling run saw return normally before
-the run's threshold (:meth:`InjectionCampaign.elides`).  Should such a
-call raise after all, the run is flagged and replayed with every copy
-taken (:func:`repro.core.detector.run_injection_point`), so skipping can
-never change a run log.
+run skips it (:meth:`InjectionCampaign.skips`) for every call the
+profiling run saw return normally before the run's threshold, and for
+every call entered after the injection fired, which it captures on
+demand: if an exception leaves such a call, the run executes its point
+again taking exactly those copies.  Should any other skipped call raise,
+the run is replayed with every copy taken
+(:func:`repro.core.detector.run_injection_point`), so skipping can never
+change a run log.
 
 Here the counter pair lives in an :class:`InjectionCampaign` object rather
 than in actual globals, so several campaigns can coexist (e.g. in tests)
@@ -27,7 +30,7 @@ from __future__ import annotations
 import functools
 import threading
 import types
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .analyzer import MethodSpec
 from .exceptions import InjectionAbort, make_injected
@@ -55,7 +58,7 @@ class InjectionCampaign:
       injection points, and record where each call starts and ends
       (``call_entries``/``call_exits``), but skip state capture.
     * detecting (``injection_point > 0``) — full Listing-1 behavior,
-      minus the before-captures :meth:`elides` proves unused.
+      minus the before-captures :meth:`skips` leaves out.
     """
 
     def __init__(
@@ -86,17 +89,28 @@ class InjectionCampaign:
         self.escape_observer: Optional[Callable[[MethodSpec], None]] = None
         #: Every wrapper entry of the profiling run, in entry order: the
         #: point counter at entry, and at normal return (``None`` when
-        #: the call raised).  Runs consult them through :meth:`elides`;
+        #: the call raised).  Runs consult them through :meth:`skips`;
         #: a shard process installs its parent's, and a replay runs with
-        #: no exits, so it skips nothing.
+        #: no exits.
         self.call_entries: List[int] = []
         self.call_exits: List[Optional[int]] = []
         #: Wrapper entries so far in the current run or profiling run
         #: (the ordinal of the next one).
         self.calls_entered = 0
-        #: Set when a call whose before-capture was skipped raised: the
+        #: Ordinals of the calls entered after the injection fired whose
+        #: before-capture a run takes: none (captured on demand), the
+        #: ones an execution of the same point needed, or every one
+        #: (``None``, in a replay).
+        self.captured_after_fire: Optional[FrozenSet[int]] = frozenset()
+        #: Ordinals of this run's calls entered after the injection fired
+        #: that an exception left uncaptured: the run lacks their marks.
+        self.captures_missed: List[int] = []
+        #: Set when a call skipped before the injection fired raised: the
         #: run may lack that call's mark, so it must be replayed.
         self.elision_missed = False
+        #: Runs executed again to capture the calls in
+        #: :attr:`captures_missed`.
+        self.runs_recaptured = 0
         #: Runs replayed with every before-capture taken.
         self.runs_replayed = 0
         self.current_run: Optional[RunRecord] = None
@@ -142,6 +156,7 @@ class InjectionCampaign:
         self.point = 0
         self.injection_point = injection_point
         self.calls_entered = 0
+        self.captures_missed = []
         self.elision_missed = False
         self.enabled = True
         self.current_run = self.log.begin_run(injection_point)
@@ -164,25 +179,42 @@ class InjectionCampaign:
         """
         return _Suspension(self)
 
-    def elides(self, ordinal: int, entry: int) -> bool:
-        """Whether this run may skip the before-capture of its wrapper
-        entry number *ordinal*, entered with the point counter at *entry*.
+    def skips(self, ordinal: int, entry: int) -> bool:
+        """Whether this run skips the before-capture of its wrapper entry
+        number *ordinal*, entered with the point counter at *entry*.
 
-        Yes when the profiling run's entry of the same ordinal started at
-        the same counter and returned normally with the counter below
-        this run's threshold: the run has executed exactly like the
-        profiling run so far, so the call returns before the injection
-        fires, no exception leaves it, and its before-state is never
-        compared.
+        Before the injection fires: yes when the profiling run's entry of
+        the same ordinal started at the same counter and returned
+        normally with the counter below this run's threshold.  The run
+        has executed exactly like the profiling run so far, so the call
+        returns before the injection fires, no exception leaves it, and
+        its before-state is never compared.
+
+        Once it has fired (the entry's counter is at least the threshold:
+        a handler, or code after the program caught the exception): yes
+        unless the ordinal is in :attr:`captured_after_fire`.  Most such
+        calls return normally, so they are captured on demand.
         """
+        threshold = self.injection_point
+        if entry >= threshold:
+            captured = self.captured_after_fire
+            return captured is not None and ordinal not in captured
         if ordinal >= len(self.call_exits):
             return False
         finished = self.call_exits[ordinal]
         return (
             finished is not None
-            and finished < self.injection_point
+            and finished < threshold
             and self.call_entries[ordinal] == entry
         )
+
+    def note_missed(self, ordinal: int, entry: int) -> None:
+        """An exception other than the run's abort left a call whose
+        before-capture :meth:`skips` skipped: note what the run lacks."""
+        if entry < self.injection_point:
+            self.elision_missed = True
+        else:
+            self.captures_missed.append(ordinal)
 
     def note_injection(self, method: MethodKey, exc: BaseException) -> None:
         if self.current_run is not None:
@@ -258,10 +290,10 @@ def make_injection_wrapper(
     the exception whose point equals the threshold, if one does (Listing
     1's ``if ++Point == InjectionPoint`` per exception, done as one
     comparison); (b) snapshots the object graph, unless the campaign
-    proves the snapshot unused; (c) calls the original method; and (d)
-    on exception, compares the snapshot with the state now, marks the
-    method, and re-throws.  It reads the campaign's mode once per call:
-    off or suspended, profiling, or detecting.
+    skips it (:meth:`InjectionCampaign.skips`); (c) calls the original
+    method; and (d) on exception, compares the snapshot with the state
+    now, marks the method, and re-throws.  It reads the campaign's mode
+    once per call: off or suspended, profiling, or detecting.
 
     The trace pass finds a wrapper frame by its code object
     (:data:`INJ_WRAPPER_CODE`) from inside the campaign's observers and
@@ -314,13 +346,13 @@ def make_injection_wrapper(
             campaign.note_injection(key, exc)
             raise exc
         campaign.point = entry + repertoire
-        if campaign.elides(ordinal, entry):
+        if campaign.skips(ordinal, entry):
             try:
                 return original(*args, **kwargs)
             except InjectionAbort:
                 raise
             except BaseException:
-                campaign.elision_missed = True
+                campaign.note_missed(ordinal, entry)
                 raise
         before = campaign.capture_state(spec, args, kwargs)
         try:

@@ -133,10 +133,12 @@ class GraphBackend(StateBackend):
                 stats.compares += 1
                 stats.seconds += time.perf_counter() - started
 
-    def diff_live(self, before, label_values, *, stats=None):
+    def diff_live(self, before, label_values, *, stats=None, reads=None):
+        """See :meth:`StateBackend.diff_live`; *reads* is
+        :func:`~repro.core.state.graph.graph_diff_live`'s."""
         started = time.perf_counter()
         try:
-            return _graph.graph_diff_live(before, label_values)
+            return _graph.graph_diff_live(before, label_values, reads)
         finally:
             if stats is not None:
                 stats.compares += 1

@@ -312,8 +312,15 @@ def graph_diff(a: ObjectGraph, b: ObjectGraph) -> Optional[GraphDifference]:
     return differences[0] if differences else None
 
 
+#: Live reads shared by the walks of one instant: ``id(obj)`` to
+#: ``(obj, children)`` (see :func:`graph_diff_live`).
+_Reads = Dict[int, Tuple[Any, List[Tuple[Any, Any]]]]
+
+
 def graph_diff_live(
-    before: ObjectGraph, label_values: Iterable[Tuple[Any, Any]]
+    before: ObjectGraph,
+    label_values: Iterable[Tuple[Any, Any]],
+    reads: Optional[_Reads] = None,
 ) -> Optional[GraphDifference]:
     """First difference between *before* and the live state of several
     labeled roots, or None if equal.
@@ -322,8 +329,13 @@ def graph_diff_live(
     returns, but reads the after side straight from the live objects, so
     no after-graph is ever built (Definition 2 needs only the graph
     *before* the call).  The walk stops at the first difference.
+
+    Walks of one instant, while no live object changes, may share
+    *reads*: it maps ``id(obj)`` to ``(obj, children)``, so each live
+    object's children are read once for all of them.  Holding each object
+    keeps its ``id()`` unique for as long as *reads* lives.
     """
-    view = _LiveView(label_values)
+    view = _LiveView(label_values, reads)
     differences = _diff_walk(before, view, 1)
     return differences[0] if differences else None
 
@@ -386,14 +398,21 @@ class _LiveView:
     a handle is the object itself.  The root is a synthetic frame whose
     ``("slot", key)`` edges lead to the labeled roots; sharing is keyed
     by ``id()``, which stays unique because the walk keeps every object
-    it maps alive until it ends.
+    it maps alive until it ends.  With *reads* (see
+    :func:`graph_diff_live`), children already read at this instant are
+    not read again.
     """
 
-    __slots__ = ("root", "_frame_edges")
+    __slots__ = ("root", "_frame_edges", "_reads")
 
-    def __init__(self, label_values: Iterable[Tuple[Any, Any]]) -> None:
+    def __init__(
+        self,
+        label_values: Iterable[Tuple[Any, Any]],
+        reads: Optional[_Reads] = None,
+    ) -> None:
         self.root: Any = object()
         self._frame_edges = [(("slot", key), value) for key, value in label_values]
+        self._reads = reads
 
     def key(self, obj: Any) -> Optional[int]:
         info = _TYPE_TABLE.get(type(obj)) or type_info(obj)
@@ -416,7 +435,13 @@ class _LiveView:
     def edges(self, obj: Any, kind: str) -> Sequence[Tuple[Tuple[str, Any], Any]]:
         if obj is self.root:
             return self._frame_edges
-        return list_children(obj)  # a leaf or a bytearray has none
+        reads = self._reads
+        if reads is None:
+            return list_children(obj)  # a leaf or a bytearray has none
+        read = reads.get(id(obj))
+        if read is None:
+            read = reads[id(obj)] = (obj, list_children(obj))
+        return read[1]
 
     def same_leaf(self, na: GraphNode, obj: Any) -> bool:
         """Whether *obj* is an exact scalar equal to the scalar leaf *na*."""

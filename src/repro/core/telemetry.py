@@ -42,10 +42,12 @@ class CampaignTelemetry:
         runs_derived: runs whose records were derived from the
             instrumented reference trace (``--trace-derive``) instead of
             executed.
+        runs_recaptured: runs executed a second time to take the
+            before-captures of calls entered after the injection fired
+            that an exception left (those are captured on demand).
         runs_replayed: runs executed a second time with every
-            before-capture taken, because a call whose capture the
-            profiling run showed unused raised after all (0 for a
-            deterministic program).
+            before-capture taken, because a call whose capture was
+            skipped raised after all (0 for a deterministic program).
         trace_seconds: wall time spent in the trace pass (stack
             reconciliation, entry captures, verdict derivation).
         trace_captures: state captures the trace pass performed (on its
@@ -89,6 +91,7 @@ class CampaignTelemetry:
     runs_executed: int = 0
     runs_resumed: int = 0
     runs_derived: int = 0
+    runs_recaptured: int = 0
     runs_replayed: int = 0
     runs_crashed: int = 0
     retries: int = 0
@@ -139,7 +142,9 @@ class CampaignTelemetry:
             f"engine={self.engine} workers={self.workers} "
             f"runs={self.runs_executed}/{self.runs_total} "
             f"(resumed={self.runs_resumed}, "
-            f"derived={self.runs_derived}, replayed={self.runs_replayed}, "
+            f"derived={self.runs_derived}, "
+            f"recaptured={self.runs_recaptured}, "
+            f"replayed={self.runs_replayed}, "
             f"crashed={self.runs_crashed}, "
             f"retries={self.retries})",
             f"wall={self.wall_seconds:.3f}s "

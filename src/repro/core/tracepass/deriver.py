@@ -257,12 +257,15 @@ class TraceDeriver:
             spec=spec, frame=wrapper_frame, roots=roots, capture=capture
         )
 
-    def _verdict(self, entry: _ActiveEntry) -> _MarkTuple:
+    def _verdict(
+        self, entry: _ActiveEntry, reads: Optional[Dict[int, Any]] = None
+    ) -> _MarkTuple:
         """The mark *entry*'s wrapper would record if an exception
-        crossed it right now."""
+        crossed it right now; the verdicts of one instant share *reads*
+        (see :func:`~repro.core.state.graph.graph_diff_live`)."""
         with self.campaign.suspend():
             difference = self._graph.diff_live(
-                entry.capture, entry.roots, stats=self.stats
+                entry.capture, entry.roots, stats=self.stats, reads=reads
             )
         if difference is None:
             return (entry.spec.key, ATOMIC, None)
@@ -294,8 +297,11 @@ class TraceDeriver:
                     break
                 marks.append(ambient)
         if reason is None:
+            # Nothing runs between these verdicts, so one read of each
+            # live object serves them all.
+            reads: Dict[int, Any] = {}
             for entry in reversed(self._stack):  # innermost first
-                marks.append(self._verdict(entry))
+                marks.append(self._verdict(entry, reads))
         self.spans.append(
             _TraceSpan(
                 base_point=base_point,

@@ -530,6 +530,7 @@ def run_shard(
         runs_executed=executed,
         runs_resumed=len(resumed),
         runs_derived=derived,
+        runs_recaptured=campaign.runs_recaptured,
         runs_replayed=campaign.runs_replayed,
         runs_crashed=crashed_count,
         retries=retry_count,

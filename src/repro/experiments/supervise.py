@@ -83,6 +83,7 @@ _TRACE_COUNTERS = ("trace_seconds", "trace_captures")
 
 #: Counters each shard process keeps; the campaign reports their sum.
 _SHARD_COUNTERS = (
+    "runs_recaptured",
     "runs_replayed",
     "state_captures",
     "state_fingerprints",

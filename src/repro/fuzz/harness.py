@@ -7,9 +7,11 @@ Every generated program is cross-checked four ways:
    spec-level simulation of :mod:`repro.fuzz.oracle`.
 2. **Engine equivalence** — the sequential engine and the shard engine
    (``run_app_campaign(workers=N)``) must produce bit-identical merged
-   run logs and classifications.  Neither may replay a run
-   (``capture-replay``): generated programs are deterministic, so a
-   replay means the profile disagreed with a run about its wrapper
+   run logs and classifications, and recapture as many runs (execute
+   them again for the before-captures of calls entered after the
+   injection fired).  Neither may replay a run (``capture-replay``):
+   generated programs are deterministic, so a replay means the profile
+   or a run's first execution disagreed with a run about its wrapper
    entries, which would otherwise show only as a slower campaign.
 3. **Masking soundness** — masking the oracle's pure set and re-running
    detection must classify *every* method failure atomic, under every
@@ -551,7 +553,12 @@ def check_program(
         mismatches.extend(_check_replays(spec, detection, "parallel"))
         if sequential is not None:
             # Check 2: merged parallel output is bit-identical to the
-            # sequential engine's (same plan, deterministic merge).
+            # sequential engine's (same plan, deterministic merge), and
+            # the shard processes took the same captures on demand.
+            recaptured = [
+                d.telemetry.runs_recaptured if d.telemetry else 0
+                for d in (sequential[0], detection)
+            ]
             if sequential[0].log.to_json() != detection.log.to_json():
                 mismatches.append(
                     Mismatch(
@@ -566,6 +573,15 @@ def check_program(
                         "engine-equivalence",
                         spec.name,
                         "sequential and parallel classifications differ",
+                    )
+                )
+            elif recaptured[0] != recaptured[1]:
+                mismatches.append(
+                    Mismatch(
+                        "engine-equivalence",
+                        spec.name,
+                        "sequential and parallel campaigns recaptured "
+                        f"{recaptured[0]} and {recaptured[1]} run(s)",
                     )
                 )
         else:

@@ -32,15 +32,23 @@ from .object_pools import (
 @given(recipes, root_picks, mutations)
 @settings(max_examples=300, deadline=None)
 def test_live_diff_equals_capture_then_diff(recipe, picks, changes):
+    """Also when two walks of one instant share their reads: a frame of
+    the first root, then the whole frame, as the trace pass walks an
+    inner and an outer wrapper's roots."""
     pool = Pool(recipe)
     labels = ["self"] + [("arg", i) for i in range(len(picks) - 1)]
     roots = [(label, pool.resolve((True, i))) for label, i in zip(labels, picks)]
     before = capture_frame(roots)
+    inner_before = capture_frame(roots[:1])
     for change in changes:
         mutate(pool, roots, *change)
     live = graph_diff_live(before, roots)
     captured = graph_diff(before, capture_frame(roots))
     assert str(live) == str(captured)
+    reads = {}
+    inner = graph_diff(inner_before, capture_frame(roots[:1]))
+    assert str(graph_diff_live(inner_before, roots[:1], reads)) == str(inner)
+    assert str(graph_diff_live(before, roots, reads)) == str(captured)
 
 
 # -- one case per reason --------------------------------------------------

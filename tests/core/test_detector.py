@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.analyzer import Analyzer
 from repro.core.detector import (
     CallableProgram,
     DetectionError,
@@ -223,7 +224,7 @@ def settler_program():
 class _CaptureEveryCall(InjectionCampaign):
     """A campaign that skips no before-capture: the reference."""
 
-    def elides(self, ordinal, entry):
+    def skips(self, ordinal, entry):
         return False
 
 
@@ -283,3 +284,117 @@ def test_shard_engine_replays_like_the_sequential_engine(tmp_path):
         run.to_dict() for run in full.log.runs
     ]
     assert sharded.telemetry.runs_replayed == len(_settle_marked_runs(full))
+
+
+# -- captures on demand after the injection fires ----------------------------
+
+
+def _app_detection(program, campaign_type=InjectionCampaign):
+    campaign = campaign_type()
+    weaver = Weaver(
+        lambda spec: make_injection_wrapper(spec, campaign),
+        Analyzer(exclude=program.exclude),
+    )
+    with weaver:
+        weaver.weave_classes(program.classes)
+        return Detector(program, campaign).detect()
+
+
+@pytest.mark.parametrize("app", ["CircularList", "LinkedList"])
+def test_calls_entered_after_the_injection_fired_are_captured_on_demand(app):
+    """Both apps catch injected exceptions and go on calling wrapped
+    methods, some of which raise: each such run executes its point again
+    to take those calls' before-captures, and the log is the one of a
+    campaign that captures every call."""
+    from repro.experiments import program_by_name
+
+    program = program_by_name(app)
+    on_demand = _app_detection(program)
+    full = _app_detection(program, _CaptureEveryCall)
+    assert on_demand.log.to_json() == full.log.to_json()
+    assert on_demand.genuine_failures == full.genuine_failures
+    telemetry = on_demand.telemetry
+    assert telemetry.runs_recaptured == 2
+    assert telemetry.runs_replayed == 0
+    assert telemetry.state_captures < full.telemetry.state_captures
+    assert (full.telemetry.runs_recaptured, full.telemetry.runs_replayed) == (0, 0)
+
+
+#: Handler runs of ``mover_program`` in this process; its parity decides
+#: which undo step raises.
+_FLIPS = 0
+
+
+class Mover:
+    def __init__(self):
+        self.n = 0
+
+    def work(self):
+        self.n += 1
+
+    def undo_a(self):
+        self.n -= 1
+        if _FLIPS % 2:
+            raise LookupError("undo_a")
+
+    def undo_b(self):
+        self.n -= 2
+        if not _FLIPS % 2:
+            raise LookupError("undo_b")
+
+
+def mover_program():
+    global _FLIPS
+    mover = Mover()
+    try:
+        mover.work()
+    except RuntimeError:
+        _FLIPS += 1
+        for undo in (mover.undo_a, mover.undo_b):
+            try:
+                undo()
+            except LookupError:
+                pass
+
+
+def _mover_detection(campaign_type=InjectionCampaign):
+    from repro.experiments.programs import AppProgram
+
+    global _FLIPS
+    _FLIPS = 0
+    mover = AppProgram(
+        name="mover", language="Java", classes=[Mover], body=mover_program
+    )
+    return _app_detection(mover, campaign_type)
+
+
+def test_a_raise_that_moves_between_executions_falls_back_to_a_replay():
+    """The handler of ``work``'s injection raises from ``undo_a`` in its
+    first execution and from ``undo_b``, which the recapture skips, in
+    the second; the replay captures every call and raises from
+    ``undo_a`` again, as the reference's one execution does."""
+    on_demand = _mover_detection()
+    full = _mover_detection(_CaptureEveryCall)
+    assert on_demand.log.to_json() == full.log.to_json()
+    marked = [
+        run.nonatomic_methods() for run in full.log.runs if run.marks
+    ]
+    assert marked == [["Mover.undo_a"]]
+    telemetry = on_demand.telemetry
+    assert (telemetry.runs_recaptured, telemetry.runs_replayed) == (1, 1)
+
+
+def test_shard_engine_recaptures_like_the_sequential_engine(tmp_path):
+    from repro.experiments import program_by_name, run_app_campaign
+
+    program = program_by_name("CircularList")
+    sequential = run_app_campaign(program).detection
+    sharded = run_app_campaign(
+        program, workers=2, journal=str(tmp_path / "journal")
+    ).detection
+    assert sharded.log.to_json() == sequential.log.to_json()
+    counters = ("state_captures", "runs_recaptured", "runs_replayed")
+    assert [getattr(sharded.telemetry, name) for name in counters] == [
+        getattr(sequential.telemetry, name) for name in counters
+    ]
+    assert sequential.telemetry.runs_recaptured == 2

@@ -46,6 +46,28 @@ class Ledger:
         return self.read_balance()
 
 
+class Register:
+    """Three wrappers deep on one receiver and one shared argument: at
+    ``inner``'s entry, ``middle``'s verdict (atomic) and ``outer``'s
+    (non-atomic) read the same live objects at the same instant."""
+
+    def __init__(self):
+        self.total = 0
+        self.log = []
+
+    def outer(self, batch):
+        self.log.append(len(batch))
+        return self.middle(batch)
+
+    def middle(self, batch):
+        return self.inner(batch)
+
+    def inner(self, batch):
+        batch.append(self.total)
+        self.total += sum(batch)
+        return self.total
+
+
 #: One ``("__setattr__" in its class dict, "__delattr__" in it)`` pair
 #: per :class:`ClassDictWitness` method call.
 _CLASS_DICT_SEEN = []
@@ -88,20 +110,30 @@ def _ledger_body():
     ledger.mutate_then_call(5)
 
 
+def _register_body():
+    register = Register()
+    batch = [1, 2]
+    register.outer(batch)
+    register.outer(batch)
+
+
 # -- trace-derived campaigns ---------------------------------------------
 
 
 def test_derived_log_is_bit_identical_modulo_provenance():
-    full = _campaign([Ledger], _ledger_body)
-    traced = _campaign([Ledger], _ledger_body, trace_derive=True)
-    assert traced.telemetry.runs_derived > 0
-    assert traced.telemetry.runs_executed < full.telemetry.runs_executed
-    assert log_json_without_provenance(traced.log) == (
-        log_json_without_provenance(full.log)
-    )
-    for record in traced.log.runs:
-        if record.provenance == PROVENANCE_TRACE:
-            assert record.escaped and not record.completed
+    # Register's nested wrappers share one read of the live objects
+    # between the verdicts of each entry instant.
+    for classes, body in (([Ledger], _ledger_body), ([Register], _register_body)):
+        full = _campaign(classes, body)
+        traced = _campaign(classes, body, trace_derive=True)
+        assert traced.telemetry.runs_derived > 0
+        assert traced.telemetry.runs_executed < full.telemetry.runs_executed
+        assert log_json_without_provenance(traced.log) == (
+            log_json_without_provenance(full.log)
+        )
+        for record in traced.log.runs:
+            if record.provenance == PROVENANCE_TRACE:
+                assert record.escaped and not record.completed
 
 
 def test_nonatomic_verdict_is_derivable():

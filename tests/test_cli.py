@@ -183,3 +183,24 @@ def test_reproduce_subcommand(capsys, tmp_path):
     assert "Figure 5" in report
     assert "EXACT MATCH" in report
     assert "EFFECTIVE" in report
+
+
+def test_chaos_removes_its_temporary_workdir_but_keeps_a_given_one(
+    capsys, tmp_path, monkeypatch
+):
+    import tempfile
+
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+    argv = ("chaos", "LLMap", "--seed", "20260808", "--shards", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0, out
+    assert not list(temp_root.glob("repro-chaos-*"))
+    workdir = tmp_path / "work"
+    code, out, _ = run_cli(capsys, *argv, "--workdir", str(workdir))
+    assert code == 0, out
+    assert sorted(path.name for path in workdir.iterdir()) == [
+        "shard-00.jsonl",
+        "shard-01.jsonl",
+    ]
