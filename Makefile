@@ -98,7 +98,7 @@ bench-shard:
 # must print the same classification, captures and recaptured= count
 # (at least 1), which a shard process that skipped differently breaks.
 engine-smoke:
-	@J=$$(mktemp -d) && \
+	@J=$$(mktemp -d) && trap 'rm -rf "$$J"' EXIT && \
 	$(PYTHON) -m repro detect LLMap > $$J/plain && \
 	$(PYTHON) -m repro detect LLMap --workers 2 --journal $$J/journal \
 		> $$J/sharded && \
@@ -130,7 +130,7 @@ engine-smoke:
 	done && \
 	diff $$J/ring-plain.key $$J/ring-sharded.key && \
 	grep 'recaptured=[1-9]' $$J/ring-plain.key && \
-	rm -rf $$J && echo "engine-smoke: OK"
+	echo "engine-smoke: OK"
 
 # Chaos resilience: seeded fault plans (worker kills, torn journal
 # writes, IO errors, hung runs) against the supervised sharded campaign
@@ -152,7 +152,7 @@ bench-resilience:
 chaos-smoke:
 	$(PYTHON) -m repro chaos LLMap --seed 20260808 --shards 3 \
 		--report-out chaos-report.json
-	@J=$$(mktemp -d) && \
+	@J=$$(mktemp -d) && trap 'rm -rf "$$J"' EXIT && \
 	for run in 1 2; do \
 		$(PYTHON) -m repro chaos LLMap --seed 20260808 --shards 3 \
 			--state-backend fingerprint --trace-derive \
@@ -161,7 +161,7 @@ chaos-smoke:
 	done && \
 	grep -o 'attempts per shard: [0-9, ]*' $$J/run1 > $$J/attempts && \
 	grep -o 'attempts per shard: [0-9, ]*' $$J/run2 | diff $$J/attempts - && \
-	rm -rf $$J && echo "chaos-smoke: same attempts per shard on repeat"
+	echo "chaos-smoke: same attempts per shard on repeat"
 
 # Fixed-seed differential fuzzing sweep plus the classifier-mutation
 # self-check (< 60 s).  A failure shrinks the first failing program and

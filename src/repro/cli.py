@@ -356,9 +356,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
     first = report.failing_programs[0]
     index = int(first.rsplit("-", 1)[1])
-    from repro.fuzz import generate_program
+    from repro.fuzz import generate_guarded
 
-    spec = generate_program(args.seed, index, max_depth=args.max_depth)
+    spec = generate_guarded(args.seed, index, max_depth=args.max_depth)
     if not args.no_shrink:
         checks = {m.check for m in report.mismatches if m.program == first}
         print(f"shrinking {first} (budget {args.max_shrink_evals} evals)...",

@@ -33,10 +33,13 @@ reconstruction is certain:
 
 * the stack walk from *E* reached the profile boundary and identified
   every wrapper frame (rule R1);
-* every non-wrapper frame between *E* and the boundary is
-  exception-transparent at its suspended line (rule R2) — the injected
-  exception provably propagates through untouched, so the enclosing
-  wrappers are exactly the marks;
+* every non-wrapper frame between *E* and the boundary passes the
+  point's exception type untouched at its suspended instruction (rule
+  R2, decided per type: no ``except`` clause on the way out names a
+  class in the type's MRO, see
+  :class:`~repro.core.tracepass.transparency.TransparencyIndex`) — the
+  injected exception provably propagates to the boundary, so the
+  enclosing wrappers are exactly the marks and the run escapes;
 * the active stack reconciled with the walk by frame identity, so every
   enclosing wrapper's entry-time capture is the right one (rule R3);
 * the exception type passes the injectability probe (rule R4); and
@@ -76,6 +79,7 @@ from ..state import StateStats, get_backend
 from .transparency import (
     PROFILE_BOUNDARY_CODE,
     TransparencyIndex,
+    caught_by,
     nested_boundary,
 )
 
@@ -107,10 +111,13 @@ class _TraceSpan:
 
     base_point: int
     spec: MethodSpec
-    decided: bool
+    #: Offsets into ``spec.exceptions`` whose points the span decides;
+    #: empty when it decides none.
+    decided: Tuple[int, ...]
     #: Ambient marks then enclosing marks, in dynamic-run record order.
     marks: Tuple[_MarkTuple, ...]
-    #: Why the span is undecidable (telemetry/tests); None when decided.
+    #: Why some or all of the span's points stay dynamic
+    #: (telemetry/tests); None when it decides every point.
     reason: Optional[str] = None
 
 
@@ -197,11 +204,12 @@ class TraceDeriver:
 
     def _walk(self, start):
         """Split the stack above *start* into enclosing wrapper frames
-        (innermost first, as ``(spec, frame)``) and other frames (as
-        ``(code, suspended line)``); ``usable`` is False when a wrapper
-        frame could not be identified or the boundary was never found."""
+        (innermost first, as ``(spec, frame)``) and other frames,
+        innermost first; ``usable`` is False when a wrapper frame could
+        not be identified or the boundary was never found.  The caller
+        holds the frames only while its observer runs."""
         enclosing: List[Tuple[MethodSpec, Any]] = []
-        frames: List[Tuple[Any, int]] = []
+        frames: List[Any] = []
         usable = True
         complete = False
         frame = start
@@ -221,7 +229,7 @@ class TraceDeriver:
                     else:
                         usable = False
                 else:
-                    frames.append((code, frame.f_lineno))
+                    frames.append(frame)
                 frame = frame.f_back
         finally:
             del frame
@@ -275,28 +283,29 @@ class TraceDeriver:
         self,
         spec: MethodSpec,
         base_point: int,
-        frames: List[Tuple[Any, int]],
+        frames: List[Any],
         usable: bool,
         reconciled: bool,
     ) -> None:
         reason: Optional[str] = None
+        decided: Tuple[int, ...] = ()
         if not usable:
             reason = "walk"  # R1: boundary/wrapper identification failed
         elif not reconciled:
             reason = "stack"  # R3: active stack disagrees with the walk
-        elif any(
-            not self.transparency.transparent_at(code, lineno)
-            for code, lineno in frames
-        ):
-            reason = "transparency"  # R2
+        else:
+            decided = self._passing(spec.exceptions, frames)
+            if len(decided) < len(spec.exceptions):
+                reason = "transparency"  # R2, for some or all types
         marks: List[_MarkTuple] = []
-        if reason is None:
+        if decided:
             for ambient in self._ambient:
                 if ambient is None:
                     reason = "ambient"  # R5
+                    decided = ()
                     break
                 marks.append(ambient)
-        if reason is None:
+        if decided:
             # Nothing runs between these verdicts, so one read of each
             # live object serves them all.
             reads: Dict[int, Any] = {}
@@ -306,10 +315,29 @@ class TraceDeriver:
             _TraceSpan(
                 base_point=base_point,
                 spec=spec,
-                decided=reason is None,
+                decided=decided,
                 marks=tuple(marks),
                 reason=reason,
             )
+        )
+
+    def _passing(
+        self, exceptions: Tuple[type, ...], frames: List[Any]
+    ) -> Tuple[int, ...]:
+        """Offsets into *exceptions* of the types every frame passes
+        (rule R2)."""
+        catchers: List[type] = []
+        for frame in frames:
+            found = self.transparency.catchers(frame)
+            if found is None:
+                return ()
+            catchers.extend(found)
+        if not catchers:
+            return tuple(range(len(exceptions)))
+        return tuple(
+            offset
+            for offset, exc_type in enumerate(exceptions)
+            if not caught_by(exc_type, catchers)
         )
 
     # -- decision -------------------------------------------------------
@@ -337,9 +365,8 @@ class TraceDeriver:
         started = time.perf_counter()
         records: Dict[int, RunRecord] = {}
         for span in self.spans:
-            if not span.decided:
-                continue
-            for offset, exc_type in enumerate(span.spec.exceptions):
+            for offset in span.decided:
+                exc_type = span.spec.exceptions[offset]
                 if not self._injectable(exc_type):
                     continue
                 point = span.base_point + offset + 1

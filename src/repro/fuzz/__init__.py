@@ -13,7 +13,7 @@ Layout:
 """
 
 from .build import FuzzDeclaredError, build_program, render_source
-from .generate import generate_batch, generate_program
+from .generate import generate_batch, generate_guarded, generate_program
 from .harness import (
     DEFECTS,
     FuzzReport,
@@ -40,6 +40,7 @@ __all__ = [
     "build_program",
     "check_program",
     "generate_batch",
+    "generate_guarded",
     "generate_program",
     "make_failure_predicate",
     "render_source",

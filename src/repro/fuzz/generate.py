@@ -5,26 +5,36 @@ so program *index* of a batch is a pure function of ``(seed, index)`` —
 the same seed always yields byte-identical specs (and therefore
 byte-identical campaign logs and fuzz reports), independent of batch
 size or which other programs ran before it.
+
+A batch program (:func:`generate_guarded`) is :func:`generate_program`'s
+spec with handlers put inside method bodies from a second stream of its
+own, so the specs :func:`generate_program` returns never change.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Tuple
 
 from .spec import (
+    ALIAS_TARGETS,
+    GUARD_ALIAS,
+    GUARDS,
     OP_APPEND,
     OP_CALL,
+    OP_GUARDED_CALL,
     OP_INC,
     OP_NOOP_WRITE,
     OP_RAISE,
+    OP_REBIND,
     OP_SELF_CALL,
     ClassDef,
     MethodDef,
     ProgramSpec,
 )
 
-__all__ = ["generate_program", "generate_batch"]
+__all__ = ["generate_program", "generate_guarded", "generate_batch"]
 
 #: Multiplier decorrelating per-program streams derived from one seed.
 _STREAM_STRIDE = 1000003
@@ -36,6 +46,8 @@ _MAX_METHODS = 2
 _MAX_OPS = 3
 _MAX_CHILDREN = 2
 _MAX_WORKLOAD = 3
+#: Share of a batch program's child calls that get a handler of their own.
+_GUARD_SHARE = 0.5
 
 
 def _gen_ops(
@@ -132,11 +144,78 @@ def generate_program(seed: int, index: int, *, max_depth: int = 3) -> ProgramSpe
     )
 
 
+def _guarded_ops(
+    rng: random.Random, md: MethodDef, children: Tuple[int, ...],
+    method_counts: List[int],
+) -> Tuple[Tuple, ...]:
+    """*md*'s ops with about half its child calls guarded, and, in a
+    method that may raise and has children to call, a guarded call
+    inserted at a random position half the time."""
+    ops = [
+        (OP_GUARDED_CALL, op[1], op[2], rng.choice(GUARDS))
+        if op[0] == OP_CALL and rng.random() < _GUARD_SHARE
+        else op
+        for op in md.ops
+    ]
+    if children and not md.exception_free and rng.random() < _GUARD_SHARE:
+        slot = rng.randrange(len(children))
+        target = rng.randrange(method_counts[children[slot]])
+        ops.insert(
+            rng.randint(0, len(ops)),
+            (OP_GUARDED_CALL, slot, target, rng.choice(GUARDS)),
+        )
+    return tuple(ops)
+
+
+def generate_guarded(
+    seed: int, index: int, *, max_depth: int = 3
+) -> ProgramSpec:
+    """Program *index* of the batch for *seed*: :func:`generate_program`'s
+    spec with handlers inside method bodies (:func:`_guarded_ops`) and,
+    when a guard names the handler alias, the alias rebound right after
+    the first such guard."""
+    spec = generate_program(seed, index, max_depth=max_depth)
+    rng = random.Random(f"guards-{seed}-{index}")
+    method_counts = [len(cd.methods) for cd in spec.classes]
+    classes = [
+        replace(cd, methods=tuple(
+            replace(md, ops=_guarded_ops(rng, md, cd.children, method_counts))
+            for md in cd.methods
+        ))
+        for cd in spec.classes
+    ]
+    aliased = [
+        (ci, mi, oi)
+        for ci, cd in enumerate(classes)
+        for mi, md in enumerate(cd.methods)
+        for oi, op in enumerate(md.ops)
+        if op[0] == OP_GUARDED_CALL and op[3] == GUARD_ALIAS
+    ]
+    if aliased:
+        # Rebind right after the first alias guard, so the guard's next
+        # execution matches against another class.
+        ci, mi, oi = aliased[0]
+        cd = classes[ci]
+        md = cd.methods[mi]
+        rebind = (OP_REBIND, rng.randrange(1, len(ALIAS_TARGETS)))
+        methods = list(cd.methods)
+        methods[mi] = replace(
+            md, ops=md.ops[:oi + 1] + (rebind,) + md.ops[oi + 1:]
+        )
+        classes[ci] = replace(cd, methods=tuple(methods))
+        if ci == 0:
+            # The workload then runs the guard again after the rebind.
+            return replace(
+                spec, classes=tuple(classes), workload=spec.workload + (mi,)
+            )
+    return replace(spec, classes=tuple(classes))
+
+
 def generate_batch(
     seed: int, count: int, *, max_depth: int = 3
 ) -> List[ProgramSpec]:
-    """Generate ``count`` independent programs for *seed*."""
+    """Generate ``count`` independent batch programs for *seed*."""
     return [
-        generate_program(seed, index, max_depth=max_depth)
+        generate_guarded(seed, index, max_depth=max_depth)
         for index in range(count)
     ]

@@ -15,6 +15,9 @@ The simulation leans on the two vocabulary guarantees documented in
 :mod:`repro.fuzz.spec`: bodies have no data-dependent control flow (so
 point numbering is a pure function of the threshold) and constructors
 build trees (so a receiver's dict covers its whole reachable state).
+Handlers are modelled by the name of the class they catch: each
+exception is the declared error or the generic runtime one, and a
+handler class catches the names in :data:`_CATCHES`.
 """
 
 from __future__ import annotations
@@ -24,11 +27,21 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .spec import (
+    ALIAS_TARGETS,
+    GUARD_ALIAS,
+    GUARD_DECLARED,
+    GUARD_EXCEPTION,
+    GUARD_FINALLY,
+    GUARD_SUBCLASS,
+    GUARD_TUPLE,
+    GUARD_WITH,
     OP_APPEND,
     OP_CALL,
+    OP_GUARDED_CALL,
     OP_INC,
     OP_NOOP_WRITE,
     OP_RAISE,
+    OP_REBIND,
     OP_SELF_CALL,
     ProgramSpec,
 )
@@ -46,6 +59,23 @@ CATEGORY_PURE = "pure"
 
 _DECLARED = "FuzzDeclaredError"
 _RUNTIME = "InjectedRuntimeError"
+
+#: The simulated exceptions a handler naming each class catches: the
+#: declared error, both, or none (nothing raises FuzzSubclassError).
+_CATCHES = {
+    "FuzzDeclaredError": (_DECLARED,),
+    "Exception": (_DECLARED, _RUNTIME),
+    "FuzzSubclassError": (),
+}
+#: The class each guard's handler names; the alias's is read at the
+#: moment it matches, and a ``finally`` guard names none.
+_GUARD_CLASS = {
+    GUARD_DECLARED: "FuzzDeclaredError",
+    GUARD_EXCEPTION: "Exception",
+    GUARD_TUPLE: "FuzzDeclaredError",  # (KeyError, FuzzDeclaredError)
+    GUARD_SUBCLASS: "FuzzSubclassError",
+    GUARD_WITH: "FuzzDeclaredError",  # suppress(FuzzDeclaredError)
+}
 
 
 class _SimInjected(Exception):
@@ -99,6 +129,14 @@ class _Ctx:
         self.injected: Optional[Tuple[str, str]] = None
         self.call_counts: Dict[str, int] = {}
         self.methods_seen: List[str] = []
+        #: The class the handler alias names; every run starts alike.
+        self.alias = ALIAS_TARGETS[0]
+
+    def catches(self, guard: str, exc: Exception) -> bool:
+        """Whether *guard*'s handler catches the simulated *exc*."""
+        cls = self.alias if guard == GUARD_ALIAS else _GUARD_CLASS.get(guard)
+        name = exc.exc_name if isinstance(exc, _SimInjected) else _DECLARED
+        return name in _CATCHES.get(cls, ())
 
     def note_call(self, key: str) -> None:
         if key not in self.call_counts:
@@ -177,6 +215,21 @@ def _run_method(
                 _run_method(
                     spec, ctx, cd.children[slot], target, state[f"kid{slot}"]
                 )
+            elif kind == OP_GUARDED_CALL:
+                slot, target, guard = op[1], op[2], op[3]
+                try:
+                    _run_method(
+                        spec, ctx, cd.children[slot], target,
+                        state[f"kid{slot}"],
+                    )
+                except (_SimInjected, _SimGenuine) as exc:
+                    if not ctx.catches(guard, exc):
+                        raise
+                finally:
+                    if guard == GUARD_FINALLY:
+                        state["count"] = state["count"] + 1
+            elif kind == OP_REBIND:
+                ctx.alias = ALIAS_TARGETS[op[1]]
             elif kind == OP_SELF_CALL:
                 _run_method(spec, ctx, class_index, op[1], state)
             elif kind == OP_RAISE:

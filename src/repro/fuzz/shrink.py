@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator, Optional, Set
 
-from .spec import OP_CALL, OP_SELF_CALL, ClassDef, MethodDef, ProgramSpec
+from .spec import (
+    OP_CALL,
+    OP_GUARDED_CALL,
+    OP_SELF_CALL,
+    ClassDef,
+    MethodDef,
+    ProgramSpec,
+)
 
 __all__ = ["shrink", "make_failure_predicate"]
 
@@ -47,7 +54,7 @@ def _valid(spec: ProgramSpec) -> bool:
                 return False
         for mi, md in enumerate(cd.methods):
             for op in md.ops:
-                if op[0] == OP_CALL:
+                if op[0] in (OP_CALL, OP_GUARDED_CALL):
                     slot, target = op[1], op[2]
                     if slot >= len(cd.children):
                         return False

@@ -19,6 +19,13 @@ oracle (:mod:`repro.fuzz.oracle`):
   place.  That keeps the undo-log (write-barrier) masking strategy sound
   for every generated program — its documented limitation is exactly
   in-place container mutation.
+
+Guarded calls (:data:`OP_GUARDED_CALL`) put handlers inside method
+bodies.  Which handler catches what is decided by the exception's type
+and, for the :data:`GUARD_ALIAS` handler, by the module-level name
+:data:`ALIAS_NAME`, which :data:`OP_REBIND` reassigns mid-run; every
+execution of the workload starts from the same binding, so runs stay
+deterministic.
 """
 
 from __future__ import annotations
@@ -34,6 +41,18 @@ __all__ = [
     "OP_CALL",
     "OP_SELF_CALL",
     "OP_RAISE",
+    "OP_GUARDED_CALL",
+    "OP_REBIND",
+    "GUARDS",
+    "GUARD_ALIAS",
+    "GUARD_DECLARED",
+    "GUARD_EXCEPTION",
+    "GUARD_FINALLY",
+    "GUARD_SUBCLASS",
+    "GUARD_TUPLE",
+    "GUARD_WITH",
+    "ALIAS_NAME",
+    "ALIAS_TARGETS",
     "MethodDef",
     "ClassDef",
     "ProgramSpec",
@@ -54,6 +73,41 @@ OP_CALL = "call"
 OP_SELF_CALL = "self_call"
 #: ``raise FuzzDeclaredError(...)`` — a genuine error site.
 OP_RAISE = "raise"
+#: ``self.kid<slot>.m<idx>()`` inside the handler shape ``GUARD_*`` —
+#: ``("guarded_call", slot, idx, guard)``.
+OP_GUARDED_CALL = "guarded_call"
+#: ``ALIAS_NAME = ALIAS_TARGETS[i]`` — ``("rebind", i)``.
+OP_REBIND = "rebind"
+
+#: ``try: ... except FuzzDeclaredError: pass``
+GUARD_DECLARED = "declared"
+#: ``try: ... except Exception: pass``
+GUARD_EXCEPTION = "exception"
+#: ``try: ... except (KeyError, FuzzDeclaredError): pass``
+GUARD_TUPLE = "tuple"
+#: ``try: ... except FuzzSubclassError: pass`` — a subclass of the
+#: declared error that nothing raises.
+GUARD_SUBCLASS = "subclass"
+#: ``try: ... except <ALIAS_NAME>: pass``
+GUARD_ALIAS = "alias"
+#: ``try: ... finally: self.count = self.count + 1``
+GUARD_FINALLY = "finally"
+#: ``with suppress(FuzzDeclaredError): ...``
+GUARD_WITH = "with"
+GUARDS = (
+    GUARD_DECLARED,
+    GUARD_EXCEPTION,
+    GUARD_TUPLE,
+    GUARD_SUBCLASS,
+    GUARD_ALIAS,
+    GUARD_FINALLY,
+    GUARD_WITH,
+)
+
+#: The module-level handler alias and the classes it can be bound to;
+#: each workload execution binds it to the first.
+ALIAS_NAME = "FuzzAlias"
+ALIAS_TARGETS = ("FuzzDeclaredError", "Exception", "FuzzSubclassError")
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,12 @@ from repro.core.runlog import NONATOMIC, log_json_without_provenance
 from repro.core.tracepass import (
     PROVENANCE_TRACE,
     TraceDeriver,
-    TransparencyIndex,
     call_through_boundary,
 )
 from repro.core.weaver import Weaver
 from repro.experiments import AppProgram, run_app_campaign
+
+from .suspended import HAS_EXCEPTIONTABLE, assert_certifies, catchers_at
 
 
 # -- subject classes ------------------------------------------------------
@@ -274,37 +275,34 @@ def test_derived_records_respect_repertoire_offsets():
 # -- transparency certificates -------------------------------------------
 
 
-def _plain_frame(x):
-    return x + 1
+def _plain_frame(probe):
+    return probe()
 
 
-def _guarded_frame(x):
+def _guarded_frame(probe):
     try:
-        return x + 1
+        return probe()
     except ValueError:
         return 0
 
 
 def test_plain_line_is_transparent():
-    index = TransparencyIndex()
-    code = _plain_frame.__code__
-    assert index.transparent_at(code, code.co_firstlineno + 1)
+    assert catchers_at(_plain_frame) == ()
 
 
 def test_line_inside_try_is_not_transparent():
-    index = TransparencyIndex()
-    code = _guarded_frame.__code__
-    assert not index.transparent_at(code, code.co_firstlineno + 2)
+    # The exception table names the handler's class; the source
+    # certificate refuses the whole try statement.
+    expected = (ValueError,) if HAS_EXCEPTIONTABLE else None
+    assert_certifies(catchers_at(_guarded_frame), expected)
 
 
 def test_sourceless_code_with_handlers_is_never_transparent():
-    # A sourceless frame that *has* exception machinery (non-empty
-    # handler table on 3.11+, and no AST certificate ever) must stay
-    # uncertified at every line.  Handler-free sourceless frames are
-    # covered by test_transparency_sourceless.py.
-    index = TransparencyIndex()
+    # A sourceless frame that *has* exception machinery (a finally, so
+    # no clause run on 3.11+, and no source certificate ever) certifies
+    # no type.  Handler-free sourceless frames are covered by
+    # test_transparency_sourceless.py.
     code = compile(
-        "try:\n    x = 1\nfinally:\n    pass", "<nosource>", "exec"
+        "try:\n    probe()\nfinally:\n    pass", "<nosource>", "exec"
     )
-    assert not index.transparent_at(code, 1)
-    assert not index.transparent_at(code, 2)
+    assert catchers_at(lambda probe: exec(code, {"probe": probe})) is None

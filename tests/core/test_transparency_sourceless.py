@@ -22,12 +22,10 @@ from repro.core import InjectionCampaign, make_injection_wrapper
 from repro.core.analyzer import Analyzer
 from repro.core.detector import CallableProgram, Detector
 from repro.core.runlog import log_json_without_provenance
-from repro.core.tracepass import TransparencyIndex
+from repro.core.tracepass.transparency import caught_by
 from repro.core.weaver import Weaver
 
-HAS_EXCEPTIONTABLE = hasattr(
-    (lambda: None).__code__, "co_exceptiontable"
-)
+from .suspended import HAS_EXCEPTIONTABLE, catchers_at
 
 _GLUE_SOURCE = textwrap.dedent(
     """
@@ -66,35 +64,26 @@ def _sourceless_factories():
 )
 def test_handlerless_sourceless_glue_is_certified():
     passthrough, _ = _sourceless_factories()
-    glue = passthrough(lambda: None)
-    code = glue.__code__
-    assert code.co_exceptiontable == b""
-    index = TransparencyIndex()
-    assert index.transparent_at(code, code.co_firstlineno)
-    assert index.transparent_at(code, code.co_firstlineno + 1)
+    assert passthrough(lambda: None).__code__.co_exceptiontable == b""
+    assert catchers_at(lambda probe: passthrough(probe)()) == ()
 
 
 def test_sourceless_frame_with_handlers_stays_uncertified():
     _, guarded = _sourceless_factories()
-    glue = guarded(lambda: None)
-    code = glue.__code__
-    index = TransparencyIndex()
-    for lineno in range(code.co_firstlineno, code.co_firstlineno + 4):
-        assert not index.transparent_at(code, lineno)
+    assert catchers_at(lambda probe: guarded(probe)()) is None
 
 
 def test_sourced_frames_unaffected():
-    # The table fast path must not loosen the AST certificate for code
-    # whose source *is* available: guarded lines stay guarded.
-    def guarded_frame(x):
+    # The table must not loosen the certificate for code whose source
+    # *is* available: the guarded line still stops what it catches.
+    def guarded_frame(probe):
         try:
-            return x + 1
+            return probe()
         except ValueError:
             return 0
 
-    index = TransparencyIndex()
-    code = guarded_frame.__code__
-    assert not index.transparent_at(code, code.co_firstlineno + 2)
+    catchers = catchers_at(guarded_frame)
+    assert catchers is None or caught_by(ValueError, catchers)
 
 
 # -- end-to-end: derivation through a sourceless adapter -----------------

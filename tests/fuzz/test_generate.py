@@ -1,5 +1,7 @@
 """Tests for the spec generator and the spec → program builder."""
 
+import hashlib
+
 import pytest
 
 from repro.fuzz import (
@@ -7,12 +9,16 @@ from repro.fuzz import (
     ProgramSpec,
     build_program,
     generate_batch,
+    generate_guarded,
     generate_program,
     render_source,
 )
 from repro.fuzz.spec import (
+    GUARDS,
     OP_CALL,
+    OP_GUARDED_CALL,
     OP_RAISE,
+    OP_REBIND,
     OP_SELF_CALL,
     ClassDef,
     MethodDef,
@@ -69,7 +75,8 @@ def test_exception_free_methods_cannot_raise():
                 if md.exception_free:
                     assert not md.declares
                     assert not any(
-                        op[0] in (OP_RAISE, OP_CALL, OP_SELF_CALL)
+                        op[0]
+                        in (OP_RAISE, OP_CALL, OP_GUARDED_CALL, OP_SELF_CALL)
                         for op in md.ops
                     )
 
@@ -110,3 +117,51 @@ def test_workload_only_catches_declared_error():
     with pytest.raises(ValueError):
         program.body()
     assert issubclass(FuzzDeclaredError, Exception)
+
+
+def test_generate_program_is_pinned():
+    """Guarded batch programs come from a second stream: the specs and
+    sources of generate_program, which the service benchmark's fixed
+    corpus is drawn from, never change."""
+    digest = hashlib.sha256()
+    for seed in (2003, 20260806):
+        for index in range(100):
+            spec = generate_program(seed, index)
+            digest.update(spec.to_json().encode())
+            digest.update(render_source(spec).encode())
+    assert digest.hexdigest() == (
+        "8955d755a29c2bd63b24db8ac9eb5fa2534251226f7fdc1fc1d58556ef95c18f"
+    )
+
+
+def test_batches_carry_every_guard_and_a_rebind():
+    specs = generate_batch(20260806, 25)
+    assert specs == [generate_guarded(20260806, i) for i in range(25)]
+    ops = [
+        op for spec in specs for cd in spec.classes for md in cd.methods
+        for op in md.ops
+    ]
+    assert {op[3] for op in ops if op[0] == OP_GUARDED_CALL} == set(GUARDS)
+    assert any(op[0] == OP_REBIND for op in ops)
+
+
+def test_guarded_program_runs_and_resets_the_alias():
+    """A method rebinds the alias for the rest of its run, and every
+    workload execution starts with the alias bound alike, so a
+    rebinding program stays deterministic run after run."""
+    spec = next(
+        spec for spec in generate_batch(20260806, 50)
+        if any(
+            op[0] == OP_REBIND
+            for cd in spec.classes for md in cd.methods for op in md.ops
+        )
+    )
+    program = build_program(spec)
+    namespace = vars(program.classes[0])["__init__"].__globals__
+    program.body()
+    assert namespace["FuzzAlias"] is not FuzzDeclaredError
+    plain = build_program(generate_program(7, 0))
+    namespace = vars(plain.classes[0])["__init__"].__globals__
+    namespace["FuzzAlias"] = KeyError
+    plain.body()
+    assert namespace["FuzzAlias"] is FuzzDeclaredError

@@ -57,3 +57,19 @@ def test_self_check_reports_all_defects_caught():
     results = run_self_check(SEED, programs_per_defect=8)
     assert set(results) == set(DEFECTS)
     assert all(results.values()), results
+
+
+def test_trace_check_catches_a_certificate_that_passes_every_type(
+    monkeypatch,
+):
+    """Check 6 bites on the guarded calls: with every handler taken to
+    let every type through, the trace pass derives runs the program's
+    handlers catch or its finally blocks change."""
+    from repro.core.tracepass import TransparencyIndex
+
+    clean = run_fuzz(SEED, 25, engine="sequential", trace_derive=True)
+    assert clean.ok, [m.to_dict() for m in clean.mismatches]
+    monkeypatch.setattr(TransparencyIndex, "catchers", lambda self, frame: ())
+    planted = run_fuzz(SEED, 25, engine="sequential", trace_derive=True)
+    assert planted.mismatches
+    assert {m.check for m in planted.mismatches} == {"trace-equivalence"}

@@ -6,11 +6,23 @@ the hand analysis, and (via ``check_program``) the real pipeline must
 match the oracle.
 """
 
+import pytest
+
 from repro.fuzz import ProgramSpec, check_program, simulate
 from repro.fuzz.spec import (
+    GUARD_ALIAS,
+    GUARD_DECLARED,
+    GUARD_EXCEPTION,
+    GUARD_FINALLY,
+    GUARD_SUBCLASS,
+    GUARD_TUPLE,
+    GUARD_WITH,
+    GUARDS,
     OP_CALL,
+    OP_GUARDED_CALL,
     OP_INC,
     OP_RAISE,
+    OP_REBIND,
     OP_SELF_CALL,
     ClassDef,
     MethodDef,
@@ -139,3 +151,74 @@ def test_simulation_is_deterministic():
         assert first.categories == second.categories
         assert first.runs == second.runs
         assert first.total_points == second.total_points
+
+
+def _guarded_spec(guard, *, rebind=None, declares=True, raises=False):
+    """F0.m0 calls F1.m0 under *guard*, then writes; F1.m0 declares the
+    fuzz error (two injection points) and may raise it genuinely.  With
+    *rebind*, F0.m0 rebinds the alias after the guarded call and the
+    workload runs it twice."""
+    ops = [(OP_GUARDED_CALL, 0, 0, guard)]
+    if rebind is not None:
+        ops.append((OP_REBIND, rebind))
+    ops.append((OP_INC,))
+    leaf = ((OP_INC,), (OP_RAISE,)) if raises else ((OP_INC,),)
+    return _spec(
+        f"hand-guard-{guard}",
+        [
+            ClassDef("F0", (1,), (MethodDef("m0", tuple(ops)),)),
+            ClassDef("F1", (), (MethodDef("m0", leaf, declares=declares),)),
+        ],
+        [0, 0] if rebind is not None else [0],
+    )
+
+
+#: Per guard, the exceptions injected at F1.m0 that F0.m0 catches.
+_CAUGHT = {
+    GUARD_DECLARED: {"FuzzDeclaredError"},
+    GUARD_EXCEPTION: {"FuzzDeclaredError", "InjectedRuntimeError"},
+    GUARD_TUPLE: {"FuzzDeclaredError"},
+    GUARD_SUBCLASS: set(),
+    GUARD_ALIAS: {"FuzzDeclaredError"},
+    GUARD_FINALLY: set(),
+    GUARD_WITH: {"FuzzDeclaredError"},
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_guarded_call_catches_by_handler_class(guard):
+    oracle = simulate(_guarded_spec(guard))
+    # An exception F0.m0 catches never crosses its wrapper, so never
+    # marks it.
+    caught = {
+        r.injected_exception
+        for r in oracle.runs
+        if r.injected_method == "F1.m0"
+        and "F0.m0" not in {method for method, _ in r.marks}
+    }
+    assert caught == _CAUGHT[guard]
+    _assert_pipeline_agrees(_guarded_spec(guard))
+    _assert_pipeline_agrees(_guarded_spec(guard, raises=True))
+
+
+def test_writing_finally_marks_the_caller_non_atomic():
+    oracle = simulate(_guarded_spec(GUARD_FINALLY))
+    crossing = [r for r in oracle.runs if r.injected_method == "F1.m0"]
+    assert crossing
+    for run in crossing:
+        assert ("F0.m0", "nonatomic") in run.marks
+
+
+def test_rebound_alias_catches_by_its_binding_at_the_time():
+    # m0 runs twice: the first call's guard names the declared error,
+    # the second's names Exception, which also catches the runtime one.
+    spec = _guarded_spec(GUARD_ALIAS, rebind=1)
+    oracle = simulate(spec)
+    runtime = [
+        r for r in oracle.runs
+        if r.injected_method == "F1.m0"
+        and r.injected_exception == "InjectedRuntimeError"
+    ]
+    assert [r.completed for r in runtime] == [False, True]
+    verdict = check_program(spec, engine="sequential", trace_derive=True)
+    assert verdict.ok, [m.to_dict() for m in verdict.mismatches]

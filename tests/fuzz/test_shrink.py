@@ -1,6 +1,6 @@
 """Tests for the greedy spec shrinker."""
 
-from repro.fuzz import generate_program, shrink
+from repro.fuzz import generate_guarded, generate_program, shrink
 from repro.fuzz.shrink import _candidates, _valid
 from repro.fuzz.spec import OP_INC, OP_RAISE, ClassDef, MethodDef, ProgramSpec
 
@@ -15,8 +15,9 @@ def _size(spec):
 
 
 def test_all_candidates_of_generated_specs_stay_wellformed():
-    for index in range(10):
-        spec = generate_program(23, index)
+    for index in range(20):
+        generate = generate_program if index < 10 else generate_guarded
+        spec = generate(23, index)
         assert _valid(spec)
         for candidate in _candidates(spec):
             if _valid(candidate):
