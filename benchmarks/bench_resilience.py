@@ -30,12 +30,17 @@ Modes:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
 
-from repro.experiments import program_by_name, run_chaos_campaign
-from repro.experiments.supervise import ShardSupervisor
+from repro.experiments import (
+    CampaignConfig,
+    program_by_name,
+    run_chaos_campaign,
+)
+from repro.experiments.supervise import CHAOS_CONFIG, ShardSupervisor
 from repro.service import CampaignService
 
 from conftest import emit
@@ -100,11 +105,11 @@ def bench_resilience(benchmark, tmp_path_factory):
             chaos = run_chaos_campaign(
                 lambda: program_by_name(program_name),
                 workdir,
+                dataclasses.replace(CHAOS_CONFIG, **config),
                 seed=seed,
                 shard_count=3,
                 supervisor=ShardSupervisor(seed=seed),
                 hang_seconds=0.6,
-                **config,
             )
             row = {
                 "seed": seed,
@@ -199,7 +204,8 @@ def bench_resilience(benchmark, tmp_path_factory):
         )
         supervisor = ShardSupervisor(seed=0)
         return supervisor.run(
-            lambda: program_by_name("Dynarray"), 2, workdir, stride=8
+            lambda: program_by_name("Dynarray"), 2, workdir,
+            CampaignConfig(stride=8),
         )
 
     benchmark.pedantic(supervised_unit, rounds=3, iterations=1)

@@ -41,6 +41,7 @@ import os
 import time
 
 from repro.experiments import (
+    CampaignConfig,
     ShardSupervisor,
     merge_fragments,
     program_by_name,
@@ -82,12 +83,12 @@ def workload():
 """
 
 
-def _run_shards(program_name, count, directory, **config):
+def _run_shards(program_name, count, directory, config):
     paths, shard_rows = [], []
     for index in range(count):
         path = os.path.join(directory, f"shard-{index}.jsonl")
         result = run_shard(
-            program_by_name(program_name), index, count, path, **config
+            program_by_name(program_name), index, count, path, config
         )
         paths.append(path)
         shard_rows.append(
@@ -142,7 +143,7 @@ def bench_shard(benchmark, tmp_path_factory, monkeypatch):
     # -- merge bit-identity at 2 shards and at a wider split ------------
     for count in (2, wide):
         paths, shard_rows = _run_shards(
-            program_name, count, directory, stride=stride
+            program_name, count, directory, CampaignConfig(stride=stride)
         )
         merge_started = time.perf_counter()
         merged = merge_fragments(paths)
@@ -181,7 +182,7 @@ def bench_shard(benchmark, tmp_path_factory, monkeypatch):
         lambda: program_by_name(program_name),
         2,
         os.path.join(directory, "supervised"),
-        stride=stride,
+        CampaignConfig(stride=stride),
     )
     assert (
         supervised.merged.detection.log.to_json()
@@ -262,7 +263,9 @@ def bench_shard(benchmark, tmp_path_factory, monkeypatch):
     # the benchmarked unit: one shard + coordinator merge, end to end
     def shard_and_merge():
         path = os.path.join(directory, "bench-unit.jsonl")
-        run_shard(program_by_name("Dynarray"), 0, 1, path, stride=8)
+        run_shard(
+            program_by_name("Dynarray"), 0, 1, path, CampaignConfig(stride=8)
+        )
         return merge_fragments([path])
 
     benchmark.pedantic(shard_and_merge, rounds=3, iterations=1)

@@ -47,6 +47,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -80,6 +81,16 @@ def load_policy(path: Optional[str]) -> Optional[WrapPolicy]:
     )
 
 
+def _campaign_config(args: argparse.Namespace):
+    """The one campaign config a subcommand's flags spell: every knob it
+    has a flag for (``--scale`` sets ``rounds``), the rest defaulted."""
+    from repro.experiments.config import CampaignConfig
+
+    flags = dict(vars(args), rounds=getattr(args, "scale", 1))
+    knobs = {knob.name for knob in dataclasses.fields(CampaignConfig)}
+    return CampaignConfig(**{k: v for k, v in flags.items() if k in knobs})
+
+
 def _cmd_apps(args: argparse.Namespace) -> int:
     from repro.experiments import ALL_PROGRAMS
 
@@ -89,21 +100,15 @@ def _cmd_apps(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    from repro.experiments import program_by_name, run_app_campaign
+    from repro.experiments import program_by_name, run_campaign
 
     policy = load_policy(args.policy)
-    outcome = run_app_campaign(
+    outcome = run_campaign(
         program_by_name(args.app),
-        stride=args.stride,
+        _campaign_config(args),
         policy=policy,
-        scale=args.scale,
-        workers=args.workers,
         resume=args.resume,
         journal=args.journal,
-        timeout=args.timeout,
-        retries=args.retries,
-        state_backend=args.state_backend,
-        trace_derive=args.trace_derive,
     )
     report = outcome.report
     _print_campaign(
@@ -150,10 +155,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         args.index,
         args.count,
         args.fragment,
-        stride=args.stride,
+        _campaign_config(args),
         resume=args.resume,
-        state_backend=args.state_backend,
-        trace_derive=args.trace_derive,
     )
     print(
         f"shard {result.shard_index}/{result.shard_count}: "
@@ -227,14 +230,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         report = run_chaos_campaign(
             lambda: program_by_name(args.app),
             workdir,
+            _campaign_config(args),
             seed=args.seed,
             shard_count=args.shards,
             supervisor=supervisor,
-            stride=args.stride,
-            timeout=args.timeout,
-            retries=args.retries,
-            state_backend=args.state_backend,
-            trace_derive=args.trace_derive,
             hang_seconds=args.hang_seconds,
         )
     print(report.summary())
@@ -251,12 +250,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     validation = validate_masking(
         program_by_name(args.app),
-        stride=args.stride,
+        _campaign_config(args),
         policy=load_policy(args.policy),
         wrap_conditional=args.wrap_conditional,
         strategy=args.strategy,
-        state_backend=args.state_backend,
-        trace_derive=args.trace_derive,
     )
     print(validation.summary())
     return 0 if validation.masking_effective else 1
@@ -272,12 +269,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         shrink,
     )
 
+    config = _campaign_config(args)
     if args.self_check:
         results = run_self_check(
             args.seed,
+            config,
             programs_per_defect=args.programs or 8,
             max_depth=args.max_depth,
-            workers=args.workers,
         )
         for defect, caught in sorted(results.items()):
             print(f"  {'caught ' if caught else 'MISSED '} {defect}")
@@ -293,10 +291,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             spec = ProgramSpec.from_json(handle.read())
         verdict = check_program(
             spec,
+            config,
             engine=args.engine,
-            workers=args.workers,
-            state_backend=args.state_backend,
-            trace_derive=args.trace_derive,
             variants=args.variants,
             variant_seed=args.seed,
         )
@@ -318,12 +314,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     report = run_fuzz(
         args.seed,
         args.programs,
+        config,
         max_depth=args.max_depth,
         engine=args.engine,
-        workers=args.workers,
         progress=progress,
-        state_backend=args.state_backend,
-        trace_derive=args.trace_derive,
         variants=args.variants,
     )
     if args.report_out:
@@ -335,7 +329,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         f"{report.total_points} injection points, methods by category "
         f"{report.category_counts}"
     )
-    if report.trace_derive:
+    if config.trace_derive:
         print(
             f"trace equivalence checked: {report.total_derived} point(s) "
             f"derived from reference traces across all programs"
@@ -367,10 +361,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             spec,
             make_failure_predicate(
                 checks,
+                config,
                 engine=args.engine,
-                workers=args.workers,
-                state_backend=args.state_backend,
-                trace_derive=args.trace_derive,
                 variants=args.variants,
                 variant_seed=args.seed,
             ),
@@ -407,6 +399,7 @@ def _cmd_variants(args: argparse.Namespace) -> int:
     )
 
     recipes = make_recipes(args.seed, args.count)
+    config = _campaign_config(args)
     divergences = []
 
     def emit(tag: int, label: str, module_dicts) -> None:
@@ -452,8 +445,7 @@ def _cmd_variants(args: argparse.Namespace) -> int:
                 spec.name,
                 functools.partial(build_program, spec),
                 factories,
-                trace_derive=args.trace_derive,
-                state_backend=args.state_backend,
+                config,
             )
             divergences = report.divergences
     else:
@@ -462,11 +454,7 @@ def _cmd_variants(args: argparse.Namespace) -> int:
         program = program_by_name(args.app)
         print(f"subject: application {program.name}")
         base = (
-            campaign_bundle(
-                lambda: program,
-                trace_derive=args.trace_derive,
-                state_backend=args.state_backend,
-            )
+            campaign_bundle(lambda: program, config)
             if args.check
             else None
         )
@@ -484,11 +472,7 @@ def _cmd_variants(args: argparse.Namespace) -> int:
                         f"{', '.join(grafted.skipped_methods)})"
                     )
                 if base is not None:
-                    bundle = campaign_bundle(
-                        lambda: grafted.program,
-                        trace_derive=args.trace_derive,
-                        state_backend=args.state_backend,
-                    )
+                    bundle = campaign_bundle(lambda: grafted.program, config)
                     divergences.extend(
                         diff_bundles(
                             base,

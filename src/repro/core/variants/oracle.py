@@ -25,15 +25,27 @@ campaign — masking rounds need unwoven classes).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core import WrapPolicy
 from repro.core.classify import CATEGORY_ATOMIC
 from repro.core.masking import STRATEGIES
 from repro.core.policy import select_methods_to_wrap
 from repro.core.runlog import log_json_without_provenance
+
+if TYPE_CHECKING:
+    from repro.experiments.config import CampaignConfig
 
 __all__ = [
     "CampaignBundle",
@@ -91,7 +103,7 @@ def _masking_rounds(
     make_program: Callable[[], object],
     classification,
     strategy: str,
-    state_backend: str,
+    config: "CampaignConfig",
 ) -> str:
     """Iterate mask → re-detect to the fixpoint; return the canonical
     JSON transcript of every round (wrapped set + classification)."""
@@ -102,10 +114,7 @@ def _masking_rounds(
     rounds: List[Dict] = []
     while True:
         detection, masked = mask_and_redetect(
-            make_program(),
-            wrapped,
-            strategy=strategy,
-            state_backend=state_backend,
+            make_program(), wrapped, config, strategy=strategy
         )
         rounds.append(
             {
@@ -135,9 +144,8 @@ def _masking_rounds(
 
 def campaign_bundle(
     make_program: Callable[[], object],
+    config: Optional["CampaignConfig"] = None,
     *,
-    state_backend: str = "graph",
-    trace_derive: bool = False,
     masking: bool = True,
 ) -> CampaignBundle:
     """Run the campaign(s) for one subject; collect comparable outputs.
@@ -148,15 +156,18 @@ def campaign_bundle(
             once per campaign — return a freshly built program when the
             subject is rebuilt from a spec, or the same (unwoven)
             program object for real applications.
-        trace_derive: additionally run the campaign under the trace
-            pass and include its output (modulo provenance) in the
-            bundle.
+        config: the campaigns' knobs (default: the defaults).  With
+            ``trace_derive`` the campaign also runs under the trace pass,
+            and the bundle includes its output (modulo provenance).
         masking: include the masking fixpoint transcript of every
             checkpoint strategy in :data:`repro.core.masking.STRATEGIES`.
     """
-    from repro.experiments.campaign import run_app_campaign
+    from repro.experiments.campaign import run_campaign
+    from repro.experiments.config import CampaignConfig
 
-    outcome = run_app_campaign(make_program(), state_backend=state_backend)
+    config = CampaignConfig() if config is None else config
+    dynamic = dataclasses.replace(config, trace_derive=False)
+    outcome = run_campaign(make_program(), dynamic)
     bundle = CampaignBundle(
         log=log_json_without_provenance(outcome.detection.log),
         classification=outcome.classification.to_json(),
@@ -164,15 +175,10 @@ def campaign_bundle(
     if masking:
         for strategy in STRATEGIES:
             bundle.masking[strategy] = _masking_rounds(
-                make_program,
-                outcome.classification,
-                strategy,
-                state_backend,
+                make_program, outcome.classification, strategy, dynamic
             )
-    if trace_derive:
-        derived = run_app_campaign(
-            make_program(), state_backend=state_backend, trace_derive=True
-        )
+    if config.trace_derive:
+        derived = run_campaign(make_program(), config)
         bundle.trace = json.dumps(
             {
                 "log": json.loads(
@@ -247,7 +253,9 @@ def check_invariance(
     subject: str,
     make_original: Callable[[], object],
     variant_factories: Sequence[Tuple[str, Callable[[], object]]],
-    **bundle_kwargs,
+    config: Optional["CampaignConfig"] = None,
+    *,
+    masking: bool = True,
 ) -> InvarianceReport:
     """Campaign the original and every variant; report all divergences.
 
@@ -255,12 +263,12 @@ def check_invariance(
         subject: display name of the subject program.
         make_original: program factory for the untransformed subject.
         variant_factories: ``(label, factory)`` per variant.
-        bundle_kwargs: forwarded to :func:`campaign_bundle`.
+        config, masking: as for :func:`campaign_bundle`.
     """
-    base = campaign_bundle(make_original, **bundle_kwargs)
+    base = campaign_bundle(make_original, config, masking=masking)
     report = InvarianceReport(subject=subject, variants=len(variant_factories))
     for label, factory in variant_factories:
-        bundle = campaign_bundle(factory, **bundle_kwargs)
+        bundle = campaign_bundle(factory, config, masking=masking)
         report.divergences.extend(
             diff_bundles(base, bundle, subject=subject, variant=label)
         )

@@ -2,6 +2,8 @@
 
 * :mod:`programs <repro.experiments.programs>` — the sixteen evaluation
   applications of Table 1 (6 C++/Self\\*, 10 Java/collections+Regexp).
+* :mod:`config <repro.experiments.config>` — a campaign's knobs,
+  declared once (:class:`CampaignConfig`).
 * :mod:`campaign <repro.experiments.campaign>` — the end-to-end
   detection pipeline for one application.
 * :mod:`tables <repro.experiments.tables>` — Table 1 and Figures 2–4.
@@ -15,9 +17,11 @@ from .campaign import (
     library_wide_classification,
     load_outcome,
     run_app_campaign,
+    run_campaign,
     run_programs,
     save_outcome,
 )
+from .config import CampaignConfig
 from .fig5 import (
     DEFAULT_RATIOS,
     DEFAULT_SIZES,
@@ -71,8 +75,10 @@ __all__ = [
     "CPP_PROGRAMS",
     "JAVA_PROGRAMS",
     "program_by_name",
+    "CampaignConfig",
     "CampaignOutcome",
     "run_app_campaign",
+    "run_campaign",
     "run_programs",
     "save_outcome",
     "load_outcome",

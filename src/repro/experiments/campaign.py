@@ -29,11 +29,13 @@ from repro.core import (
     reclassify,
 )
 
+from .config import CampaignConfig
 from .programs import ALL_PROGRAMS, AppProgram
 
 __all__ = [
     "CampaignOutcome",
     "run_app_campaign",
+    "run_campaign",
     "run_programs",
     "library_wide_classification",
     "save_outcome",
@@ -75,6 +77,28 @@ def run_app_campaign(
     state_backend: str = "graph",
     trace_derive: bool = False,
 ) -> CampaignOutcome:
+    """:func:`run_campaign` with the knobs of a :class:`CampaignConfig`
+    spelled as keywords (``scale`` is its ``rounds``)."""
+    config = CampaignConfig(
+        stride=stride, rounds=scale, state_backend=state_backend,
+        trace_derive=trace_derive, workers=workers, timeout=timeout,
+        retries=retries,
+    )
+    return run_campaign(
+        program, config, policy=policy, resume=resume, journal=journal,
+        progress=progress,
+    )
+
+
+def run_campaign(
+    program: AppProgram,
+    config: CampaignConfig = CampaignConfig(),
+    *,
+    policy: Optional[WrapPolicy] = None,
+    resume: bool = False,
+    journal: Optional[str] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> CampaignOutcome:
     """Run detection + classification for one application.
 
     Args:
@@ -82,45 +106,25 @@ def run_app_campaign(
             :mod:`repro.experiments.programs`), or any other
             :class:`AppProgram`: shard processes inherit it through the
             fork.
-        stride: inject at every *stride*-th point (1 = the paper's full
-            sweep).
+        config: the campaign's knobs.  With ``workers`` or a
+            ``timeout``, a *journal* or *resume*, the campaign runs on
+            the shard engine
+            (:class:`~repro.experiments.supervise.ShardSupervisor`), with
+            a result identical to the sequential engine's.
         policy: optional wrap policy; its exception-free set filters runs
             before classification (Section 4.3).
-        scale: workload repetitions per execution; larger values approach
-            the paper's injection counts at quadratically growing cost.
-        workers: when set (or with ``resume``/``journal``/``timeout``),
-            run the campaign on the shard engine
-            (:class:`~repro.experiments.supervise.ShardSupervisor`) as
-            this many shard processes at once (default: the machine's
-            CPUs).  The result is identical to the sequential engine's.
         resume: skip injection points already recorded in ``journal``
             (whose fragments also fix the shard count).
         journal: directory of the journal fragments (``shard-NN.jsonl``,
             which ``repro merge`` reads); a temporary one when unset.
-        timeout: per-run wall-clock budget in seconds, which the shard
-            engine's supervisor enforces by killing the shard process.
-        retries: retry attempts per timed-out point before marking it
-            crashed.
         progress: optional ``(runs_done, runs_total)`` callback.
-        state_backend: how the campaign compares before/after state —
-            ``graph`` (full object-graph isomorphism, the reference) or
-            ``fingerprint`` (one-pass 128-bit digests with a graph
-            fallback for diagnostics; same classification, faster).
-        trace_derive: instrument the profiling run
-            (:mod:`repro.core.tracepass`) and derive the records of
-            every trace-decidable injection point from that single
-            reference execution; only trace-undecidable points execute.
-            Composes with every ``state_backend``; the classification is
-            identical, with derived runs tagged ``provenance="trace"``.
     """
-    if scale > 1:
-        program = program.scaled(scale * program.rounds)
-    if resume or any(x is not None for x in (workers, journal, timeout)):
+    scaled = config.scaled(program)
+    if resume or journal is not None or config.sequential() != config:
         from .supervise import ShardSupervisor
 
         if resume and journal is None:
             raise ValueError("resume=True requires a journal directory")
-        shards = os.cpu_count() or 1 if workers is None else workers
         with (
             tempfile.TemporaryDirectory(prefix="repro-campaign-")
             if journal is None
@@ -128,16 +132,11 @@ def run_app_campaign(
         ) as workdir:
             merged = ShardSupervisor().run(
                 lambda: program,
-                shards,
+                config.workers or os.cpu_count() or 1,
                 workdir,
-                workers=shards,
+                config,
                 resume=resume,
                 progress=progress,
-                stride=stride,
-                timeout=timeout,
-                retries=retries,
-                state_backend=state_backend,
-                trace_derive=trace_derive,
             ).merged
         detection = merged.detection
         # Campaigns fanned out from here report as the "parallel" engine;
@@ -145,7 +144,7 @@ def run_app_campaign(
         detection.telemetry.engine = "parallel"
         classification = merged.classify(policy)
     else:
-        campaign = InjectionCampaign(state_backend=state_backend)
+        campaign = InjectionCampaign(state_backend=config.state_backend)
         with Weaver(
             lambda spec: make_injection_wrapper(spec, campaign),
             Analyzer(exclude=program.exclude),
@@ -154,11 +153,11 @@ def run_app_campaign(
             # AppProgram satisfies the Program protocol (name + __call__
             # with scaling applied): it is the detector's test program
             detection = Detector(
-                program,
+                scaled,
                 campaign,
-                stride=stride,
+                stride=config.stride,
                 progress=progress,
-                trace_derive=trace_derive,
+                trace_derive=config.trace_derive,
             ).detect()
         # the programmer-declared exception-free annotations always apply
         # (§4.3 third case); a caller-supplied policy is merged on top
@@ -167,7 +166,7 @@ def run_app_campaign(
             effective = effective.merged_with(policy)
         classification = reclassify(detection.log, effective)
     return CampaignOutcome(
-        program=program,
+        program=scaled,
         detection=detection,
         classification=classification,
         report=build_app_report(program.name, detection, classification),

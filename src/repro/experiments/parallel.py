@@ -129,37 +129,25 @@ def run_point(
 
 
 def _run_chunk(
-    conn,
-    slot,
-    program,
-    shard_index: int,
-    shard_count: int,
-    fragment_path: str,
-    profile,
-    resume: bool,
-    config: Dict[str, Any],
+    conn, slot, program, shard_index, shard_count, fragment_path, config,
+    profile, resume, tries, crashed,
 ) -> None:
     """Run one shard process in this (forked) process.
 
     *program* is the parent's, inherited through the fork: its classes
     were unwoven when the parent forked, and this process weaves its own
-    copy-on-write copy of them.  Writes its progress to *slot*, and
-    sends one message on *conn*: ``("done", ShardResult)`` or
-    ``("error", reason)``.  A process that dies or is killed sends
-    neither, and the parent reads its exit.
+    copy-on-write copy of them.  The rest is :func:`run_shard`'s.
+    Writes its progress to *slot*, and sends one message on *conn*:
+    ``("done", ShardResult)`` or ``("error", reason)``.  A process that
+    dies or is killed sends neither, and the parent reads its exit.
     """
     from .shard import run_shard
 
     try:
         result = run_shard(
-            program,
-            shard_index,
-            shard_count,
-            fragment_path,
-            profile=profile,
-            resume=resume,
-            slot=slot,
-            **config,
+            program, shard_index, shard_count, fragment_path, config,
+            resume=resume, profile=profile, slot=slot, tries=tries,
+            crashed=crashed,
         )
     except BaseException as exc:  # WorkerKilled included: report, then exit
         conn.send(("error", f"{type(exc).__name__}: {exc}"))

@@ -53,11 +53,11 @@ from repro.core import (
 )
 from repro.core.detector import DetectionResult, Profile, profile_program
 from repro.core.runlog import RunLog, RunRecord, merge_logs
-from repro.core.state import get_backend
 from repro.core.telemetry import CampaignTelemetry
 from repro.core.weaver import Weaver
 from repro.resilience.chaos import fire as _fault_site
 
+from .config import HEADER_FIELDS, CampaignConfig
 from .parallel import (
     SLOT_DONE,
     STEP_CLOSE,
@@ -90,16 +90,15 @@ FRAGMENT_VERSION = 2
 #: lose the unsynced tail, and a resume re-runs its points.
 SYNC_INTERVAL_S = 1.0
 
-#: Header keys that identify the campaign a fragment belongs to.  Two
-#: fragments may only be merged when they agree on every one of these.
+#: Header keys that identify the campaign a fragment belongs to: the
+#: plan :meth:`CampaignConfig.header` records, version and shard count.
+#: Two fragments may only be merged when they agree on every one of these.
 CAMPAIGN_KEYS = (
     "version",
     "program",
     "rounds",
-    "stride",
     "total_points",
-    "state_backend",
-    "trace_derive",
+    *HEADER_FIELDS,
     "shard_count",
 )
 
@@ -119,25 +118,6 @@ def shard_points(points: Sequence[int], shard_count: int) -> List[List[int]]:
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
     return [list(points[index::shard_count]) for index in range(shard_count)]
-
-
-def shard_header(
-    program,
-    total_points: int,
-    *,
-    stride: int,
-    state_backend: str,
-    trace_derive: bool,
-) -> Dict[str, Any]:
-    """The campaign plan a fragment's header records, shard aside."""
-    return {
-        "program": program.name,
-        "rounds": program.rounds,
-        "stride": stride,
-        "total_points": total_points,
-        "state_backend": state_backend,
-        "trace_derive": trace_derive,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -340,23 +320,23 @@ class ShardProfile:
 
 
 def profile_shards(
-    program,
-    *,
-    state_backend: str = "graph",
-    trace_derive: bool = False,
+    program, config: CampaignConfig = CampaignConfig()
 ) -> ShardProfile:
     """Weave *program*, run its profiling run, unweave.
 
     The engine's parent calls this once per campaign and hands the
     result to every shard; a shard run on its own calls it itself.
     """
-    campaign = InjectionCampaign(state_backend=state_backend)
+    program = config.scaled(program)
+    campaign = InjectionCampaign(state_backend=config.state_backend)
     with Weaver(
         lambda spec: make_injection_wrapper(spec, campaign),
         Analyzer(exclude=program.exclude),
     ) as weaver:
         specs = weaver.weave_classes(program.classes)
-        profile = profile_program(program, campaign, trace_derive=trace_derive)
+        profile = profile_program(
+            program, campaign, trace_derive=config.trace_derive
+        )
     # No injection run yet: the log holds call counts only.
     payload = {
         "total_points": profile.total_points,
@@ -395,11 +375,9 @@ def run_shard(
     shard_index: int,
     shard_count: int,
     fragment_path: str,
+    config: CampaignConfig = CampaignConfig(),
     *,
-    stride: int = 1,
     resume: bool = False,
-    state_backend: str = "graph",
-    trace_derive: bool = False,
     profile: Optional[ShardProfile] = None,
     slot=None,
     tries: Optional[Dict[int, int]] = None,
@@ -430,32 +408,22 @@ def run_shard(
         raise ValueError(
             f"shard_index must be in [0, {shard_count}), got {shard_index}"
         )
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    state_backend = get_backend(state_backend).name
     slot = [0.0] * 3 if slot is None else slot
     tries = tries or {}
 
     started = time.perf_counter()
     if profile is None:
-        profile = profile_shards(
-            program, state_backend=state_backend, trace_derive=trace_derive
-        )
+        profile = profile_shards(program, config)
     total = profile.profile.total_points
     decided = profile.profile.decided
     profiled = time.perf_counter()
 
-    mine = shard_points(plan_points(total, stride=stride), shard_count)[
+    mine = shard_points(plan_points(total, stride=config.stride), shard_count)[
         shard_index
     ]
-    header = shard_header(
-        program,
-        total,
-        stride=stride,
-        state_backend=state_backend,
-        trace_derive=trace_derive,
-    )
+    header = config.header(program, total)
     header.update(shard_index=shard_index, shard_count=shard_count)
+    program = config.scaled(program)
     fragment = ShardFragment(fragment_path)
     resumed: Dict[int, Dict[str, Any]] = {}
     if resume:
@@ -468,7 +436,7 @@ def run_shard(
             if p in assigned
         }
 
-    campaign = InjectionCampaign(state_backend=state_backend)
+    campaign = InjectionCampaign(state_backend=config.state_backend)
     # The profiling run's wrapper entries decide which before-captures
     # this shard's runs skip, as they do in the sequential engine.
     campaign.call_entries = profile.profile.call_entries
@@ -542,7 +510,7 @@ def run_shard(
             "profile": profiled - started,
             "execute": finished - profiled,
         },
-        state_backend=state_backend,
+        state_backend=config.state_backend,
         state_captures=state_stats.captures,
         state_fingerprints=state_stats.fingerprints,
         state_compares=state_stats.compares,

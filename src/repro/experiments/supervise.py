@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import plan_points
-from repro.core.state import get_backend
 from repro.resilience.chaos import (
     FaultPlan,
     active_injector,
@@ -48,7 +47,8 @@ from repro.resilience.chaos import (
 )
 
 from . import parallel as _kernel
-from .campaign import run_app_campaign
+from .campaign import run_campaign
+from .config import CampaignConfig
 from .parallel import (
     SLOT_DONE,
     SLOT_STARTED,
@@ -66,7 +66,6 @@ from .shard import (
     ShardResult,
     merge_fragments,
     profile_shards,
-    shard_header,
 )
 
 __all__ = [
@@ -272,79 +271,54 @@ class ShardSupervisor:
         program_factory: Callable[[], AppProgram],
         shard_count: int,
         workdir: str,
+        config: CampaignConfig = CampaignConfig(),
         *,
-        workers: Optional[int] = None,
         resume: bool = False,
         progress: Optional[Callable[[int, int], None]] = None,
-        stride: int = 1,
-        timeout: Optional[float] = None,
-        retries: int = 1,
-        state_backend: str = "graph",
-        trace_derive: bool = False,
     ) -> SupervisedCampaign:
         """Run every shard of one campaign under supervision, then merge.
 
-        Fragments land in *workdir* as ``shard-NN.jsonl``.  At most
-        *workers* shard processes run at once, by default
-        ``min(shard_count, os.cpu_count())``; ``workers=1`` runs them one
-        at a time, which a fault schedule that must fire at the same
-        invocations on every run needs.  *program_factory* is called
-        once, here in the parent; every shard process inherits the
-        subject it built through the fork.  With *resume* only the
-        points missing from *workdir* run.  A run that outlives
-        *timeout* seconds is killed and run again by a fresh process, up
-        to *retries* times, then journaled crashed; without a *timeout*
-        a run has no limit.
+        Fragments land in *workdir* as ``shard-NN.jsonl``: one per
+        shard, but never more than the plan has points.  With *resume*
+        the shard count comes from the fragments already there, and only
+        the points missing from them run.  At most ``config.workers``
+        shard processes run at once, and never more than the machine's
+        CPUs; ``workers=1`` runs them one at a time, which a fault
+        schedule that must fire at the same invocations on every run
+        needs.  *program_factory* is called once, here in the parent;
+        every shard process inherits the subject it built through the
+        fork.  A run that outlives ``config.timeout`` is killed and run
+        again by a fresh process, up to ``config.retries`` times, then
+        journaled crashed.
         """
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
-        if workers is None:
-            workers = min(shard_count, os.cpu_count() or 1)
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be > 0")
-        state_backend = get_backend(state_backend).name
         started = time.perf_counter()
         program = program_factory()
-        profile = profile_shards(
-            program, state_backend=state_backend, trace_derive=trace_derive
-        )
+        profile = profile_shards(program, config)
         total = profile.profile.total_points
-        points = plan_points(total, stride=stride)
-        plan = shard_header(
-            program,
-            total,
-            stride=stride,
-            state_backend=state_backend,
-            trace_derive=trace_derive,
+        points = plan_points(total, stride=config.stride)
+        plan = config.header(program, total)
+        paths = _fragment_paths(
+            workdir, min(shard_count, len(points)), resume, plan
         )
-        paths = _fragment_paths(workdir, shard_count, resume, plan)
         resumed = set()
         for path in paths if resume else ():
             resumed.update(ShardFragment(path).load_done(plan))
         resumed &= set(points)
-        config = {
-            "stride": stride,
-            "state_backend": state_backend,
-            "trace_derive": trace_derive,
-        }
+        concurrency = min(
+            config.workers or len(paths), len(paths), os.cpu_count() or 1
+        )
         profiled = time.perf_counter()
         outcomes = self._run_shards(
             program,
             profile,
             config,
             paths,
-            workers=workers,
+            workers=concurrency,
             resume=resume,
             progress=progress,
             runs_total=len(points),
-            timeout=timeout,
-            retries=retries,
         )
         executed_at = time.perf_counter()
         merged = merge_fragments(paths)
@@ -357,7 +331,6 @@ class ShardSupervisor:
         busy = {str(r.shard_index): r.wall_seconds for r in results}
         executed = len(points) - len(resumed) - derived
         execute = executed_at - profiled
-        concurrency = min(workers, len(paths))
         capacity = concurrency * execute
         shard_retries = sum(outcome.retries for outcome in outcomes)
         injector = active_injector()
@@ -393,15 +366,13 @@ class ShardSupervisor:
         self,
         program: AppProgram,
         profile: ShardProfile,
-        config: Dict[str, Any],
+        config: CampaignConfig,
         paths: List[str],
         *,
         workers: int,
         resume: bool,
         progress: Optional[Callable[[int, int], None]],
         runs_total: int,
-        timeout: Optional[float],
-        retries: int,
     ) -> List[ShardOutcome]:
         """Start, watch, kill and retry shard processes until every
         fragment is complete."""
@@ -416,13 +387,15 @@ class ShardSupervisor:
         done = [0] * count
         # Each point's runs killed for the run budget in this attempt.
         tries: List[Dict[int, int]] = [{} for _ in range(count)]
-        poll = self.poll_interval(timeout)
+        poll = self.poll_interval(config.timeout)
 
         def start(index: int, resumed: bool) -> None:
-            given_up = (p for p, n in tries[index].items() if n > retries)
+            given_up = (
+                p for p, n in tries[index].items() if n > config.retries
+            )
             running[index] = _ShardProcess(
-                ctx, program, index, count, paths[index], profile, resumed,
-                dict(config, tries=tries[index], crashed=frozenset(given_up)),
+                ctx, program, index, count, paths[index], config, profile,
+                resumed, tries[index], frozenset(given_up),
             )
 
         try:
@@ -453,7 +426,9 @@ class ShardSupervisor:
                     min(poll, delay),
                 )
                 for index, child in list(running.items()):
-                    finished, failure, overrun = self._check(child, timeout)
+                    finished, failure, overrun = self._check(
+                        child, config.timeout
+                    )
                     if child.done > done[index]:
                         done[index] = child.done
                         if progress is not None:
@@ -557,7 +532,7 @@ class ChaosReport:
     plan: Dict[str, Any]
     error: Optional[str]
     wall_seconds: float
-    config: Dict[str, Any]
+    config: CampaignConfig
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -597,19 +572,20 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+#: The chaos harness's default campaign: a per-run budget the standard
+#: plan's hung runs blow.
+CHAOS_CONFIG = CampaignConfig(timeout=0.25)
+
+
 def run_chaos_campaign(
     program_factory: Callable[[], AppProgram],
     workdir: str,
+    config: CampaignConfig = CHAOS_CONFIG,
     *,
     seed: int = 0,
     shard_count: int = 3,
     plan: Optional[FaultPlan] = None,
     supervisor: Optional[ShardSupervisor] = None,
-    stride: int = 1,
-    timeout: Optional[float] = 0.25,
-    retries: int = 1,
-    state_backend: str = "graph",
-    trace_derive: bool = False,
     hang_seconds: float = 1.0,
 ) -> ChaosReport:
     """Run one seeded chaos experiment and report convergence.
@@ -628,22 +604,11 @@ def run_chaos_campaign(
     kind fired.
     """
     started = time.perf_counter()
-    config: Dict[str, Any] = {
-        "stride": stride,
-        "timeout": timeout,
-        "retries": retries,
-        "state_backend": state_backend,
-        "trace_derive": trace_derive,
-    }
-    reference = run_app_campaign(
-        program_factory(),
-        stride=stride,
-        state_backend=state_backend,
-        trace_derive=trace_derive,
-    )
+    config = dataclasses.replace(config, workers=1)
+    reference = run_campaign(program_factory(), config.sequential())
     if plan is None:
         plan = standard_plan(
-            seed, hang_seconds=hang_seconds, run_hangs=retries + 1
+            seed, hang_seconds=hang_seconds, run_hangs=config.retries + 1
         )
     if supervisor is None:
         supervisor = ShardSupervisor(seed=seed)
@@ -653,7 +618,7 @@ def run_chaos_campaign(
     with arm(plan) as injector:
         try:
             supervised = supervisor.run(
-                program_factory, shard_count, workdir, workers=1, **config
+                program_factory, shard_count, workdir, config
             )
         except (SupervisorError, ShardError) as exc:
             error = f"{type(exc).__name__}: {exc}"

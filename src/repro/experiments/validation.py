@@ -44,7 +44,8 @@ from repro.core.state import capture_frame, graph_diff_live
 from repro.core.runlog import MethodKey
 from repro.core.weaver import Weaver
 
-from .campaign import CampaignOutcome, run_app_campaign
+from .campaign import CampaignOutcome, run_campaign
+from .config import CampaignConfig
 from .programs import AppProgram
 
 __all__ = [
@@ -152,14 +153,13 @@ def _make_graph_checker(spec, records: List[GraphCheck]):
 def mask_and_redetect(
     program: AppProgram,
     to_wrap: List[MethodKey],
+    config: CampaignConfig = CampaignConfig(),
     *,
     strategy: str = "snapshot",
-    stride: int = 1,
     policy: Optional[WrapPolicy] = None,
     stats: Optional[MaskingStats] = None,
     graph_checks: Optional[List[GraphCheck]] = None,
     atomic_factory=None,
-    state_backend: str = "graph",
 ) -> Tuple[DetectionResult, ClassificationResult]:
     """Weave atomicity wrappers for *to_wrap*, re-run the campaign.
 
@@ -170,6 +170,13 @@ def mask_and_redetect(
     method's declared-exception metadata, so the masked campaign has the
     same injection points, in the same order, as the original one.
 
+    The re-detection runs in this process on the sequential engine,
+    with *config*'s stride, rounds and state backend, and never derives
+    points from a trace: the rollback behavior under test must be
+    observed by real execution.  The graph-checker layer always uses
+    full graph captures, whatever the backend: it is the independent
+    observer whose verdict must not depend on the backend under test.
+
     Args:
         strategy: a :data:`repro.core.masking.STRATEGIES` name.
         policy: merged into the woven specs' exception-free policy before
@@ -178,14 +185,11 @@ def mask_and_redetect(
             ``MethodSpec -> callable``); the fuzz harness's self-check
             uses this to plant a rollback-free wrapper and assert the
             differential checks notice.
-        state_backend: backend the *re-detection* campaign compares
-            state with.  The graph-checker layer always uses full graph
-            captures regardless — it is the independent observer whose
-            verdict must not depend on the backend under test.
 
     Returns:
         ``(detection, classification)`` of the masked campaign.
     """
+    program = config.scaled(program)
     checkpoints = get_strategy(strategy)
     if stats is None:
         stats = MaskingStats()
@@ -195,7 +199,7 @@ def mask_and_redetect(
         atomic_factory = lambda spec: make_atomicity_wrapper(  # noqa: E731
             spec, stats=stats, strategy=strategy
         )
-    campaign = InjectionCampaign(state_backend=state_backend)
+    campaign = InjectionCampaign(state_backend=config.state_backend)
     atomic_weaver = Weaver(atomic_factory, analyzer)
     injection_weaver = Weaver(
         lambda spec: make_injection_wrapper(spec, campaign), analyzer
@@ -223,7 +227,9 @@ def mask_and_redetect(
                 weave_selected(layers.enter_context(checker))
             layers.enter_context(injection_weaver)
             specs = injection_weaver.weave_classes(program.classes)
-            detection = Detector(program, campaign, stride=stride).detect()
+            detection = Detector(
+                program, campaign, stride=config.stride
+            ).detect()
         effective = WrapPolicy.from_specs(specs)
         if policy is not None:
             effective = effective.merged_with(policy)
@@ -235,37 +241,26 @@ def mask_and_redetect(
 
 def validate_masking(
     program: AppProgram,
+    config: CampaignConfig = CampaignConfig(),
     *,
-    stride: int = 1,
     policy: Optional[WrapPolicy] = None,
     wrap_conditional: bool = False,
     strategy: str = "snapshot",
-    state_backend: str = "graph",
-    trace_derive: bool = False,
 ) -> MaskingValidation:
     """Detect, mask, and re-detect; return both campaigns' verdicts.
 
+    The first campaign runs with *config*; the masked re-detection with
+    its stride, rounds and state backend (see :func:`mask_and_redetect`).
+
     Args:
         program: the evaluation application.
-        stride: injection-point stride for both campaigns.
         policy: extra wrap policy merged into the first campaign's.
         wrap_conditional: also wrap conditional methods (§4.3 says this
             is unnecessary — the validation proves it, since conditional
             methods come back atomic once their pure callees are masked).
         strategy: checkpoint strategy for the masked campaign's wrappers.
-        state_backend: state backend both campaigns compare state with.
-        trace_derive: derive the *first* campaign's trace-decidable
-            points from one instrumented reference run.  It never
-            applies to the masked re-detection — the rollback behavior
-            under test must be observed by real execution.
     """
-    first = run_app_campaign(
-        program,
-        stride=stride,
-        policy=policy,
-        state_backend=state_backend,
-        trace_derive=trace_derive,
-    )
+    first = run_campaign(program, config, policy=policy)
     selection_policy = WrapPolicy(wrap_conditional=wrap_conditional)
     if policy is not None:
         selection_policy = selection_policy.merged_with(policy)
@@ -275,11 +270,10 @@ def validate_masking(
     _, second = mask_and_redetect(
         program,
         to_wrap,
+        config,
         strategy=strategy,
-        stride=stride,
         policy=policy,
         stats=stats,
-        state_backend=state_backend,
     )
     return MaskingValidation(
         program_name=program.name,

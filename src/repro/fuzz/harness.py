@@ -37,6 +37,7 @@ wall-clock, no unseeded randomness.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass, field
@@ -52,7 +53,8 @@ from repro.core.detector import DetectionResult
 from repro.core.masking import STRATEGIES, MaskingStats
 from repro.core.policy import select_methods_to_wrap
 from repro.core.runlog import log_json_without_provenance
-from repro.experiments.campaign import run_app_campaign
+from repro.experiments.campaign import run_campaign
+from repro.experiments.config import CampaignConfig
 from repro.experiments.validation import GraphCheck, mask_and_redetect
 
 from .build import build_program
@@ -63,6 +65,7 @@ from .spec import ProgramSpec
 __all__ = [
     "DEFECTS",
     "ENGINES",
+    "FUZZ_CONFIG",
     "FuzzReport",
     "Mismatch",
     "ProgramVerdict",
@@ -72,6 +75,10 @@ __all__ = [
 ]
 
 ENGINES = ("sequential", "parallel", "both")
+
+#: The harness's default campaign: the shard-engine check (Check 2) runs
+#: two shard processes.
+FUZZ_CONFIG = CampaignConfig(workers=2)
 
 #: Plantable defects for the self-check, and what each one corrupts.
 DEFECTS = (
@@ -114,15 +121,13 @@ class FuzzReport:
     programs: int
     max_depth: int
     engine: str
-    workers: int
+    config: CampaignConfig
     defect: Optional[str]
     total_points: int
     total_runs: int
     category_counts: Dict[str, int]
     mismatches: List[Mismatch]
     failing_programs: List[str]
-    state_backend: str = "graph"
-    trace_derive: bool = False
     total_derived: int = 0
     variants: int = 0
     total_variant_applied: int = 0
@@ -132,24 +137,11 @@ class FuzzReport:
         return not self.mismatches
 
     def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "programs": self.programs,
-            "max_depth": self.max_depth,
-            "engine": self.engine,
-            "workers": self.workers,
-            "defect": self.defect,
-            "state_backend": self.state_backend,
-            "trace_derive": self.trace_derive,
-            "total_derived": self.total_derived,
-            "variants": self.variants,
-            "total_variant_applied": self.total_variant_applied,
-            "total_points": self.total_points,
-            "total_runs": self.total_runs,
-            "category_counts": self.category_counts,
-            "mismatches": [m.to_dict() for m in self.mismatches],
-            "failing_programs": self.failing_programs,
-        }
+        out = dataclasses.asdict(self)
+        config = out.pop("config")
+        for knob in ("workers", "state_backend", "trace_derive"):
+            out[knob] = config[knob]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -161,20 +153,11 @@ class FuzzReport:
 
 
 def _campaign(
-    spec: ProgramSpec,
-    state_backend: str = "graph",
-    *,
-    trace_derive: bool = False,
-    workers: Optional[int] = None,
+    spec: ProgramSpec, config: CampaignConfig
 ) -> Tuple[DetectionResult, ClassificationResult]:
-    """One campaign: the sequential engine, or with *workers* the shard
-    engine."""
-    outcome = run_app_campaign(
-        build_program(spec),
-        workers=workers,
-        state_backend=state_backend,
-        trace_derive=trace_derive,
-    )
+    """One campaign of *spec*'s program: the sequential engine, or with
+    ``config.workers`` the shard engine."""
+    outcome = run_campaign(build_program(spec), config)
     return outcome.detection, outcome.classification
 
 
@@ -300,7 +283,7 @@ def _check_masking(
     oracle: OracleResult,
     strategy: str,
     defect: Optional[str],
-    state_backend: str = "graph",
+    config: CampaignConfig,
 ) -> List[Mismatch]:
     """Checks 3+4: iterated mask → re-detect for one strategy.
 
@@ -334,13 +317,13 @@ def _check_masking(
         detection, classification = mask_and_redetect(
             build_program(spec),
             wrapped,
+            config,
             strategy=strategy,
             stats=stats,
             graph_checks=graph_checks,
             atomic_factory=(
                 _no_rollback_factory if defect == "mask_no_rollback" else None
             ),
-            state_backend=state_backend,
         )
         # Wrapper layering must not change the campaign's shape: same
         # points, no genuine failures escaping.
@@ -413,16 +396,15 @@ def _check_variants(
     spec: ProgramSpec,
     variants: int,
     variant_seed: int,
-    state_backend: str,
-    trace_derive: bool,
+    config: CampaignConfig,
 ) -> Tuple[List[Mismatch], int]:
     """Check 7: detection invariance across semantic-preserving variants.
 
     Builds ``variants`` transformed editions of the subject (seeded
     recipes over :mod:`repro.core.variants`) and requires every
     campaign observable — run log modulo provenance, classification,
-    per-strategy masking fixpoints, and (when ``trace_derive`` is on)
-    the derived campaign output — to be identical between
+    per-strategy masking fixpoints, and (when ``config.trace_derive`` is
+    on) the derived campaign output — to be identical between
     the original and each variant.  Returns the mismatches plus the
     total number of rule applications (so reports can prove the corpus
     was not vacuously untransformed).
@@ -452,8 +434,7 @@ def _check_variants(
         spec.name,
         functools.partial(build_program, spec),
         factories,
-        state_backend=state_backend,
-        trace_derive=trace_derive,
+        config,
     )
     mismatches = [
         Mismatch(
@@ -475,27 +456,28 @@ def _build_variant_program(spec: ProgramSpec, recipe, tag: int):
 
 def check_program(
     spec: ProgramSpec,
+    config: CampaignConfig = FUZZ_CONFIG,
     *,
     engine: str = "both",
-    workers: int = 2,
     defect: Optional[str] = None,
-    state_backend: str = "graph",
-    trace_derive: bool = False,
     variants: int = 0,
     variant_seed: int = 0,
 ) -> ProgramVerdict:
     """Run every differential check for one generated program.
 
-    With a non-graph ``state_backend``, every campaign-based check runs
-    under that backend *and* an extra **backend-equivalence** check
-    compares its sequential run log and classification byte-for-byte
-    against a graph-backend campaign — the fuzzer is the equivalence
-    oracle proving the fingerprint backend classifies every generated
-    program identically to the reference semantics.
+    Every campaign-based check runs with *config*'s stride, rounds and
+    state backend, on the sequential engine; the shard engine's campaign
+    (Check 2) runs ``config.workers`` shards.
+
+    With a non-graph ``state_backend``, an extra **backend-equivalence**
+    check compares the sequential run log and classification
+    byte-for-byte against a graph-backend campaign — the fuzzer is the
+    equivalence oracle proving the fingerprint backend classifies every
+    generated program identically to the reference semantics.
 
     With ``trace_derive``, a sixth **trace-equivalence** check runs the
-    sequential campaign again under ``--trace-derive`` and asserts its
-    run log (modulo per-run provenance) and its classification are
+    sequential campaign again under the trace pass and asserts its run
+    log (modulo per-run provenance) and its classification are
     byte-identical to the dynamic sweep — the fuzzer is the soundness
     oracle for the trace-derivation pass.
 
@@ -510,12 +492,18 @@ def check_program(
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if defect is not None and defect not in DEFECTS:
         raise ValueError(f"unknown defect {defect!r}; expected one of {DEFECTS}")
+    if engine != "sequential" and config.workers is None:
+        raise ValueError(f"engine {engine!r} needs config.workers")
     oracle = simulate(spec)
     mismatches: List[Mismatch] = []
+    plain = dataclasses.replace(config.sequential(), trace_derive=False)
+
+    def bad(check: str, detail: str) -> None:
+        mismatches.append(Mismatch(check, spec.name, detail))
 
     sequential: Optional[Tuple[DetectionResult, ClassificationResult]] = None
     if engine in ("sequential", "both"):
-        detection, classification = _campaign(spec, state_backend)
+        detection, classification = _campaign(spec, plain)
         if defect == "swap_pure_conditional":
             classification = _swap_pure_conditional(classification)
         sequential = (detection, classification)
@@ -523,30 +511,22 @@ def check_program(
             _check_oracle(spec, oracle, detection, classification, "oracle-sequential")
         )
         mismatches.extend(_check_replays(spec, detection, "sequential"))
-        if state_backend != "graph":
+        if plain.state_backend != "graph":
             # Check 5: backend equivalence against the reference backend.
             ref_detection, ref_classification = _campaign(
-                spec, "graph"
+                spec, dataclasses.replace(plain, state_backend="graph")
             )
+            backend = plain.state_backend
             if detection.log.to_json() != ref_detection.log.to_json():
-                mismatches.append(
-                    Mismatch(
-                        "backend-equivalence",
-                        spec.name,
-                        f"{state_backend} and graph run logs differ",
-                    )
-                )
+                bad("backend-equivalence", f"{backend} and graph run logs differ")
             elif classification.to_json() != ref_classification.to_json():
-                mismatches.append(
-                    Mismatch(
-                        "backend-equivalence",
-                        spec.name,
-                        f"{state_backend} and graph classifications differ",
-                    )
+                bad(
+                    "backend-equivalence",
+                    f"{backend} and graph classifications differ",
                 )
     if engine in ("parallel", "both"):
         detection, classification = _campaign(
-            spec, state_backend, workers=workers
+            spec, dataclasses.replace(plain, workers=config.workers)
         )
         if defect == "merge_reversed":
             detection.log.runs.reverse()
@@ -560,29 +540,17 @@ def check_program(
                 for d in (sequential[0], detection)
             ]
             if sequential[0].log.to_json() != detection.log.to_json():
-                mismatches.append(
-                    Mismatch(
-                        "engine-equivalence",
-                        spec.name,
-                        "sequential and parallel run logs differ",
-                    )
-                )
+                bad("engine-equivalence", "sequential and parallel run logs differ")
             elif sequential[1].to_json() != classification.to_json():
-                mismatches.append(
-                    Mismatch(
-                        "engine-equivalence",
-                        spec.name,
-                        "sequential and parallel classifications differ",
-                    )
+                bad(
+                    "engine-equivalence",
+                    "sequential and parallel classifications differ",
                 )
             elif recaptured[0] != recaptured[1]:
-                mismatches.append(
-                    Mismatch(
-                        "engine-equivalence",
-                        spec.name,
-                        "sequential and parallel campaigns recaptured "
-                        f"{recaptured[0]} and {recaptured[1]} run(s)",
-                    )
+                bad(
+                    "engine-equivalence",
+                    "sequential and parallel campaigns recaptured "
+                    f"{recaptured[0]} and {recaptured[1]} run(s)",
                 )
         else:
             mismatches.extend(
@@ -592,49 +560,36 @@ def check_program(
             )
 
     runs_derived = 0
-    if trace_derive:
+    if config.trace_derive:
         # Check 6: trace equivalence against the fully dynamic sweep.
         reference = sequential
         if reference is None:
-            reference = _campaign(spec, state_backend)
+            reference = _campaign(spec, plain)
         derived_detection, derived_classification = _campaign(
-            spec, state_backend, trace_derive=True
+            spec, dataclasses.replace(plain, trace_derive=True)
         )
         if derived_detection.telemetry is not None:
             runs_derived = derived_detection.telemetry.runs_derived
         if log_json_without_provenance(
             derived_detection.log
         ) != log_json_without_provenance(reference[0].log):
-            mismatches.append(
-                Mismatch(
-                    "trace-equivalence",
-                    spec.name,
-                    "derived and dynamic run logs differ (modulo provenance)",
-                )
+            bad(
+                "trace-equivalence",
+                "derived and dynamic run logs differ (modulo provenance)",
             )
         elif derived_classification.to_json() != reference[1].to_json():
-            mismatches.append(
-                Mismatch(
-                    "trace-equivalence",
-                    spec.name,
-                    "derived and dynamic classifications differ",
-                )
-            )
+            bad("trace-equivalence", "derived and dynamic classifications differ")
 
     for strategy in STRATEGIES:
         mismatches.extend(
-            _check_masking(spec, oracle, strategy, defect, state_backend)
+            _check_masking(spec, oracle, strategy, defect, plain)
         )
 
     variant_applied = 0
     if variants > 0:
         # Check 7: variant invariance (see _check_variants).
         variant_mismatches, variant_applied = _check_variants(
-            spec,
-            variants,
-            variant_seed,
-            state_backend,
-            trace_derive,
+            spec, variants, variant_seed, config.sequential()
         )
         mismatches.extend(variant_mismatches)
 
@@ -654,25 +609,18 @@ def check_program(
 def run_fuzz(
     seed: int,
     programs: int,
+    config: CampaignConfig = FUZZ_CONFIG,
     *,
     max_depth: int = 3,
     engine: str = "both",
-    workers: int = 2,
     defect: Optional[str] = None,
-    state_backend: str = "graph",
-    trace_derive: bool = False,
     variants: int = 0,
     progress: Optional[Callable[[int, int, ProgramVerdict], None]] = None,
 ) -> FuzzReport:
     """Fuzz ``programs`` generated subjects; return the aggregate report.
 
     Args:
-        state_backend: backend the checked campaigns compare state with;
-            a non-graph value additionally enables the per-program
-            backend-equivalence check (see :func:`check_program`).
-        trace_derive: additionally run each program's sequential campaign
-            under the trace-derivation pass and assert trace equivalence
-            (see :func:`check_program`).
+        config: the checked campaigns' knobs (see :func:`check_program`).
         variants: when positive, additionally check detection invariance
             across this many semantic-preserving AST variants of every
             program — Check 7 (recipes seeded by the fuzz seed).
@@ -690,11 +638,9 @@ def run_fuzz(
     for index, spec in enumerate(specs):
         verdict = check_program(
             spec,
+            config,
             engine=engine,
-            workers=workers,
             defect=defect,
-            state_backend=state_backend,
-            trace_derive=trace_derive,
             variants=variants,
             variant_seed=seed,
         )
@@ -714,15 +660,13 @@ def run_fuzz(
         programs=programs,
         max_depth=max_depth,
         engine=engine,
-        workers=workers,
+        config=config,
         defect=defect,
         total_points=total_points,
         total_runs=total_runs,
         category_counts=category_counts,
         mismatches=mismatches,
         failing_programs=failing,
-        state_backend=state_backend,
-        trace_derive=trace_derive,
         total_derived=total_derived,
         variants=variants,
         total_variant_applied=total_variant_applied,
@@ -731,10 +675,10 @@ def run_fuzz(
 
 def run_self_check(
     seed: int,
+    config: CampaignConfig = FUZZ_CONFIG,
     *,
     programs_per_defect: int = 8,
     max_depth: int = 3,
-    workers: int = 2,
 ) -> Dict[str, bool]:
     """Plant each known defect; return whether the fuzzer caught it.
 
@@ -746,9 +690,9 @@ def run_self_check(
     clean = run_fuzz(
         seed,
         programs_per_defect,
+        config,
         max_depth=max_depth,
         engine="both",
-        workers=workers,
     )
     if not clean.ok:
         raise AssertionError(
@@ -760,9 +704,9 @@ def run_self_check(
         report = run_fuzz(
             seed,
             programs_per_defect,
+            config,
             max_depth=max_depth,
             engine="both",
-            workers=workers,
             defect=defect,
         )
         results[defect] = not report.ok

@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator, Optional, Set
 
+from repro.experiments.config import CampaignConfig
+
+from .harness import FUZZ_CONFIG, check_program
 from .spec import (
     OP_CALL,
     OP_GUARDED_CALL,
@@ -137,12 +140,10 @@ def shrink(
 
 def make_failure_predicate(
     check_names: Iterable[str],
+    config: CampaignConfig = FUZZ_CONFIG,
     *,
     engine: str = "both",
-    workers: int = 2,
     defect: Optional[str] = None,
-    state_backend: str = "graph",
-    trace_derive: bool = False,
     variants: int = 0,
     variant_seed: int = 0,
 ) -> Callable[[ProgramSpec], bool]:
@@ -150,20 +151,17 @@ def make_failure_predicate(
 
     Matching on check name (not exact detail) lets the reducer keep a
     candidate whose mismatch message changed cosmetically while the
-    underlying disagreement is intact.
+    underlying disagreement is intact.  *config* and the keywords are
+    :func:`~repro.fuzz.harness.check_program`'s.
     """
-    from .harness import check_program
-
     wanted: Set[str] = set(check_names)
 
     def fails(candidate: ProgramSpec) -> bool:
         verdict = check_program(
             candidate,
+            config,
             engine=engine,
-            workers=workers,
             defect=defect,
-            state_backend=state_backend,
-            trace_derive=trace_derive,
             variants=variants,
             variant_seed=variant_seed,
         )

@@ -33,6 +33,7 @@ from .subjects import (
     build_subject,
     canonical_config,
     estimate_cost,
+    submission_config,
 )
 
 __all__ = [
@@ -49,4 +50,5 @@ __all__ = [
     "build_subject",
     "canonical_config",
     "estimate_cost",
+    "submission_config",
 ]

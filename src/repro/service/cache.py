@@ -44,10 +44,10 @@ CACHE_JOURNAL_VERSION = 1
 def submission_digest(source: str, config: Mapping[str, Any]) -> str:
     """The cache key of one submission: BLAKE2b-128 over source + config.
 
-    *config* must already be canonical (see
-    :func:`repro.service.subjects.canonical_config`); it is serialized
-    with sorted keys and compact separators so the digest is independent
-    of dict ordering and whitespace.
+    *config* is a campaign config's cache-key form
+    (:meth:`~repro.experiments.config.CampaignConfig.to_dict`); it is
+    serialized with sorted keys and compact separators so the digest is
+    independent of dict ordering and whitespace.
     """
     canonical = json.dumps(
         dict(config), sort_keys=True, separators=(",", ":")

@@ -64,17 +64,18 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.virtualsource import unregister_virtual_source
-from repro.experiments.campaign import run_app_campaign
+from repro.experiments.campaign import run_campaign
+from repro.experiments.config import CampaignConfig
 from repro.resilience.chaos import fire as _fault_site
 
 from .cache import ResultCache, submission_digest
 from .subjects import (
     SubmissionError,
     build_subject,
-    canonical_config,
     compile_source,
     estimate_cost,
     subject_filename,
+    submission_config,
 )
 
 __all__ = ["CampaignRecord", "CampaignService", "ServiceServer", "serve"]
@@ -114,7 +115,7 @@ class CampaignRecord:
     name: str
     digest: str
     source: str
-    config: Dict[str, Any]
+    config: CampaignConfig
     status: str = STATUS_QUEUED
     error: Optional[str] = None
     result: Optional[Dict[str, Any]] = None
@@ -215,8 +216,8 @@ class CampaignService:
         """
         if not isinstance(source, str) or not source.strip():
             raise SubmissionError("source must be non-empty Python source")
-        cfg = canonical_config(config)
-        digest = submission_digest(source, cfg)
+        cfg = submission_config(config)
+        digest = submission_digest(source, cfg.to_dict())
         cached = self.cache.get(digest)
         if cached is not None:
             persisted = self.cache.is_persisted(digest)
@@ -362,8 +363,6 @@ class CampaignService:
     def _run_inner(self, record: CampaignRecord) -> None:
         record.status = STATUS_RUNNING
         self._emit(record, {"event": "started"})
-        cfg = record.config
-
         def progress(done: int, total: int) -> None:
             self._emit(
                 record,
@@ -373,18 +372,7 @@ class CampaignService:
         try:
             # The one build of this subject: shard processes inherit it.
             program = build_subject(record.source, record.name)
-            if cfg["rounds"] > 1:
-                program = program.scaled(cfg["rounds"])
-            outcome = run_app_campaign(
-                program,
-                stride=cfg["stride"],
-                workers=cfg["workers"],
-                timeout=cfg["timeout"],
-                retries=cfg["retries"],
-                state_backend=cfg["state_backend"],
-                trace_derive=cfg["trace_derive"],
-                progress=progress,
-            )
+            outcome = run_campaign(program, record.config, progress=progress)
         except Exception as exc:  # the campaign, not the service, failed
             record.status = STATUS_FAILED
             record.error = f"{type(exc).__name__}: {exc}"
@@ -405,7 +393,7 @@ class CampaignService:
             "id": record.id,
             "name": record.name,
             "digest": record.digest,
-            "config": dict(cfg),
+            "config": record.config.to_dict(),
             "cached": False,
             "total_points": detection.total_points,
             "runs_executed": detection.runs_executed,

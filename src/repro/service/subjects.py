@@ -15,9 +15,11 @@ pass's transparency certificates) can read method bodies.  The worker
 unregisters it when the campaign ends, so a long-running server keeps
 no submitted source.
 
-Campaign configs are canonicalized before they reach the result cache:
-defaults filled, values coerced, keys sorted, unknown keys rejected.
-Two submissions that mean the same campaign therefore produce the same
+A submission's config becomes a
+:class:`~repro.experiments.config.CampaignConfig` before it reaches the
+result cache: defaults filled, values coerced, unknown keys rejected.
+The cache key hashes its :meth:`~CampaignConfig.to_dict` form, so two
+submissions that mean the same campaign produce the same
 :func:`~repro.service.cache.submission_digest` even when they spell the
 config differently.
 """
@@ -30,17 +32,18 @@ from types import CodeType
 from typing import Any, Dict, Mapping, Optional
 
 from repro.core.exceptions import exception_free, throws
-from repro.core.state import get_backend
 from repro.core.virtualsource import (
     register_virtual_source,
     unregister_virtual_source,
 )
+from repro.experiments.config import CampaignConfig
 from repro.experiments.programs import AppProgram
 
 __all__ = [
     "SERVICE_MODULE_NAME",
     "SERVICE_LANGUAGE",
     "SubmissionError",
+    "submission_config",
     "canonical_config",
     "compile_source",
     "subject_filename",
@@ -55,67 +58,28 @@ SERVICE_MODULE_NAME = "repro_service_subject"
 #: Language tag of submitted programs (the registry uses "C++"/"Java").
 SERVICE_LANGUAGE = "Service"
 
-#: Campaign config keys the service accepts, with their defaults.  The
-#: canonical form of a config is this dict updated with the submitted
-#: values — every key present, every value coerced.
-CONFIG_DEFAULTS: Dict[str, Any] = {
-    "stride": 1,
-    "rounds": 1,
-    "state_backend": "graph",
-    "trace_derive": False,
-    "workers": None,
-    "timeout": None,
-    "retries": 1,
-}
-
 
 class SubmissionError(ValueError):
     """A submission (source or config) the service must reject."""
 
 
-def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Validate and canonicalize a campaign config.
+def submission_config(config: Optional[Mapping[str, Any]]) -> CampaignConfig:
+    """The :class:`CampaignConfig` a submission's config spells.
 
-    Fills defaults, coerces value types, normalizes the backend name
-    through its registry, and rejects unknown keys — so the config that
-    reaches the cache key is exactly the config the campaign will run
-    with.
+    Missing knobs take their defaults; an unknown key or a value the
+    config's constructor rejects raises :class:`SubmissionError` (the
+    service's 400) with the constructor's message.
     """
-    config = dict(config or {})
-    unknown = set(config) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise SubmissionError(
-            f"unknown config keys: {sorted(unknown)} "
-            f"(known: {sorted(CONFIG_DEFAULTS)})"
-        )
-    out = dict(CONFIG_DEFAULTS)
-    out.update(config)
     try:
-        out["stride"] = int(out["stride"])
-        out["rounds"] = int(out["rounds"])
-        out["retries"] = int(out["retries"])
-        out["trace_derive"] = bool(out["trace_derive"])
-        if out["workers"] is not None:
-            out["workers"] = int(out["workers"])
-        if out["timeout"] is not None:
-            out["timeout"] = float(out["timeout"])
-    except (TypeError, ValueError) as exc:
-        raise SubmissionError(f"bad config value: {exc}") from exc
-    if out["stride"] < 1:
-        raise SubmissionError("stride must be >= 1")
-    if out["rounds"] < 1:
-        raise SubmissionError("rounds must be >= 1")
-    if out["retries"] < 0:
-        raise SubmissionError("retries must be >= 0")
-    if out["workers"] is not None and out["workers"] < 1:
-        raise SubmissionError("workers must be >= 1")
-    if out["timeout"] is not None and out["timeout"] <= 0:
-        raise SubmissionError("timeout must be > 0")
-    try:
-        out["state_backend"] = get_backend(str(out["state_backend"])).name
+        return CampaignConfig.from_mapping(config)
     except ValueError as exc:
         raise SubmissionError(str(exc)) from exc
-    return out
+
+
+def canonical_config(config: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
+    """A submission's config in cache-key form: every knob present,
+    coerced, the backend name normalized (see :func:`submission_config`)."""
+    return submission_config(config).to_dict()
 
 
 def _namespace() -> Dict[str, Any]:
@@ -207,7 +171,7 @@ def _define(code: CodeType, name: str) -> AppProgram:
     )
 
 
-def estimate_cost(source: str, config: Mapping[str, Any]) -> int:
+def estimate_cost(source: str, config: CampaignConfig) -> int:
     """A static proxy for a submission's compiled-plan point count.
 
     The true point count needs a profiling run, which is exactly the
@@ -217,9 +181,8 @@ def estimate_cost(source: str, config: Mapping[str, Any]) -> int:
     (the workload repeats) and divide by ``stride`` (the plan skips).
     It over-counts unexecuted branches and under-counts loops, but it is
     monotone in subject size, which is all an admission policy needs.
-
-    *config* should already be canonical; a source that does not parse
-    estimates to 1 (``compile_source`` rejects it with a 400 anyway).
+    A source that does not parse estimates to 1 (``compile_source``
+    rejects it with a 400 anyway).
     """
     try:
         tree = ast.parse(source)
@@ -236,6 +199,4 @@ def estimate_cost(source: str, config: Mapping[str, Any]) -> int:
                     for inner in ast.walk(method)
                     if isinstance(inner, ast.stmt)
                 ) - 1  # the def node itself is not a point
-    rounds = int(config.get("rounds", 1) or 1)
-    stride = int(config.get("stride", 1) or 1)
-    return max(1, (statements * rounds) // max(1, stride))
+    return max(1, (statements * config.rounds) // config.stride)

@@ -36,6 +36,7 @@ from repro.experiments import (
     run_app_campaign,
     save_outcome,
 )
+from repro.experiments import parallel
 from repro.experiments.shard import FRAGMENT_VERSION
 
 APP = "LLMap"  # small, fast campaign with real marks and an error path
@@ -272,15 +273,48 @@ def _tiny_program() -> AppProgram:
 
 
 def test_more_workers_than_injection_points():
-    """More shards than points must neither wedge nor duplicate runs —
-    the surplus shards simply hold no point."""
+    """More workers than points must neither wedge nor duplicate runs —
+    the campaign makes one shard per point, and runs at most one shard
+    process per CPU at once."""
     seq = run_app_campaign(_tiny_program())
     par = run_app_campaign(_tiny_program(), workers=8).detection
     assert par.total_points < 8
     assert par.runs_executed == seq.detection.runs_executed
     assert par.log.to_json() == seq.detection.log.to_json()
     assert par.genuine_failures == seq.detection.genuine_failures
-    assert par.telemetry.workers == 8
+    assert par.telemetry.workers == min(par.runs_executed, os.cpu_count())
+
+
+def test_shard_processes_never_outnumber_the_cpus(tmp_path, monkeypatch):
+    """A campaign runs at most ``os.cpu_count()`` shard processes at once
+    whatever ``workers`` asks for, and a fresh one makes no more shards
+    than its plan has points (three here)."""
+    spans = tmp_path / "spans"
+    chunk = parallel._run_chunk
+
+    def timed_chunk(*args):
+        started = time.monotonic()
+        try:
+            chunk(*args)
+        finally:
+            with open(spans, "a", encoding="utf-8") as handle:
+                handle.write(f"{started} {time.monotonic()}\n")
+
+    monkeypatch.setattr(parallel, "_run_chunk", timed_chunk)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    journal = tmp_path / "journal"
+    sequential = run_app_campaign(_tiny_program())
+    sharded = run_app_campaign(_tiny_program(), workers=5, journal=str(journal))
+    _same_result(sequential, sharded)
+    assert len(_fragments(journal)) == len(sequential.detection.log.runs) == 3
+    assert sharded.telemetry.workers == 1
+    intervals = sorted(
+        tuple(map(float, line.split()))
+        for line in spans.read_text(encoding="utf-8").splitlines()
+    )
+    assert len(intervals) == 3
+    for (_, end), (start, _) in zip(intervals, intervals[1:]):
+        assert end <= start  # one shard process at a time
 
 
 # ---------------------------------------------------------------------------

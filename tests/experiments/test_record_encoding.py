@@ -16,7 +16,12 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.runlog import RunRecord
-from repro.experiments import program_by_name, run_app_campaign, run_shard
+from repro.experiments import (
+    CampaignConfig,
+    program_by_name,
+    run_app_campaign,
+    run_shard,
+)
 
 
 def asdict_to_dict(record):
@@ -89,7 +94,9 @@ def test_fragment_matches_the_asdict_encoding_line_for_line(
 ):
     def fragment(name):
         path = tmp_path / name
-        run_shard(program_by_name(app), 0, 1, str(path), **config)
+        run_shard(
+            program_by_name(app), 0, 1, str(path), CampaignConfig(**config)
+        )
         return path.read_text(encoding="utf-8").splitlines()
 
     new = fragment("new.jsonl")

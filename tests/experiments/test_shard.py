@@ -32,6 +32,7 @@ import pytest
 from repro.core import plan_points
 from repro.core.runlog import RunRecord, log_json_without_provenance
 from repro.experiments import (
+    CampaignConfig,
     ShardError,
     ShardFragment,
     merge_fragments,
@@ -51,11 +52,13 @@ def sequential():
     return run_app_campaign(program_by_name(APP))
 
 
-def _run_all_shards(tmp_path, count, app=APP, **kwargs):
+def _run_all_shards(tmp_path, count, app=APP, **knobs):
     paths = []
     for index in range(count):
         path = str(tmp_path / f"shard-{index}.jsonl")
-        run_shard(program_by_name(app), index, count, path, **kwargs)
+        run_shard(
+            program_by_name(app), index, count, path, CampaignConfig(**knobs)
+        )
         paths.append(path)
     return paths
 
@@ -105,7 +108,7 @@ def test_run_shard_validates_arguments(tmp_path):
     with pytest.raises(ValueError, match="shard_count"):
         run_shard(program, 0, 0, path)
     with pytest.raises(ValueError, match="stride"):
-        run_shard(program, 0, 1, path, stride=0)
+        run_shard(program, 0, 1, path, CampaignConfig(stride=0))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,8 @@ def test_more_shards_than_points_leaves_empty_fragments(tmp_path):
     for index in range(count):
         path = str(tmp_path / f"shard-{index}.jsonl")
         result = run_shard(
-            program_by_name("Dynarray"), index, count, path, stride=5
+            program_by_name("Dynarray"), index, count, path,
+            CampaignConfig(stride=5),
         )
         paths.append(path)
         assert result.executed == len(result.points)
@@ -216,7 +220,7 @@ def test_fragment_resume_tolerates_truncation_at_every_byte(tmp_path):
     from repro.experiments.shard import ShardFragment
 
     source = str(tmp_path / "full.jsonl")
-    run_shard(program_by_name(APP), 0, 2, source, stride=4)
+    run_shard(program_by_name(APP), 0, 2, source, CampaignConfig(stride=4))
     data = pathlib.Path(source).read_bytes()
     # a run line is durably recorded once its closing brace is on disk
     # (the trailing newline is not needed to parse it)
@@ -344,7 +348,7 @@ def test_shard_timeout_marks_crashed_and_resume_rescues(tmp_path):
 
     workdir = str(tmp_path / "slow")
     supervised = ShardSupervisor(max_attempts=1).run(
-        make_program, 1, workdir, timeout=0.05, retries=1
+        make_program, 1, workdir, CampaignConfig(timeout=0.05, retries=1)
     )
     (outcome,) = supervised.outcomes
     points = outcome.result.points
@@ -510,7 +514,7 @@ def test_merge_rejects_empty_and_missing_fragments(tmp_path):
 def test_merge_names_differing_header_keys(tmp_path):
     paths = _run_all_shards(tmp_path, 2)
     other = str(tmp_path / "other.jsonl")
-    run_shard(program_by_name(APP), 1, 2, other, stride=2)
+    run_shard(program_by_name(APP), 1, 2, other, CampaignConfig(stride=2))
     with pytest.raises(ShardError) as excinfo:
         merge_fragments([paths[0], other])
     message = str(excinfo.value)

@@ -18,6 +18,7 @@ import pytest
 from repro.core import InjectionCampaign
 from repro.core.runlog import NONATOMIC
 from repro.experiments import (
+    CampaignConfig,
     JournalError,
     program_by_name,
     run_app_campaign,
@@ -81,7 +82,7 @@ def test_nonatomic_difference_strings_survive_refinement(
 def test_validate_masking_under_fingerprint_backend():
     graph = validate_masking(program_by_name(APP))
     fingered = validate_masking(
-        program_by_name(APP), state_backend="fingerprint"
+        program_by_name(APP), CampaignConfig(state_backend="fingerprint")
     )
     assert fingered.masking_effective == graph.masking_effective
     assert (

@@ -30,6 +30,7 @@ import time
 import pytest
 
 from repro.experiments import (
+    CampaignConfig,
     program_by_name,
     run_app_campaign,
     run_chaos_campaign,
@@ -210,7 +211,10 @@ def test_hung_run_is_crashed_then_rescued_on_resume(sequential, tmp_path):
     supervisor = ShardSupervisor(seed=3, backoff_base=0.01)
     with arm(plan):
         supervised = supervisor.run(
-            _factory, 2, str(tmp_path), workers=1, timeout=0.2, retries=1
+            _factory,
+            2,
+            str(tmp_path),
+            CampaignConfig(workers=1, timeout=0.2, retries=1),
         )
     _assert_identical(supervised.merged, sequential)
     assert supervised.shard_retries == 1
@@ -245,7 +249,7 @@ def test_stale_heartbeat_kills_worker_and_retry_converges(
     )
     with arm(plan):
         supervised = supervisor.run(
-            _factory, 2, str(tmp_path / "journal"), workers=1
+            _factory, 2, str(tmp_path / "journal"), CampaignConfig(workers=1)
         )
     _assert_identical(supervised.merged, sequential)
     # The step outlived the heartbeat timeout and the parent looks once
@@ -293,7 +297,9 @@ def test_retries_start_in_a_fixed_order_whatever_their_backoffs(
     delays = iter([0.6, 0.05])  # shard 0's retry is due well after 1's
     monkeypatch.setattr(supervisor, "backoff", lambda attempt: next(delays))
     with arm(plan):
-        supervised = supervisor.run(_factory, 2, str(tmp_path), workers=1)
+        supervised = supervisor.run(
+            _factory, 2, str(tmp_path), CampaignConfig(workers=1)
+        )
     _assert_identical(supervised.merged, sequential)
     assert [o.attempts for o in supervised.outcomes] == [2, 2]
     assert started == [0, 1, 0, 1]
@@ -364,11 +370,12 @@ def test_chaos_harness_with_passes_and_fingerprint_backend(tmp_path):
     report = run_chaos_campaign(
         _factory,
         str(tmp_path),
+        CampaignConfig(
+            timeout=0.25, state_backend="fingerprint", trace_derive=True
+        ),
         seed=12,
         shard_count=2,
         hang_seconds=0.5,
-        state_backend="fingerprint",
-        trace_derive=True,
         supervisor=ShardSupervisor(seed=12, backoff_base=0.01),
     )
     assert report.converged, report.summary()

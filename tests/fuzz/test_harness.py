@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import CampaignConfig
 from repro.fuzz import (
     DEFECTS,
     check_program,
@@ -27,7 +28,7 @@ def test_report_is_deterministic():
 
 
 def test_both_engines_agree():
-    report = run_fuzz(SEED, 4, engine="both", workers=2)
+    report = run_fuzz(SEED, 4, CampaignConfig(workers=2), engine="both")
     assert report.ok, [m.to_dict() for m in report.mismatches]
 
 
@@ -43,6 +44,8 @@ def test_check_program_validates_arguments():
         check_program(spec, engine="warp")
     with pytest.raises(ValueError, match="defect"):
         check_program(spec, defect="nonsense")
+    with pytest.raises(ValueError, match="workers"):
+        check_program(spec, CampaignConfig(), engine="both")
 
 
 @pytest.mark.parametrize("defect", DEFECTS)
@@ -67,9 +70,9 @@ def test_trace_check_catches_a_certificate_that_passes_every_type(
     handlers catch or its finally blocks change."""
     from repro.core.tracepass import TransparencyIndex
 
-    clean = run_fuzz(SEED, 25, engine="sequential", trace_derive=True)
+    clean = run_fuzz(SEED, 25, CampaignConfig(trace_derive=True), engine="sequential")
     assert clean.ok, [m.to_dict() for m in clean.mismatches]
     monkeypatch.setattr(TransparencyIndex, "catchers", lambda self, frame: ())
-    planted = run_fuzz(SEED, 25, engine="sequential", trace_derive=True)
+    planted = run_fuzz(SEED, 25, CampaignConfig(trace_derive=True), engine="sequential")
     assert planted.mismatches
     assert {m.check for m in planted.mismatches} == {"trace-equivalence"}

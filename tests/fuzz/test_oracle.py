@@ -8,6 +8,7 @@ match the oracle.
 
 import pytest
 
+from repro.experiments import CampaignConfig
 from repro.fuzz import ProgramSpec, check_program, simulate
 from repro.fuzz.spec import (
     GUARD_ALIAS,
@@ -220,5 +221,7 @@ def test_rebound_alias_catches_by_its_binding_at_the_time():
         and r.injected_exception == "InjectedRuntimeError"
     ]
     assert [r.completed for r in runtime] == [False, True]
-    verdict = check_program(spec, engine="sequential", trace_derive=True)
+    verdict = check_program(
+        spec, CampaignConfig(trace_derive=True), engine="sequential"
+    )
     assert verdict.ok, [m.to_dict() for m in verdict.mismatches]

@@ -32,6 +32,7 @@ from repro.service import (
     build_subject,
     canonical_config,
     estimate_cost,
+    submission_config,
     submission_digest,
 )
 from repro.service import server as server_module
@@ -497,12 +498,12 @@ def test_http_end_to_end():
 
 
 def test_estimate_cost_scales_with_statements_rounds_and_stride():
-    base = estimate_cost(SOURCE, canonical_config({}))
+    base = estimate_cost(SOURCE, submission_config({}))
     assert base == 6  # two statements in each of __init__/bump/drain
-    assert estimate_cost(SOURCE, canonical_config({"rounds": 2})) == 2 * base
-    assert estimate_cost(SOURCE, canonical_config({"stride": 4})) == base // 4
-    assert estimate_cost("def broken(:\n", canonical_config({})) == 1
-    assert estimate_cost("def workload():\n    pass\n", canonical_config({})) == 1
+    assert estimate_cost(SOURCE, submission_config({"rounds": 2})) == 2 * base
+    assert estimate_cost(SOURCE, submission_config({"stride": 4})) == base // 4
+    assert estimate_cost("def broken(:\n", submission_config({})) == 1
+    assert estimate_cost("def workload():\n    pass\n", submission_config({})) == 1
 
 
 def test_service_validates_shedding_configuration():
@@ -533,7 +534,7 @@ def test_shed_oldest_policy_drops_the_oldest_queued_campaign():
 
 
 def test_cost_aware_policy_bounds_pending_work():
-    cost = estimate_cost(SOURCE, canonical_config({}))
+    cost = estimate_cost(SOURCE, submission_config({}))
     service = CampaignService(
         queue_size=8, policy="cost-aware", max_pending_cost=cost + 1
     )
@@ -745,6 +746,60 @@ def test_http_undolog_backend_is_400():
             )
             assert status == 400
             assert b"known: fingerprint, graph" in payload
+        finally:
+            server._server.close()
+            await server._server.wait_closed()
+
+    asyncio.run(scenario())
+
+
+#: Config values the service used to mis-coerce: a flag spelled
+#: ``"false"`` read as true, a NaN budget (JSON's ``NaN`` or the string)
+#: that got every polled run killed, a fractional stride truncated.
+MISCOERCED_CONFIGS = [
+    ({"trace_derive": "false"}, b"trace_derive must be a boolean"),
+    ({"timeout": float("nan")}, b"timeout must be > 0 and finite"),
+    ({"timeout": "nan"}, b"timeout must be > 0 and finite"),
+    ({"stride": 2.9}, b"stride must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    MISCOERCED_CONFIGS,
+    ids=["flag-string", "nan-timeout", "nan-string-timeout", "fractional-stride"],
+)
+def test_http_miscoerced_config_is_400(config, message):
+    async def scenario():
+        server = ServiceServer(CampaignService())
+        port = await _listener_only(server)
+        try:
+            status, payload = await _request(
+                port, "POST", "/campaigns", {"source": SOURCE, "config": config}
+            )
+            assert status == 400
+            assert message in payload
+        finally:
+            server._server.close()
+            await server._server.wait_closed()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    "config",
+    [[1, 2], "stride", {"timeout": 10**400}],
+    ids=["list", "string", "timeout-beyond-float"],
+)
+def test_http_config_that_is_no_object_or_overflows_is_400(config):
+    async def scenario():
+        server = ServiceServer(CampaignService())
+        port = await _listener_only(server)
+        try:
+            status, _ = await _request(
+                port, "POST", "/campaigns", {"source": SOURCE, "config": config}
+            )
+            assert status == 400
         finally:
             server._server.close()
             await server._server.wait_closed()
